@@ -77,6 +77,7 @@ def measure() -> dict:
     print(f"findings                 : {findings:8d}")
 
     return {
+        "cpu_count": os.cpu_count(),
         "repeats": REPEATS,
         "files_checked": files,
         "graph_functions": functions,

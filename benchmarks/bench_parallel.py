@@ -33,7 +33,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _shared import write_bench_report
 
 from repro.experiments.runner import ExperimentConfig, ResultRow, run_suite
-from repro.parallel import ProfileCache, SupervisionPolicy
+from repro.parallel import ProfileCache
 
 
 def rows_equal(a: List[ResultRow], b: List[ResultRow]) -> bool:
@@ -61,13 +61,10 @@ def run_grid(
     config: ExperimentConfig,
     jobs: int,
     cache_root: Optional[str],
-    policy: Optional[SupervisionPolicy] = None,
 ) -> Dict[str, object]:
     cache = ProfileCache(cache_root) if cache_root else None
     start = time.perf_counter()
-    rows = run_suite(
-        suite, config=config, jobs=jobs, profile_cache=cache, policy=policy
-    )
+    rows = run_suite(suite, config=config, jobs=jobs, profile_cache=cache)
     elapsed = time.perf_counter() - start
     return {"jobs": jobs, "seconds": elapsed, "rows": rows}
 
@@ -149,39 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             spd = f"  {speedup:.2f}x" if speedup else ""
             print(f"warm jobs={jobs}: {run['seconds']:.2f}s{spd}{note}")
 
-        # Supervision overhead: the self-healing supervisor is the
-        # default pool path, so its fault-free cost over the legacy
-        # single-dispatch pool is an SLO (<=2%).  Min-of-2 per mode
-        # filters scheduler noise at this small a grid.
-        overhead_jobs = max(job_settings)
-        sup_policy = SupervisionPolicy()
-        unsup_policy = SupervisionPolicy(enabled=False)
-        sup_rows: Optional[List[ResultRow]] = None
-        unsup_rows: Optional[List[ResultRow]] = None
-        sup_s = unsup_s = float("inf")
-        for _ in range(2):
-            run = run_grid(args.suite, config, overhead_jobs, cache_root,
-                           policy=sup_policy)
-            sup_s, sup_rows = min(sup_s, run["seconds"]), run["rows"]
-            run = run_grid(args.suite, config, overhead_jobs, cache_root,
-                           policy=unsup_policy)
-            unsup_s, unsup_rows = min(unsup_s, run["seconds"]), run["rows"]
-        overhead = sup_s / unsup_s - 1.0 if unsup_s > 0 else None
-        sup_equal = rows_equal(sup_rows, unsup_rows)
-        ok = ok and sup_equal
-        report["supervision"] = {
-            "jobs": overhead_jobs,
-            "supervised_seconds": sup_s,
-            "unsupervised_seconds": unsup_s,
-            "overhead": overhead,
-            "rows_equal": sup_equal,
-        }
-        print(
-            f"supervision overhead @ jobs={overhead_jobs}: "
-            f"{sup_s:.2f}s supervised vs {unsup_s:.2f}s unsupervised "
-            f"({overhead:+.1%})"
-        )
-
         cache = ProfileCache(cache_root)
         report["profile_cache_entries"] = len(cache)
 
@@ -208,7 +172,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "rows_identical": ok,
             "max_jobs": max_jobs,
             "parallel_speedup": speedups.get(max_jobs),
-            "supervision_overhead": report["supervision"]["overhead"],
         },
     )
     print(f"report written to {args.out}")

@@ -7,10 +7,8 @@ severities, inline ``# repro-lint: disable=…`` suppressions, baselines
 and reporters are all shared with the lint tier — the two tiers differ
 only in *scope* (one file vs. the program), not in contract.
 
-The registry is separate from the lint registry so an analysis rule may
-deliberately reuse a lint rule id: the interprocedural purity pass
-registers as ``pool-safety``, subsuming the name-based syntactic pass of
-the same id (one invariant, one id, two tiers of enforcement).
+The registry is separate from the lint registry; each invariant is
+enforced by exactly one rule id in exactly one of the two tiers.
 """
 
 from __future__ import annotations

@@ -1,17 +1,21 @@
-"""Analysis rule ``pool-safety``: pool workers must be *transitively* pure.
+"""Analysis rule ``pool-safety``: pool workers must ship and be pure.
 
-Subsumes the syntactic lint rule of the same id.  The lint tier rejects
-worker callables that cannot even be shipped to a spawn-start pool
-(lambdas, closures); this tier verifies the property the parallel engine
-actually relies on for bit-identical results — that a dispatched worker
-is **pure up to its explicit payload**:
+:func:`repro.parallel.run_tasks` promises that any worker count or
+platform produces the same values.  That holds only when a dispatched
+worker is
 
-* no writes to module-level globals, directly or through any chain of
-  project-internal calls (the blind spot of the name-based pass: a
-  module-level worker that *calls* a helper mutating a module dict
-  passed the old check);
-* no ambient nondeterminism (wall-clock reads, stdlib ``random``,
-  numpy's module-state RNG) anywhere in the worker's call closure.
+* **picklable by qualified name** — lambdas and functions defined inside
+  other functions work by accident under the ``fork`` start method and
+  raise ``PicklingError`` under ``spawn`` (macOS/Windows default).  A
+  lambda or nested function passed as the worker of
+  ``run_tasks``/``supervise_tasks``, or a lambda passed as any argument
+  of ``execute_grid`` (its ``ground_truth`` callable crosses the pool
+  boundary), is reported at the dispatch site.  Parent-side callbacks
+  such as ``on_result`` never cross the boundary and stay unrestricted;
+* **pure up to its explicit payload** — no writes to module-level
+  globals and no ambient nondeterminism (wall-clock reads, stdlib
+  ``random``, numpy's module-state RNG) anywhere in its call closure,
+  followed through any chain of project-internal calls.
 
 Effects inside exempt modules do not count (default: :mod:`repro.obs`,
 whose per-worker state is shipped back and merged deterministically, and
@@ -20,11 +24,9 @@ the DetSan runtime sanitizer).  Config::
     [tool.repro.lint.pool-safety]
     effect_exempt_modules = ["repro.obs", "repro.analysis.detsan"]
 
-Findings are anchored at the *effect site* (the global write or banned
-call), so an inline ``# repro-lint: disable=pool-safety`` with a
+Impurity findings are anchored at the *effect site* (the global write or
+banned call), so an inline ``# repro-lint: disable=pool-safety`` with a
 rationale at that line exempts exactly the statement that was reviewed.
-Unpicklable workers (lambda / nested function) are still reported at the
-dispatch site, as in the lint tier.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ def _chain_text(chain: List[str]) -> str:
 class PoolPurityPass(AnalysisPass):
     rule = "pool-safety"
     description = (
-        "pool-dispatched workers must be transitively pure: no module-"
-        "global writes and no ambient nondeterminism anywhere in their "
-        "call closure (interprocedural tier of the lint rule)"
+        "pool-dispatched workers must pickle by qualified name (no "
+        "lambdas or nested functions) and be transitively pure: no "
+        "module-global writes and no ambient nondeterminism anywhere in "
+        "their call closure"
     )
 
     def check_graph(self, graph: ProjectGraph, config) -> Iterable[Finding]:
@@ -140,7 +143,27 @@ class PoolPurityPass(AnalysisPass):
                         ),
                     )
                 )
+        findings.extend(self._grid_lambdas(graph))
         return findings
+
+    def _grid_lambdas(self, graph: ProjectGraph) -> Iterable[Finding]:
+        """Lambdas in any ``execute_grid`` argument: all of them ship."""
+        for info in graph.functions.values():
+            for site in info.calls:
+                if not site.dotted or site.dotted.rsplit(".", 1)[-1] != "execute_grid":
+                    continue
+                call = site.node
+                values = list(call.args) + [kw.value for kw in call.keywords]
+                for value in values:
+                    if isinstance(value, ast.Lambda):
+                        yield self.finding(
+                            info.module,
+                            value,
+                            "lambda passed to execute_grid() cannot be "
+                            "pickled to spawn-start pool workers",
+                            hint="define a module-level function and pass "
+                            "it by name",
+                        )
 
     @staticmethod
     def _is_nested_def(caller, name: str) -> bool:

@@ -193,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fsync-every", type=int, default=1,
                        help="fsync the checkpoint once per N rows "
                             "(default 1 = every row)")
-        p.add_argument("--no-supervise", action="store_true",
-                       help="disable the self-healing pool supervisor "
-                            "(worker death then aborts the whole grid)")
         p.add_argument("--speculate", action="store_true",
                        help="speculatively duplicate straggling tasks on "
                             "idle workers (first copy wins; results are "
@@ -606,7 +603,7 @@ _NON_IDENTITY_ARGS = {
     "resume", "fsync_every", "profile_cache", "sim_cache", "top",
     # Supervision knobs never change results (quarantine excepted, and a
     # quarantined cell is visible in the rows themselves, not run_id).
-    "no_supervise", "speculate", "max_task_kills", "heartbeat_timeout",
+    "speculate", "max_task_kills", "heartbeat_timeout",
     # The sanitizer observes results, never changes them.
     "detsan",
 }
@@ -960,7 +957,6 @@ def _run_grid(args):
     from .parallel import SupervisionPolicy
 
     policy = SupervisionPolicy(
-        enabled=not args.no_supervise,
         speculate=args.speculate,
         max_task_kills=args.max_task_kills,
         heartbeat_timeout=args.heartbeat_timeout,

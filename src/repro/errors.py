@@ -113,12 +113,13 @@ class CheckpointError(ReproError):
 
 
 class WorkerCrashError(ReproError):
-    """A process-pool worker died (SIGKILL, OOM, hard crash).
+    """Process-pool workers kept dying (SIGKILL, OOM, hard crash).
 
-    Raised instead of the raw ``concurrent.futures`` pool-breakage
-    errors so orchestration code can catch pool death as a pipeline
-    failure.  ``indices`` lists the payload indices that were in flight
-    when the pool broke — one of them is the likely culprit.
+    Raised by the pool supervisor, instead of the raw
+    ``concurrent.futures`` pool-breakage errors, once worker deaths
+    exhaust its pool-rebuild budget, so orchestration code can catch
+    pool death as a pipeline failure.  ``indices`` lists the payload
+    indices that were in flight when the pool last broke.
     """
 
     def __init__(self, message: str, indices: Optional[List[int]] = None):

@@ -2,10 +2,12 @@
 
 The pipeline's correctness claims rest on invariants no type checker or
 generic linter enforces: bit-identical determinism (every RNG explicitly
-seeded, no wall-clock reads in result paths), cache-key completeness
-(every field of a keyed dataclass covered by its fingerprint function),
-typed error handling, and pool safety (picklable task callables).  This
-package machine-checks them:
+seeded, no wall-clock reads in result paths, no set iteration in keys),
+typed error handling, and a simulator-version salt that tracks every
+change to the simulator.  This package machine-checks the ones a single
+file (or the salt manifest) can decide; the invariants that span call
+chains — cache-key soundness and pool-worker safety — belong to the
+whole-program tier, :mod:`repro.analysis` (``repro analyze``):
 
 * :mod:`~repro.lint.engine` parses each file once and dispatches to the
   registered passes (:mod:`~repro.lint.passes`);

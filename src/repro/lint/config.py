@@ -4,8 +4,9 @@ The config answers four questions: which files to lint (``paths`` /
 ``exclude``), where grandfathered findings live (``baseline``), which
 rules are off repo-wide (``disable``), and the per-rule options —
 including the ``[[tool.repro.lint.cache-key]]`` array that declares
-which dataclasses are cache-keyed and by what key function (see
-:mod:`repro.lint.passes.cache_keys`).
+which classes are cache-keyed and by what key function (checked by the
+analysis rule ``cache-key-soundness``,
+:mod:`repro.analysis.passes.cache_soundness`).
 
 The project *root* is the directory containing the pyproject.toml the
 config was read from; every relative path in the config (and every
@@ -41,16 +42,15 @@ class LintUsageError(Exception):
 
 @dataclass(frozen=True)
 class CacheKeySpec:
-    """One keyed dataclass the cache-key-completeness pass must verify.
+    """One keyed class the ``cache-key-soundness`` pass must verify.
 
     ``key`` is either the name of a method of the class (its fingerprint
     or serialization function) or the literal string ``"repr"`` for
     types keyed through ``repr(instance)`` — where completeness means no
     field opts out with ``field(repr=False)``.
 
-    ``exempt`` fields are *reviewed exemptions*: the analysis tier
-    (rule ``cache-key-soundness``) requires a non-empty
-    ``justification`` explaining why the exempted fields cannot change
+    ``exempt`` fields are *reviewed exemptions*: a non-empty list needs
+    a ``justification`` explaining why the exempted fields cannot change
     results — an exemption nobody can defend is a stale-cache bug
     waiting to happen.
     """

@@ -171,10 +171,20 @@ def run_lint(
     rules: Optional[Sequence[str]] = None,
 ) -> LintResult:
     """Run every enabled pass over the configured (or given) paths."""
+    from ..analysis.passes import (
+        load_builtin_analysis_passes,
+        registered_analysis_passes,
+    )
+
     load_builtin_passes()
+    load_builtin_analysis_passes()
     known = set(registered_passes())
+    # ``disable`` is shared with ``repro analyze``, so its rule ids are
+    # valid here too.
+    shared = known | set(registered_analysis_passes())
     unknown = sorted(
-        {rule for rule in (list(rules or []) + list(config.disable)) if rule not in known}
+        {rule for rule in (rules or []) if rule not in known}
+        | {rule for rule in config.disable if rule not in shared}
     )
     if unknown:
         raise LintUsageError(

@@ -21,9 +21,7 @@ def load_builtin_passes() -> None:
     if _LOADED:
         return
     from . import (  # noqa: F401  (imported for registration side effect)
-        cache_keys,
         global_rng,
-        pool_safety,
         sim_salt,
         typed_errors,
         unordered_iter,

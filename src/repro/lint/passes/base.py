@@ -5,8 +5,8 @@ A pass is a class with a ``rule`` id and one or both hooks:
 * :meth:`LintPass.check_module` — called once per parsed file, for
   purely local rules (RNG discipline, wall-clock bans, raise hygiene);
 * :meth:`LintPass.check_project` — called once with every parsed file,
-  for cross-file rules (cache-key completeness needs the dataclass and
-  its key function, which may live in different modules).
+  for cross-file rules (the simulator-version salt hashes every watched
+  module against one manifest).
 
 Passes register themselves with :func:`register`; the engine
 instantiates every registered pass per run, so passes may keep per-run

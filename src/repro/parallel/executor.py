@@ -21,27 +21,20 @@ Two properties the experiment grids rely on:
 
 Workers are processes, not threads: the simulators and samplers are
 CPU-bound NumPy/Python code, so threads would serialize on the GIL.
-The pool uses the ``fork`` start method where available (cheap, and
-payloads stay picklable anyway so ``spawn`` platforms work too).
 
-Pooled runs are dispatched through the self-healing supervisor by
-default (:mod:`repro.parallel.supervisor`): a SIGKILLed or OOMed worker
-rebuilds the pool and re-dispatches unfinished tasks instead of sinking
-the run, and tasks that keep killing workers are quarantined with a
-typed error.  ``SupervisionPolicy(enabled=False)`` restores the legacy
-single-dispatch pool (kept for the overhead benchmark).
+Every pooled run goes through the self-healing supervisor
+(:mod:`repro.parallel.supervisor`): a SIGKILLed or OOMed worker rebuilds
+the pool and re-dispatches unfinished tasks instead of sinking the run,
+and tasks that keep killing workers are quarantined with a typed error.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from .. import obs
-from ..errors import WorkerCrashError
+from .supervisor import SupervisionPolicy, SupervisionReport, supervise_tasks
 
 __all__ = ["resolve_jobs", "run_tasks"]
 
@@ -53,47 +46,15 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return int(jobs)
 
 
-def _pool_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _invoke(worker: Callable[[Any], Any], payload: Any, capture_obs: bool) -> Dict:
-    """Run one payload in the worker process, capturing obs if asked."""
-    if not capture_obs:
-        return {"value": worker(payload)}
-    with obs.scoped() as session:
-        with obs.ResourceMonitor() as monitor:
-            value = worker(payload)
-        return {
-            "value": value,
-            "spans": [s.to_dict() for s in session.tracer.finished()],
-            "metrics": session.metrics.export_state(),
-            "epoch_wall": session.tracer.epoch_wall,
-            "resource": monitor.snapshot(),
-        }
-
-
-def _merge_worker_obs(result: Dict, worker_label: str) -> None:
-    session = obs.current()
-    if session is None or "spans" not in result:
-        return
-    session.tracer.ingest(
-        result["spans"], worker=worker_label, epoch_wall=result.get("epoch_wall")
-    )
-    session.metrics.merge_state(result.get("metrics") or {})
-    session.record_worker_resource(worker_label, result.get("resource"))
-
-
 def run_tasks(
     worker: Callable[[Any], Any],
     payloads: Sequence[Any],
     jobs: Optional[int] = 1,
     on_result: Optional[Callable[[int, Any], None]] = None,
     label: str = "parallel",
-    policy: Optional["SupervisionPolicy"] = None,
+    policy: Optional[SupervisionPolicy] = None,
     fault_plan: Optional[object] = None,
-    report: Optional["SupervisionReport"] = None,
+    report: Optional[SupervisionReport] = None,
 ) -> List[Any]:
     """Run ``worker`` over ``payloads``; results come back in payload order.
 
@@ -105,84 +66,39 @@ def run_tasks(
     propagates after pending work is cancelled; results delivered before
     the failure have already been passed to ``on_result``.
 
-    Pooled execution is **supervised** by default (see
+    Pooled execution is **supervised** (see
     :mod:`repro.parallel.supervisor`): worker death rebuilds the pool
     and re-dispatches only unfinished tasks (purity keeps retried
     results bit-identical), a task that keeps killing workers is
     quarantined with a typed
     :class:`~repro.errors.PoisonedTaskError` — recorded in ``report``
     when one is passed, raised otherwise — and ``policy`` opts into
-    heartbeat stall detection and speculative re-execution.  Pass
-    ``policy=SupervisionPolicy(enabled=False)`` for the legacy
-    unsupervised pool, where pool breakage raises a typed
-    :class:`~repro.errors.WorkerCrashError` naming the in-flight
-    payload indices.  ``fault_plan`` (a
-    :class:`~repro.resilience.FaultPlan` with process-level rates)
-    injects real worker kills/stalls inside the pool — it never reaches
-    the sequential path, which by definition cannot lose a worker.
+    heartbeat stall detection and speculative re-execution.
+    ``fault_plan`` (a :class:`~repro.resilience.FaultPlan` with
+    process-level rates) injects real worker kills/stalls inside the
+    pool — it never reaches the sequential path, which by definition
+    cannot lose a worker.
     """
     jobs = resolve_jobs(jobs)
-    results: List[Any] = [None] * len(payloads)
     if jobs <= 1 or len(payloads) <= 1:
+        results: List[Any] = []
         for index, payload in enumerate(payloads):
             value = worker(payload)
-            results[index] = value
+            results.append(value)
             if on_result is not None:
                 on_result(index, value)
         return results
 
-    capture = obs.is_enabled()
     obs.log_event(f"{label}.fanout", tasks=len(payloads), jobs=jobs)
-    from .supervisor import SupervisionPolicy, supervise_tasks
-
-    if policy is None:
-        policy = SupervisionPolicy()
-    if policy.enabled:
-        results, _ = supervise_tasks(
-            worker,
-            payloads,
-            jobs=jobs,
-            on_result=on_result,
-            label=label,
-            policy=policy,
-            capture_obs=capture,
-            fault_plan=fault_plan,
-            report=report,
-        )
-        return results
-
-    executor = ProcessPoolExecutor(
-        max_workers=min(jobs, len(payloads)), mp_context=_pool_context()
+    results, _ = supervise_tasks(
+        worker,
+        payloads,
+        jobs=jobs,
+        on_result=on_result,
+        label=label,
+        policy=policy,
+        capture_obs=obs.is_enabled(),
+        fault_plan=fault_plan,
+        report=report,
     )
-    try:
-        future_index = {
-            executor.submit(_invoke, worker, payload, capture): index
-            for index, payload in enumerate(payloads)
-        }
-        pending = set(future_index)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = future_index[future]
-                try:
-                    wrapped = future.result()  # re-raises worker exceptions
-                except BrokenProcessPool as err:
-                    unfinished = sorted({index} | {future_index[f] for f in pending})
-                    raise WorkerCrashError(
-                        f"{label}: a worker process died unsupervised "
-                        f"(payload index {index} observed the breakage; "
-                        f"unfinished indices: {unfinished}); supervised "
-                        "execution (the default policy) recovers from this "
-                        "automatically",
-                        indices=unfinished,
-                    ) from err
-                _merge_worker_obs(wrapped, worker_label=f"{label}-{index}")
-                results[index] = wrapped["value"]
-                obs.inc(f"{label}.tasks_completed")
-                if on_result is not None:
-                    on_result(index, wrapped["value"])
-    finally:
-        # cancel_futures keeps a failure (or Ctrl-C) from waiting out the
-        # whole remaining grid before the exception surfaces.
-        executor.shutdown(wait=True, cancel_futures=True)
     return results

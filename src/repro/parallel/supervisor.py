@@ -36,6 +36,7 @@ makes the chaos tests honest.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import tempfile
@@ -61,9 +62,6 @@ __all__ = [
 class SupervisionPolicy:
     """Knobs for the supervised dispatch loop."""
 
-    #: ``False`` selects the legacy unsupervised pool path (used by the
-    #: overhead benchmark and as an escape hatch).
-    enabled: bool = True
     #: Solo pool-breakages a task may cause before it is quarantined.
     max_task_kills: int = 2
     #: Duplicate the slowest outstanding tasks once when slots idle.
@@ -115,6 +113,38 @@ class SupervisionReport:
         return sorted(p.index for p in self.poisoned)
 
 
+def _pool_context():
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _invoke(worker: Callable[[Any], Any], payload: Any, capture_obs: bool) -> Dict:
+    """Run one payload in the worker process, capturing obs if asked."""
+    if not capture_obs:
+        return {"value": worker(payload)}
+    with obs.scoped() as session:
+        with obs.ResourceMonitor() as monitor:
+            value = worker(payload)
+        return {
+            "value": value,
+            "spans": [s.to_dict() for s in session.tracer.finished()],
+            "metrics": session.metrics.export_state(),
+            "epoch_wall": session.tracer.epoch_wall,
+            "resource": monitor.snapshot(),
+        }
+
+
+def _merge_worker_obs(result: Dict, worker_label: str) -> None:
+    session = obs.current()
+    if session is None or "spans" not in result:
+        return
+    session.tracer.ingest(
+        result["spans"], worker=worker_label, epoch_wall=result.get("epoch_wall")
+    )
+    session.metrics.merge_state(result.get("metrics") or {})
+    session.record_worker_resource(worker_label, result.get("resource"))
+
+
 @dataclass(frozen=True)
 class _TaskSpec:
     """Picklable wrapper payload for one supervised task attempt."""
@@ -136,12 +166,9 @@ def _supervised_invoke(spec: _TaskSpec) -> Dict:
     """Run one task attempt inside a worker process.
 
     Stamps the heartbeat file (pid + monotonic start time) before doing
-    any work, then applies injected process faults, then defers to the
-    plain executor wrapper so obs capture is identical to the
-    unsupervised path.
+    any work, then applies injected process faults, then runs the payload
+    under :func:`_invoke` (which captures obs when asked).
     """
-    from .executor import _invoke  # local: avoid import cycle at module load
-
     if spec.heartbeat_dir:
         try:
             stamp = f"{os.getpid()} {time.monotonic():.6f}"
@@ -214,8 +241,6 @@ class _Supervisor:
 
     # -- pool lifecycle ------------------------------------------------------
     def _pool(self) -> ProcessPoolExecutor:
-        from .executor import _pool_context
-
         if self.executor is None:
             self.executor = ProcessPoolExecutor(
                 max_workers=min(self.jobs, max(1, len(self.payloads))),
@@ -302,8 +327,6 @@ class _Supervisor:
         return repr(a) == repr(b)
 
     def _complete(self, flight: _Flight, wrapped: Dict) -> None:
-        from .executor import _merge_worker_obs
-
         index = flight.index
         if index in self.done:
             # The losing copy of a speculated task (or a stale re-dispatch
@@ -499,11 +522,10 @@ def supervise_tasks(
 ) -> Tuple[List[Any], SupervisionReport]:
     """Run ``worker`` over ``payloads`` under supervision.
 
-    The supervised twin of the plain pool loop in
-    :func:`repro.parallel.run_tasks` (which calls this when supervision
-    is enabled): same ordering and obs-merging contract, plus worker
-    death recovery, poison-task quarantine, optional heartbeat stall
-    detection and speculative re-execution.
+    The pool path of :func:`repro.parallel.run_tasks`: results in
+    payload order, worker obs merged into the parent session, plus
+    worker death recovery, poison-task quarantine, optional heartbeat
+    stall detection and speculative re-execution.
 
     When ``report`` is ``None`` a quarantine raises
     :class:`~repro.errors.PoisonedTaskError`; when the caller supplies a

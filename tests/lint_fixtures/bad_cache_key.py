@@ -1,4 +1,4 @@
-"""Fixture: keyed dataclasses with incomplete keys (cache-key-completeness)."""
+"""Fixture: keyed dataclasses with incomplete keys (cache-key-soundness)."""
 
 import hashlib
 from dataclasses import dataclass, field

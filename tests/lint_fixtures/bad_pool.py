@@ -1,4 +1,4 @@
-"""Fixture: unpicklable task callables the pool-safety rule bans."""
+"""Fixture: unpicklable task callables the pool-safety analysis rule bans."""
 
 from repro.parallel import run_tasks
 

@@ -1,10 +1,10 @@
 """Fixture: a picklable worker that is impure two calls deep.
 
-The name-based ``pool-safety`` lint rule checks only that the worker is
-a module-level function (picklable to spawn-start pools); it approves
-this file.  The interprocedural analysis tier (``repro analyze``)
-follows ``_worker -> _remember`` and flags the module-global write —
-the documented blind spot this fixture pins as a regression test.
+A name-based check sees only that the worker is a module-level
+function (picklable to spawn-start pools) and approves this file.  The
+``pool-safety`` analysis rule (``repro analyze``) follows ``_worker ->
+_remember`` and flags the module-global write — the blind spot this
+fixture pins as a regression test.
 """
 
 from repro.parallel import run_tasks

@@ -1,4 +1,4 @@
-"""Fixture: keyed dataclasses that must pass cache-key-completeness."""
+"""Fixture: keyed dataclasses that must pass cache-key-soundness."""
 
 import hashlib
 from dataclasses import dataclass, field, fields

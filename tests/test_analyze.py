@@ -2,7 +2,7 @@
 
 Covers: the three interprocedural passes firing on their fixture
 mini-packages (and staying silent on the clean counterparts), the
-lint-tier blind spot (a picklable worker that is transitively impure),
+name-based blind spot (a picklable worker that is transitively impure),
 exemption-justification enforcement, report filtering vs whole-graph
 loading, the CLI exit-code contract, ``--changed``, and the two
 acceptance invariants — the real ``src/repro`` tree analyzes clean with
@@ -14,12 +14,13 @@ pyproject.toml.
 import json
 import shutil
 import subprocess
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.lint import load_config, run_lint
+from repro.lint import load_config
 from repro.lint import config as lint_config
 from repro.lint.config import LintUsageError
 
@@ -93,11 +94,9 @@ class TestPoolPurity:
         assert "mutates module global '_RESULTS'" in finding.message
 
     def test_lint_tier_blind_spot(self):
-        """The fixture the whole tier exists for: lint passes, analyze fails."""
+        """A picklable worker that is impure two calls deep: a name-based
+        check approves it, the call-graph walk does not."""
         config = load_config(str(LINT_FIXTURES / "pyproject.toml"))
-        lint_result = run_lint(config, paths=["bad_pool_transitive.py"])
-        assert lint_result.clean  # name-based rule sees a picklable worker
-
         analysis = run_analysis(config, paths=["bad_pool_transitive.py"])
         found = findings_for(analysis, "pool-safety", "bad_pool_transitive.py")
         assert len(found) == 1
@@ -117,6 +116,55 @@ class TestCacheKeySoundness:
         assert not findings_for(
             fixture_result, "cache-key-soundness", "cachepkg/exempt_ok.py"
         )
+
+    def test_declared_entries_are_checked_strictly(self, tmp_path):
+        """TOML entries: every field counts, read or not, and the entry
+        itself must resolve."""
+        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
+            [tool.repro.lint]
+            paths = ["."]
+            [[tool.repro.lint.cache-key]]
+            path = "keyed.py"
+            class = "Plain"
+            key = "memo_identity"
+            [[tool.repro.lint.cache-key]]
+            path = "keyed.py"
+            class = "ReprPlain"
+            key = "repr"
+            [[tool.repro.lint.cache-key]]
+            path = "keyed.py"
+            class = "Plain"
+            key = "no_such_method"
+            [[tool.repro.lint.cache-key]]
+            path = "keyed.py"
+            class = "Missing"
+            [[tool.repro.lint.cache-key]]
+            path = "gone.py"
+            class = "Gone"
+        """))
+        (tmp_path / "keyed.py").write_text(textwrap.dedent("""\
+            class Plain:
+                def __init__(self, depth, width):
+                    self.depth = depth
+                    self.width = width  # never read, never keyed
+
+                def memo_identity(self):
+                    return ("Plain", self.depth)
+
+
+            class ReprPlain:
+                def __init__(self, depth):
+                    self.depth = depth
+        """))
+        result = run_analysis(load_config(str(tmp_path / "pyproject.toml")))
+        messages = sorted(f.message for f in result.findings)
+        assert {f.rule for f in result.findings} == {"cache-key-soundness"}
+        assert len(messages) == 5, messages
+        assert any(m.startswith("Plain.width is not serialized") for m in messages)
+        assert any("ReprPlain is keyed through repr()" in m for m in messages)
+        assert any("has no method 'no_such_method'" in m for m in messages)
+        assert any("no class 'Missing'" in m for m in messages)
+        assert any("cannot read gone.py" in m for m in messages)
 
     def test_unjustified_exemption_is_flagged(self, fixture_result):
         found = findings_for(

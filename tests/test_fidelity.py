@@ -162,13 +162,14 @@ class TestFidelityPolicy:
 
 
 class TestCacheKeyLint:
-    """`repro lint` pins FidelityPolicy's complete memo_identity()."""
+    """`repro analyze` pins FidelityPolicy's complete memo_identity()."""
 
     def test_fidelity_policy_key_covers_every_field(self):
         """Unlike BatchPolicy (all knobs exempt — execution strategy
         only), every FidelityPolicy field changes screened values, so the
         pyproject spec must name memo_identity with no exemptions."""
-        from repro.lint import load_config, run_lint
+        from repro.analysis.engine import run_analysis
+        from repro.lint import load_config
 
         repo_config = os.path.join(
             os.path.dirname(__file__), "..", "pyproject.toml"
@@ -179,7 +180,7 @@ class TestCacheKeyLint:
         spec = specs[0]
         assert spec.key == "memo_identity"
         assert not spec.exempt
-        result = run_lint(config)
+        result = run_analysis(config)
         assert not [
             f for f in result.findings if "FidelityPolicy" in f.message
         ], [f.format_text() for f in result.findings]

@@ -2,12 +2,14 @@
 
 Covers: every built-in pass firing on its fixture (and staying silent on
 the clean counterparts), inline suppressions, the committed baseline,
-the CLI exit-code contract (0 clean / 1 findings / 2 internal error),
-the JSON report schema, and — the invariant the whole pass exists for —
-cache-key-completeness catching a dataclass field added to a keyed type
-but omitted from its fingerprint function.  Fixtures live in
-``tests/lint_fixtures/`` as a self-contained lint project with its own
-pyproject.toml.
+the CLI exit-code contract (0 clean / 1 findings / 2 internal error) and
+the JSON report schema.  Fixtures live in ``tests/lint_fixtures/`` as a
+self-contained project with its own pyproject.toml.
+
+The same fixture project also pins the two invariants ``repro analyze``
+owns — ``pool-safety`` and ``cache-key-soundness`` (driven by this
+project's ``[[tool.repro.lint.cache-key]]`` entries) — so every
+fixture here is checked by exactly the tier that enforces its rule.
 """
 
 import json
@@ -25,6 +27,7 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint import config as lint_config
+from repro.analysis.engine import run_analysis
 
 if lint_config.tomllib is None:  # pragma: no cover - 3.9/3.10 without tomli
     pytest.skip(
@@ -37,19 +40,26 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 FIXTURE_CONFIG = str(FIXTURES / "pyproject.toml")
 REPO_CONFIG = str(Path(__file__).resolve().parents[1] / "pyproject.toml")
 
-ALL_RULES = {
+#: Lint rules with a violating fixture in ``tests/lint_fixtures/``.
+FIXTURE_RULES = {
     "global-rng",
     "wall-clock",
     "typed-errors",
-    "cache-key-completeness",
-    "pool-safety",
     "unordered-iteration",
 }
+ALL_RULES = FIXTURE_RULES | {"sim-version-salt"}
+#: Invariants the whole-program tier owns; lint must not register them.
+ANALYSIS_RULES = {"pool-safety", "cache-key-soundness"}
 
 
 def lint_fixture(*paths, **kwargs):
     config = load_config(FIXTURE_CONFIG)
     return run_lint(config, paths=list(paths) or None, **kwargs)
+
+
+def analyze_fixture(*paths, **kwargs):
+    config = load_config(FIXTURE_CONFIG)
+    return run_analysis(config, paths=list(paths) or None, **kwargs)
 
 
 def lines_for(result, rule, path=None):
@@ -61,9 +71,11 @@ def lines_for(result, rule, path=None):
 
 
 class TestPasses:
-    def test_registry_has_all_six_rules(self):
+    def test_registry_has_all_five_rules(self):
         load_builtin_passes()
-        assert ALL_RULES <= set(registered_passes())
+        registered = set(registered_passes())
+        assert ALL_RULES <= registered
+        assert not (ANALYSIS_RULES | {"cache-key-completeness"}) & registered
 
     def test_global_rng_fires(self):
         result = lint_fixture("bad_rng.py")
@@ -90,21 +102,26 @@ class TestPasses:
         assert {f.rule for f in result.findings} == {"typed-errors"}
         assert lines_for(result, "typed-errors") == [6, 7, 13]
 
+    # pool-safety is enforced by `repro analyze`: these run the analyzer.
     def test_pool_safety_fires_on_lambda_closure_and_keyword(self):
-        result = lint_fixture("bad_pool.py")
+        result = analyze_fixture("bad_pool.py")
         assert {f.rule for f in result.findings} == {"pool-safety"}
         assert lines_for(result, "pool-safety") == [11, 18, 22]
 
     def test_pool_safety_allows_module_level_worker_and_on_result(self):
-        result = lint_fixture("bad_pool.py")
+        result = analyze_fixture("bad_pool.py")
         assert all(f.line < 25 for f in result.findings)
 
     def test_pool_safety_ignores_module_level_name_shared_with_nested_def(self):
         # `shared_name` exists both at module level and as a nested def
         # elsewhere; passing it to run_tasks resolves to the picklable
         # module-level function and must not fire.
-        result = lint_fixture("bad_pool.py")
+        result = analyze_fixture("bad_pool.py")
         assert not any("shared_name" in f.message for f in result.findings)
+
+    def test_pool_safety_fires_on_execute_grid_lambda(self):
+        result = analyze_fixture("bad_pool_grid.py")
+        assert lines_for(result, "pool-safety") == [7]
 
     def test_unordered_iteration_fires(self):
         result = lint_fixture("bad_setiter.py")
@@ -122,15 +139,19 @@ class TestPasses:
 
 
 class TestCacheKeyCompleteness:
+    """Declared ``[[tool.repro.lint.cache-key]]`` entries, checked
+    strictly by the analysis rule ``cache-key-soundness``."""
+
     def test_missing_field_and_hidden_repr_field_fire(self):
-        result = lint_fixture("bad_cache_key.py")
+        result = analyze_fixture("bad_cache_key.py")
         messages = [f.message for f in result.findings]
         assert any("IncompleteKeyed.threshold" in m for m in messages)
         assert any("HiddenReprField.budget" in m for m in messages)
-        assert {f.rule for f in result.findings} == {"cache-key-completeness"}
+        assert {f.rule for f in result.findings} == {"cache-key-soundness"}
+        assert lines_for(result, "cache-key-soundness") == [13, 27]
 
     def test_exemptions_and_fields_enumeration_pass(self):
-        result = lint_fixture("clean_cache_key.py")
+        result = analyze_fixture("clean_cache_key.py")
         assert result.clean
 
     def test_field_added_but_omitted_from_fingerprint_is_caught(self, tmp_path):
@@ -157,14 +178,14 @@ class TestCacheKeyCompleteness:
         """)
         (tmp_path / "cfg.py").write_text(complete)
         config = load_config(str(tmp_path / "pyproject.toml"))
-        assert run_lint(config).clean
+        assert run_analysis(config).clean
 
         grown = complete.replace(
             "    beta: float\n", "    beta: float\n    gamma: float = 0.0\n"
         )
         (tmp_path / "cfg.py").write_text(grown)
-        result = run_lint(load_config(str(tmp_path / "pyproject.toml")))
-        assert [f.rule for f in result.findings] == ["cache-key-completeness"]
+        result = run_analysis(load_config(str(tmp_path / "pyproject.toml")))
+        assert [f.rule for f in result.findings] == ["cache-key-soundness"]
         assert "Cfg.gamma" in result.findings[0].message
 
     def test_stale_exemption_fires(self, tmp_path):
@@ -187,7 +208,7 @@ class TestCacheKeyCompleteness:
                 def fingerprint(self):
                     return (self.alpha,)
         """))
-        result = run_lint(load_config(str(tmp_path / "pyproject.toml")))
+        result = run_analysis(load_config(str(tmp_path / "pyproject.toml")))
         assert any("renamed_away" in f.message for f in result.findings)
 
 
@@ -246,7 +267,7 @@ class TestCli:
             assert set(finding) == {
                 "rule", "severity", "path", "line", "col", "message", "hint",
             }
-        assert set(counts["by_rule"]) == ALL_RULES
+        assert set(counts["by_rule"]) == FIXTURE_RULES
 
     def test_out_writes_json_artifact(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -281,6 +302,18 @@ class TestCli:
         status = main(["lint", "--config", str(tmp_path / "pyproject.toml")])
         assert status == 2
         assert "no-such-rule" in capsys.readouterr().err
+
+    def test_disable_accepts_analysis_rule_ids(self, tmp_path, capsys):
+        """`disable` is shared with `repro analyze`; its ids are valid."""
+        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
+            [tool.repro.lint]
+            paths = ["."]
+            disable = ["pool-safety", "cache-key-soundness"]
+        """))
+        (tmp_path / "mod.py").write_text("X = 1\n")
+        status = main(["lint", "--config", str(tmp_path / "pyproject.toml")])
+        assert status == 0
+        capsys.readouterr()
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -535,8 +568,8 @@ class TestRepoIsClean:
 
     def test_repo_keyed_dataclasses_resolve(self):
         """Every [[cache-key]] entry resolves (no 'unresolved' findings
-        hiding in the baseline or suppressions)."""
-        result = run_lint(load_config(REPO_CONFIG), use_baseline=False)
+        hiding in the analysis baseline or suppressions)."""
+        result = run_analysis(load_config(REPO_CONFIG), use_baseline=False)
         assert not any(
             "unresolved" in f.message for f in result.raw_findings
         ), [f.format_text() for f in result.raw_findings]

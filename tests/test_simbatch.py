@@ -193,17 +193,18 @@ class TestWorkloadParity:
 
 
 class TestCacheKeyLint:
-    """`repro lint` pins BatchPolicy's constant memo_identity()."""
+    """`repro analyze` pins BatchPolicy's constant memo_identity()."""
 
     def test_every_batch_knob_is_declared_exempt(self):
         """The pyproject cache-key spec must exempt each BatchPolicy
         field explicitly: a new knob added without an exemption (or a
-        key change) fails repo lint — and this set comparison — so batch
+        key change) fails repo analysis — and this set comparison — so batch
         width can never silently enter the simulation cache key."""
         import dataclasses
         import os
 
-        from repro.lint import load_config, run_lint
+        from repro.analysis.engine import run_analysis
+        from repro.lint import load_config
 
         repo_config = os.path.join(
             os.path.dirname(__file__), "..", "pyproject.toml"
@@ -215,7 +216,7 @@ class TestCacheKeyLint:
         assert spec.key == "memo_identity"
         field_names = {f.name for f in dataclasses.fields(BatchPolicy)}
         assert set(spec.exempt) == field_names
-        result = run_lint(config)
+        result = run_analysis(config)
         assert not [
             f for f in result.findings if "BatchPolicy" in f.message
         ], [f.format_text() for f in result.findings]

@@ -183,18 +183,6 @@ class TestWorkerDeathRecovery:
         assert report.redispatches >= 1
         assert report.poisoned == []
 
-    def test_unsupervised_pool_raises_typed_error(self, tmp_path):
-        payloads = [(i, i == 1) for i in range(4)]
-        with pytest.raises(WorkerCrashError, match="died unsupervised") as exc:
-            run_tasks(
-                _poison_worker,
-                payloads,
-                jobs=2,
-                policy=SupervisionPolicy(enabled=False),
-            )
-        assert isinstance(exc.value, ReproError)
-        assert exc.value.indices  # names the in-flight payload indices
-
     def test_worker_exception_propagates_original_type(self):
         def fail(x):  # pragma: no cover - never submitted (not picklable)
             raise ValueError
