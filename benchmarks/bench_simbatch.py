@@ -13,6 +13,11 @@ failures exit non-zero at any scale, they are the acceptance criterion:
    policy vs. with batching disabled.  Includes trace generation and
    post-processing, so it is the user-visible win (smaller than the
    engine ratio because trace generation is shared by both paths).
+3. **design points** — the five Table-4 GPU variants of a DSE-sized
+   workload (at most 100 invocations, strided like ``run_dse``): one
+   engine call per variant against one mixed-machine call over all
+   lanes.  Reported, not SLO-gated; its bit-identity joins the parity
+   flag.
 
 Usage::
 
@@ -39,7 +44,7 @@ from _shared import write_bench_report
 
 import numpy as np
 
-from repro.hardware import RTX_2080
+from repro.hardware import RTX_2080, dse_variants
 from repro.sim import BatchPolicy, GpuSimulator, execute_wave_batch
 from repro.sim.simulator import _EVENT_FIELDS
 from repro.workloads import load_workload
@@ -129,6 +134,48 @@ def bench_end_to_end(
     }
 
 
+def bench_design_points(
+    suite: str, name: str, scale: float, invocations: int, seed: int
+) -> Dict[str, object]:
+    """Per-variant engine calls vs one call over all five design points."""
+    workload = load_workload(suite, name, scale=scale, seed=0)
+    picks = np.unique(np.linspace(0, len(workload) - 1, invocations).astype(np.int64))
+    workload = workload.subset(picks, name=name)
+    sims = [GpuSimulator(gpu) for gpu in dse_variants(RTX_2080)]
+    per_variant = [
+        [sim.tracer.generate(workload.invocation(i), seed=seed) for i in range(len(workload))]
+        for sim in sims
+    ]
+
+    separate, separate_s = timed(lambda: [
+        execute_wave_batch(traces, sim.latencies, sim.config, sim.batch_policy)[0]
+        for sim, traces in zip(sims, per_variant)
+    ])
+    lanes = [(sim, trace) for sim, traces in zip(sims, per_variant) for trace in traces]
+    (fused, report), fused_s = timed(lambda: execute_wave_batch(
+        [trace for _, trace in lanes],
+        [sim.latencies for sim, _ in lanes],
+        [sim.config for sim, _ in lanes],
+    ))
+
+    flat = [pair for rows in separate for pair in rows]
+    identical = all(
+        sc == fc and ss.as_dict() == fs.as_dict()
+        for (sc, ss), (fc, fs) in zip(flat, fused)
+    )
+    return {
+        "workload": f"{suite}/{name}",
+        "scale": scale,
+        "invocations": len(workload),
+        "design_points": len(sims),
+        "separate_seconds": separate_s,
+        "fused_seconds": fused_s,
+        "speedup": (separate_s / fused_s) if fused_s > 0 else None,
+        "identical": identical,
+        "fused_chunks": report.chunks,
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -165,6 +212,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("huggingface", "resnet50", 0.002),
         ]
         e2e_specs = [("huggingface", "deit", 0.002)]
+    # The dse-cycle benchmark's workloads at run_dse's reduction.
+    dse_specs = (
+        [("rodinia", "hotspot", 0.1, 24)]
+        if args.quick
+        else [("rodinia", "hotspot", 0.1, 100), ("huggingface", "gpt2", 0.002, 100)]
+    )
 
     report: Dict[str, object] = {
         "quick": bool(args.quick),
@@ -197,17 +250,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     report["end_to_end"] = e2e_rows
 
+    dse_rows = []
+    for suite, name, scale, invocations in dse_specs:
+        row = bench_design_points(suite, name, scale, invocations, seed=0)
+        dse_rows.append(row)
+        print(
+            f"dse    {row['workload']:24s} n={row['invocations']:5d} "
+            f"x{row['design_points']} separate {row['separate_seconds']:6.2f}s -> "
+            f"fused {row['fused_seconds']:6.2f}s ({row['speedup']:.2f}x) "
+            f"identical={row['identical']}"
+        )
+    report["design_points"] = dse_rows
+
     engine_speedup = geomean([row["speedup"] for row in engine_rows])
     e2e_speedup = geomean([row["speedup"] for row in e2e_rows])
+    dse_speedup = geomean([row["speedup"] for row in dse_rows])
     parity = all(
-        row["identical"] for row in engine_rows + e2e_rows
+        row["identical"] for row in engine_rows + e2e_rows + dse_rows
     )
     report["engine_speedup_geomean"] = engine_speedup
     report["end_to_end_speedup_geomean"] = e2e_speedup
+    report["design_points_speedup_geomean"] = dse_speedup
     report["all_identical"] = parity
     print(
         f"engine speedup (geomean) {engine_speedup:.2f}x, "
-        f"end-to-end {e2e_speedup:.2f}x, parity={'OK' if parity else 'FAIL'}"
+        f"end-to-end {e2e_speedup:.2f}x, design points fused "
+        f"{dse_speedup:.2f}x, parity={'OK' if parity else 'FAIL'}"
     )
 
     write_bench_report(

@@ -8,6 +8,10 @@ is bit-identical, with the determinism sanitizer on, in one process:
 * **cold vs warm** — a :class:`~repro.memo.SimResultCache` populated
   then re-read, both by the same simulator and by a fresh one opening
   the same directory (the cross-run path);
+* **separate vs fused design points** — one ``simulate_workload`` per
+  Table-4 variant of the GPU against one
+  :func:`~repro.sim.simulate_workload_on` call over all of them (shared
+  traces, one mixed-machine lock-step batch);
 * **sequential vs parallel** — the same experiment grid at ``jobs=1``
   and ``jobs=2``, compared on the aggregated rows the parent receives.
 
@@ -62,10 +66,11 @@ def add_detsan_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_phase(args) -> None:
-    """Scalar vs batch, then cold vs warm, on raw simulator output."""
-    from ..hardware import get_preset
+    """Scalar vs batch, cold vs warm, then separate vs fused design
+    points, on raw simulator output."""
+    from ..hardware import dse_variants, get_preset
     from ..memo import SimResultCache
-    from ..sim import BatchPolicy, GpuSimulator
+    from ..sim import BatchPolicy, GpuSimulator, simulate_workload_on
     from ..workloads import load_workload
 
     gpu = get_preset(args.gpu)
@@ -94,6 +99,21 @@ def _engine_phase(args) -> None:
             GpuSimulator(gpu, sim_cache=SimResultCache(tmp)).simulate_workload(
                 workload, seed=args.seed
             )
+
+    # Eager batching so the fused call really is one mixed-machine batch
+    # even on the smoke's small workload.
+    eager = BatchPolicy(min_width=2)
+    with detsan.scope("configs=separate"):
+        for variant in dse_variants(gpu):
+            GpuSimulator(variant, batch_policy=eager).simulate_workload(
+                workload, seed=args.seed
+            )
+    with detsan.scope("configs=fused"):
+        simulate_workload_on(
+            [GpuSimulator(v, batch_policy=eager) for v in dse_variants(gpu)],
+            workload,
+            seed=args.seed,
+        )
 
 
 def _grid_phase(args) -> None:

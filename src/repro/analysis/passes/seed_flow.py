@@ -411,7 +411,6 @@ class SeedFlowPass(AnalysisPass):
         # Module-level names bound to generator constructions.
         shared: Dict[Tuple[str, str], ast.AST] = {}
         for mod_name, globals_table in graph.module_globals.items():
-            module = graph.by_module_name[mod_name]
             for name, node in globals_table.items():
                 value = getattr(node, "value", None)
                 if not isinstance(value, ast.Call):
@@ -427,7 +426,6 @@ class SeedFlowPass(AnalysisPass):
                     and resolved[len("external:"):] in _GENERATOR_MAKERS
                 ):
                     shared[(mod_name, name)] = node
-                del module
 
         if not shared:
             return

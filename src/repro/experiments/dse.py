@@ -40,7 +40,7 @@ from ..errors import (
 )
 from ..hardware import RTX_2080, GPUConfig, dse_variants
 from ..resilience.faults import FaultPlan
-from ..sim import GpuSimulator
+from ..sim import GpuSimulator, simulate_workload_on
 from ..workloads import load_workload
 from .runner import ExperimentConfig
 
@@ -181,21 +181,30 @@ def _dse_spec_worker(task: _DseSpecTask) -> List[DseResult]:
         workload = workload.subset(np.unique(picks.astype(np.int64)), name=spec.name)
 
     # Per-variant ground truth.  The legacy path — full cycle-level
-    # simulation — is kept verbatim when no fidelity policy is set (or
-    # the policy asks for pure cycle), so `fidelity=cycle` results stay
-    # bit-identical.  Otherwise each variant is analytically screened,
+    # simulation of every variant — runs when no fidelity policy is set
+    # (or the policy asks for pure cycle), so `fidelity=cycle` results
+    # stay bit-identical.  Otherwise each variant is analytically screened,
     # calibrated against cycle-level probes and selectively escalated
     # (see :mod:`repro.core.fidelity`); probes/escalations share the
     # cycle tier's sim-cache identity, so they warm future full runs.
     variant_cycles: Dict[str, np.ndarray] = {}
     variant_times: Dict[str, object] = {}
     max_gap = 0.0
-    for label, gpu in variants:
-        if policy is None or policy.mode == "cycle":
-            simulator = GpuSimulator(gpu, sim_cache=sim_cache)
-            variant_cycles[label] = simulator.cycle_counts(workload, seed=seed)
+    if policy is None or policy.mode == "cycle":
+        # Every design point in one call: shared traces, one lock-step
+        # batch with per-lane machine parameters.
+        full_runs = simulate_workload_on(
+            [GpuSimulator(gpu, sim_cache=sim_cache) for _label, gpu in variants],
+            workload,
+            seed=seed,
+        )
+        for (label, _gpu), run in zip(variants, full_runs):
+            variant_cycles[label] = np.array(
+                [r.cycles for r in run.kernel_results], dtype=np.float64
+            )
             variant_times[label] = variant_cycles[label]
-        else:
+    else:
+        for label, gpu in variants:
             times = fidelity_cycle_counts(
                 workload, gpu, seed=seed, policy=policy, sim_cache=sim_cache
             )

@@ -10,7 +10,12 @@ from .memory import DramModel
 from .multi_sm import MultiSmSimulator
 from .noise import noise_factors
 from .sm import LatencyTable, StreamingMultiprocessor
-from .simulator import GpuSimulator, KernelSimResult, WorkloadSimResult
+from .simulator import (
+    GpuSimulator,
+    KernelSimResult,
+    WorkloadSimResult,
+    simulate_workload_on,
+)
 from .stats import SimStats
 from .trace import KernelTrace, Op, TraceGenerator, WarpTrace
 from .warmup import NoWarmup, ProportionalWarmup, WarmupKernel, WarmupStrategy
@@ -38,6 +43,7 @@ __all__ = [
     "KernelTrace",
     "TraceGenerator",
     "GpuSimulator",
+    "simulate_workload_on",
     "WarmupStrategy",
     "NoWarmup",
     "ProportionalWarmup",

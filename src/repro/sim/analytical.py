@@ -414,9 +414,11 @@ class AnalyticalSimulator:
             # Same sync point as the cycle engine, under this tier's own
             # "analytical" family tag: the two engines legitimately
             # disagree with each other, but each must agree with itself
-            # across cold/warm cache and repeated evaluation.
+            # across cold/warm cache and repeated evaluation.  The key
+            # names the machine, so design points never cross-check.
+            machine = detsan.digest_of((self.config, self.memo_identity()))
             tag = (
-                f"sim.analytical|{workload.name}|seed={seed}"
+                f"sim.analytical|{workload.name}|cfg={machine[:12]}|seed={seed}"
                 f"|idx={detsan.index_digest(index_list)}"
             )
             detsan.record(tag + "|cycles", cycles)

@@ -4,11 +4,11 @@ The event-driven :class:`~repro.sim.sm.StreamingMultiprocessor` loop is
 inherently sequential *within* one trace — the single issue port orders
 every instruction — but kernel invocations are independent of each other:
 each gets its own L1/L2/DRAM state.  That makes "many invocations" a free
-SIMD axis.  This module converts a set of :class:`KernelTrace`s into
-structure-of-arrays form (per-warp program counters, ready times, op
-latencies and pre-resolved cache-line numbers padded to the widest trace)
-and advances *all* waves in lock-step, one instruction per trace per
-step:
+SIMD axis, and so is "many machines": a lane may simulate its trace on a
+different GPU configuration than its neighbours (the DSE design points
+run as one batch).  This module converts a set of :class:`KernelTrace`s
+into structure-of-arrays form and advances *all* waves in lock-step, one
+instruction per trace per step:
 
 * ready-warp selection is a row-wise ``argmin`` (ties resolve to the
   lowest warp index, exactly like the scalar ``(ready, w)`` heap);
@@ -16,12 +16,31 @@ step:
 * L1/L2/DRAM lookups run as array gathers against timestamp-LRU caches
   that reproduce the scalar list-LRU decision for decision.
 
+Lane layout, for ``L`` lanes of up to ``W`` warps, ``I`` instructions
+and ``M`` memory operations per warp:
+
+* ``kinds`` — int8 ``[L, W, I]`` opcodes, padded;
+* ``lat`` — float64 ``[L, 8]`` per-lane latency table, gathered by
+  ``lane * 8 + kind``: compute kinds hold the exposed latency
+  ``base[k] / (ilp * max(eff, 1e-3))`` of the lane's machine and the
+  lane's efficiency, memory kinds hold NaN so one ``isnan`` finds them;
+* ``addr_lines`` — int64 ``[L, W, M]`` cache-line numbers, consumed
+  through a per-warp memory cursor ``[L, W]`` (the scalar loop's
+  ``mem_cursor``);
+* per-lane machine scalars — L1/L2/DRAM latencies and the DRAM service
+  time — as float64 ``[L]`` arrays, and per-lane cache geometry inside
+  the timestamp-LRU caches.
+
+Every per-lane value comes from the same IEEE operation the scalar
+oracle performs on that lane's machine.
+
 Bit-identity with the scalar path is a structural property, not a
 numerical accident: step *t* of lane *b* performs the same IEEE float
 operations, in the same order, on the same values as iteration *t* of
 the scalar event loop for trace *b*.  The parity suite
-(``tests/test_simbatch.py``) asserts this across every bundled workload,
-and the scalar path stays available as the oracle.
+(``tests/test_simbatch.py``) asserts this across every bundled workload
+and across mixed-machine batches, and the scalar path stays available
+as the oracle.
 
 Performance shape: one lock-step iteration costs a fixed number of numpy
 calls regardless of batch width, so throughput grows with width while
@@ -39,7 +58,7 @@ array run through the scalar oracle instead (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +81,8 @@ _BIG = 1.0e300
 #: lane's associativity out of the LRU victim argmin.
 _IBIG = np.int64(2**62)
 
-_MEM_KINDS = (Op.LOAD, Op.STORE)
+#: Opcodes per lane latency-table row (``Op.FP32`` .. ``Op.STORE``).
+_KINDS = 8
 
 
 @dataclass(frozen=True)
@@ -72,7 +92,7 @@ class BatchPolicy:
     Every knob here is pure performance policy: any setting produces
     bit-identical results (the parity suite pins this), so none of these
     fields may enter ``memo_identity()`` — cached results computed at any
-    width must keep hitting.  ``repro lint``'s cache-key pass enforces
+    width must keep hitting.  ``repro analyze``'s cache-key pass enforces
     exactly that via the ``[[tool.repro.lint.cache-key]]`` spec in
     pyproject.toml.
     """
@@ -80,9 +100,13 @@ class BatchPolicy:
     #: Master switch; ``False`` forces the scalar oracle everywhere.
     enabled: bool = True
     #: Fewest pending traces worth batching.  One lock-step iteration
-    #: costs a fixed ~30 numpy calls however wide the batch is, so very
-    #: narrow batches lose to the plain Python loop (measured breakeven
-    #: is near 16 lanes on CPython 3.11; see docs/performance.md).
+    #: costs a fixed ~35 numpy calls however wide the batch is (the
+    #: per-lane latency-table and memory-cursor gathers included), so
+    #: very narrow batches lose to the plain Python loop.  Measured on
+    #: CPython 3.11 / NumPy 2.4 (2-CPU x86 host), 0.1-scale cfd traces
+    #: break even at about 32 lanes, with or without per-lane machine
+    #: parameters.  Callers with several design points to simulate pass
+    #: them as one batch to stay far above the floor.
     min_width: int = 16
     #: Widest single lock-step chunk; wider batches run as consecutive
     #: chunks (lanes are independent, so chunk boundaries cannot change
@@ -124,6 +148,73 @@ class BatchExecReport:
     fill_ratio: float = 1.0
 
 
+class _LaneParams:
+    """Per-lane machine parameters, one row per trace.
+
+    Each distinct (latency table, GPU config) pair is resolved once into
+    Python floats by exactly the expressions the scalar oracle evaluates
+    (``StreamingMultiprocessor`` and ``GpuSimulator._make_dram``); lanes
+    then gather their machine's row by id.  The compute-latency table is
+    the one per-lane array operation: ``base / (ilp * max(eff, 1e-3))``
+    elementwise, the same IEEE division ``_compute_latency`` performs.
+    """
+
+    __slots__ = ("line_bytes", "l1_bytes", "l2_bytes", "lat", "l1_lat",
+                 "l2_lat", "dram_lat", "service")
+
+    def __init__(self, traces, latencies, configs):
+        machine_ids: Dict[tuple, int] = {}
+        machine_of = np.array(
+            [machine_ids.setdefault(key, len(machine_ids))
+             for key in zip(latencies, configs)],
+            dtype=np.int64,
+        )
+
+        def column(value, dtype=np.float64) -> np.ndarray:
+            """``value(lat, config)`` per distinct machine, gathered per lane."""
+            per_machine = [value(lat, config) for lat, config in machine_ids]
+            return np.array(per_machine, dtype=dtype)[machine_of]
+
+        self.line_bytes = column(lambda lat, c: c.cache_line_bytes, np.int64)
+        l1_per_sm = column(lambda lat, c: c.l1_bytes_per_sm, np.int64)
+        l2_total = column(lambda lat, c: c.l2_bytes, np.int64)
+        self.l1_lat = column(lambda lat, c: lat.l1_hit / lat.ilp)
+        self.l2_lat = column(lambda lat, c: lat.l2_hit / lat.ilp)
+        self.dram_lat = column(lambda lat, c: lat.dram / lat.ilp)
+        self.service = column(lambda lat, c: _dram_service_cycles(c))
+        ilp = column(lambda lat, c: lat.ilp)
+        base = column(lambda lat, c: (
+            lat.fp32, lat.fp16, lat.int_alu, lat.sfu, lat.shared, lat.branch,
+            np.nan, np.nan,
+        ))
+        efficiency = np.array(
+            [t.invocation.context.efficiency for t in traces], dtype=np.float64
+        )
+        self.lat = base / (ilp * np.maximum(efficiency, 1e-3))[:, None]
+        # Scaled capacities, as ``_execute_trace`` sizes its caches.
+        scales = np.array([t.cache_scale for t in traces], dtype=np.float64)
+        self.l1_bytes = np.maximum(
+            self.line_bytes * 2, (l1_per_sm * scales).astype(np.int64)
+        )
+        self.l2_bytes = np.maximum(
+            self.line_bytes * 4, (l2_total * scales).astype(np.int64)
+        )
+
+    def dense_bytes(self) -> np.ndarray:
+        """Per-lane dense L1+L2 tag/stamp footprint."""
+        return (
+            _LaneCaches.dense_bytes(self.l1_bytes, self.line_bytes, 8)
+            + _LaneCaches.dense_bytes(self.l2_bytes, self.line_bytes, 16)
+        )
+
+    def take(self, rows: Sequence[int]) -> "_LaneParams":
+        """The parameters of ``rows``, in that order."""
+        sub = object.__new__(_LaneParams)
+        for name in self.__slots__:
+            setattr(sub, name, getattr(self, name)[rows])
+        return sub
+
+
 class _LaneCaches:
     """Timestamp-LRU set-associative caches for a chunk of lanes.
 
@@ -146,7 +237,7 @@ class _LaneCaches:
                  "stamps_flat", "fill", "hits", "assoc_per_set", "n_ways",
                  "n_sets_max")
 
-    def __init__(self, size_bytes: np.ndarray, line_bytes: int, associativity: int):
+    def __init__(self, size_bytes: np.ndarray, line_bytes: np.ndarray, associativity: int):
         num_lines = np.maximum(1, size_bytes // line_bytes)
         assoc = np.minimum(associativity, num_lines)
         self.nsets = np.maximum(1, num_lines // assoc)
@@ -171,7 +262,9 @@ class _LaneCaches:
         self.assoc_per_set = np.repeat(assoc, n_sets)
 
     @staticmethod
-    def dense_bytes(size_bytes: np.ndarray, line_bytes: int, associativity: int) -> np.ndarray:
+    def dense_bytes(
+        size_bytes: np.ndarray, line_bytes: np.ndarray, associativity: int
+    ) -> np.ndarray:
         """Per-lane dense tag+stamp footprint of the given geometry."""
         num_lines = np.maximum(1, size_bytes // line_bytes)
         assoc = np.minimum(associativity, num_lines)
@@ -215,69 +308,42 @@ class _Chunk:
     """Structure-of-arrays state for one lock-step chunk."""
 
     __slots__ = (
-        "traces", "steps", "ready", "pcs", "warp_len", "lat", "memidx",
-        "addr_lines", "l1", "l2", "busy", "events", "instructions",
+        "params", "steps", "ready", "pcs", "warp_len", "kinds", "cursor",
+        "addr_lines", "l1", "l2", "busy", "events",
     )
 
-    def __init__(self, traces: Sequence[KernelTrace], latencies: LatencyTable, config):
-        self.traces = traces
+    def __init__(self, traces: Sequence[KernelTrace], params: _LaneParams):
+        self.params = params
         lanes = len(traces)
         n_warps = max(len(t.warps) for t in traces)
         n_instr = max(max(len(w.kinds) for w in t.warps) for t in traces)
         n_mem = max(max(len(w.addresses) for w in t.warps) for t in traces)
 
-        kinds = np.zeros((lanes, n_warps, n_instr), dtype=np.int8)
+        self.kinds = np.zeros((lanes, n_warps, n_instr), dtype=np.int8)
         self.warp_len = np.zeros((lanes, n_warps), dtype=np.int64)
         self.addr_lines = np.zeros((lanes, n_warps, max(n_mem, 1)), dtype=np.int64)
         self.ready = np.full((lanes, n_warps), _BIG, dtype=np.float64)
-        line_bytes = config.cache_line_bytes
+        # Static event counts: every traced instruction issues exactly
+        # once, so per-kind totals never depend on timing.
+        self.events = np.zeros((lanes, _KINDS), dtype=np.int64)
         for b, trace in enumerate(traces):
+            line_bytes = int(params.line_bytes[b])
+            events = self.events[b]
             for w, warp in enumerate(trace.warps):
                 k = len(warp.kinds)
-                kinds[b, w, :k] = warp.kinds
+                self.kinds[b, w, :k] = warp.kinds
                 self.warp_len[b, w] = k
                 m = len(warp.addresses)
                 self.addr_lines[b, w, :m] = warp.addresses // line_bytes
                 self.ready[b, w] = 0.0
+                events += np.bincount(warp.kinds, minlength=_KINDS)
         self.pcs = np.zeros((lanes, n_warps), dtype=np.int64)
+        self.cursor = np.zeros((lanes, n_warps), dtype=np.int64)
         self.steps = self.warp_len.sum(axis=1)
 
-        # Latency per slot: compute kinds resolve now; memory kinds get
-        # NaN so the step loop can detect them with one isnan.  The
-        # division mirrors ``_compute_latency`` bit for bit.
-        lat = latencies
-        base = np.array(
-            [lat.fp32, lat.fp16, lat.int_alu, lat.sfu, lat.shared, lat.branch,
-             np.nan, np.nan],
-            dtype=np.float64,
-        )
-        efficiency = np.array(
-            [t.invocation.context.efficiency for t in traces], dtype=np.float64
-        )
-        denom = lat.ilp * np.maximum(efficiency, 1e-3)
-        self.lat = base[kinds] / denom[:, None, None]
-
-        is_mem = (kinds == Op.LOAD) | (kinds == Op.STORE)
-        self.memidx = np.cumsum(is_mem, axis=2, dtype=np.int64) - is_mem
-
-        scales = np.array([t.cache_scale for t in traces], dtype=np.float64)
-        l1_bytes = np.maximum(
-            line_bytes * 2, (config.l1_bytes_per_sm * scales).astype(np.int64)
-        )
-        l2_bytes = np.maximum(
-            line_bytes * 4, (config.l2_bytes * scales).astype(np.int64)
-        )
-        self.l1 = _LaneCaches(l1_bytes, line_bytes, 8)
-        self.l2 = _LaneCaches(l2_bytes, line_bytes, 16)
+        self.l1 = _LaneCaches(params.l1_bytes, params.line_bytes, 8)
+        self.l2 = _LaneCaches(params.l2_bytes, params.line_bytes, 16)
         self.busy = np.zeros(lanes, dtype=np.float64)
-
-        # Static event counts: every traced instruction issues exactly
-        # once, so per-kind totals never depend on timing.
-        self.events = np.zeros((lanes, 8), dtype=np.int64)
-        valid = np.arange(n_instr)[None, None, :] < self.warp_len[:, :, None]
-        lane_ids = np.broadcast_to(np.arange(lanes)[:, None, None], kinds.shape)[valid]
-        np.add.at(self.events, (lane_ids, kinds[valid].astype(np.int64)), 1)
-        self.instructions = self.steps.copy()
 
 
 def _dram_service_cycles(config) -> float:
@@ -287,9 +353,7 @@ def _dram_service_cycles(config) -> float:
     return config.cache_line_bytes / max(bytes_per_cycle, 1e-3)
 
 
-def _run_chunk(
-    chunk: _Chunk, latencies: LatencyTable, config
-) -> Tuple[np.ndarray, np.ndarray]:
+def _run_chunk(chunk: _Chunk) -> Tuple[np.ndarray, np.ndarray]:
     """Advance every lane of the chunk to completion.
 
     Returns (wave_cycles[lanes], stall_cycles[lanes]); hit counters
@@ -300,14 +364,15 @@ def _run_chunk(
 
     The loop body works on *flat* views with single-axis ``take``/fancy
     scatters: multi-axis fancy indexing costs 2-3x as much per call, and
-    at a fixed ~30 numpy calls per lock-step iteration the constant
+    at a fixed ~35 numpy calls per lock-step iteration the constant
     factor is the whole game.
     """
-    lanes = len(chunk.traces)
+    params = chunk.params
+    lanes = len(chunk.steps)
     steps = chunk.steps
     total = int(steps.max()) if lanes else 0
     n_warps = chunk.ready.shape[1]
-    n_instr = chunk.lat.shape[2]
+    n_instr = chunk.kinds.shape[2]
     n_mem = chunk.addr_lines.shape[2]
 
     # Active-lane count per step, precomputed: lanes are sorted by
@@ -318,10 +383,13 @@ def _run_chunk(
     ready = chunk.ready            # [lanes, W] — argmin runs on 2-D rows
     ready_flat = ready.reshape(-1)
     pcs_flat = chunk.pcs.reshape(-1)
-    lat_flat = chunk.lat.reshape(-1)
-    memidx_flat = chunk.memidx.reshape(-1)
+    kinds_flat = chunk.kinds.reshape(-1)
+    cursor_flat = chunk.cursor.reshape(-1)
     addr_flat = chunk.addr_lines.reshape(-1)
     warp_len_flat = chunk.warp_len.reshape(-1)
+    lat_flat = params.lat.reshape(-1)
+    l1_latency, l2_latency = params.l1_lat, params.l2_lat
+    dram_latency, service = params.dram_lat, params.service
     l1, l2 = chunk.l1, chunk.l2
     busy = chunk.busy
 
@@ -329,12 +397,7 @@ def _run_chunk(
     stall = np.zeros(lanes, dtype=np.float64)
     last_completion = np.zeros(lanes, dtype=np.float64)
     lane_range = np.arange(lanes)
-
-    lat_tbl = latencies
-    l1_latency = lat_tbl.l1_hit / lat_tbl.ilp
-    l2_latency = lat_tbl.l2_hit / lat_tbl.ilp
-    dram_latency = lat_tbl.dram / lat_tbl.ilp
-    service = _dram_service_cycles(config)
+    lat_row = lane_range * _KINDS
 
     for t in range(total):
         active = int(active_at[t])
@@ -348,34 +411,35 @@ def _run_chunk(
         np.add(issue, 1.0, out=port_a)
 
         pc = pcs_flat.take(flat_w)
-        flat_pc = flat_w * n_instr + pc
-        lat = lat_flat.take(flat_pc)
+        kind = kinds_flat.take(flat_w * n_instr + pc)
+        lat = lat_flat.take(lat_row[:active] + kind)
         mem = np.isnan(lat)
         m = mem.nonzero()[0]  # == lane ids: the active set is a prefix
         if len(m):
             flat_w_m = flat_w.take(m)
-            lines = addr_flat.take(
-                flat_w_m * n_mem + memidx_flat.take(flat_pc.take(m))
-            )
+            cursor = cursor_flat.take(flat_w_m)
+            cursor_flat[flat_w_m] = cursor + 1
+            lines = addr_flat.take(flat_w_m * n_mem + cursor)
             now = issue.take(m)
-            mem_lat = np.empty(len(m), dtype=np.float64)
             hit1 = l1.access(m, lines, t)
-            mem_lat[hit1] = l1_latency
+            mem_lat = l1_latency.take(m)
             pos1 = (~hit1).nonzero()[0]
             if len(pos1):
-                hit2 = l2.access(m.take(pos1), lines.take(pos1), t)
-                mem_lat[pos1.compress(hit2)] = l2_latency
+                m_l2 = m.take(pos1)
+                hit2 = l2.access(m_l2, lines.take(pos1), t)
+                # L2 latency for every L1 miss; DRAM misses overwrite it.
+                mem_lat[pos1] = l2_latency.take(m_l2)
                 pos2 = pos1.compress(~hit2)
                 if len(pos2):
                     m_dram = m.take(pos2)
                     now_dram = now.take(pos2)
                     start = np.maximum(now_dram, busy.take(m_dram))
-                    dram_done = start + service
+                    dram_done = start + service.take(m_dram)
                     busy[m_dram] = dram_done
                     # DramModel adds latency_cycles == 0.0 into the
                     # completion; x + 0.0 is bit-identical for the
                     # positive times here, so the term is elided.
-                    mem_lat[pos2] = (dram_done - now_dram) + dram_latency
+                    mem_lat[pos2] = (dram_done - now_dram) + dram_latency.take(m_dram)
             lat[m] = mem_lat
         completion = issue + lat
         new_pc = pc + 1
@@ -388,7 +452,7 @@ def _run_chunk(
 
 
 def _stats_for_lane(
-    chunk: _Chunk, lane: int, wave_cycles: float, stall: float, line_bytes: int
+    chunk: _Chunk, lane: int, wave_cycles: float, stall: float
 ) -> SimStats:
     """Assemble the SimStats exactly as ``execute_wave`` + caller do.
 
@@ -404,7 +468,7 @@ def _stats_for_lane(
     l2_hits = int(chunk.l2.hits[lane])
     l2_misses = l1_misses - l2_hits
     stats = SimStats(
-        instructions=int(chunk.instructions[lane]),
+        instructions=int(chunk.steps[lane]),
         fp32_ops=int(kind_counts[Op.FP32]),
         fp16_ops=int(kind_counts[Op.FP16]),
         int_ops=int(kind_counts[Op.INT]),
@@ -418,7 +482,7 @@ def _stats_for_lane(
         l2_hits=l2_hits,
         l2_misses=l2_misses,
         dram_accesses=l2_misses,
-        dram_bytes=l2_misses * line_bytes,
+        dram_bytes=l2_misses * int(chunk.params.line_bytes[lane]),
         stall_cycles=float(stall),
     )
     stats.cycles = float(wave_cycles)
@@ -454,15 +518,18 @@ def _execute_scalar(trace: KernelTrace, latencies: LatencyTable, config) -> Tupl
 
 def execute_wave_batch(
     traces: Sequence[KernelTrace],
-    latencies: LatencyTable,
+    latencies: Union[LatencyTable, Sequence[LatencyTable]],
     config,
     policy: Optional[BatchPolicy] = None,
 ) -> Tuple[List[Tuple[float, SimStats]], BatchExecReport]:
     """Execute every trace's wave; returns per-trace (cycles, stats).
 
-    Results are returned in input order and are bit-identical to calling
-    the scalar ``_execute_trace`` per trace.  The report carries the
-    batching shape for ``sim.batch.*`` observability.
+    ``latencies`` and ``config`` are either one machine for every trace
+    or one entry per trace, aligned with ``traces`` — lanes on different
+    machines (e.g. the DSE design points) share the lock-step chunks.
+    Results are returned in input order and are bit-identical to the
+    scalar ``_execute_trace`` of each trace's own machine.  The report
+    carries the batching shape for ``sim.batch.*`` observability.
     """
     policy = policy or BatchPolicy()
     report = BatchExecReport()
@@ -470,30 +537,28 @@ def execute_wave_batch(
     if not traces:
         return [], report
 
-    line_bytes = config.cache_line_bytes
-    scales = np.array([t.cache_scale for t in traces], dtype=np.float64)
-    l1_sizes = np.maximum(
-        line_bytes * 2, (config.l1_bytes_per_sm * scales).astype(np.int64)
-    )
-    l2_sizes = np.maximum(
-        line_bytes * 4, (config.l2_bytes * scales).astype(np.int64)
-    )
-    lane_cost = (
-        _LaneCaches.dense_bytes(l1_sizes, line_bytes, 8)
-        + _LaneCaches.dense_bytes(l2_sizes, line_bytes, 16)
-    )
+    n = len(traces)
+    lat_of = [latencies] * n if isinstance(latencies, LatencyTable) else list(latencies)
+    config_of = list(config) if isinstance(config, (list, tuple)) else [config] * n
+    if len(lat_of) != n or len(config_of) != n:
+        raise ValueError(
+            f"{n} traces but {len(lat_of)} latency tables and "
+            f"{len(config_of)} configs"
+        )
+    params = _LaneParams(traces, lat_of, config_of)
+    lane_cost = params.dense_bytes()
 
     batchable: List[int] = []
     for i, cost in enumerate(lane_cost):
         if policy.enabled and int(cost) <= policy.max_lane_cache_bytes:
             batchable.append(i)
         else:
-            results[i] = _execute_scalar(traces[i], latencies, config)
+            results[i] = _execute_scalar(traces[i], lat_of[i], config_of[i])
             report.scalar_lanes += 1
 
     if len(batchable) < max(2, policy.min_width):
         for i in batchable:
-            results[i] = _execute_scalar(traces[i], latencies, config)
+            results[i] = _execute_scalar(traces[i], lat_of[i], config_of[i])
             report.scalar_lanes += 1
         return [r for r in results], report  # type: ignore[misc]
 
@@ -527,12 +592,13 @@ def execute_wave_batch(
     padded_steps = 0
     useful_steps = 0
     for chunk_indices in chunks:
-        chunk_traces = [traces[i] for i in chunk_indices]
-        chunk = _Chunk(chunk_traces, latencies, config)
-        wave_cycles, stall = _run_chunk(chunk, latencies, config)
+        chunk = _Chunk(
+            [traces[i] for i in chunk_indices], params.take(chunk_indices)
+        )
+        wave_cycles, stall = _run_chunk(chunk)
         for lane, idx in enumerate(chunk_indices):
             stats = _stats_for_lane(
-                chunk, lane, float(wave_cycles[lane]), float(stall[lane]), line_bytes
+                chunk, lane, float(wave_cycles[lane]), float(stall[lane])
             )
             results[idx] = (float(wave_cycles[lane]), stats)
         report.batched_lanes += len(chunk_indices)

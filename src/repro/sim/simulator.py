@@ -24,7 +24,7 @@ design (the scaled address space differs per kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,12 @@ from .sm import LatencyTable, StreamingMultiprocessor
 from .stats import SimStats
 from .trace import KernelTrace, TraceGenerator
 
-__all__ = ["KernelSimResult", "WorkloadSimResult", "GpuSimulator"]
+__all__ = [
+    "KernelSimResult",
+    "WorkloadSimResult",
+    "GpuSimulator",
+    "simulate_workload_on",
+]
 
 #: Event counters scaled by wave extrapolation (everything but the float
 #: ``cycles``/``stall_cycles``), in a fixed order so batch simulation can
@@ -249,62 +254,6 @@ class GpuSimulator:
             f"|warmup={self.warmup!r}"
         )
 
-    def _raw_invocation(self, workload: Workload, index: int, seed: int) -> RawKernelSim:
-        """Raw (unscaled) simulation of one invocation — the pure core."""
-        trace = self.tracer.generate(workload.invocation(index), seed=seed)
-        wave_cycles, stats = self._execute_trace(trace)
-        return RawKernelSim(
-            wave_cycles=float(wave_cycles),
-            extrapolation=float(trace.extrapolation),
-            stall_cycles=float(stats.stall_cycles),
-            events=np.array(
-                [getattr(stats, f) for f in _EVENT_FIELDS], dtype=np.int64
-            ),
-        )
-
-    def _raw_invocations(
-        self, workload: Workload, indices: List[int], seed: int
-    ) -> List[RawKernelSim]:
-        """Raw simulations for ``indices``, in order.
-
-        Multi-invocation requests run through the batched
-        structure-of-arrays engine (:func:`execute_wave_batch`) when the
-        policy allows; results are bit-identical to the scalar
-        per-invocation loop, which remains both the fallback (single
-        index, warmup attached, batching disabled) and the oracle the
-        parity suite checks against.
-        """
-        policy = self.batch_policy
-        if not (policy.enabled and self.warmup is None and len(indices) > 1):
-            return [
-                self._raw_invocation(workload, index, seed) for index in indices
-            ]
-        traces = [
-            self.tracer.generate(workload.invocation(index), seed=seed)
-            for index in indices
-        ]
-        pairs, report = execute_wave_batch(
-            traces, self.latencies, self.config, policy
-        )
-        if obs.is_enabled():
-            obs.inc("sim.batch.calls")
-            obs.inc("sim.batch.lanes", report.batched_lanes)
-            obs.inc("sim.batch.scalar_lanes", report.scalar_lanes)
-            obs.inc("sim.batch.chunks", report.chunks)
-            obs.observe("sim.batch.width", float(report.batched_lanes))
-            obs.observe("sim.batch.fill_ratio", float(report.fill_ratio))
-        return [
-            RawKernelSim(
-                wave_cycles=float(wave_cycles),
-                extrapolation=float(trace.extrapolation),
-                stall_cycles=float(stats.stall_cycles),
-                events=np.array(
-                    [getattr(stats, f) for f in _EVENT_FIELDS], dtype=np.int64
-                ),
-            )
-            for trace, (wave_cycles, stats) in zip(traces, pairs)
-        ]
-
     @staticmethod
     def _stats_from_raw(raw: RawKernelSim) -> SimStats:
         """Fresh mutable stats per result slot (post-processing mutates)."""
@@ -312,6 +261,98 @@ class GpuSimulator:
         for j, field_name in enumerate(_EVENT_FIELDS):
             setattr(stats, field_name, int(raw.events[j]))
         return stats
+
+    def _post_process(
+        self,
+        workload: Workload,
+        index_list: List[int],
+        raws: List[RawKernelSim],
+        executed: int,
+        seed: int,
+    ) -> WorkloadSimResult:
+        """Noise, launch overhead, extrapolation and aggregation of raws.
+
+        Single array operations over all slots; bit-identical to the
+        per-invocation arithmetic of :meth:`simulate_trace`.
+        """
+        n = len(index_list)
+        aggregate = SimStats()
+        wave_list: List[float] = [raw.wave_cycles for raw in raws]
+        extrap_list: List[float] = [raw.extrapolation for raw in raws]
+        stats_list: List[SimStats] = [self._stats_from_raw(raw) for raw in raws]
+        # Vectorized replication of the per-index keyed generators;
+        # bit-identical to calling ``_noise_factor`` per slot (see
+        # :mod:`repro.sim.noise`).
+        noise_arr = noise_factors(seed, index_list, self.noise)
+
+        if n:
+            waves = np.asarray(wave_list, dtype=np.float64)
+            extraps = np.asarray(extrap_list, dtype=np.float64)
+            noises = noise_arr
+            launch = (
+                self.config.launch_overhead_us * self.config.cycles_per_us()
+            )
+            cycles = (waves * extraps + launch) * noises
+            events = np.array(
+                [[getattr(s, f) for f in _EVENT_FIELDS] for s in stats_list],
+                dtype=np.float64,
+            )
+            # np.round is half-to-even, exactly like the scalar path's
+            # ``int(round(...))``.
+            scaled = np.round(events * extraps[:, None]).astype(np.int64)
+        else:
+            cycles = np.empty(0, dtype=np.float64)
+            scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
+
+        results: List[KernelSimResult] = []
+        for i, (index, stats) in enumerate(zip(index_list, stats_list)):
+            for j, field_name in enumerate(_EVENT_FIELDS):
+                setattr(stats, field_name, int(scaled[i, j]))
+            stats.stall_cycles *= extrap_list[i]
+            kernel_cycles = float(cycles[i])
+            stats.cycles = kernel_cycles
+            results.append(
+                KernelSimResult(
+                    invocation_index=index,
+                    cycles=kernel_cycles,
+                    wave_cycles=wave_list[i],
+                    extrapolation=extrap_list[i],
+                    stats=stats,
+                )
+            )
+        # Counts wave simulations actually run (deduped/cached reuse
+        # is free); per-slot cycles still land in the histogram below.
+        obs.inc("sim.kernels_executed", executed)
+        if obs.is_enabled():
+            for kernel_cycles in cycles:
+                obs.observe("sim.kernel_cycles", float(kernel_cycles))
+
+        if n:
+            totals = scaled.sum(axis=0)
+            for j, field_name in enumerate(_EVENT_FIELDS):
+                setattr(aggregate, field_name, int(totals[j]))
+            aggregate.stall_cycles = float(sum(s.stall_cycles for s in stats_list))
+        aggregate.cycles = float(sum(r.cycles for r in results))
+        if detsan.is_enabled():
+            # Sync point: per-invocation cycles and scaled counters must
+            # be bit-identical across engine configs (scalar vs batch,
+            # cold vs warm cache, dedup on/off, separate vs fused design
+            # points).  The key names the machine (GPU config plus
+            # memo identity) but never the batch policy, so it is
+            # engine-invariant; the "cycle" family tag keeps these
+            # recordings disjoint from the analytical tier's.
+            machine = detsan.digest_of((self.config, self.memo_identity()))
+            tag = (
+                f"sim.cycle|{workload.name}|cfg={machine[:12]}|seed={seed}"
+                f"|idx={detsan.index_digest(index_list)}"
+            )
+            detsan.record(tag + "|cycles", cycles)
+            detsan.record(tag + "|events", scaled)
+        return WorkloadSimResult(
+            workload_name=workload.name,
+            kernel_results=results,
+            aggregate=aggregate,
+        )
 
     # -- workloads ---------------------------------------------------------
     def simulate_workload(
@@ -339,123 +380,12 @@ class GpuSimulator:
         :class:`~repro.memo.SimResultCache` is attached, unique
         invocations already simulated by an earlier call, process or run
         are reused from the cache.  Both reuse paths feed the identical
-        vectorized post-processing below, so every result and aggregate
-        stays bit-for-bit equal to ``dedup=False``.
+        vectorized post-processing, so every result and aggregate stays
+        bit-for-bit equal to ``dedup=False``.
+
+        This is :func:`simulate_workload_on` with one simulator.
         """
-        if indices is None:
-            indices = range(len(workload))
-        index_list = [int(i) for i in indices]
-        n = len(index_list)
-        aggregate = SimStats()
-        with obs.span("sim.workload", workload=workload.name) as sp:
-            # Fault decisions are pure functions of (plan seed, index,
-            # attempt), so checking every index upfront raises the same
-            # first failure as the interleaved loop — without paying for
-            # the simulations ahead of it.
-            if self.fault_injector is not None:
-                for index in index_list:
-                    self.fault_injector.check_simulation(index, 1)
-
-            if dedup:
-                draws = collapse_draws(index_list)
-                unique_list = [int(i) for i in draws.unique]
-                obs.inc("memo.dedup.draws", draws.num_draws)
-                obs.inc("memo.dedup.collapsed", draws.collapsed)
-                raw_by_index = {}
-                missing = unique_list
-                context = None
-                if self.sim_cache is not None and unique_list:
-                    context = self.sim_cache.context_for(
-                        workload, self.config, seed, self.memo_identity()
-                    )
-                    raw_by_index, missing = self.sim_cache.load(context, unique_list)
-                for index, raw in zip(
-                    missing, self._raw_invocations(workload, missing, seed)
-                ):
-                    raw_by_index[index] = raw
-                if self.sim_cache is not None and missing:
-                    self.sim_cache.store(context, unique_list, raw_by_index)
-                executed = len(missing)
-                raws = [raw_by_index[index] for index in index_list]
-            else:
-                raws = self._raw_invocations(workload, index_list, seed)
-                executed = n
-
-            wave_list: List[float] = [raw.wave_cycles for raw in raws]
-            extrap_list: List[float] = [raw.extrapolation for raw in raws]
-            stats_list: List[SimStats] = [self._stats_from_raw(raw) for raw in raws]
-            # Vectorized replication of the per-index keyed generators;
-            # bit-identical to calling ``_noise_factor`` per slot (see
-            # :mod:`repro.sim.noise`).
-            noise_arr = noise_factors(seed, index_list, self.noise)
-            sp.attrs["kernels"] = n
-            sp.attrs["kernels_simulated"] = executed
-
-            if n:
-                waves = np.asarray(wave_list, dtype=np.float64)
-                extraps = np.asarray(extrap_list, dtype=np.float64)
-                noises = noise_arr
-                launch = (
-                    self.config.launch_overhead_us * self.config.cycles_per_us()
-                )
-                cycles = (waves * extraps + launch) * noises
-                events = np.array(
-                    [[getattr(s, f) for f in _EVENT_FIELDS] for s in stats_list],
-                    dtype=np.float64,
-                )
-                # np.round is half-to-even, exactly like the scalar path's
-                # ``int(round(...))``.
-                scaled = np.round(events * extraps[:, None]).astype(np.int64)
-            else:
-                cycles = np.empty(0, dtype=np.float64)
-                scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
-
-            results: List[KernelSimResult] = []
-            for i, (index, stats) in enumerate(zip(index_list, stats_list)):
-                for j, field_name in enumerate(_EVENT_FIELDS):
-                    setattr(stats, field_name, int(scaled[i, j]))
-                stats.stall_cycles *= extrap_list[i]
-                kernel_cycles = float(cycles[i])
-                stats.cycles = kernel_cycles
-                results.append(
-                    KernelSimResult(
-                        invocation_index=index,
-                        cycles=kernel_cycles,
-                        wave_cycles=wave_list[i],
-                        extrapolation=extrap_list[i],
-                        stats=stats,
-                    )
-                )
-            # Counts wave simulations actually run (deduped/cached reuse
-            # is free); per-slot cycles still land in the histogram below.
-            obs.inc("sim.kernels_executed", executed)
-            if obs.is_enabled():
-                for kernel_cycles in cycles:
-                    obs.observe("sim.kernel_cycles", float(kernel_cycles))
-
-        if n:
-            totals = scaled.sum(axis=0)
-            for j, field_name in enumerate(_EVENT_FIELDS):
-                setattr(aggregate, field_name, int(totals[j]))
-            aggregate.stall_cycles = float(sum(s.stall_cycles for s in stats_list))
-        aggregate.cycles = float(sum(r.cycles for r in results))
-        if detsan.is_enabled():
-            # Sync point: per-invocation cycles and scaled counters must
-            # be bit-identical across engine configs (scalar vs batch,
-            # cold vs warm cache, dedup on/off).  The key is engine-
-            # invariant; the "cycle" family tag keeps these recordings
-            # disjoint from the analytical tier's.
-            tag = (
-                f"sim.cycle|{workload.name}|seed={seed}"
-                f"|idx={detsan.index_digest(index_list)}"
-            )
-            detsan.record(tag + "|cycles", cycles)
-            detsan.record(tag + "|events", scaled)
-        return WorkloadSimResult(
-            workload_name=workload.name,
-            kernel_results=results,
-            aggregate=aggregate,
-        )
+        return simulate_workload_on([self], workload, indices, seed, dedup)[0]
 
     def cycle_counts(
         self, workload: Workload, seed: int = 0
@@ -463,3 +393,146 @@ class GpuSimulator:
         """Per-invocation cycle counts of a full simulation."""
         result = self.simulate_workload(workload, seed=seed)
         return np.array([r.cycles for r in result.kernel_results], dtype=np.float64)
+
+
+def _raw_result(trace: KernelTrace, wave_cycles: float, stats: SimStats) -> RawKernelSim:
+    """Raw (unscaled) result of one executed trace."""
+    return RawKernelSim(
+        wave_cycles=float(wave_cycles),
+        extrapolation=float(trace.extrapolation),
+        stall_cycles=float(stats.stall_cycles),
+        events=np.array([getattr(stats, f) for f in _EVENT_FIELDS], dtype=np.int64),
+    )
+
+
+def _raw_invocations(
+    simulators: Sequence[GpuSimulator],
+    requests: Sequence[List[int]],
+    workload: Workload,
+    seed: int,
+) -> List[List[RawKernelSim]]:
+    """Raw simulations of ``requests[k]`` on ``simulators[k]``, in order.
+
+    Batched traces are generated once per distinct trace-generator
+    identity and index (design points that differ only in cache size
+    share them; the engines only read traces).  Every simulator whose
+    policy allows it joins one structure-of-arrays batch per batch
+    policy (:func:`execute_wave_batch`), each lane carrying its own
+    machine; the rest — batching disabled, warmup attached, or a single
+    lane — run the scalar per-trace loop, which is also the oracle the
+    parity suite checks the batch against.
+    """
+    shared: Dict[tuple, KernelTrace] = {}
+
+    def trace_of(sim: GpuSimulator, index: int, keep: bool) -> KernelTrace:
+        key = (sim.tracer.identity(), index)
+        trace = shared.get(key)
+        if trace is None:
+            trace = sim.tracer.generate(workload.invocation(index), seed=seed)
+            if keep:
+                shared[key] = trace
+        return trace
+
+    # Lanes per batch policy: (simulator position, slot) in request order.
+    groups: Dict[BatchPolicy, List[Tuple[int, int]]] = {}
+    for k, sim in enumerate(simulators):
+        if sim.batch_policy.enabled and sim.warmup is None:
+            lanes = groups.setdefault(sim.batch_policy, [])
+            lanes.extend((k, slot) for slot in range(len(requests[k])))
+    raws: List[List[Optional[RawKernelSim]]] = [[None] * len(r) for r in requests]
+    for policy, lanes in groups.items():
+        if len(lanes) < 2:
+            continue
+        lane_traces = [
+            trace_of(simulators[k], requests[k][slot], keep=True) for k, slot in lanes
+        ]
+        pairs, report = execute_wave_batch(
+            lane_traces,
+            [simulators[k].latencies for k, _ in lanes],
+            [simulators[k].config for k, _ in lanes],
+            policy,
+        )
+        if obs.is_enabled():
+            obs.inc("sim.batch.calls")
+            obs.inc("sim.batch.lanes", report.batched_lanes)
+            obs.inc("sim.batch.scalar_lanes", report.scalar_lanes)
+            obs.inc("sim.batch.chunks", report.chunks)
+            obs.observe("sim.batch.width", float(report.batched_lanes))
+            obs.observe("sim.batch.fill_ratio", float(report.fill_ratio))
+        for (k, slot), trace, (wave_cycles, stats) in zip(lanes, lane_traces, pairs):
+            raws[k][slot] = _raw_result(trace, wave_cycles, stats)
+    # The scalar loop streams: one trace alive at a time.
+    for sim, row, indices in zip(simulators, raws, requests):
+        for slot, index in enumerate(indices):
+            if row[slot] is None:
+                trace = trace_of(sim, index, keep=False)
+                row[slot] = _raw_result(trace, *sim._execute_trace(trace))
+    return raws  # type: ignore[return-value]
+
+
+def simulate_workload_on(
+    simulators: Sequence[GpuSimulator],
+    workload: Workload,
+    indices: Optional[Iterable[int]] = None,
+    seed: int = 0,
+    dedup: bool = True,
+) -> List[WorkloadSimResult]:
+    """Simulate one workload on several simulators, e.g. DSE design points.
+
+    Returns one result per simulator, each bit-identical to that
+    simulator's own :meth:`GpuSimulator.simulate_workload` — which is
+    this function with one simulator.  Fault checks, dedup, sim-cache
+    load and store, noise, post-processing and the DetSan sync point stay
+    per simulator; what is shared is the work in between: traces are
+    generated once per distinct trace-generator identity, and every
+    simulator's not-yet-cached invocations run as lanes of one lock-step
+    batch, each lane on its own machine parameters.
+    """
+    simulators = list(simulators)
+    if indices is None:
+        indices = range(len(workload))
+    index_list = [int(i) for i in indices]
+    with obs.span("sim.workload", workload=workload.name) as sp:
+        # Fault decisions are pure functions of (plan seed, index,
+        # attempt), so checking every index upfront raises the same
+        # first failure as the interleaved loop — without paying for
+        # the simulations ahead of it.
+        for sim in simulators:
+            if sim.fault_injector is not None:
+                for index in index_list:
+                    sim.fault_injector.check_simulation(index, 1)
+
+        unique_list = index_list
+        if dedup:
+            draws = collapse_draws(index_list)
+            unique_list = [int(i) for i in draws.unique]
+        cached, contexts, requests = [], [], []
+        for sim in simulators:
+            raw_by_index, missing, context = {}, unique_list, None
+            if dedup:
+                obs.inc("memo.dedup.draws", draws.num_draws)
+                obs.inc("memo.dedup.collapsed", draws.collapsed)
+                if sim.sim_cache is not None and unique_list:
+                    context = sim.sim_cache.context_for(
+                        workload, sim.config, seed, sim.memo_identity()
+                    )
+                    raw_by_index, missing = sim.sim_cache.load(context, unique_list)
+            cached.append(raw_by_index)
+            contexts.append(context)
+            requests.append(missing)
+
+        results = []
+        fresh = _raw_invocations(simulators, requests, workload, seed)
+        for sim, raw_by_index, context, missing, raws in zip(
+            simulators, cached, contexts, requests, fresh
+        ):
+            if dedup:
+                raw_by_index.update(zip(missing, raws))
+                if sim.sim_cache is not None and missing:
+                    sim.sim_cache.store(context, unique_list, raw_by_index)
+                raws = [raw_by_index[index] for index in index_list]
+            results.append(sim._post_process(workload, index_list, raws, len(missing), seed))
+        sp.attrs["kernels"] = len(index_list)
+        sp.attrs["kernels_simulated"] = sum(len(m) for m in requests)
+        sp.attrs["simulators"] = len(simulators)
+    return results

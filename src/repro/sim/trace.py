@@ -85,6 +85,17 @@ class TraceGenerator:
         self.max_resident_warps = max_resident_warps
         self.line_bytes = line_bytes
 
+    def identity(self) -> tuple:
+        """Every knob :meth:`generate` reads: equal identities, equal traces."""
+        return (
+            self.num_sms,
+            self.max_blocks_per_sm,
+            self.max_warps_per_sm,
+            self.max_instructions_per_warp,
+            self.max_resident_warps,
+            self.line_bytes,
+        )
+
     # -- instruction-stream synthesis ------------------------------------
     @staticmethod
     def _interleave(mix_counts: List[int], kinds: List[int], length: int) -> np.ndarray:

@@ -74,6 +74,21 @@ class TestSeedFlow:
         found = findings_for(fixture_result, "seed-flow", "seedpkg/build.py")
         assert all(f.line <= 26 for f in found)
 
+    def test_many_module_level_calls_do_not_crash(self, tmp_path):
+        """Two module-level assignments from resolvable calls used to
+        raise UnboundLocalError in the generator-escape check."""
+        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
+            [tool.repro.lint]
+            paths = ["."]
+        """))
+        (tmp_path / "consts.py").write_text(textwrap.dedent("""\
+            import numpy as np
+            A = np.int64(1)
+            B = np.int8(2)
+        """))
+        result = run_analysis(load_config(str(tmp_path / "pyproject.toml")))
+        assert findings_for(result, "seed-flow") == []
+
     def test_generator_escape_to_pool_worker(self, fixture_result):
         found = findings_for(fixture_result, "seed-flow", "seedpkg/pool.py")
         assert len(found) == 1

@@ -203,6 +203,34 @@ class TestCli:
         assert "DIVERGENCE" in out
         assert "sim.cycle|" in out
 
+    def test_smoke_cross_checks_fused_design_points(self):
+        from argparse import Namespace
+
+        from repro.analysis.detsan_smoke import _engine_phase
+
+        san = detsan.enable()
+        _engine_phase(Namespace(
+            suite="rodinia", workload="bfs", scale=0.05, gpu="rtx2080", seed=0
+        ))
+        paired = [
+            key for key, entry in san._table.items()
+            if {"configs=separate", "configs=fused"} <= entry.scopes
+        ]
+        assert len(paired) == 10  # 5 design points x (cycles, events)
+        assert san.divergences == []
+
+    def test_dse_design_points_do_not_false_diverge(self, capsys):
+        """Each DSE variant records its own sync points: the key names
+        the GPU config, so five machines never cross-check each other."""
+        status = main([
+            "dse", "--workloads", "hotspot", "--max-invocations", "20",
+            "--methods", "stem", "--repetitions", "1",
+            "--detsan", "--no-ledger",
+        ])
+        err = capsys.readouterr().err
+        assert "0 divergence(s)" in err
+        assert status == 0
+
     def test_detsan_flag_on_a_workload_command(self, capsys):
         status = main([
             "sample", "rodinia", "bfs", "--scale", "0.05",

@@ -12,11 +12,17 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationFailure
-from repro.hardware import RTX_2080
+from repro.hardware import RTX_2080, dse_variants
 from repro.memo import SimResultCache
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultInjector
-from repro.sim import BatchPolicy, GpuSimulator, execute_wave_batch, noise_factors
+from repro.sim import (
+    BatchPolicy,
+    GpuSimulator,
+    execute_wave_batch,
+    noise_factors,
+    simulate_workload_on,
+)
 from repro.sim.noise import uses_fallback
 from repro.workloads import load_workload
 
@@ -190,6 +196,131 @@ class TestWorkloadParity:
         b = GpuSimulator(RTX_2080, batch_policy=SCALAR)
         assert a.memo_identity() == b.memo_identity()
         assert BatchPolicy().memo_identity() == ""
+
+
+def variant_simulators(**kwargs):
+    """One simulator per Table-4 design point."""
+    return [GpuSimulator(gpu, **kwargs) for gpu in dse_variants(RTX_2080)]
+
+
+class TestMixedConfigBatches:
+    """Lanes on different machines share one lock-step batch."""
+
+    def _mixed_lanes(self, workload):
+        sims = variant_simulators()
+        traces, lats, configs, owners = [], [], [], []
+        for sim in sims:
+            for trace in make_traces(sim, workload):
+                traces.append(trace)
+                lats.append(sim.latencies)
+                configs.append(sim.config)
+                owners.append(sim)
+        return traces, lats, configs, owners
+
+    @pytest.mark.parametrize("policy", [EAGER, BatchPolicy(min_width=2, max_width=3)])
+    def test_one_call_over_all_variants_bit_identical(self, policy):
+        traces, lats, configs, owners = self._mixed_lanes(small_workload())
+        batched, report = execute_wave_batch(traces, lats, configs, policy)
+        assert report.batched_lanes == len(traces)
+        if policy.max_width == 3:
+            assert report.chunks > 1
+        for i, (trace, sim) in enumerate(zip(traces, owners)):
+            cycles, stats = sim._execute_trace(trace)
+            bcycles, bstats = batched[i]
+            assert bcycles == cycles, f"lane {i} ({sim.config.name}): cycles differ"
+            assert bstats.as_dict() == stats.as_dict(), f"lane {i}: stats differ"
+
+    def test_misaligned_machines_are_rejected(self):
+        traces, lats, configs, _ = self._mixed_lanes(small_workload())
+        with pytest.raises(ValueError, match="latency tables"):
+            execute_wave_batch(traces, lats[:-1], configs, EAGER)
+
+    def test_shared_traces_are_unchanged(self):
+        """Design points that share a trace generator share trace objects;
+        the engine must only read them."""
+        workload = small_workload()
+        sims = variant_simulators()[:3]  # baseline, cache x2, cache x0.5
+        assert len({sim.tracer.identity() for sim in sims}) == 1
+        traces = make_traces(sims[0], workload)
+        before = [
+            [(w.kinds.copy(), w.addresses.copy()) for w in t.warps] for t in traces
+        ]
+        lanes = [(sim, trace) for sim in sims for trace in traces]
+        execute_wave_batch(
+            [t for _, t in lanes],
+            [sim.latencies for sim, _ in lanes],
+            [sim.config for sim, _ in lanes],
+            EAGER,
+        )
+        for trace, saved in zip(traces, before):
+            for warp, (kinds, addresses) in zip(trace.warps, saved):
+                assert np.array_equal(warp.kinds, kinds)
+                assert np.array_equal(warp.addresses, addresses)
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_fused_entry_point_matches_separate(self, dedup):
+        workload = small_workload()
+        indices = [0, 3, 3, 1, 0, 2, 3, 5]
+        fused = simulate_workload_on(
+            variant_simulators(batch_policy=EAGER), workload, indices,
+            seed=5, dedup=dedup,
+        )
+        separate = [
+            sim.simulate_workload(workload, indices, seed=5, dedup=dedup)
+            for sim in variant_simulators(batch_policy=SCALAR)
+        ]
+        assert len(fused) == len(separate) == 5
+        for a, b in zip(fused, separate):
+            assert results_equal(a, b)
+        # The design points really differ, so a mixed-up lane would show.
+        assert len({r.total_cycles for r in fused}) > 1
+
+    def test_fused_sim_cache_cold_then_warm(self, tmp_path):
+        workload = small_workload()
+        root = str(tmp_path / "sim")
+        reference = [
+            sim.simulate_workload(workload, seed=6)
+            for sim in variant_simulators(batch_policy=SCALAR)
+        ]
+        cache = SimResultCache(root)
+        cold = simulate_workload_on(
+            variant_simulators(batch_policy=EAGER, sim_cache=cache), workload, seed=6
+        )
+        assert cache.stats()["hits"] == 0
+        warm = simulate_workload_on(
+            variant_simulators(batch_policy=EAGER, sim_cache=cache), workload, seed=6
+        )
+        assert cache.stats()["hits"] == 5 * len(workload)
+        for ref, a, b in zip(reference, cold, warm):
+            assert results_equal(a, ref) and results_equal(b, ref)
+        # Entries written by the fused call are the per-simulator ones.
+        for gpu, ref in zip(dse_variants(RTX_2080), reference):
+            reread = SimResultCache(root)
+            lone = GpuSimulator(gpu, sim_cache=reread).simulate_workload(
+                workload, seed=6
+            )
+            assert results_equal(lone, ref)
+            assert reread.stats() == {
+                "hits": len(workload), "misses": 0, "stores": 0
+            }
+
+    def test_traces_generated_once_per_generator_identity(self, monkeypatch):
+        from repro.sim.trace import TraceGenerator
+
+        calls = []
+        original = TraceGenerator.generate
+
+        def counting(self, invocation, seed=0):
+            calls.append(self.identity())
+            return original(self, invocation, seed=seed)
+
+        monkeypatch.setattr(TraceGenerator, "generate", counting)
+        workload = small_workload()
+        sims = variant_simulators(batch_policy=EAGER)
+        simulate_workload_on(sims, workload, seed=0)
+        identities = {sim.tracer.identity() for sim in sims}
+        assert len(identities) == 3  # cache variants share the baseline's
+        assert len(calls) == len(identities) * len(workload)
 
 
 class TestCacheKeyLint:
