@@ -1,8 +1,8 @@
 """Analyzer runtime: whole-program ``repro analyze`` must stay cheap.
 
 The analysis tier loads every module under the configured paths, builds
-the project call graph, and runs three interprocedural passes
-(seed-flow, pool purity, cache-key soundness).  It is meant to run on
+the project call graph, and runs two interprocedural passes
+(seed-flow, pool purity).  It is meant to run on
 every PR, so its wall-clock is an SLO: ``analyze_runtime_s`` in
 ``[tool.repro.slo.metric_max]`` (enforced by ``repro obs check`` over
 the ledger record this bench appends).
@@ -71,7 +71,7 @@ def measure() -> dict:
     print(f"files analyzed           : {files:8d}")
     print(f"functions in call graph  : {functions:8d}")
     print(f"graph construction       : {best_graph * 1e3:8.1f} ms")
-    print(f"full analyze (3 passes)  : {best_total * 1e3:8.1f} ms "
+    print(f"full analyze (2 passes)  : {best_total * 1e3:8.1f} ms "
           f"(bound {MAX_ANALYZE_SECONDS:.0f}s)")
     print(f"disabled detsan hook     : {hook * 1e9:8.1f} ns/call")
     print(f"findings                 : {findings:8d}")

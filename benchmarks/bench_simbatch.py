@@ -87,7 +87,7 @@ def bench_engine(suite: str, name: str, scale: float, seed: int) -> Dict[str, ob
 
     scalar, scalar_s = timed(lambda: [sim._execute_trace(t) for t in traces])
     (batched, report), batched_s = timed(
-        lambda: execute_wave_batch(traces, sim.latencies, sim.config, sim.batch_policy)
+        lambda: execute_wave_batch(traces, sim.spec.latencies, sim.config, sim.batch_policy)
     )
 
     identical = all(
@@ -148,13 +148,13 @@ def bench_design_points(
     ]
 
     separate, separate_s = timed(lambda: [
-        execute_wave_batch(traces, sim.latencies, sim.config, sim.batch_policy)[0]
+        execute_wave_batch(traces, sim.spec.latencies, sim.config, sim.batch_policy)[0]
         for sim, traces in zip(sims, per_variant)
     ])
     lanes = [(sim, trace) for sim, traces in zip(sims, per_variant) for trace in traces]
     (fused, report), fused_s = timed(lambda: execute_wave_batch(
         [trace for _, trace in lanes],
-        [sim.latencies for sim, _ in lanes],
+        [sim.spec.latencies for sim, _ in lanes],
         [sim.config for sim, _ in lanes],
     ))
 

@@ -43,8 +43,10 @@ import hashlib
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Set
+
+from ..keys import derive_key as digest_of
 
 __all__ = [
     "DeterminismSanitizer",
@@ -59,58 +61,6 @@ __all__ = [
 
 _ENABLE_ENV = "REPRO_DETSAN"
 _FAULT_ENV = "REPRO_DETSAN_FAULT"
-
-
-def _canonical_update(h, value: Any) -> None:
-    """Feed ``value`` into the hash in a type-tagged canonical form."""
-    if value is None:
-        h.update(b"N")
-    elif isinstance(value, bool):
-        h.update(b"B1" if value else b"B0")
-    elif isinstance(value, int):
-        h.update(b"I" + repr(value).encode())
-    elif isinstance(value, float):
-        # repr round-trips doubles exactly; bit-identity is the contract.
-        # Coerced first: np.float64 is a float subclass but reprs as
-        # "np.float64(…)", and a worker-side np.float64 must hash like
-        # the parent-side plain float it compares against.
-        h.update(b"F" + repr(float(value)).encode())
-    elif isinstance(value, str):
-        h.update(b"S" + value.encode("utf-8"))
-    elif isinstance(value, bytes):
-        h.update(b"Y" + value)
-    elif isinstance(value, (list, tuple)):
-        h.update(b"L" + repr(len(value)).encode())
-        for item in value:
-            _canonical_update(h, item)
-    elif isinstance(value, dict):
-        h.update(b"D" + repr(len(value)).encode())
-        for key in sorted(value, key=repr):
-            _canonical_update(h, key)
-            _canonical_update(h, value[key])
-    elif is_dataclass(value) and not isinstance(value, type):
-        import dataclasses
-
-        h.update(b"C" + type(value).__name__.encode())
-        _canonical_update(h, dataclasses.asdict(value))
-    elif hasattr(value, "dtype") and hasattr(value, "tobytes"):
-        # numpy array (duck-typed so this module never imports numpy)
-        h.update(b"A" + str(value.dtype).encode())
-        h.update(repr(tuple(getattr(value, "shape", ()))).encode())
-        import numpy as np
-
-        h.update(np.ascontiguousarray(value).tobytes())
-    else:
-        # Deterministic reprs only (dataclass-free objects land here);
-        # an address-bearing default repr would self-diverge, which is a
-        # loud failure, not a silent pass.
-        h.update(b"R" + repr(value).encode())
-
-
-def digest_of(payload: Any) -> str:
-    h = hashlib.sha256()
-    _canonical_update(h, payload)
-    return h.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ observability that the parallel executor merges deterministically)
 contribute no effects at all.
 
 Also home to the pool-dispatch discovery shared by the purity and
-seed-flow passes: every call site whose callee name is ``run_tasks`` /
-``supervise_tasks``, with its worker argument expression.
+seed-flow passes: every call site — in a function body or at module
+level — whose callee name is ``run_tasks`` / ``supervise_tasks``, with
+its worker argument expression.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph import FunctionInfo, ProjectGraph
+from .graph import CallSite, FunctionInfo, ProjectGraph, _dotted
 
 __all__ = [
     "DirectEffects",
@@ -320,9 +321,40 @@ class PoolDispatch:
     worker: Optional[ast.AST]  # the worker argument expression
 
 
+def _module_level_code(graph: ProjectGraph) -> List[FunctionInfo]:
+    """One pseudo-function per module holding its top-level statements.
+
+    Calls made at import time (outside any ``def`` or ``class``) belong
+    to no function in the graph; these pseudo-functions, keyed
+    ``module:<module>``, let dispatch discovery see them too.
+    """
+    infos: List[FunctionInfo] = []
+    for mod_name, module in graph.by_module_name.items():
+        body = [
+            stmt
+            for stmt in module.tree.body
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        info = FunctionInfo(
+            key=f"{mod_name}:<module>",
+            module=module,
+            module_name=mod_name,
+            qualpath="<module>",
+            node=ast.Module(body=body, type_ignores=[]),
+        )
+        for node in ast.walk(info.node):
+            if isinstance(node, ast.Call):
+                dotted = _dotted(node.func)
+                target = graph.resolve_dotted(mod_name, dotted) if dotted else None
+                info.calls.append(CallSite(node=node, target=target, dotted=dotted))
+        infos.append(info)
+    return infos
+
+
 def find_pool_dispatches(graph: ProjectGraph) -> List[PoolDispatch]:
+    """Every pool dispatch, in function bodies and at module level."""
     dispatches: List[PoolDispatch] = []
-    for info in graph.functions.values():
+    for info in list(graph.functions.values()) + _module_level_code(graph):
         for site in info.calls:
             dotted = site.dotted
             if dotted is None:

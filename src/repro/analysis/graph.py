@@ -3,8 +3,7 @@
 The syntactic lint tier (:mod:`repro.lint`) sees one file at a time; the
 analysis tier needs to answer questions that span call chains — "does
 this pool worker transitively write a module global?", "can this seed
-reach ``default_rng`` through a helper?", "which fields of this keyed
-dataclass can influence its outputs?".  :class:`ProjectGraph` is the
+reach ``default_rng`` through a helper?".  :class:`ProjectGraph` is the
 shared substrate those passes walk:
 
 * **module naming** — every parsed file gets a dotted module name
@@ -14,16 +13,13 @@ shared substrate those passes walk:
   ``from … import`` statements *including relative imports* (the lint
   tier's :class:`~repro.lint.names.ImportMap` deliberately skips those);
 * **function table** — every module-level function and every method,
-  keyed ``module:qualpath`` (e.g. ``repro.core.fidelity:FidelityPolicy.
-  memo_identity``);
+  keyed ``module:qualpath`` (e.g. ``repro.parallel.executor:run_tasks``);
 * **call graph** — best-effort resolved callee edges per function:
   local names, imported names (chasing one re-export hop per lookup,
   e.g. ``repro.parallel.run_tasks`` → ``repro.parallel.executor:
   run_tasks``), ``self.method()`` within a class, and ``param.method()``
   where the parameter is annotated with a project class;
-* **class table** — fields per class: dataclass ``AnnAssign`` fields
-  for ``@dataclass`` types, ``self.x = …`` assignments in ``__init__``
-  for plain classes.
+* **class table** — every class with its methods.
 
 Resolution is sound-for-lint, not a type checker: anything that cannot
 be resolved statically stays an ``external:`` edge and is never matched
@@ -126,17 +122,13 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class definition and its (best-effort) field set."""
+    """One class definition and its methods."""
 
     key: str  # "module:ClassName"
     module: SourceModule
     module_name: str
     name: str
     node: ast.ClassDef
-    is_dataclass: bool
-    #: Field name -> declaring AST node (AnnAssign for dataclasses,
-    #: the ``self.x = …`` Assign/AnnAssign for plain classes).
-    fields: Dict[str, ast.AST] = field(default_factory=dict)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
 
 
@@ -167,56 +159,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
         base = _dotted(node.value)
         return f"{base}.{node.attr}" if base else None
     return None
-
-
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for decorator in cls.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = _dotted(target)
-        if name and name.rsplit(".", 1)[-1] == "dataclass":
-            return True
-    return False
-
-
-def _dataclass_fields(cls: ast.ClassDef) -> Dict[str, ast.AST]:
-    fields: Dict[str, ast.AST] = {}
-    for stmt in cls.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            ann = stmt.annotation
-            ann_name = (
-                _dotted(ann.value) if isinstance(ann, ast.Subscript) else _dotted(ann)
-            )
-            if ann_name and ann_name.rsplit(".", 1)[-1] == "ClassVar":
-                continue
-            fields[stmt.target.id] = stmt
-    return fields
-
-
-def _init_fields(cls: ast.ClassDef) -> Dict[str, ast.AST]:
-    """``self.x = …`` targets inside ``__init__`` of a plain class.
-
-    Leading-underscore attributes are derived/private state, not fields
-    in the cache-key sense (matches the lint tier's plain-class rule).
-    """
-    fields: Dict[str, ast.AST] = {}
-    for stmt in cls.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == "__init__":
-            for node in ast.walk(stmt):
-                targets: List[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                    targets = [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and not target.attr.startswith("_")
-                        and target.attr not in fields
-                    ):
-                        fields[target.attr] = node
-    return fields
 
 
 class ProjectGraph:
@@ -278,15 +220,12 @@ class ProjectGraph:
     def _add_class(
         self, module: SourceModule, mod_name: str, node: ast.ClassDef
     ) -> None:
-        is_dc = _is_dataclass(node)
         info = ClassInfo(
             key=f"{mod_name}:{node.name}",
             module=module,
             module_name=mod_name,
             name=node.name,
             node=node,
-            is_dataclass=is_dc,
-            fields=_dataclass_fields(node) if is_dc else _init_fields(node),
         )
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -390,7 +329,7 @@ class ProjectGraph:
             if reexport is not None:
                 return self.resolve_absolute(reexport, _depth=_depth + 1)
             return None
-        # Maybe absolute names a method: repro.sim.batch.BatchPolicy.memo_identity
+        # Maybe absolute names a method: package.module.Class.method
         outer, _, method = module_path.rpartition(".")
         if outer in self.by_module_name:
             key = f"{outer}:{attr}"  # unlikely; keep simple

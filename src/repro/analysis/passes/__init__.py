@@ -23,6 +23,6 @@ def load_builtin_analysis_passes() -> None:
     global _LOADED
     if _LOADED:
         return
-    from . import cache_soundness, purity, seed_flow  # noqa: F401
+    from . import purity, seed_flow  # noqa: F401
 
     _LOADED = True

@@ -17,11 +17,10 @@ Commands
 ``suite``     run a whole suite and print per-method Table-3 summaries
 ``sweep``     error-bound sensitivity sweep (Figure 11) with memoization
 ``dse``       design-space exploration grid (Table 4)
-``lint``      AST-based invariant linter (determinism, cache keys, pool
-              safety — see :mod:`repro.lint` and docs/static-analysis.md)
+``lint``      AST-based invariant linter (determinism, key functions,
+              simulator salt — see :mod:`repro.lint` and docs/static-analysis.md)
 ``analyze``   whole-program determinism analyzer: interprocedural seed
-              flow, worker purity and cache-key soundness over the full
-              module graph (see :mod:`repro.analysis` and
+              flow and worker purity over the full module graph (see :mod:`repro.analysis` and
               docs/static-analysis.md)
 ``detsan``    cross-engine determinism smoke under the runtime
               sanitizer (scalar vs batch, cold vs warm, sequential vs
@@ -312,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser(
         "analyze",
         help="run the whole-program determinism analyzer (seed flow, "
-             "pool purity, cache-key soundness; exit 0 clean / 1 "
-             "findings / 2 internal error)",
+             "pool purity; exit 0 clean / 1 findings / 2 internal error)",
     )
     from .analysis.cli import add_analyze_arguments
 
@@ -942,7 +940,7 @@ def _run_grid(args):
     if args.checkpoint:
         checkpoint = GridCheckpoint(
             args.checkpoint,
-            config=config.fingerprint(),
+            config=config,
             fsync_every=args.fsync_every,
         )
     profile_cache = None

@@ -33,9 +33,8 @@ two-phase structure):
    hardware variants in ``tests/test_fidelity.py``.
 
 Every knob on :class:`FidelityPolicy` changes screened values, so all of
-them feed :meth:`FidelityPolicy.memo_identity` — the cache-key linter
-(``[[tool.repro.lint.cache-key]]`` in pyproject.toml) enforces that no
-future knob is silently left out.
+them are part of its derived key (:func:`repro.keys.derive_key`), and a
+future knob enters it with no other edit.
 """
 
 from __future__ import annotations
@@ -66,10 +65,9 @@ FIDELITY_MODES = ("cycle", "analytical", "hybrid")
 class FidelityPolicy:
     """How to mix analytical screening with cycle-level simulation.
 
-    Unlike :class:`~repro.sim.batch.BatchPolicy` (pure performance, every
-    knob exempt from the cache key), every field here changes the
-    screened values a run produces, so every field is part of
-    :meth:`memo_identity` and of the run's result identity.
+    Unlike :class:`~repro.sim.batch.BatchPolicy` (pure performance,
+    never keyed), every field here changes the screened values a run
+    produces, so every field is part of the policy's derived key.
     """
 
     #: ``cycle`` — oracle only; ``analytical`` — calibrated screen only;
@@ -109,14 +107,6 @@ class FidelityPolicy:
             raise ValueError("gap_safety must be >= 1")
         if self.min_gap < 0.0:
             raise ValueError("min_gap must be non-negative")
-
-    def memo_identity(self) -> str:
-        """Cache/result identity: every knob shapes screened values."""
-        return (
-            f"fidelity|{self.mode}|p{self.probe_count}"
-            f"|e{self.escalation_budget!r}|q{self.gap_quantile!r}"
-            f"|s{self.gap_safety!r}|g{self.min_gap!r}"
-        )
 
 
 @dataclass
@@ -365,8 +355,8 @@ def fidelity_cycle_counts(
     # Probe/escalation groups are far narrower than the width where the
     # SoA batch engine pays off (a ~20-lane chunk costs 2-6x the scalar
     # event loop per trace), so the subset oracle raises the batching
-    # threshold.  Batch policy is execution strategy only — not part of
-    # memo_identity — so results and cache entries stay bit-identical.
+    # threshold.  Batch policy is execution strategy only — never part
+    # of a cache key — so results and cache entries stay bit-identical.
     oracle = GpuSimulator(
         gpu, batch_policy=BatchPolicy(min_width=64), sim_cache=sim_cache
     )

@@ -56,6 +56,7 @@ from ..errors import (
     SimulationFailure,
 )
 from ..hardware import RTX_2080, GPUConfig
+from ..keys import key_exempt
 from ..resilience.checkpoint import GridCheckpoint
 from ..resilience.faults import FaultInjector, FaultPlan
 from ..workloads import load_suite
@@ -161,9 +162,13 @@ class ExperimentConfig:
     #: sampler this config builds.  Sharing one cache across configs that
     #: differ only in ``epsilon`` (see ``run_error_bound_sweep``) reuses
     #: each (workload, seed) ROOT candidate tree per epsilon point.
-    #: Deliberately absent from :meth:`fingerprint` — caching never
-    #: changes results, so checkpoints stay interchangeable.
-    tree_cache: Optional[object] = field(default=None, repr=False, compare=False)
+    tree_cache: Optional[object] = key_exempt(
+        "memoization of ROOT split trees never changes a produced number, "
+        "so checkpoints stay interchangeable across cache settings",
+        default=None,
+        repr=False,
+        compare=False,
+    )
 
     def sampler_for(self, method: str, workload: Workload):
         """Instantiate a sampling method with the paper's tuning rules.
@@ -233,20 +238,6 @@ class ExperimentConfig:
             cache=cache,
         )
 
-    def fingerprint(self) -> Dict[str, object]:
-        """Checkpoint-compatible summary of everything that shapes rows."""
-        return {
-            "gpu": self.gpu.name,
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-            "epsilon": self.epsilon,
-            "workload_scale": self.workload_scale,
-            "fault_plan": (
-                self.fault_plan.to_dict() if self.fault_plan is not None else None
-            ),
-            "validation": self.validation,
-        }
-
 
 def build_plan(sampler, store: ProfileStore, seed: int) -> SamplingPlan:
     """Dispatch to the method's plan builder (STEM consumes the store too)."""
@@ -291,7 +282,7 @@ def _as_checkpoint(
 ) -> Optional[GridCheckpoint]:
     if checkpoint is None or isinstance(checkpoint, GridCheckpoint):
         return checkpoint
-    return GridCheckpoint(str(checkpoint), config=config.fingerprint())
+    return GridCheckpoint(str(checkpoint), config=config)
 
 
 def repetition_seed(config: ExperimentConfig, rep: int) -> int:

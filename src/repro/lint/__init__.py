@@ -6,7 +6,7 @@ seeded, no wall-clock reads in result paths, no set iteration in keys),
 typed error handling, and a simulator-version salt that tracks every
 change to the simulator.  This package machine-checks the ones a single
 file (or the salt manifest) can decide; the invariants that span call
-chains — cache-key soundness and pool-worker safety — belong to the
+chains — seed flow and pool-worker safety — belong to the
 whole-program tier, :mod:`repro.analysis` (``repro analyze``):
 
 * :mod:`~repro.lint.engine` parses each file once and dispatches to the
@@ -25,14 +25,13 @@ See ``docs/static-analysis.md`` for the rule catalogue.
 from __future__ import annotations
 
 from .baseline import load_baseline, match_baseline, write_baseline
-from .config import CacheKeySpec, LintConfig, LintUsageError, load_config
+from .config import LintConfig, LintUsageError, load_config
 from .engine import LintResult, SourceModule, run_lint
 from .findings import Finding
 from .passes import LintPass, load_builtin_passes, register, registered_passes
 from .reporters import render_json, render_text, report_dict
 
 __all__ = [
-    "CacheKeySpec",
     "Finding",
     "LintConfig",
     "LintPass",

@@ -2,11 +2,7 @@
 
 The config answers four questions: which files to lint (``paths`` /
 ``exclude``), where grandfathered findings live (``baseline``), which
-rules are off repo-wide (``disable``), and the per-rule options —
-including the ``[[tool.repro.lint.cache-key]]`` array that declares
-which classes are cache-keyed and by what key function (checked by the
-analysis rule ``cache-key-soundness``,
-:mod:`repro.analysis.passes.cache_soundness`).
+rules are off repo-wide (``disable``), and the per-rule options.
 
 The project *root* is the directory containing the pyproject.toml the
 config was read from; every relative path in the config (and every
@@ -27,39 +23,17 @@ except ImportError:  # pragma: no cover - exercised only on 3.9/3.10
     except ImportError:
         tomllib = None
 
-__all__ = ["CacheKeySpec", "LintConfig", "LintUsageError", "load_config"]
+__all__ = ["LintConfig", "LintUsageError", "load_config"]
 
 #: Top-level [tool.repro.lint] keys that are not per-rule option tables.
 _RESERVED_KEYS = {
-    "paths", "exclude", "baseline", "disable", "cache-key",
+    "paths", "exclude", "baseline", "disable",
     "analysis-baseline", "changed-ref",
 }
 
 
 class LintUsageError(Exception):
     """Unusable invocation or config — maps to exit code 2, not a finding."""
-
-
-@dataclass(frozen=True)
-class CacheKeySpec:
-    """One keyed class the ``cache-key-soundness`` pass must verify.
-
-    ``key`` is either the name of a method of the class (its fingerprint
-    or serialization function) or the literal string ``"repr"`` for
-    types keyed through ``repr(instance)`` — where completeness means no
-    field opts out with ``field(repr=False)``.
-
-    ``exempt`` fields are *reviewed exemptions*: a non-empty list needs
-    a ``justification`` explaining why the exempted fields cannot change
-    results — an exemption nobody can defend is a stale-cache bug
-    waiting to happen.
-    """
-
-    path: str
-    cls: str
-    key: str
-    exempt: tuple = ()
-    justification: str = ""
 
 
 @dataclass
@@ -76,7 +50,6 @@ class LintConfig:
     #: differ from this ref).
     changed_ref: str = "origin/main"
     disable: List[str] = field(default_factory=list)
-    cache_keys: List[CacheKeySpec] = field(default_factory=list)
     #: Per-rule option tables, keyed by rule id.
     rule_options: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
@@ -101,24 +74,6 @@ def _find_pyproject(start: str) -> Optional[str]:
         if parent == current:
             return None
         current = parent
-
-
-def _parse_cache_key(raw: Dict[str, Any], source: str) -> CacheKeySpec:
-    try:
-        path = str(raw["path"])
-        cls = str(raw["class"])
-    except KeyError as missing:
-        raise LintUsageError(
-            f"{source}: [[tool.repro.lint.cache-key]] entry needs "
-            f"'path' and 'class' (missing {missing})"
-        ) from None
-    return CacheKeySpec(
-        path=path,
-        cls=cls,
-        key=str(raw.get("key", "repr")),
-        exempt=tuple(str(name) for name in raw.get("exempt", [])),
-        justification=str(raw.get("justification", "")).strip(),
-    )
 
 
 def load_config(
@@ -167,8 +122,6 @@ def load_config(
         config.changed_ref = str(table["changed-ref"])
     if "disable" in table:
         config.disable = [str(r) for r in table["disable"]]
-    for raw in table.get("cache-key", []):
-        config.cache_keys.append(_parse_cache_key(raw, config_path))
     for key, value in table.items():
         if key in _RESERVED_KEYS:
             continue

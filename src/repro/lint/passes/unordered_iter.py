@@ -1,18 +1,18 @@
 """Rule ``unordered-iteration``: no set-order dependence in key functions.
 
-Fingerprint and serialization functions feed hashes, cache keys and
+Key derivation and serialization functions feed hashes, cache keys and
 checkpoint records; anything order-dependent inside them must iterate in
 a deterministic order.  Python sets iterate in *hash* order, which for
-strings varies with ``PYTHONHASHSEED`` — iterating a set inside a
-fingerprint function therefore produces a different hash per process,
-which defeats the cache (spurious misses) or, worse, collides distinct
+strings varies with ``PYTHONHASHSEED`` — iterating a set inside a key
+function therefore produces a different hash per process, which
+defeats the cache (spurious misses) or, worse, collides distinct
 states.  Dicts preserve insertion order and are fine.
 
 The rule fires inside functions whose name matches the configured
-``key_functions`` patterns (default: ``fingerprint``/``*_fingerprint``,
-``key_for``/``context_for``, ``_meta``, ``to_dict``/``as_dict``,
-``memo_identity``) when a set literal, set comprehension or ``set()``/
-``frozenset()`` call is iterated — as a ``for`` target, a comprehension
+``key_functions`` patterns (default: :mod:`repro.keys`' ``derive_key``,
+``_keyed_fields`` and ``_encode``; ``key_for``/``context_for``,
+``_meta``, ``to_dict``/``as_dict``) when a set literal, set
+comprehension or ``set()``/``frozenset()`` call is iterated — as a ``for`` target, a comprehension
 source, or an argument to ``join``/``list``/``tuple``.  Wrapping the set
 in ``sorted(...)`` restores a deterministic order and is the idiomatic
 fix.
@@ -29,14 +29,14 @@ from ..names import dotted_name
 from .base import LintPass, register
 
 _DEFAULT_KEY_FUNCTIONS = (
-    "fingerprint",
-    "*_fingerprint",
+    "derive_key",
+    "_keyed_fields",
+    "_encode",
     "key_for",
     "context_for",
     "_meta",
     "to_dict",
     "as_dict",
-    "memo_identity",
 )
 
 #: Order-sensitive consumers: feeding them a set leaks hash order.
@@ -57,7 +57,7 @@ class UnorderedIterationPass(LintPass):
     rule = "unordered-iteration"
     severity = "error"
     description = (
-        "forbid iterating sets inside fingerprint/serialization "
+        "forbid iterating sets inside key/serialization "
         "functions; set order is per-process hash order and poisons keys"
     )
 

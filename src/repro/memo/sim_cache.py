@@ -22,11 +22,13 @@ stores plain arrays and callers materialize fresh stats per use.
 
 Key derivation
 --------------
-A *context key* hashes the simulator version salt, the workload
-fingerprint, ``repr(gpu)``, the trace seed and the simulator's identity
-string (latency table, tracer knobs, warmup strategy).  Disk entries
-are keyed by ``sha256(context, sorted unique index list)`` — one file
-per simulate-call — while the in-process layer additionally memoizes
+A *context key* is :func:`~repro.keys.derive_key` over the entry
+format and simulator version salts, the workload, the GPU config, the
+trace seed and the simulator's spec (:mod:`repro.sim.spec`: latency
+table, tracer knobs, warmup strategy; the spec's class name separates
+the cycle and analytical tiers).  Disk entries are keyed by
+``sha256(context, sorted unique index list)`` — one file per
+simulate-call — while the in-process layer additionally memoizes
 per (context, index), so a later call over a *different* index subset
 still reuses every invocation the process has already simulated.
 
@@ -55,6 +57,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
+from ..keys import derive_key
 
 __all__ = ["RawKernelSim", "SimResultCache", "SIM_VERSION"]
 
@@ -119,18 +122,11 @@ class SimResultCache:
 
     # -- keys ----------------------------------------------------------------
     @staticmethod
-    def context_for(workload, gpu, seed: int, simulator_id: str = "") -> str:
+    def context_for(workload, gpu, seed: int, spec) -> str:
         """Context key: everything that shapes raw results except indices."""
-        h = hashlib.sha256()
-        h.update(
-            f"v{CACHE_FORMAT_VERSION}\x00sim{SIM_VERSION}\x00{int(seed)}\x00".encode()
+        return derive_key(
+            (CACHE_FORMAT_VERSION, SIM_VERSION, workload, gpu, int(seed), spec)
         )
-        h.update(workload.fingerprint().encode())
-        h.update(b"\x00")
-        h.update(repr(gpu).encode())
-        h.update(b"\x00")
-        h.update(simulator_id.encode())
-        return h.hexdigest()
 
     @staticmethod
     def key_for(context: str, indices: np.ndarray) -> str:
@@ -283,9 +279,10 @@ class SimResultCache:
                 extrap = np.array(payload["extrapolation"])
                 stall = np.array(payload["stall_cycles"])
                 events = np.array(payload["events"])
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-                json.JSONDecodeError):
-            # Torn or foreign file: quarantine it, then re-simulate.
+        except (OSError, ValueError, KeyError, NotImplementedError,
+                zipfile.BadZipFile, json.JSONDecodeError):
+            # Torn or foreign file: quarantine it, then re-simulate.  A flipped
+            # zip flag bit surfaces as NotImplementedError.
             self._quarantine_entry(path, reason="unreadable")
             return None
         if (

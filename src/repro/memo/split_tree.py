@@ -31,7 +31,6 @@ clustering provably equal to re-clustering from scratch
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -41,6 +40,7 @@ import numpy as np
 from .. import obs
 from ..core.clustering import kmeans_1d
 from ..core.stem import ClusterStats
+from ..keys import derive_key
 
 __all__ = ["SplitNode", "build_split_tree", "SplitTreeCache"]
 
@@ -159,14 +159,16 @@ class SplitTreeCache:
         min_cluster_size: int,
         max_depth: int,
     ) -> str:
-        h = hashlib.sha256()
-        h.update(
-            f"{int(salt)}\x00{int(k)}\x00{int(min_cluster_size)}"
-            f"\x00{int(max_depth)}\x00".encode()
+        return derive_key(
+            (
+                int(salt),
+                int(k),
+                int(min_cluster_size),
+                int(max_depth),
+                np.asarray(times, dtype=np.float64),
+                np.asarray(indices, dtype=np.int64),
+            )
         )
-        h.update(np.ascontiguousarray(times, dtype=np.float64).tobytes())
-        h.update(np.ascontiguousarray(indices, dtype=np.int64).tobytes())
-        return h.hexdigest()
 
     def get_or_build(
         self, key: str, builder: Callable[[], SplitNode]

@@ -3,8 +3,8 @@
 Three layers, each useful on its own:
 
 * :class:`ProfileCache` — content-addressed on-disk store (plus an
-  in-process LRU) for collected nsys profiles, keyed by workload
-  fingerprint × GPU × seed, with atomic writes safe under concurrent
+  in-process LRU) for collected nsys profiles, keyed by the derived
+  key of workload × GPU × seed, with atomic writes safe under concurrent
   workers;
 * :func:`run_tasks` — a generic ordered process-pool executor that
   merges worker observability (spans, metrics) back into the parent;

@@ -11,9 +11,9 @@ machine.
 
 Key derivation
 --------------
-``key = sha256(kind, workload.fingerprint(), repr(gpu), seed)``.  The
-workload fingerprint hashes the full launch sequence byte-for-byte (see
-:meth:`repro.workloads.Workload.fingerprint`), and ``repr(gpu)`` covers
+``key = derive_key((format version, kind, seed, workload, gpu))``
+(:func:`repro.keys.derive_key`).  The workload's key covers every field,
+including the full launch sequence byte-for-byte, and the GPU's covers
 every hardware parameter — so a rescaled workload, a different suite
 seed, or a DSE hardware variant can never alias a stale entry.  Each
 entry additionally stores its metadata next to the array; a metadata
@@ -52,6 +52,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .. import obs
+from ..keys import derive_key
 
 __all__ = ["ProfileCache"]
 
@@ -103,11 +104,7 @@ class ProfileCache:
     @staticmethod
     def key_for(workload, gpu, seed: int, kind: str = "nsys_times") -> str:
         """Content-addressed cache key for one profile."""
-        h = hashlib.sha256()
-        h.update(f"v{CACHE_FORMAT_VERSION}\x00{kind}\x00{int(seed)}\x00".encode())
-        h.update(workload.fingerprint().encode())
-        h.update(repr(gpu).encode())
-        return h.hexdigest()
+        return derive_key((CACHE_FORMAT_VERSION, kind, int(seed), workload, gpu))
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".npz")
@@ -165,9 +162,10 @@ class ProfileCache:
                 with np.load(path, allow_pickle=False) as payload:
                     meta = json.loads(bytes(payload["meta"]).decode())
                     arr = np.array(payload["profile"])
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-                    json.JSONDecodeError):
-                # Torn or foreign file: quarantine it, then recollect.
+            except (OSError, ValueError, KeyError, NotImplementedError,
+                    zipfile.BadZipFile, json.JSONDecodeError):
+                # Torn or foreign file: quarantine it, then recollect.  A flipped
+                # zip flag bit surfaces as NotImplementedError.
                 self._quarantine_entry(path, reason="unreadable")
                 meta, arr = None, None
             if arr is not None and self._meta_fresh(meta, workload, gpu, seed, kind):
@@ -233,9 +231,9 @@ class ProfileCache:
             "kind": kind,
             "workload": workload.name,
             "suite": workload.suite,
-            "fingerprint": workload.fingerprint(),
+            "fingerprint": derive_key(workload),
             "gpu": getattr(gpu, "name", repr(gpu)),
-            "gpu_repr_sha": hashlib.sha256(repr(gpu).encode()).hexdigest(),
+            "gpu_key": derive_key(gpu),
             "seed": int(seed),
         }
 
@@ -243,7 +241,7 @@ class ProfileCache:
         if not isinstance(meta, dict):
             return False
         expected = self._meta(workload, gpu, seed, kind)
-        for field in ("version", "kind", "fingerprint", "gpu_repr_sha", "seed"):
+        for field in ("version", "kind", "fingerprint", "gpu_key", "seed"):
             if meta.get(field) != expected[field]:
                 return False
         return True

@@ -8,10 +8,12 @@ immediately, so a killed run loses at most the cell in flight.
 
 File format (JSONL):
 
-* line 1 — a header ``{"kind": "header", "version": 1, "config": {...}}``
-  fingerprinting the experiment configuration; resuming under a
-  different configuration raises :class:`CheckpointError` instead of
-  silently mixing incompatible rows;
+* line 1 — a header ``{"kind": "header", "version": 2, "config": {...}}``
+  holding one :func:`~repro.keys.derive_key` per keyed field of the
+  experiment configuration; resuming under a configuration that differs
+  in any of them — or from a header of another version — raises
+  :class:`CheckpointError`, naming the fields, instead of silently
+  mixing incompatible rows;
 * every other line — ``{"kind": "row", "key": [suite, workload, method,
   repetition], "row": {...}}``.
 
@@ -26,15 +28,17 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .. import obs
+from ..keys import _keyed_fields, derive_key
 from .errors import CheckpointError
 
 __all__ = ["GridCheckpoint"]
 
 #: Bump when the line format changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: v2 stores one derived key per configuration field.
+CHECKPOINT_VERSION = 2
 
 Key = Tuple[str, str, str, int]
 
@@ -53,11 +57,17 @@ class GridCheckpoint:
     def __init__(
         self,
         path: str,
-        config: Optional[Dict[str, object]] = None,
+        config: Optional[Any] = None,
         fsync_every: int = 1,
     ):
         self.path = path
-        self.config: Dict[str, object] = dict(config or {})
+        #: Field name -> derived key of the experiment configuration (a
+        #: dataclass such as :class:`~repro.experiments.ExperimentConfig`).
+        self.config: Dict[str, str] = (
+            {name: derive_key(value) for name, value in _keyed_fields(config)}
+            if config is not None
+            else {}
+        )
         self.fsync_every = max(1, int(fsync_every))
         self._rows_since_fsync = 0
         self._rows: Dict[Key, Dict[str, object]] = {}

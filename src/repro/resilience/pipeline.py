@@ -94,7 +94,7 @@ def _memoized_simulate(
         workload,
         getattr(store, "config", None),
         int(getattr(store, "seed", 0)),
-        simulator_id=f"resilience-sample\x00{int(seed)}\x00{simulate_id}",
+        ("resilience-sample", int(seed), simulate_id),
     )
     no_events = np.zeros(0, dtype=np.int64)
 

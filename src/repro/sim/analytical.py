@@ -1,7 +1,7 @@
 """PPT-style analytical timing backend.
 
 :class:`AnalyticalSimulator` implements the same ``simulate_workload`` /
-``memo_identity`` surface as :class:`~repro.sim.simulator.GpuSimulator`
+``cycle_counts`` surface as :class:`~repro.sim.simulator.GpuSimulator`
 but predicts per-invocation cycles in closed form from kernel
 descriptors — instruction mix, occupancy, and roofline memory/compute
 terms derived from :class:`~repro.hardware.gpu_config.GPUConfig` —
@@ -20,10 +20,11 @@ their reported ε.  Both tiers share :func:`~repro.sim.noise.noise_factors`
 with identical ``(seed, index)`` keying, so hardware noise cancels in
 calibration ratios instead of inflating the measured gap.
 
-Memoization: ``memo_identity()`` is prefixed ``analytical-v1`` so
-:class:`~repro.memo.SimResultCache` contexts never collide with
-cycle-level entries — tiers cannot cross-contaminate a shared cache
-directory.
+Memoization: the simulation cache keys on
+:class:`~repro.sim.spec.AnalyticalSpec`, whose class name differs from
+the cycle tier's spec, so :class:`~repro.memo.SimResultCache` contexts
+never collide with cycle-level entries — tiers cannot cross-contaminate
+a shared cache directory.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 from .. import obs
 from ..analysis import detsan
 from ..hardware.gpu_config import GPUConfig
+from ..keys import derive_key
 from ..memo.dedup import collapse_draws
 from ..memo.sim_cache import RawKernelSim
 from ..workloads.kernel import KernelSpec
@@ -42,14 +44,10 @@ from ..workloads.workload import Workload
 from .noise import noise_factors
 from .simulator import _EVENT_FIELDS, KernelSimResult, WorkloadSimResult
 from .sm import LatencyTable
+from .spec import ANALYTICAL_VERSION, AnalyticalSpec
 from .stats import SimStats
 
 __all__ = ["AnalyticalSimulator", "ANALYTICAL_VERSION"]
-
-#: Bumping this invalidates every cached analytical result; bump whenever
-#: the closed-form model below changes numerically.
-ANALYTICAL_VERSION = 1
-
 
 def _reuse(accesses: np.ndarray, footprint: np.ndarray) -> np.ndarray:
     """Fraction of accesses that re-touch an already-seen line.
@@ -71,7 +69,7 @@ class AnalyticalSimulator:
     Drop-in fast tier for :class:`~repro.sim.simulator.GpuSimulator`:
     same constructor shape (minus the knobs that only make sense for an
     event-driven engine), same ``simulate_workload`` /
-    ``cycle_counts`` / ``memo_identity`` surface, same deterministic
+    ``cycle_counts`` surface, same deterministic
     per-``(seed, index)`` noise.  Roughly three orders of magnitude
     cheaper per invocation than the cycle-level engine.
     """
@@ -91,27 +89,19 @@ class AnalyticalSimulator:
         # analytical tier must move with it).
         from .simulator import GpuSimulator
 
-        self.latencies = latencies or GpuSimulator._derive_latencies(config)
-        self.max_instructions_per_warp = max_instructions_per_warp
-        self.max_resident_warps = max_resident_warps
+        #: Model version plus every knob that shapes raw analytical
+        #: results; the simulation cache keys on it.
+        self.spec = AnalyticalSpec(
+            latencies=latencies or GpuSimulator._derive_latencies(config),
+            max_instructions_per_warp=max_instructions_per_warp,
+            max_resident_warps=max_resident_warps,
+        )
         self.noise = noise
         #: Optional :class:`~repro.memo.SimResultCache`; analytical
-        #: entries are keyed by this simulator's distinct
-        #: :meth:`memo_identity`, so they can share a cache directory
-        #: with cycle-level results without cross-contamination.
+        #: entries are keyed by this simulator's :attr:`spec`, so they can
+        #: share a cache directory with cycle-level results without
+        #: cross-contamination.
         self.sim_cache = sim_cache
-
-    # -- memoization --------------------------------------------------------
-    def memo_identity(self) -> str:
-        """Cache-key component: model version plus every knob that shapes
-        raw analytical results.  The ``analytical-`` prefix keeps these
-        contexts disjoint from cycle-level ones by construction."""
-        return (
-            f"analytical-v{ANALYTICAL_VERSION}"
-            f"|{self.latencies!r}"
-            f"|mi{self.max_instructions_per_warp}"
-            f"|mr{self.max_resident_warps}"
-        )
 
     # -- closed-form model --------------------------------------------------
     def _spec_geometry(self, spec: KernelSpec) -> Tuple[int, int, float, float]:
@@ -128,7 +118,7 @@ class AnalyticalSimulator:
         blocks_per_sm = min(cfg.max_blocks_per_sm, max(1, cfg.max_warps_per_sm // wpb))
         total_blocks = spec.num_blocks()
         blocks_per_sm = min(blocks_per_sm, max(1, -(-total_blocks // cfg.num_sms)))
-        resident = min(self.max_resident_warps, blocks_per_sm * spec.warps_per_block())
+        resident = min(self.spec.max_resident_warps, blocks_per_sm * spec.warps_per_block())
         resident = min(resident, spec.num_warps())
         blocks_per_wave = max(1, blocks_per_sm * cfg.num_sms)
         waves = max(1.0, total_blocks / blocks_per_wave)
@@ -154,14 +144,14 @@ class AnalyticalSimulator:
         noise/launch/rounding post-processing in ``simulate_workload``.
         """
         cfg = self.config
-        lat = self.latencies
+        lat = self.spec.latencies
         mix = spec.mix
         total = max(mix.total(), 1)
         _, resident, waves, warp_factor = self._spec_geometry(spec)
 
         # Trace-reduction factors (identical arithmetic to TraceGenerator).
         scaled_total = np.maximum(1.0, np.round(total * work_scales))
-        traced_len = np.minimum(float(self.max_instructions_per_warp), scaled_total)
+        traced_len = np.minimum(float(self.spec.max_instructions_per_warp), scaled_total)
         loop_factor = scaled_total / traced_len
         extrapolation = waves * loop_factor * warp_factor
 
@@ -350,7 +340,7 @@ class AnalyticalSimulator:
                 context = None
                 if self.sim_cache is not None and unique_list:
                     context = self.sim_cache.context_for(
-                        workload, self.config, seed, self.memo_identity()
+                        workload, self.config, seed, self.spec
                     )
                     raw_by_index, missing = self.sim_cache.load(context, unique_list)
                 for index, raw in zip(
@@ -416,7 +406,7 @@ class AnalyticalSimulator:
             # disagree with each other, but each must agree with itself
             # across cold/warm cache and repeated evaluation.  The key
             # names the machine, so design points never cross-check.
-            machine = detsan.digest_of((self.config, self.memo_identity()))
+            machine = derive_key((self.config, self.spec))
             tag = (
                 f"sim.analytical|{workload.name}|cfg={machine[:12]}|seed={seed}"
                 f"|idx={detsan.index_digest(index_list)}"

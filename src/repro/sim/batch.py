@@ -90,11 +90,10 @@ class BatchPolicy:
     """Tuning knobs for the batched engine.
 
     Every knob here is pure performance policy: any setting produces
-    bit-identical results (the parity suite pins this), so none of these
-    fields may enter ``memo_identity()`` — cached results computed at any
-    width must keep hitting.  ``repro analyze``'s cache-key pass enforces
-    exactly that via the ``[[tool.repro.lint.cache-key]]`` spec in
-    pyproject.toml.
+    bit-identical results (the parity suite pins this), so the policy
+    lives outside the simulator's :class:`~repro.sim.spec.CycleSpec` and
+    never enters a cache key — cached results computed at any width
+    keep hitting.
     """
 
     #: Master switch; ``False`` forces the scalar oracle everywhere.
@@ -120,16 +119,6 @@ class BatchPolicy:
     #: Ceiling for one chunk's dense cache arrays; chunks close early
     #: when the running (width x widest-geometry) product would pass it.
     max_chunk_cache_bytes: int = 256 << 20
-
-    def memo_identity(self) -> str:
-        """Contribution to the simulation-cache key: always empty.
-
-        Batched and scalar execution are bit-identical, so no batch knob
-        may invalidate cached raw results.  Changing this to return
-        anything non-constant requires evidence that results changed —
-        which would be a bug in the engine, not a cache-key concern.
-        """
-        return ""
 
 
 @dataclass

@@ -31,6 +31,7 @@ import numpy as np
 from .. import obs
 from ..analysis import detsan
 from ..hardware.gpu_config import GPUConfig
+from ..keys import derive_key
 from ..memo.dedup import collapse_draws
 from ..memo.sim_cache import RawKernelSim
 from ..workloads.workload import Workload
@@ -39,6 +40,7 @@ from .cache import Cache
 from .memory import DramModel
 from .noise import noise_factors
 from .sm import LatencyTable, StreamingMultiprocessor
+from .spec import CycleSpec
 from .stats import SimStats
 from .trace import KernelTrace, TraceGenerator
 
@@ -114,7 +116,14 @@ class GpuSimulator:
         batch_policy: Optional[BatchPolicy] = None,
     ):
         self.config = config
-        self.latencies = latencies or self._derive_latencies(config)
+        #: Everything beyond (workload, GPU, seed) that shapes raw
+        #: results; the simulation cache keys on it.
+        self.spec = CycleSpec(
+            latencies=latencies or self._derive_latencies(config),
+            max_instructions_per_warp=max_instructions_per_warp,
+            max_resident_warps=max_resident_warps,
+            warmup=warmup,
+        )
         self.tracer = TraceGenerator(
             num_sms=config.num_sms,
             max_blocks_per_sm=config.max_blocks_per_sm,
@@ -124,8 +133,6 @@ class GpuSimulator:
             line_bytes=config.cache_line_bytes,
         )
         self.noise = noise
-        #: Optional cache-warmup strategy (see :mod:`repro.sim.warmup`).
-        self.warmup = warmup
         #: Optional :class:`~repro.resilience.faults.FaultInjector`; when
         #: set, :meth:`simulate_invocation` consults it and raises
         #: :class:`~repro.errors.SimulationFailure` for invocations the
@@ -139,8 +146,7 @@ class GpuSimulator:
         #: Structure-of-arrays batching policy for multi-invocation
         #: simulation (see :mod:`repro.sim.batch`).  Pure performance
         #: knobs: results are bit-identical at any setting, so the
-        #: policy deliberately contributes nothing to
-        #: :meth:`memo_identity`.
+        #: policy stays out of :attr:`spec` and of every cache key.
         self.batch_policy = batch_policy or BatchPolicy()
 
     @staticmethod
@@ -183,12 +189,12 @@ class GpuSimulator:
             line_bytes=line,
             associativity=16,
         )
-        if self.warmup is not None:
-            self.warmup.apply(trace, l1, l2)
+        if self.spec.warmup is not None:
+            self.spec.warmup.apply(trace, l1, l2)
             l1.reset_stats()
             l2.reset_stats()
         dram = self._make_dram()
-        sm = StreamingMultiprocessor(self.latencies, l1, l2, dram)
+        sm = StreamingMultiprocessor(self.spec.latencies, l1, l2, dram)
         wave_cycles, stats = sm.execute_wave(trace)
         stats.l1_hits = l1.stats.hits
         stats.l1_misses = l1.stats.misses
@@ -236,23 +242,6 @@ class GpuSimulator:
             self.fault_injector.check_simulation(int(index), attempt)
         trace = self.tracer.generate(workload.invocation(index), seed=seed)
         return self.simulate_trace(trace, seed=seed)
-
-    # -- memoization --------------------------------------------------------
-    def memo_identity(self) -> str:
-        """Everything beyond (workload, GPU, seed) that shapes raw results.
-
-        Part of the simulation-cache context key: the latency table and
-        trace-reduction knobs change raw wave cycles, and a warmup
-        strategy changes cache hit counters.  A warmup object without a
-        stable ``repr`` keys on its object identity, which degrades to
-        per-process caching — never to a stale hit.
-        """
-        return (
-            f"{self.latencies!r}"
-            f"|mi{self.tracer.max_instructions_per_warp}"
-            f"|mr{self.tracer.max_resident_warps}"
-            f"|warmup={self.warmup!r}"
-        )
 
     @staticmethod
     def _stats_from_raw(raw: RawKernelSim) -> SimStats:
@@ -338,10 +327,10 @@ class GpuSimulator:
             # be bit-identical across engine configs (scalar vs batch,
             # cold vs warm cache, dedup on/off, separate vs fused design
             # points).  The key names the machine (GPU config plus
-            # memo identity) but never the batch policy, so it is
-            # engine-invariant; the "cycle" family tag keeps these
-            # recordings disjoint from the analytical tier's.
-            machine = detsan.digest_of((self.config, self.memo_identity()))
+            # spec) but never the batch policy, so it is engine-invariant;
+            # the "cycle" family tag keeps these recordings disjoint from
+            # the analytical tier's.
+            machine = derive_key((self.config, self.spec))
             tag = (
                 f"sim.cycle|{workload.name}|cfg={machine[:12]}|seed={seed}"
                 f"|idx={detsan.index_digest(index_list)}"
@@ -413,9 +402,10 @@ def _raw_invocations(
 ) -> List[List[RawKernelSim]]:
     """Raw simulations of ``requests[k]`` on ``simulators[k]``, in order.
 
-    Batched traces are generated once per distinct trace-generator
-    identity and index (design points that differ only in cache size
-    share them; the engines only read traces).  Every simulator whose
+    Batched traces are generated once per distinct trace generator (a
+    frozen dataclass, so equal knobs compare equal) and index (design
+    points that differ only in cache size share them; the engines only
+    read traces).  Every simulator whose
     policy allows it joins one structure-of-arrays batch per batch
     policy (:func:`execute_wave_batch`), each lane carrying its own
     machine; the rest — batching disabled, warmup attached, or a single
@@ -425,7 +415,7 @@ def _raw_invocations(
     shared: Dict[tuple, KernelTrace] = {}
 
     def trace_of(sim: GpuSimulator, index: int, keep: bool) -> KernelTrace:
-        key = (sim.tracer.identity(), index)
+        key = (sim.tracer, index)
         trace = shared.get(key)
         if trace is None:
             trace = sim.tracer.generate(workload.invocation(index), seed=seed)
@@ -436,7 +426,7 @@ def _raw_invocations(
     # Lanes per batch policy: (simulator position, slot) in request order.
     groups: Dict[BatchPolicy, List[Tuple[int, int]]] = {}
     for k, sim in enumerate(simulators):
-        if sim.batch_policy.enabled and sim.warmup is None:
+        if sim.batch_policy.enabled and sim.spec.warmup is None:
             lanes = groups.setdefault(sim.batch_policy, [])
             lanes.extend((k, slot) for slot in range(len(requests[k])))
     raws: List[List[Optional[RawKernelSim]]] = [[None] * len(r) for r in requests]
@@ -448,7 +438,7 @@ def _raw_invocations(
         ]
         pairs, report = execute_wave_batch(
             lane_traces,
-            [simulators[k].latencies for k, _ in lanes],
+            [simulators[k].spec.latencies for k, _ in lanes],
             [simulators[k].config for k, _ in lanes],
             policy,
         )
@@ -484,7 +474,7 @@ def simulate_workload_on(
     this function with one simulator.  Fault checks, dedup, sim-cache
     load and store, noise, post-processing and the DetSan sync point stay
     per simulator; what is shared is the work in between: traces are
-    generated once per distinct trace-generator identity, and every
+    generated once per distinct trace generator, and every
     simulator's not-yet-cached invocations run as lanes of one lock-step
     batch, each lane on its own machine parameters.
     """
@@ -514,7 +504,7 @@ def simulate_workload_on(
                 obs.inc("memo.dedup.collapsed", draws.collapsed)
                 if sim.sim_cache is not None and unique_list:
                     context = sim.sim_cache.context_for(
-                        workload, sim.config, seed, sim.memo_identity()
+                        workload, sim.config, seed, sim.spec
                     )
                     raw_by_index, missing = sim.sim_cache.load(context, unique_list)
             cached.append(raw_by_index)

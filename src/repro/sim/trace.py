@@ -66,35 +66,20 @@ class KernelTrace:
     cache_scale: float = 1.0
 
 
+@dataclass(frozen=True)
 class TraceGenerator:
-    """Builds compact kernel traces from specs and launch contexts."""
+    """Builds compact kernel traces from specs and launch contexts.
 
-    def __init__(
-        self,
-        num_sms: int,
-        max_blocks_per_sm: int = 16,
-        max_warps_per_sm: int = 48,
-        max_instructions_per_warp: int = 192,
-        max_resident_warps: int = 24,
-        line_bytes: int = 128,
-    ):
-        self.num_sms = num_sms
-        self.max_blocks_per_sm = max_blocks_per_sm
-        self.max_warps_per_sm = max_warps_per_sm
-        self.max_instructions_per_warp = max_instructions_per_warp
-        self.max_resident_warps = max_resident_warps
-        self.line_bytes = line_bytes
+    Frozen: every field is a knob :meth:`generate` reads, so equal
+    generators produce equal traces.
+    """
 
-    def identity(self) -> tuple:
-        """Every knob :meth:`generate` reads: equal identities, equal traces."""
-        return (
-            self.num_sms,
-            self.max_blocks_per_sm,
-            self.max_warps_per_sm,
-            self.max_instructions_per_warp,
-            self.max_resident_warps,
-            self.line_bytes,
-        )
+    num_sms: int
+    max_blocks_per_sm: int = 16
+    max_warps_per_sm: int = 48
+    max_instructions_per_warp: int = 192
+    max_resident_warps: int = 24
+    line_bytes: int = 128
 
     # -- instruction-stream synthesis ------------------------------------
     @staticmethod

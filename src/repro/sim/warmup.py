@@ -22,7 +22,8 @@ error is small because most cache reuse happens within kernels.
 
 from __future__ import annotations
 
-from typing import Protocol
+from dataclasses import dataclass
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -42,15 +43,17 @@ class WarmupStrategy(Protocol):
         ...
 
 
+@dataclass(frozen=True)
 class NoWarmup:
     """Cold start — the conservative default."""
 
-    name = "cold"
+    name: ClassVar[str] = "cold"
 
     def apply(self, trace: KernelTrace, l1: Cache, l2: Cache) -> int:
         return 0
 
 
+@dataclass(frozen=True)
 class ProportionalWarmup:
     """Pre-touch a fraction of the kernel's reuse regions.
 
@@ -59,12 +62,12 @@ class ProportionalWarmup:
     the residency a predecessor kernel sharing data would leave behind.
     """
 
-    name = "proportional"
+    name: ClassVar[str] = "proportional"
+    fraction: float = 0.5
 
-    def __init__(self, fraction: float = 0.5):
-        if not 0.0 <= fraction <= 1.0:
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
-        self.fraction = fraction
 
     def apply(self, trace: KernelTrace, l1: Cache, l2: Cache) -> int:
         addresses = np.unique(
@@ -84,6 +87,7 @@ class ProportionalWarmup:
         return touched
 
 
+@dataclass(frozen=True)
 class WarmupKernel:
     """Replay an untimed prefix of each warp's access stream.
 
@@ -91,12 +95,12 @@ class WarmupKernel:
     immediately before the measured one.
     """
 
-    name = "warmup-kernel"
+    name: ClassVar[str] = "warmup-kernel"
+    prefix_fraction: float = 0.25
 
-    def __init__(self, prefix_fraction: float = 0.25):
-        if not 0.0 < prefix_fraction <= 1.0:
+    def __post_init__(self) -> None:
+        if not 0.0 < self.prefix_fraction <= 1.0:
             raise ValueError("prefix_fraction must be in (0, 1]")
-        self.prefix_fraction = prefix_fraction
 
     def apply(self, trace: KernelTrace, l1: Cache, l2: Cache) -> int:
         touched = 0

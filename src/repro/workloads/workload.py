@@ -12,7 +12,6 @@ paper claims for STEM.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -157,30 +156,6 @@ class Workload:
         """Per-invocation dynamic instruction counts (NVBit's view)."""
         static = self.spec_column(lambda s: s.static_instruction_count())
         return np.maximum(1, np.round(static * self.work_scales)).astype(np.int64)
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the whole launch sequence.
-
-        Covers the identity (name/suite), the spec table, and every
-        per-invocation column byte-for-byte, so any change to the
-        workload — a different scale, seed, subset, or generator tweak —
-        yields a different fingerprint.  Used as (part of) the key of the
-        on-disk profile cache: a stale cache entry can never be returned
-        for a workload whose contents changed.
-        """
-        h = hashlib.sha256()
-        h.update(f"{self.name}\x00{self.suite}\x00{len(self)}".encode())
-        for spec in self.specs:
-            h.update(repr(spec).encode())
-        for column in (
-            self.spec_ids,
-            self.context_ids,
-            self.work_scales,
-            self.localities,
-            self.efficiencies,
-        ):
-            h.update(np.ascontiguousarray(column).tobytes())
-        return h.hexdigest()
 
     def describe(self) -> Dict[str, float]:
         """Summary statistics used by Table 2-style reporting."""

@@ -8,7 +8,7 @@ class Keyed:
         self.tags = tags
         self.parts = parts
 
-    def fingerprint(self):
+    def context_for(self):
         h = hashlib.sha256()
         for tag in {t.lower() for t in self.tags}:  # line 13: setcomp loop
             h.update(tag.encode())

@@ -1,25 +1,31 @@
 """Tests for the ``repro analyze`` whole-program determinism analyzer.
 
-Covers: the three interprocedural passes firing on their fixture
+Covers: the two interprocedural passes firing on their fixture
 mini-packages (and staying silent on the clean counterparts), the
 name-based blind spot (a picklable worker that is transitively impure),
-exemption-justification enforcement, report filtering vs whole-graph
-loading, the CLI exit-code contract, ``--changed``, and the two
-acceptance invariants — the real ``src/repro`` tree analyzes clean with
-an empty baseline, and deleting a field from an existing
-``memo_identity()`` makes the analyzer fail *without* touching
-pyproject.toml.
+module-level pool dispatches, report filtering vs whole-graph loading,
+the CLI exit-code contract, ``--changed``, and the real ``src/repro``
+tree analyzing clean with an empty baseline.
+
+Cache-key soundness is no longer a static rule: every key is derived
+from dataclass fields (:mod:`repro.keys`).  ``TestCacheKeySoundness``
+keeps the invariants that rule used to check, now pinned against
+:func:`~repro.keys.derive_key` directly.
 """
 
+import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.keys import derive_key, key_exempt
 from repro.lint import load_config
 from repro.lint import config as lint_config
 from repro.lint.config import LintUsageError
@@ -117,85 +123,75 @@ class TestPoolPurity:
         assert len(found) == 1
         assert "_worker -> _remember" in found[0].message
 
+    def test_module_level_dispatch_is_checked(self, fixture_result):
+        """A ``run_tasks(lambda …)`` outside any function is still seen."""
+        found = findings_for(fixture_result, "pool-safety", "poolpkg/script.py")
+        assert [f.line for f in found] == [5]
+        assert "lambda passed as worker to run_tasks()" in found[0].message
+
 
 class TestCacheKeySoundness:
-    def test_missing_field_on_implicitly_discovered_class(self, fixture_result):
-        found = findings_for(
-            fixture_result, "cache-key-soundness", "cachepkg/model.py"
-        )
-        assert len(found) == 1
-        assert "Estimator.beta" in found[0].message
-        assert "Estimator.predict()" in found[0].message
+    """What the retired ``cache-key-soundness`` rule checked, now held
+    by construction in :func:`repro.keys.derive_key`."""
 
-    def test_justified_exemption_is_clean(self, fixture_result):
-        assert not findings_for(
-            fixture_result, "cache-key-soundness", "cachepkg/exempt_ok.py"
-        )
+    def test_missing_field_on_implicitly_discovered_class(self):
+        """A field nobody thought to key is keyed anyway."""
 
-    def test_declared_entries_are_checked_strictly(self, tmp_path):
-        """TOML entries: every field counts, read or not, and the entry
-        itself must resolve."""
-        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
-            [tool.repro.lint]
-            paths = ["."]
-            [[tool.repro.lint.cache-key]]
-            path = "keyed.py"
-            class = "Plain"
-            key = "memo_identity"
-            [[tool.repro.lint.cache-key]]
-            path = "keyed.py"
-            class = "ReprPlain"
-            key = "repr"
-            [[tool.repro.lint.cache-key]]
-            path = "keyed.py"
-            class = "Plain"
-            key = "no_such_method"
-            [[tool.repro.lint.cache-key]]
-            path = "keyed.py"
-            class = "Missing"
-            [[tool.repro.lint.cache-key]]
-            path = "gone.py"
-            class = "Gone"
-        """))
-        (tmp_path / "keyed.py").write_text(textwrap.dedent("""\
-            class Plain:
-                def __init__(self, depth, width):
-                    self.depth = depth
-                    self.width = width  # never read, never keyed
+        @dataclasses.dataclass(frozen=True)
+        class Estimator:
+            alpha: float = 1.0
+            beta: float = 2.0
 
-                def memo_identity(self):
-                    return ("Plain", self.depth)
+        assert derive_key(Estimator()) != derive_key(Estimator(beta=3.0))
 
+    def test_justified_exemption_is_clean(self):
+        @dataclasses.dataclass
+        class JustifiedExempt:
+            depth: int = 3
+            cache_handle: object = key_exempt(
+                "a hit returns exactly what a miss would recompute",
+                default=None,
+            )
 
-            class ReprPlain:
-                def __init__(self, depth):
-                    self.depth = depth
-        """))
-        result = run_analysis(load_config(str(tmp_path / "pyproject.toml")))
-        messages = sorted(f.message for f in result.findings)
-        assert {f.rule for f in result.findings} == {"cache-key-soundness"}
-        assert len(messages) == 5, messages
-        assert any(m.startswith("Plain.width is not serialized") for m in messages)
-        assert any("ReprPlain is keyed through repr()" in m for m in messages)
-        assert any("has no method 'no_such_method'" in m for m in messages)
-        assert any("no class 'Missing'" in m for m in messages)
-        assert any("cannot read gone.py" in m for m in messages)
+        a = JustifiedExempt(cache_handle=object())
+        b = JustifiedExempt(cache_handle=object())
+        assert derive_key(a) == derive_key(b)
+        assert derive_key(a) != derive_key(JustifiedExempt(depth=4))
 
-    def test_unjustified_exemption_is_flagged(self, fixture_result):
-        found = findings_for(
-            fixture_result, "cache-key-soundness", "cachepkg/exempt_bad.py"
-        )
-        assert len(found) == 1
-        assert "no justification" in found[0].message
+    def test_declared_entries_are_checked_strictly(self):
+        """Every field counts, read or not; plain objects with no
+        canonical form are refused instead of keyed by ``repr``."""
+
+        @dataclasses.dataclass
+        class Plain:
+            depth: int = 1
+            width: int = 2  # never read, still keyed
+
+        class ReprPlain:
+            def __init__(self, depth):
+                self.depth = depth
+
+        assert derive_key(Plain()) != derive_key(Plain(width=3))
+        with pytest.raises(TypeError, match="ReprPlain"):
+            derive_key(ReprPlain(1))
+        with pytest.raises(TypeError, match="set"):
+            derive_key(Plain(width={1, 2}))
+
+    def test_unjustified_exemption_is_flagged(self):
+        with pytest.raises(ValueError, match="needs a reason"):
+
+            @dataclasses.dataclass
+            class UnjustifiedExempt:
+                tuning: int = key_exempt("  ", default=0)
 
 
 class TestEngine:
     def test_report_filter_keeps_whole_graph(self):
         """Path operands restrict reporting, never loading."""
-        result = analyze_fixture(paths=[str(FIXTURES / "cachepkg")])
-        assert {f.path.rsplit("/", 1)[0] for f in result.findings} == {"cachepkg"}
+        result = analyze_fixture(paths=[str(FIXTURES / "poolpkg")])
+        assert {f.path.rsplit("/", 1)[0] for f in result.findings} == {"poolpkg"}
         # The graph still covered every fixture file.
-        assert result.files_checked == 10
+        assert result.files_checked == 7
 
     def test_unknown_rule_is_a_usage_error(self):
         with pytest.raises(LintUsageError):
@@ -224,7 +220,7 @@ class TestCli:
         capsys.readouterr()
         payload = json.loads(out_path.read_text())
         rules = {f["rule"] for f in payload["findings"]}
-        assert rules == {"seed-flow", "pool-safety", "cache-key-soundness"}
+        assert rules == {"seed-flow", "pool-safety"}
 
     def test_rule_selection(self, capsys):
         status = main([
@@ -237,8 +233,8 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("seed-flow", "pool-safety", "cache-key-soundness"):
-            assert rule in out
+        listed = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert listed == {"seed-flow", "pool-safety"}
 
     def test_update_baseline_then_clean(self, tmp_path, capsys):
         root = tmp_path / "proj"
@@ -265,13 +261,13 @@ class TestChanged:
             "commit", "-q", "-m", "seed", cwd=root,
         )
         # Touch one file; findings from every other file must drop out.
-        model = root / "cachepkg" / "model.py"
-        model.write_text(model.read_text() + "\n# touched\n")
+        workers = root / "poolpkg" / "workers.py"
+        workers.write_text(workers.read_text() + "\n# touched\n")
         cfg = str(root / "pyproject.toml")
         status = main(["analyze", "--config", cfg, "--changed", "HEAD"])
         assert status == 1
         out = capsys.readouterr().out
-        assert "cachepkg/model.py" in out
+        assert "poolpkg/workers.py" in out
         assert "seedpkg" not in out
 
     def test_changed_with_no_changes_exits_clean(self, tmp_path, capsys):
@@ -300,26 +296,28 @@ class TestRealTree:
         assert main(["analyze", "--config", REPO_CONFIG]) == 0
         capsys.readouterr()
 
-    def test_deleting_a_key_field_fails_without_editing_toml(
-        self, tmp_path, capsys
-    ):
-        """Drop ``gap_safety`` from FidelityPolicy.memo_identity(): the
-        field is still read by the fidelity engine, so the analyzer must
-        fail on an otherwise-identical tree — with the committed
-        pyproject.toml untouched."""
+    def test_deleting_a_key_field_fails_without_editing_toml(self, tmp_path):
+        """Taking ``gap_safety`` out of FidelityPolicy's key needs a
+        written reason: on a copy of the tree, an empty one fails at
+        import, with no config file involved."""
         root = tmp_path / "repo"
-        root.mkdir()
         shutil.copytree(REPO_ROOT / "src", root / "src")
-        for name in ("pyproject.toml", "analysis-baseline.json"):
-            shutil.copy(REPO_ROOT / name, root / name)
-
         fidelity = root / "src" / "repro" / "core" / "fidelity.py"
         text = fidelity.read_text()
-        assert "|s{self.gap_safety!r}" in text
-        fidelity.write_text(text.replace("|s{self.gap_safety!r}", "", 1))
-
-        status = main(["analyze", "--config", str(root / "pyproject.toml")])
-        out = capsys.readouterr().out
-        assert status == 1
-        assert "FidelityPolicy.gap_safety" in out
-        assert "cache-key-soundness" in out
+        declared = "    gap_safety: float = 1.25\n"
+        assert declared in text
+        fidelity.write_text(
+            text.replace(
+                declared,
+                '    gap_safety: float = key_exempt("", default=1.25)\n',
+            ).replace(
+                "from .stem import", "from ..keys import key_exempt\nfrom .stem import"
+            )
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.core.fidelity"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert "key_exempt() needs a reason" in proc.stderr

@@ -13,9 +13,9 @@ The contract has three legs:
    and fault plan exercised here.
 """
 
+import copy
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from repro.experiments.error_bound_sweep import SimGroundTruth
 from repro.hardware import RTX_2080
 from repro.memo import SimResultCache
 from repro.resilience import FaultPlan
+from repro.keys import derive_key
 from repro.sim import ANALYTICAL_VERSION, AnalyticalSimulator, GpuSimulator
 from repro.workloads import load_workload
 
@@ -96,10 +97,14 @@ class TestAnalyticalSimulator:
         assert np.all(np.isfinite(a)) and np.all(a > 0)
 
     def test_memo_identity_versioned_and_distinct(self):
-        ana = AnalyticalSimulator(RTX_2080).memo_identity()
-        cyc = GpuSimulator(RTX_2080).memo_identity()
-        assert ana.startswith(f"analytical-v{ANALYTICAL_VERSION}")
-        assert ana != cyc
+        """The analytical spec carries the model version, and the two
+        tiers' specs never share a key, even with equal knobs."""
+        ana = AnalyticalSimulator(RTX_2080).spec
+        cyc = GpuSimulator(RTX_2080).spec
+        assert ana.version == ANALYTICAL_VERSION
+        bumped = dataclasses.replace(ana, version=ANALYTICAL_VERSION + 1)
+        assert derive_key(bumped) != derive_key(ana)
+        assert derive_key(ana) != derive_key(cyc)
 
     def test_cache_tiers_never_cross(self, workload, tmp_path):
         """A shared cache dir must keep analytical and cycle raw results
@@ -157,33 +162,23 @@ class TestFidelityPolicy:
             FidelityPolicy(min_gap=0.02),
         ]
         assert len(variants) == len(dataclasses.fields(FidelityPolicy))
-        identities = {p.memo_identity() for p in [base] + variants}
+        identities = {derive_key(p) for p in [base] + variants}
         assert len(identities) == len(variants) + 1
 
 
 class TestCacheKeyLint:
-    """`repro analyze` pins FidelityPolicy's complete memo_identity()."""
+    """FidelityPolicy's derived key covers every field."""
 
     def test_fidelity_policy_key_covers_every_field(self):
-        """Unlike BatchPolicy (all knobs exempt — execution strategy
-        only), every FidelityPolicy field changes screened values, so the
-        pyproject spec must name memo_identity with no exemptions."""
-        from repro.analysis.engine import run_analysis
-        from repro.lint import load_config
-
-        repo_config = os.path.join(
-            os.path.dirname(__file__), "..", "pyproject.toml"
-        )
-        config = load_config(repo_config)
-        specs = [s for s in config.cache_keys if s.cls == "FidelityPolicy"]
-        assert len(specs) == 1
-        spec = specs[0]
-        assert spec.key == "memo_identity"
-        assert not spec.exempt
-        result = run_analysis(config)
-        assert not [
-            f for f in result.findings if "FidelityPolicy" in f.message
-        ], [f.format_text() for f in result.findings]
+        """Unlike BatchPolicy (never keyed — execution strategy only),
+        every FidelityPolicy field changes screened values, so none may
+        be ``key_exempt`` and each one moves the key."""
+        base = FidelityPolicy()
+        for f in dataclasses.fields(FidelityPolicy):
+            assert "key_exempt" not in f.metadata, f.name
+            changed = copy.copy(base)
+            object.__setattr__(changed, f.name, f"<{f.name} changed>")
+            assert derive_key(changed) != derive_key(base), f.name
 
 
 class TestCombineFidelityBound:

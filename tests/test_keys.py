@@ -1,0 +1,139 @@
+"""Tests for :mod:`repro.keys`: one derived key for every cache.
+
+The field-coverage tests enumerate ``dataclasses.fields()`` at run
+time, so a field added to any keyed class is covered with no test edit:
+changing a non-exempt field must change the key, changing a
+``key_exempt`` field must not.
+"""
+
+import copy
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from repro.core.fidelity import FidelityPolicy
+from repro.experiments.runner import ExperimentConfig
+from repro.hardware import RTX_2080
+from repro.keys import derive_key, key_exempt
+from repro.memo import SimResultCache, SplitTreeCache
+from repro.resilience import FaultPlan
+from repro.sim import AnalyticalSimulator, GpuSimulator, ProportionalWarmup
+from repro.workloads import load_workload
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+KEYED = {
+    "FidelityPolicy": lambda: FidelityPolicy(),
+    "GPUConfig": lambda: RTX_2080,
+    "ExperimentConfig": lambda: ExperimentConfig(
+        fault_plan=FaultPlan(seed=1), tree_cache=SplitTreeCache()
+    ),
+    "FaultPlan": lambda: FaultPlan(seed=1, nan_rate=0.1),
+    "Workload": lambda: load_workload("rodinia", "bfs", scale=0.1),
+    "CycleSpec": lambda: GpuSimulator(
+        RTX_2080, warmup=ProportionalWarmup(0.5)
+    ).spec,
+    "AnalyticalSpec": lambda: AnalyticalSimulator(RTX_2080).spec,
+}
+
+
+def with_field(obj, name, value):
+    """A shallow copy of ``obj`` with one field overwritten, bypassing
+    ``__init__`` validation and ``frozen``."""
+    changed = copy.copy(obj)
+    object.__setattr__(changed, name, value)
+    return changed
+
+
+class TestFieldCoverage:
+    @pytest.mark.parametrize("name", sorted(KEYED))
+    def test_every_field_is_keyed_unless_exempt(self, name):
+        obj = KEYED[name]()
+        assert type(obj).__name__ == name
+        base = derive_key(obj)
+        for f in dataclasses.fields(obj):
+            changed = derive_key(with_field(obj, f.name, f"<{f.name} changed>"))
+            if "key_exempt" in f.metadata:
+                assert changed == base, f"exempt {name}.{f.name} moved the key"
+            else:
+                assert changed != base, f"{name}.{f.name} is not keyed"
+
+    def test_tree_cache_is_the_only_exemption(self):
+        exempt = [
+            (name, f.name)
+            for name, make in sorted(KEYED.items())
+            for f in dataclasses.fields(make())
+            if "key_exempt" in f.metadata
+        ]
+        assert exempt == [("ExperimentConfig", "tree_cache")]
+
+    def test_subclass_adding_a_field_gets_another_key(self):
+        @dataclasses.dataclass(frozen=True)
+        class Tuned(FidelityPolicy):
+            extra: int = 0
+
+        assert derive_key(Tuned()) != derive_key(FidelityPolicy())
+        assert derive_key(Tuned()) != derive_key(Tuned(extra=1))
+
+
+class TestEncoding:
+    def test_key_exempt_needs_a_reason(self):
+        for why in ("", "   "):
+            with pytest.raises(ValueError, match="needs a reason"):
+                key_exempt(why)
+
+    def test_key_exempt_keeps_field_options(self):
+        f = key_exempt("handle", default=None, repr=False)
+        assert f.default is None and f.repr is False
+        assert f.metadata["key_exempt"] == "handle"
+
+    @pytest.mark.parametrize("value", [{1, 2}, frozenset({"a"}), object()])
+    def test_values_without_canonical_form_raise(self, value):
+        with pytest.raises(TypeError, match="no canonical form"):
+            derive_key(("ok", value))
+
+
+class TestStableWarmupKeys:
+    """Equal warmup strategies key equally, in and across processes."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        from repro.hardware import RTX_2080
+        from repro.memo import SimResultCache
+        from repro.sim import GpuSimulator, ProportionalWarmup
+        from repro.workloads import load_workload
+
+        sim = GpuSimulator(RTX_2080, warmup=ProportionalWarmup(0.5))
+        workload = load_workload("rodinia", "bfs", scale=0.1)
+        print(SimResultCache.context_for(workload, sim.config, 3, sim.spec))
+        """
+    )
+
+    def _context(self):
+        sim = GpuSimulator(RTX_2080, warmup=ProportionalWarmup(0.5))
+        workload = load_workload("rodinia", "bfs", scale=0.1)
+        return SimResultCache.context_for(workload, sim.config, 3, sim.spec)
+
+    def test_equal_strategies_share_a_context_in_process(self):
+        assert self._context() == self._context()
+        other = GpuSimulator(RTX_2080, warmup=ProportionalWarmup(0.25))
+        workload = load_workload("rodinia", "bfs", scale=0.1)
+        assert (
+            SimResultCache.context_for(workload, other.config, 3, other.spec)
+            != self._context()
+        )
+
+    def test_equal_strategies_share_a_context_across_processes(self):
+        contexts = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            contexts.append(proc.stdout.strip())
+        assert contexts[0] == contexts[1] == self._context()

@@ -6,12 +6,14 @@ the CLI exit-code contract (0 clean / 1 findings / 2 internal error) and
 the JSON report schema.  Fixtures live in ``tests/lint_fixtures/`` as a
 self-contained project with its own pyproject.toml.
 
-The same fixture project also pins the two invariants ``repro analyze``
-owns — ``pool-safety`` and ``cache-key-soundness`` (driven by this
-project's ``[[tool.repro.lint.cache-key]]`` entries) — so every
-fixture here is checked by exactly the tier that enforces its rule.
+The same fixture project also pins ``pool-safety``, which ``repro
+analyze`` owns, so every fixture here is checked by exactly the tier
+that enforces its rule.  Cache-key completeness is no rule at all any
+more: keys are derived from dataclass fields (:mod:`repro.keys`), and
+``TestCacheKeyCompleteness`` pins that derivation.
 """
 
+import dataclasses
 import json
 import subprocess
 import textwrap
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.keys import derive_key, key_exempt
 from repro.lint import (
     load_builtin_passes,
     load_config,
@@ -49,7 +52,7 @@ FIXTURE_RULES = {
 }
 ALL_RULES = FIXTURE_RULES | {"sim-version-salt"}
 #: Invariants the whole-program tier owns; lint must not register them.
-ANALYSIS_RULES = {"pool-safety", "cache-key-soundness"}
+ANALYSIS_RULES = {"pool-safety", "seed-flow"}
 
 
 def lint_fixture(*paths, **kwargs):
@@ -75,7 +78,9 @@ class TestPasses:
         load_builtin_passes()
         registered = set(registered_passes())
         assert ALL_RULES <= registered
-        assert not (ANALYSIS_RULES | {"cache-key-completeness"}) & registered
+        assert not (
+            ANALYSIS_RULES | {"cache-key-completeness", "cache-key-soundness"}
+        ) & registered
 
     def test_global_rng_fires(self):
         result = lint_fixture("bad_rng.py")
@@ -139,77 +144,50 @@ class TestPasses:
 
 
 class TestCacheKeyCompleteness:
-    """Declared ``[[tool.repro.lint.cache-key]]`` entries, checked
-    strictly by the analysis rule ``cache-key-soundness``."""
+    """Derived keys cover every field, whatever ``repr`` shows."""
 
     def test_missing_field_and_hidden_repr_field_fire(self):
-        result = analyze_fixture("bad_cache_key.py")
-        messages = [f.message for f in result.findings]
-        assert any("IncompleteKeyed.threshold" in m for m in messages)
-        assert any("HiddenReprField.budget" in m for m in messages)
-        assert {f.rule for f in result.findings} == {"cache-key-soundness"}
-        assert lines_for(result, "cache-key-soundness") == [13, 27]
+        """A ``repr=False`` field is still keyed: keys never go through
+        ``repr``."""
+
+        @dataclasses.dataclass
+        class HiddenReprField:
+            name: str = "x"
+            budget: int = dataclasses.field(default=1, repr=False)
+
+        assert repr(HiddenReprField()) == repr(HiddenReprField(budget=2))
+        assert derive_key(HiddenReprField()) != derive_key(HiddenReprField(budget=2))
 
     def test_exemptions_and_fields_enumeration_pass(self):
-        result = analyze_fixture("clean_cache_key.py")
-        assert result.clean
+        @dataclasses.dataclass
+        class ExemptKeyed:
+            threshold: float = 0.5
+            cache_handle: object = key_exempt(
+                "a memoization handle never changes results", default=None
+            )
 
-    def test_field_added_but_omitted_from_fingerprint_is_caught(self, tmp_path):
-        """The acceptance-criterion scenario: a keyed dataclass gains a
-        field, the fingerprint function is not updated, the rule fires."""
-        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
-            [tool.repro.lint]
-            paths = ["."]
-            [[tool.repro.lint.cache-key]]
-            path = "cfg.py"
-            class = "Cfg"
-            key = "fingerprint"
-        """))
-        complete = textwrap.dedent("""\
-            from dataclasses import dataclass
+        assert derive_key(ExemptKeyed(cache_handle={})) == derive_key(ExemptKeyed())
+        for f in dataclasses.fields(ExemptKeyed):
+            if "key_exempt" not in f.metadata:
+                changed = ExemptKeyed(**{f.name: 0.25})
+                assert derive_key(changed) != derive_key(ExemptKeyed())
 
-            @dataclass
-            class Cfg:
-                alpha: float
-                beta: float
+    def test_field_added_but_omitted_from_fingerprint_is_caught(self):
+        """The scenario the retired rule existed for: a keyed dataclass
+        gains a field and nothing else is edited.  The derived key
+        covers it anyway — including in a subclass."""
 
-                def fingerprint(self):
-                    return (self.alpha, self.beta)
-        """)
-        (tmp_path / "cfg.py").write_text(complete)
-        config = load_config(str(tmp_path / "pyproject.toml"))
-        assert run_analysis(config).clean
+        @dataclasses.dataclass
+        class Cfg:
+            alpha: float = 1.0
+            beta: float = 1.0
 
-        grown = complete.replace(
-            "    beta: float\n", "    beta: float\n    gamma: float = 0.0\n"
-        )
-        (tmp_path / "cfg.py").write_text(grown)
-        result = run_analysis(load_config(str(tmp_path / "pyproject.toml")))
-        assert [f.rule for f in result.findings] == ["cache-key-soundness"]
-        assert "Cfg.gamma" in result.findings[0].message
+        @dataclasses.dataclass
+        class Grown(Cfg):
+            gamma: float = 0.0
 
-    def test_stale_exemption_fires(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
-            [tool.repro.lint]
-            paths = ["."]
-            [[tool.repro.lint.cache-key]]
-            path = "cfg.py"
-            class = "Cfg"
-            key = "fingerprint"
-            exempt = ["renamed_away"]
-        """))
-        (tmp_path / "cfg.py").write_text(textwrap.dedent("""\
-            from dataclasses import dataclass
-
-            @dataclass
-            class Cfg:
-                alpha: float
-
-                def fingerprint(self):
-                    return (self.alpha,)
-        """))
-        result = run_analysis(load_config(str(tmp_path / "pyproject.toml")))
-        assert any("renamed_away" in f.message for f in result.findings)
+        assert derive_key(Grown()) != derive_key(Grown(gamma=1.0))
+        assert derive_key(Grown()) != derive_key(Cfg())
 
 
 class TestSuppressions:
@@ -308,7 +286,7 @@ class TestCli:
         (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
             [tool.repro.lint]
             paths = ["."]
-            disable = ["pool-safety", "cache-key-soundness"]
+            disable = ["pool-safety", "seed-flow"]
         """))
         (tmp_path / "mod.py").write_text("X = 1\n")
         status = main(["lint", "--config", str(tmp_path / "pyproject.toml")])
@@ -567,9 +545,32 @@ class TestRepoIsClean:
         assert result.baselined == 0
 
     def test_repo_keyed_dataclasses_resolve(self):
-        """Every [[cache-key]] entry resolves (no 'unresolved' findings
-        hiding in the analysis baseline or suppressions)."""
-        result = run_analysis(load_config(REPO_CONFIG), use_baseline=False)
-        assert not any(
-            "unresolved" in f.message for f in result.raw_findings
-        ), [f.format_text() for f in result.raw_findings]
+        """Every object a cache or checkpoint keys has a canonical form:
+        derive_key raises TypeError on anything it would key by repr."""
+        from repro.core.fidelity import FidelityPolicy
+        from repro.experiments.runner import ExperimentConfig
+        from repro.hardware import RTX_2080, dse_variants
+        from repro.memo import SplitTreeCache
+        from repro.resilience import FaultPlan
+        from repro.sim import (
+            AnalyticalSimulator, GpuSimulator, NoWarmup, ProportionalWarmup,
+            WarmupKernel,
+        )
+        from repro.workloads import load_workload
+
+        keyed = [
+            ExperimentConfig(
+                fault_plan=FaultPlan(seed=3, nan_rate=0.1),
+                tree_cache=SplitTreeCache(),
+            ),
+            load_workload("rodinia", "bfs", scale=0.2),
+            FidelityPolicy(),
+            AnalyticalSimulator(RTX_2080).spec,
+            *dse_variants(RTX_2080),
+            *(
+                GpuSimulator(RTX_2080, warmup=w).spec
+                for w in (None, NoWarmup(), ProportionalWarmup(), WarmupKernel())
+            ),
+        ]
+        keys = [derive_key(obj) for obj in keyed]
+        assert len(set(keys)) == len(keys)

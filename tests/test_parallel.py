@@ -33,6 +33,7 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.hardware import RTX_2080, get_preset
+from repro.keys import derive_key
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.parallel import ProfileCache, resolve_jobs, run_tasks
@@ -321,7 +322,7 @@ class TestProfileCache:
         assert cache.get(workload, RTX_2080, seed=4) is None
         # Different workload contents (rescaled): miss.
         rescaled = load_workload("rodinia", "bfs", scale=0.1, seed=0)
-        assert rescaled.fingerprint() != workload.fingerprint()
+        assert derive_key(rescaled) != derive_key(workload)
         assert cache.get(rescaled, RTX_2080, seed=3) is None
         # Different GPU: miss.
         assert cache.get(workload, get_preset("h100"), seed=3) is None
@@ -473,20 +474,20 @@ class TestObsMerging:
 
 
 # ---------------------------------------------------------------------------
-# Workload fingerprinting (the cache's key ingredient)
+# Workload keys (the cache's key ingredient)
 # ---------------------------------------------------------------------------
 class TestWorkloadFingerprint:
     def test_deterministic_and_content_sensitive(self):
         a = load_workload("rodinia", "bfs", scale=0.05, seed=0)
         b = load_workload("rodinia", "bfs", scale=0.05, seed=0)
-        assert a.fingerprint() == b.fingerprint()
+        assert derive_key(a) == derive_key(b)
         other_seed = load_workload("rodinia", "bfs", scale=0.05, seed=1)
         other_scale = load_workload("rodinia", "bfs", scale=0.1, seed=0)
         other_wl = load_workload("rodinia", "hotspot", scale=0.05, seed=0)
-        fps = {
-            a.fingerprint(),
-            other_seed.fingerprint(),
-            other_scale.fingerprint(),
-            other_wl.fingerprint(),
+        keys = {
+            derive_key(a),
+            derive_key(other_seed),
+            derive_key(other_scale),
+            derive_key(other_wl),
         }
-        assert len(fps) == 4
+        assert len(keys) == 4

@@ -15,6 +15,7 @@ The CI fault-injection smoke job re-runs this module with
 bound test injects (default 0.12, CI uses 0.2).
 """
 
+import dataclasses
 import json
 import os
 
@@ -540,6 +541,42 @@ class TestCheckpointResume:
                 "rodinia", config=other, methods=self.METHODS,
                 workload_names=self.NAMES, checkpoint=path,
             )
+
+    def _one_cell(self, gpu, checkpoint):
+        return run_suite(
+            "rodinia",
+            config=ExperimentConfig(gpu=gpu, repetitions=1, workload_scale=0.3),
+            methods=["random"],
+            workload_names=["bfs"],
+            checkpoint=checkpoint,
+        )
+
+    def test_same_gpu_name_other_machine_refused(self, tmp_path):
+        """The GPU is keyed by every field, not by its name: a resume on
+        a different machine that reuses the name must not mix rows."""
+        path = str(tmp_path / "grid.jsonl")
+        self._one_cell(RTX_2080, path)
+        bigger = dataclasses.replace(RTX_2080, num_sms=92, l2_mb=8.0)
+        assert bigger.name == RTX_2080.name
+        with pytest.raises(CheckpointError, match="differs in: gpu"):
+            self._one_cell(bigger, path)
+
+    def test_old_format_header_refused(self, tmp_path):
+        """A header written by the name-keyed format is refused, never
+        resumed into."""
+        path = tmp_path / "grid.jsonl"
+        old_header = {
+            "kind": "header",
+            "version": 1,
+            "config": {
+                "gpu": RTX_2080.name, "repetitions": 1, "base_seed": 0,
+                "epsilon": 0.05, "workload_scale": 0.3, "fault_plan": None,
+                "validation": "off",
+            },
+        }
+        path.write_text(json.dumps(old_header) + "\n")
+        with pytest.raises(CheckpointError, match="version 1"):
+            self._one_cell(RTX_2080, str(path))
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = str(tmp_path / "grid.jsonl")

@@ -8,6 +8,9 @@ plans, degenerate batch shapes).  The scalar path stays available as the
 oracle, so every test here compares the two directly.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,7 +49,7 @@ def make_traces(sim, workload, seed=0, n=None):
 
 def assert_engine_parity(traces, sim, policy=EAGER):
     batched, report = execute_wave_batch(
-        traces, sim.latencies, sim.config, policy
+        traces, sim.spec.latencies, sim.config, policy
     )
     assert report.batched_lanes + report.scalar_lanes == len(traces)
     assert 0.0 < report.fill_ratio <= 1.0
@@ -79,7 +82,7 @@ class TestEngineParity:
 
     def test_empty_trace_list(self):
         sim = GpuSimulator(RTX_2080)
-        results, report = execute_wave_batch([], sim.latencies, sim.config, EAGER)
+        results, report = execute_wave_batch([], sim.spec.latencies, sim.config, EAGER)
         assert results == [] and report.chunks == 0
 
     def test_disabled_policy_is_all_scalar(self):
@@ -92,9 +95,9 @@ class TestEngineParity:
         """Chunk boundaries are pure memory policy, never results."""
         sim = GpuSimulator(RTX_2080)
         traces = make_traces(sim, small_workload())
-        wide, _ = execute_wave_batch(traces, sim.latencies, sim.config, EAGER)
+        wide, _ = execute_wave_batch(traces, sim.spec.latencies, sim.config, EAGER)
         narrow, report = execute_wave_batch(
-            traces, sim.latencies, sim.config, BatchPolicy(min_width=2, max_width=3)
+            traces, sim.spec.latencies, sim.config, BatchPolicy(min_width=2, max_width=3)
         )
         assert report.chunks > 1
         for (wc, ws), (nc, ns) in zip(wide, narrow):
@@ -192,10 +195,14 @@ class TestWorkloadParity:
         assert reread.stats()["hits"] > 0
 
     def test_memo_identity_excludes_batch_policy(self):
+        """Simulators differing only in batch policy share a sim-cache
+        context: the policy is not part of the keyed spec."""
+        workload = small_workload()
         a = GpuSimulator(RTX_2080, batch_policy=EAGER)
         b = GpuSimulator(RTX_2080, batch_policy=SCALAR)
-        assert a.memo_identity() == b.memo_identity()
-        assert BatchPolicy().memo_identity() == ""
+        assert SimResultCache.context_for(
+            workload, a.config, 4, a.spec
+        ) == SimResultCache.context_for(workload, b.config, 4, b.spec)
 
 
 def variant_simulators(**kwargs):
@@ -212,7 +219,7 @@ class TestMixedConfigBatches:
         for sim in sims:
             for trace in make_traces(sim, workload):
                 traces.append(trace)
-                lats.append(sim.latencies)
+                lats.append(sim.spec.latencies)
                 configs.append(sim.config)
                 owners.append(sim)
         return traces, lats, configs, owners
@@ -240,7 +247,7 @@ class TestMixedConfigBatches:
         the engine must only read them."""
         workload = small_workload()
         sims = variant_simulators()[:3]  # baseline, cache x2, cache x0.5
-        assert len({sim.tracer.identity() for sim in sims}) == 1
+        assert len({sim.tracer for sim in sims}) == 1
         traces = make_traces(sims[0], workload)
         before = [
             [(w.kinds.copy(), w.addresses.copy()) for w in t.warps] for t in traces
@@ -248,7 +255,7 @@ class TestMixedConfigBatches:
         lanes = [(sim, trace) for sim in sims for trace in traces]
         execute_wave_batch(
             [t for _, t in lanes],
-            [sim.latencies for sim, _ in lanes],
+            [sim.spec.latencies for sim, _ in lanes],
             [sim.config for sim, _ in lanes],
             EAGER,
         )
@@ -311,46 +318,35 @@ class TestMixedConfigBatches:
         original = TraceGenerator.generate
 
         def counting(self, invocation, seed=0):
-            calls.append(self.identity())
+            calls.append(self)
             return original(self, invocation, seed=seed)
 
         monkeypatch.setattr(TraceGenerator, "generate", counting)
         workload = small_workload()
         sims = variant_simulators(batch_policy=EAGER)
         simulate_workload_on(sims, workload, seed=0)
-        identities = {sim.tracer.identity() for sim in sims}
-        assert len(identities) == 3  # cache variants share the baseline's
-        assert len(calls) == len(identities) * len(workload)
+        tracers = {sim.tracer for sim in sims}
+        assert len(tracers) == 3  # cache variants share the baseline's
+        assert len(calls) == len(tracers) * len(workload)
 
 
 class TestCacheKeyLint:
-    """`repro analyze` pins BatchPolicy's constant memo_identity()."""
+    """No BatchPolicy knob reaches the simulation-cache key."""
 
     def test_every_batch_knob_is_declared_exempt(self):
-        """The pyproject cache-key spec must exempt each BatchPolicy
-        field explicitly: a new knob added without an exemption (or a
-        key change) fails repo analysis — and this set comparison — so batch
-        width can never silently enter the simulation cache key."""
-        import dataclasses
-        import os
-
-        from repro.analysis.engine import run_analysis
-        from repro.lint import load_config
-
-        repo_config = os.path.join(
-            os.path.dirname(__file__), "..", "pyproject.toml"
-        )
-        config = load_config(repo_config)
-        specs = [s for s in config.cache_keys if s.cls == "BatchPolicy"]
-        assert len(specs) == 1
-        spec = specs[0]
-        assert spec.key == "memo_identity"
-        field_names = {f.name for f in dataclasses.fields(BatchPolicy)}
-        assert set(spec.exempt) == field_names
-        result = run_analysis(config)
-        assert not [
-            f for f in result.findings if "BatchPolicy" in f.message
-        ], [f.format_text() for f in result.findings]
+        """Changing any BatchPolicy field — including one added later —
+        leaves the sim-cache context unchanged, so batch width can never
+        silently invalidate cached raw simulations."""
+        workload = small_workload()
+        base = GpuSimulator(RTX_2080)
+        context = SimResultCache.context_for(workload, base.config, 0, base.spec)
+        for f in dataclasses.fields(BatchPolicy):
+            policy = copy.copy(BatchPolicy())
+            object.__setattr__(policy, f.name, f"<{f.name} changed>")
+            sim = GpuSimulator(RTX_2080, batch_policy=policy)
+            assert SimResultCache.context_for(
+                workload, sim.config, 0, sim.spec
+            ) == context, f.name
 
 
 class TestNoiseFactors:
