@@ -106,6 +106,15 @@ from .workloads.suites import SUITES
 __all__ = ["main", "build_parser"]
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of every ``--seed``: workload generation rejects
+    negative seeds, so refuse them as a usage error up front."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -140,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=1.0,
                        help="workload size scale factor")
         p.add_argument("--gpu", choices=sorted(PRESETS), default="rtx2080")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=nonnegative_int, default=0)
         p.add_argument("--epsilon", type=float, default=0.05,
                        help="STEM error bound")
         add_obs_args(p)
@@ -165,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--workload", default=None)
     p_faults.add_argument("--scale", type=float, default=1.0)
     p_faults.add_argument("--gpu", choices=sorted(PRESETS), default="rtx2080")
-    p_faults.add_argument("--seed", type=int, default=0)
+    p_faults.add_argument("--seed", type=nonnegative_int, default=0)
 
     def add_grid_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("suite", choices=suite_names())
@@ -176,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--repetitions", type=int, default=3)
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--gpu", choices=sorted(PRESETS), default="rtx2080")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=nonnegative_int, default=0)
         p.add_argument("--epsilon", type=float, default=0.05)
         p.add_argument("--faults", metavar="SPEC", default=None)
         p.add_argument("--checkpoint", metavar="PATH", default=None,
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--repetitions", type=int, default=3)
     p_sweep.add_argument("--scale", type=float, default=1.0)
     p_sweep.add_argument("--gpu", choices=sorted(PRESETS), default="rtx2080")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=nonnegative_int, default=0)
     p_sweep.add_argument("--ground-truth", choices=["profile", "sim"],
                          default="profile",
                          help="score plans against the nsys profile "
@@ -266,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduce each workload to at most this many "
                             "invocations (paper Sec. 5.4)")
     p_dse.add_argument("--gpu", choices=sorted(PRESETS), default="rtx2080")
-    p_dse.add_argument("--seed", type=int, default=0)
+    p_dse.add_argument("--seed", type=nonnegative_int, default=0)
     p_dse.add_argument("--epsilon", type=float, default=0.05)
     p_dse.add_argument("--jobs", type=int, default=1,
                        help="worker processes (0 = all cores, default 1)")

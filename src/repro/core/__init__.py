@@ -29,7 +29,6 @@ from .plan import PlanCluster, SamplingPlan
 from .report import ClusterReport, SamplingReport, build_report
 from .root import RootCluster, RootConfig, RootTreeNode, root_split
 from .sampler import LabeledCluster, StemRootSampler
-from .streaming import Reservoir, StreamingProfile, WelfordAccumulator
 from .stem import (
     DEFAULT_EPSILON,
     DEFAULT_Z,
@@ -83,9 +82,6 @@ __all__ = [
     "epsilon_for_budget",
     "plan_for_budget",
     "bootstrap_estimate",
-    "StreamingProfile",
-    "WelfordAccumulator",
-    "Reservoir",
     "union_error_bound",
     "verify_union_theorem",
     "combine_fidelity_bound",

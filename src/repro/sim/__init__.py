@@ -4,10 +4,8 @@ analytical fast tier (:mod:`repro.sim.analytical`)."""
 from .analytical import ANALYTICAL_VERSION, AnalyticalSimulator
 from .batch import BatchExecReport, BatchPolicy, execute_wave_batch
 from .cache import Cache, CacheStats
-from .energy import EnergyBreakdown, EnergyModel
 from .intra_kernel import AdaptiveWaveSimulator, WaveSampleResult
 from .memory import DramModel
-from .multi_sm import MultiSmSimulator
 from .noise import noise_factors
 from .sm import LatencyTable, StreamingMultiprocessor
 from .simulator import (
@@ -28,13 +26,10 @@ __all__ = [
     "execute_wave_batch",
     "noise_factors",
     "Cache",
-    "EnergyModel",
-    "EnergyBreakdown",
     "AdaptiveWaveSimulator",
     "WaveSampleResult",
     "CacheStats",
     "DramModel",
-    "MultiSmSimulator",
     "LatencyTable",
     "StreamingMultiprocessor",
     "SimStats",

@@ -6,11 +6,16 @@ but predicts per-invocation cycles in closed form from kernel
 descriptors — instruction mix, occupancy, and roofline memory/compute
 terms derived from :class:`~repro.hardware.gpu_config.GPUConfig` —
 instead of executing traces through the event-driven SM model.  The
-structure follows PPT-GPU's analytical tier: the same launch-geometry
-and trace-reduction arithmetic as :class:`~repro.sim.trace.TraceGenerator`
-(waves, loop extrapolation, resident warps, scaled address space), with
-the event loop replaced by three closed-form bounds — issue throughput,
-per-warp dependency chain, DRAM bandwidth — combined roofline-style.
+structure follows PPT-GPU's analytical tier: the launch geometry of
+:func:`~repro.sim.trace.launch_geometry` (resident warps, waves, warp
+factor) and the trace-reduction arithmetic of
+:class:`~repro.sim.trace.TraceGenerator` (loop extrapolation, scaled
+address space), with the event loop replaced by three closed-form
+bounds — issue throughput, per-warp dependency chain, DRAM bandwidth —
+combined roofline-style.  Everything after the raw per-invocation
+numbers — dedup, cache reuse, noise, post-processing and the DetSan
+sync point — is the cycle tier's own code
+(:func:`~repro.sim.simulator.simulate_workload_on`).
 
 The backend is deliberately *wrong in a measurable way*: it is meant to
 be calibrated per kernel against the cycle-level oracle on a small probe
@@ -29,23 +34,24 @@ a shared cache directory.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
-from ..analysis import detsan
 from ..hardware.gpu_config import GPUConfig
-from ..keys import derive_key
-from ..memo.dedup import collapse_draws
 from ..memo.sim_cache import RawKernelSim
 from ..workloads.kernel import KernelSpec
 from ..workloads.workload import Workload
-from .noise import noise_factors
-from .simulator import _EVENT_FIELDS, KernelSimResult, WorkloadSimResult
+from .simulator import (
+    _EVENT_FIELDS,
+    GpuSimulator,
+    WorkloadSimResult,
+    _Tier,
+    simulate_workload_on,
+)
 from .sm import LatencyTable
 from .spec import ANALYTICAL_VERSION, AnalyticalSpec
-from .stats import SimStats
+from .trace import launch_geometry
 
 __all__ = ["AnalyticalSimulator", "ANALYTICAL_VERSION"]
 
@@ -74,6 +80,10 @@ class AnalyticalSimulator:
     cheaper per invocation than the cycle-level engine.
     """
 
+    #: Read by the shared workload path; the closed-form model has no
+    #: simulation failures to inject.
+    fault_injector = None
+
     def __init__(
         self,
         config: GPUConfig,
@@ -84,13 +94,10 @@ class AnalyticalSimulator:
         sim_cache=None,
     ):
         self.config = config
-        # Same derivation as GpuSimulator so both tiers see one latency
-        # table for a given GPUConfig (the DSE varies the config, and the
-        # analytical tier must move with it).
-        from .simulator import GpuSimulator
-
         #: Model version plus every knob that shapes raw analytical
-        #: results; the simulation cache keys on it.
+        #: results; the simulation cache keys on it.  The latency table
+        #: derives from the config as GpuSimulator's does, so both tiers
+        #: see one table per GPUConfig (the DSE varies the config).
         self.spec = AnalyticalSpec(
             latencies=latencies or GpuSimulator._derive_latencies(config),
             max_instructions_per_warp=max_instructions_per_warp,
@@ -104,31 +111,6 @@ class AnalyticalSimulator:
         self.sim_cache = sim_cache
 
     # -- closed-form model --------------------------------------------------
-    def _spec_geometry(self, spec: KernelSpec) -> Tuple[int, int, float, float]:
-        """Replicate TraceGenerator's launch-geometry arithmetic exactly.
-
-        Returns ``(blocks_per_sm, resident_warps, waves, warp_factor)``.
-        Matching the trace reduction bit-for-bit matters: extrapolation is
-        a pure structural factor shared by both tiers, so any fidelity gap
-        comes from the wave-cycle model alone, not from disagreeing about
-        launch geometry.
-        """
-        cfg = self.config
-        wpb = max(spec.warps_per_block(), 1)
-        blocks_per_sm = min(cfg.max_blocks_per_sm, max(1, cfg.max_warps_per_sm // wpb))
-        total_blocks = spec.num_blocks()
-        blocks_per_sm = min(blocks_per_sm, max(1, -(-total_blocks // cfg.num_sms)))
-        resident = min(self.spec.max_resident_warps, blocks_per_sm * spec.warps_per_block())
-        resident = min(resident, spec.num_warps())
-        blocks_per_wave = max(1, blocks_per_sm * cfg.num_sms)
-        waves = max(1.0, total_blocks / blocks_per_wave)
-        warp_factor = max(
-            1.0,
-            min(cfg.max_warps_per_sm, blocks_per_sm * spec.warps_per_block())
-            / max(resident, 1),
-        )
-        return blocks_per_sm, resident, waves, warp_factor
-
     def _spec_raw(
         self,
         spec: KernelSpec,
@@ -147,7 +129,13 @@ class AnalyticalSimulator:
         lat = self.spec.latencies
         mix = spec.mix
         total = max(mix.total(), 1)
-        _, resident, waves, warp_factor = self._spec_geometry(spec)
+        resident, waves, warp_factor = launch_geometry(
+            spec,
+            cfg.num_sms,
+            cfg.max_blocks_per_sm,
+            cfg.max_warps_per_sm,
+            self.spec.max_resident_warps,
+        )
 
         # Trace-reduction factors (identical arithmetic to TraceGenerator).
         scaled_total = np.maximum(1.0, np.round(total * work_scales))
@@ -262,15 +250,9 @@ class AnalyticalSimulator:
         return wave, extrapolation, stall, events
 
     def _raw_invocations(
-        self, workload: Workload, indices: List[int], seed: int
+        self, workload: Workload, indices: List[int]
     ) -> List[RawKernelSim]:
-        """Raw analytical results for ``indices``, in order.
-
-        ``seed`` is unused by the closed-form model (noise is applied in
-        post-processing, exactly like the cycle tier) but kept in the
-        signature so the two tiers' raw layers line up.
-        """
-        del seed
+        """Raw analytical results for ``indices``, in order."""
         if not indices:
             return []
         idx = np.asarray(indices, dtype=np.int64)
@@ -300,13 +282,6 @@ class AnalyticalSimulator:
             for i in range(len(idx))
         ]
 
-    @staticmethod
-    def _stats_from_raw(raw: RawKernelSim) -> SimStats:
-        stats = SimStats(stall_cycles=raw.stall_cycles)
-        for j, field_name in enumerate(_EVENT_FIELDS):
-            setattr(stats, field_name, int(raw.events[j]))
-        return stats
-
     # -- workloads ---------------------------------------------------------
     def simulate_workload(
         self,
@@ -317,109 +292,39 @@ class AnalyticalSimulator:
     ) -> WorkloadSimResult:
         """Analytically evaluate the workload (or the subset ``indices``).
 
-        Mirrors :meth:`GpuSimulator.simulate_workload` end to end: dedup
-        of repeated draws, optional ``SimResultCache`` reuse (under this
-        tier's own context key), and the identical vectorized noise /
-        launch-overhead / extrapolation post-processing — so a cycle and
-        an analytical result for the same invocation differ *only* in the
-        predicted wave cycles and event counters.
+        The cycle tier's own workload path (:func:`simulate_workload_on`)
+        with the closed-form model as its raw producer: the same dedup of
+        repeated draws, ``SimResultCache`` reuse (under this tier's own
+        context key) and noise / launch-overhead / extrapolation
+        post-processing — so a cycle and an analytical result for the
+        same invocation differ *only* in the predicted wave cycles and
+        event counters.
         """
-        if indices is None:
-            indices = range(len(workload))
-        index_list = [int(i) for i in indices]
-        n = len(index_list)
-        aggregate = SimStats()
-        with obs.span(
-            "sim.analytical.workload", workload=workload.name
-        ) as sp:
-            if dedup:
-                draws = collapse_draws(index_list)
-                unique_list = [int(i) for i in draws.unique]
-                raw_by_index = {}
-                missing = unique_list
-                context = None
-                if self.sim_cache is not None and unique_list:
-                    context = self.sim_cache.context_for(
-                        workload, self.config, seed, self.spec
-                    )
-                    raw_by_index, missing = self.sim_cache.load(context, unique_list)
-                for index, raw in zip(
-                    missing, self._raw_invocations(workload, missing, seed)
-                ):
-                    raw_by_index[index] = raw
-                if self.sim_cache is not None and missing:
-                    self.sim_cache.store(context, unique_list, raw_by_index)
-                executed = len(missing)
-                raws = [raw_by_index[index] for index in index_list]
-            else:
-                raws = self._raw_invocations(workload, index_list, seed)
-                executed = n
-
-            stats_list = [self._stats_from_raw(raw) for raw in raws]
-            noise_arr = noise_factors(seed, index_list, self.noise)
-            sp.attrs["kernels"] = n
-            sp.attrs["kernels_evaluated"] = executed
-
-            if n:
-                waves = np.array([raw.wave_cycles for raw in raws], dtype=np.float64)
-                extraps = np.array(
-                    [raw.extrapolation for raw in raws], dtype=np.float64
-                )
-                launch = self.config.launch_overhead_us * self.config.cycles_per_us()
-                cycles = (waves * extraps + launch) * noise_arr
-                events = np.array(
-                    [[getattr(s, f) for f in _EVENT_FIELDS] for s in stats_list],
-                    dtype=np.float64,
-                )
-                scaled = np.round(events * extraps[:, None]).astype(np.int64)
-            else:
-                waves = extraps = cycles = np.empty(0, dtype=np.float64)
-                scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
-
-            results: List[KernelSimResult] = []
-            for i, (index, stats) in enumerate(zip(index_list, stats_list)):
-                for j, field_name in enumerate(_EVENT_FIELDS):
-                    setattr(stats, field_name, int(scaled[i, j]))
-                stats.stall_cycles *= float(extraps[i]) if n else 1.0
-                kernel_cycles = float(cycles[i])
-                stats.cycles = kernel_cycles
-                results.append(
-                    KernelSimResult(
-                        invocation_index=index,
-                        cycles=kernel_cycles,
-                        wave_cycles=float(waves[i]),
-                        extrapolation=float(extraps[i]),
-                        stats=stats,
-                    )
-                )
-            obs.inc("sim.fidelity.analytical_kernels", executed)
-
-        if n:
-            totals = scaled.sum(axis=0)
-            for j, field_name in enumerate(_EVENT_FIELDS):
-                setattr(aggregate, field_name, int(totals[j]))
-            aggregate.stall_cycles = float(sum(s.stall_cycles for s in stats_list))
-        aggregate.cycles = float(sum(r.cycles for r in results))
-        if detsan.is_enabled():
-            # Same sync point as the cycle engine, under this tier's own
-            # "analytical" family tag: the two engines legitimately
-            # disagree with each other, but each must agree with itself
-            # across cold/warm cache and repeated evaluation.  The key
-            # names the machine, so design points never cross-check.
-            machine = derive_key((self.config, self.spec))
-            tag = (
-                f"sim.analytical|{workload.name}|cfg={machine[:12]}|seed={seed}"
-                f"|idx={detsan.index_digest(index_list)}"
-            )
-            detsan.record(tag + "|cycles", cycles)
-            detsan.record(tag + "|events", scaled)
-        return WorkloadSimResult(
-            workload_name=workload.name,
-            kernel_results=results,
-            aggregate=aggregate,
-        )
+        return simulate_workload_on([self], workload, indices, seed, dedup, _ANALYTICAL)[0]
 
     def cycle_counts(self, workload: Workload, seed: int = 0) -> np.ndarray:
         """Per-invocation analytical cycle predictions."""
         result = self.simulate_workload(workload, seed=seed)
         return np.array([r.cycles for r in result.kernel_results], dtype=np.float64)
+
+
+def _produce(
+    simulators: Sequence[AnalyticalSimulator],
+    requests: Sequence[List[int]],
+    workload: Workload,
+    seed: int,
+) -> List[List[RawKernelSim]]:
+    """The analytical tier's raw producer for :func:`simulate_workload_on`.
+
+    ``seed`` is unused: the closed-form model is deterministic, and noise
+    is applied in post-processing, exactly as for the cycle tier.
+    """
+    return [sim._raw_invocations(workload, r) for sim, r in zip(simulators, requests)]
+
+
+_ANALYTICAL = _Tier(
+    produce=_produce,
+    span="sim.analytical.workload",
+    executed="sim.fidelity.analytical_kernels",
+    detsan="sim.analytical",
+)

@@ -473,6 +473,8 @@ def uses_fallback() -> bool:
 
 def _self_check_failed() -> bool:
     """One-time probe: batched sentinel draws vs real ``default_rng``."""
+    # Result-neutral in a pool worker: the memo only picks how the draws
+    # are computed; noise_factors returns the scalar path's bits either way.
     global _fallback
     if _fallback is None:
         keys = np.array(_SENTINEL_KEYS, dtype=np.uint64)
@@ -481,9 +483,9 @@ def _self_check_failed() -> bool:
             reference = np.array(
                 [np.random.default_rng(int(k)).standard_normal() for k in keys]
             )
-            _fallback = not np.array_equal(batched, reference)
+            _fallback = not np.array_equal(batched, reference)  # repro-lint: disable=pool-safety
         except Exception:  # pragma: no cover - ultra-defensive
-            _fallback = True
+            _fallback = True  # repro-lint: disable=pool-safety
     return _fallback
 
 
@@ -499,7 +501,10 @@ def noise_factors(seed: int, indices: Iterable[int], noise: float) -> np.ndarray
     index_arr = np.ascontiguousarray(list(indices), dtype=np.uint64)
     if not noise:
         return np.ones(index_arr.shape[0], dtype=np.float64)
-    keys = (_U64(seed) * _U64(0x9E3779B9) + index_arr) & _MASK32
+    # Mask the seed term in Python first: the scalar path's key is a
+    # Python-int expression, so any int seed (negative, or wider than
+    # 64 bits) must map to the same 32-bit key without overflowing.
+    keys = (_U64((seed * 0x9E3779B9) & 0xFFFFFFFF) + index_arr) & _MASK32
     if _self_check_failed():
         gauss = np.array(
             [np.random.default_rng(int(k)).standard_normal() for k in keys],

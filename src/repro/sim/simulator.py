@@ -24,7 +24,7 @@ design (the scaled address space differs per kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,106 +243,6 @@ class GpuSimulator:
         trace = self.tracer.generate(workload.invocation(index), seed=seed)
         return self.simulate_trace(trace, seed=seed)
 
-    @staticmethod
-    def _stats_from_raw(raw: RawKernelSim) -> SimStats:
-        """Fresh mutable stats per result slot (post-processing mutates)."""
-        stats = SimStats(stall_cycles=raw.stall_cycles)
-        for j, field_name in enumerate(_EVENT_FIELDS):
-            setattr(stats, field_name, int(raw.events[j]))
-        return stats
-
-    def _post_process(
-        self,
-        workload: Workload,
-        index_list: List[int],
-        raws: List[RawKernelSim],
-        executed: int,
-        seed: int,
-    ) -> WorkloadSimResult:
-        """Noise, launch overhead, extrapolation and aggregation of raws.
-
-        Single array operations over all slots; bit-identical to the
-        per-invocation arithmetic of :meth:`simulate_trace`.
-        """
-        n = len(index_list)
-        aggregate = SimStats()
-        wave_list: List[float] = [raw.wave_cycles for raw in raws]
-        extrap_list: List[float] = [raw.extrapolation for raw in raws]
-        stats_list: List[SimStats] = [self._stats_from_raw(raw) for raw in raws]
-        # Vectorized replication of the per-index keyed generators;
-        # bit-identical to calling ``_noise_factor`` per slot (see
-        # :mod:`repro.sim.noise`).
-        noise_arr = noise_factors(seed, index_list, self.noise)
-
-        if n:
-            waves = np.asarray(wave_list, dtype=np.float64)
-            extraps = np.asarray(extrap_list, dtype=np.float64)
-            noises = noise_arr
-            launch = (
-                self.config.launch_overhead_us * self.config.cycles_per_us()
-            )
-            cycles = (waves * extraps + launch) * noises
-            events = np.array(
-                [[getattr(s, f) for f in _EVENT_FIELDS] for s in stats_list],
-                dtype=np.float64,
-            )
-            # np.round is half-to-even, exactly like the scalar path's
-            # ``int(round(...))``.
-            scaled = np.round(events * extraps[:, None]).astype(np.int64)
-        else:
-            cycles = np.empty(0, dtype=np.float64)
-            scaled = np.empty((0, len(_EVENT_FIELDS)), dtype=np.int64)
-
-        results: List[KernelSimResult] = []
-        for i, (index, stats) in enumerate(zip(index_list, stats_list)):
-            for j, field_name in enumerate(_EVENT_FIELDS):
-                setattr(stats, field_name, int(scaled[i, j]))
-            stats.stall_cycles *= extrap_list[i]
-            kernel_cycles = float(cycles[i])
-            stats.cycles = kernel_cycles
-            results.append(
-                KernelSimResult(
-                    invocation_index=index,
-                    cycles=kernel_cycles,
-                    wave_cycles=wave_list[i],
-                    extrapolation=extrap_list[i],
-                    stats=stats,
-                )
-            )
-        # Counts wave simulations actually run (deduped/cached reuse
-        # is free); per-slot cycles still land in the histogram below.
-        obs.inc("sim.kernels_executed", executed)
-        if obs.is_enabled():
-            for kernel_cycles in cycles:
-                obs.observe("sim.kernel_cycles", float(kernel_cycles))
-
-        if n:
-            totals = scaled.sum(axis=0)
-            for j, field_name in enumerate(_EVENT_FIELDS):
-                setattr(aggregate, field_name, int(totals[j]))
-            aggregate.stall_cycles = float(sum(s.stall_cycles for s in stats_list))
-        aggregate.cycles = float(sum(r.cycles for r in results))
-        if detsan.is_enabled():
-            # Sync point: per-invocation cycles and scaled counters must
-            # be bit-identical across engine configs (scalar vs batch,
-            # cold vs warm cache, dedup on/off, separate vs fused design
-            # points).  The key names the machine (GPU config plus
-            # spec) but never the batch policy, so it is engine-invariant;
-            # the "cycle" family tag keeps these recordings disjoint from
-            # the analytical tier's.
-            machine = derive_key((self.config, self.spec))
-            tag = (
-                f"sim.cycle|{workload.name}|cfg={machine[:12]}|seed={seed}"
-                f"|idx={detsan.index_digest(index_list)}"
-            )
-            detsan.record(tag + "|cycles", cycles)
-            detsan.record(tag + "|events", scaled)
-        return WorkloadSimResult(
-            workload_name=workload.name,
-            kernel_results=results,
-            aggregate=aggregate,
-        )
-
     # -- workloads ---------------------------------------------------------
     def simulate_workload(
         self,
@@ -460,29 +360,145 @@ def _raw_invocations(
     return raws  # type: ignore[return-value]
 
 
+@dataclass(frozen=True)
+class _Tier:
+    """What one simulator tier plugs into :func:`simulate_workload_on`.
+
+    ``produce(simulators, requests, workload, seed)`` returns the raw
+    results of ``requests[k]`` on ``simulators[k]``; the rest are the
+    tier's observability names.
+    """
+
+    produce: Callable[
+        [Sequence, Sequence[List[int]], Workload, int], List[List[RawKernelSim]]
+    ]
+    #: Span around the whole call.
+    span: str
+    #: Counter of raw simulations actually run (reuse is free).
+    executed: str
+    #: DetSan tag family: tiers legitimately disagree with each other,
+    #: so each one's sync points are checked only against itself.
+    detsan: str
+    #: Histogram of per-slot cycles, if the tier keeps one.
+    histogram: Optional[str] = None
+
+
+_CYCLE = _Tier(
+    produce=_raw_invocations,
+    span="sim.workload",
+    executed="sim.kernels_executed",
+    detsan="sim.cycle",
+    histogram="sim.kernel_cycles",
+)
+
+
+def _post_process(
+    sim,
+    tier: _Tier,
+    workload: Workload,
+    index_list: List[int],
+    raws: List[RawKernelSim],
+    executed: int,
+    seed: int,
+) -> WorkloadSimResult:
+    """Noise, launch overhead, extrapolation and aggregation of raws.
+
+    Single array operations over all slots; bit-identical to the
+    per-invocation arithmetic of :meth:`GpuSimulator.simulate_trace`.
+    """
+    n = len(index_list)
+    waves = np.array([raw.wave_cycles for raw in raws], dtype=np.float64)
+    extraps = np.array([raw.extrapolation for raw in raws], dtype=np.float64)
+    # Vectorized replication of the per-index keyed generators;
+    # bit-identical to calling ``_noise_factor`` per slot (see
+    # :mod:`repro.sim.noise`).
+    noises = noise_factors(seed, index_list, sim.noise)
+    launch = sim.config.launch_overhead_us * sim.config.cycles_per_us()
+    cycles = (waves * extraps + launch) * noises
+    events = np.array([raw.events for raw in raws], dtype=np.float64)
+    # np.round is half-to-even, exactly like the scalar path's
+    # ``int(round(...))``.
+    scaled = np.round(
+        events.reshape(n, len(_EVENT_FIELDS)) * extraps[:, None]
+    ).astype(np.int64)
+
+    results: List[KernelSimResult] = []
+    for index, raw, kernel_cycles, row in zip(
+        index_list, raws, cycles.tolist(), scaled.tolist()
+    ):
+        stats = SimStats(
+            cycles=kernel_cycles,
+            stall_cycles=raw.stall_cycles * raw.extrapolation,
+            **dict(zip(_EVENT_FIELDS, row)),
+        )
+        results.append(
+            KernelSimResult(
+                invocation_index=index,
+                cycles=kernel_cycles,
+                wave_cycles=raw.wave_cycles,
+                extrapolation=raw.extrapolation,
+                stats=stats,
+            )
+        )
+    # Counts simulations actually run (deduped/cached reuse is free);
+    # per-slot cycles still land in the histogram below.
+    obs.inc(tier.executed, executed)
+    if tier.histogram and obs.is_enabled():
+        for kernel_cycles in cycles:
+            obs.observe(tier.histogram, float(kernel_cycles))
+
+    aggregate = SimStats(**dict(zip(_EVENT_FIELDS, scaled.sum(axis=0).tolist())))
+    aggregate.stall_cycles = float(sum(r.stats.stall_cycles for r in results))
+    aggregate.cycles = float(sum(r.cycles for r in results))
+    if detsan.is_enabled():
+        # Sync point: per-invocation cycles and scaled counters must be
+        # bit-identical across engine configs (scalar vs batch, cold vs
+        # warm cache, dedup on/off, separate vs fused design points).
+        # The key names the machine (GPU config plus spec) but never the
+        # batch policy, so it is engine-invariant and design points never
+        # cross-check.
+        machine = derive_key((sim.config, sim.spec))
+        tag = (
+            f"{tier.detsan}|{workload.name}|cfg={machine[:12]}|seed={seed}"
+            f"|idx={detsan.index_digest(index_list)}"
+        )
+        detsan.record(tag + "|cycles", cycles)
+        detsan.record(tag + "|events", scaled)
+    return WorkloadSimResult(
+        workload_name=workload.name,
+        kernel_results=results,
+        aggregate=aggregate,
+    )
+
+
 def simulate_workload_on(
     simulators: Sequence[GpuSimulator],
     workload: Workload,
     indices: Optional[Iterable[int]] = None,
     seed: int = 0,
     dedup: bool = True,
+    tier: _Tier = _CYCLE,
 ) -> List[WorkloadSimResult]:
     """Simulate one workload on several simulators, e.g. DSE design points.
 
     Returns one result per simulator, each bit-identical to that
-    simulator's own :meth:`GpuSimulator.simulate_workload` — which is
-    this function with one simulator.  Fault checks, dedup, sim-cache
-    load and store, noise, post-processing and the DetSan sync point stay
-    per simulator; what is shared is the work in between: traces are
-    generated once per distinct trace generator, and every
-    simulator's not-yet-cached invocations run as lanes of one lock-step
-    batch, each lane on its own machine parameters.
+    simulator's own ``simulate_workload`` — which is this function with
+    one simulator.  Fault checks, dedup, sim-cache load and store, noise,
+    post-processing and the DetSan sync point stay per simulator; what is
+    shared is the work in between: traces are generated once per
+    distinct trace generator, and every simulator's not-yet-cached
+    invocations run as lanes of one lock-step batch, each lane on its
+    own machine parameters.
+
+    ``tier`` is internal: the analytical tier passes its closed-form
+    producer and its own observability names, and every other step is
+    this function's for both tiers.
     """
     simulators = list(simulators)
     if indices is None:
         indices = range(len(workload))
     index_list = [int(i) for i in indices]
-    with obs.span("sim.workload", workload=workload.name) as sp:
+    with obs.span(tier.span, workload=workload.name) as sp:
         # Fault decisions are pure functions of (plan seed, index,
         # attempt), so checking every index upfront raises the same
         # first failure as the interleaved loop — without paying for
@@ -512,7 +528,7 @@ def simulate_workload_on(
             requests.append(missing)
 
         results = []
-        fresh = _raw_invocations(simulators, requests, workload, seed)
+        fresh = tier.produce(simulators, requests, workload, seed)
         for sim, raw_by_index, context, missing, raws in zip(
             simulators, cached, contexts, requests, fresh
         ):
@@ -521,7 +537,9 @@ def simulate_workload_on(
                 if sim.sim_cache is not None and missing:
                     sim.sim_cache.store(context, unique_list, raw_by_index)
                 raws = [raw_by_index[index] for index in index_list]
-            results.append(sim._post_process(workload, index_list, raws, len(missing), seed))
+            results.append(
+                _post_process(sim, tier, workload, index_list, raws, len(missing), seed)
+            )
         sp.attrs["kernels"] = len(index_list)
         sp.attrs["kernels_simulated"] = sum(len(m) for m in requests)
         sp.attrs["simulators"] = len(simulators)

@@ -13,13 +13,13 @@ comparisons stay internally consistent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from ..workloads.kernel import KernelInvocation
+from ..workloads.kernel import KernelInvocation, KernelSpec
 
-__all__ = ["Op", "WarpTrace", "KernelTrace", "TraceGenerator"]
+__all__ = ["Op", "WarpTrace", "KernelTrace", "TraceGenerator", "launch_geometry"]
 
 
 class Op:
@@ -64,6 +64,40 @@ class KernelTrace:
     #: Scale caches by this factor when simulating the trace: the trace's
     #: scaled address space stands in for the real working set.
     cache_scale: float = 1.0
+
+
+def launch_geometry(
+    spec: KernelSpec,
+    num_sms: int,
+    max_blocks_per_sm: int,
+    max_warps_per_sm: int,
+    max_resident_warps: int,
+) -> Tuple[int, float, float]:
+    """``(resident_warps, waves, warp_factor)`` of one kernel launch.
+
+    ``resident_warps`` are the warps of one SM wave that a trace carries;
+    ``waves`` is how many such waves the whole GPU runs; ``warp_factor``
+    covers the resident warps the trace leaves out.  Both simulator
+    tiers take launch geometry from here, so a fidelity gap between them
+    comes from the wave model alone.
+    """
+    # A launch too small to fill every SM leaves each SM with fewer
+    # resident blocks, so adding SMs still spreads the work (and its
+    # memory traffic) thinner.
+    blocks_per_sm = min(
+        max_blocks_per_sm, max(1, max_warps_per_sm // max(spec.warps_per_block(), 1))
+    )
+    total_blocks = spec.num_blocks()
+    blocks_per_sm = min(blocks_per_sm, max(1, -(-total_blocks // num_sms)))
+    resident = min(max_resident_warps, blocks_per_sm * spec.warps_per_block())
+    resident = min(resident, spec.num_warps())
+    waves = max(1.0, total_blocks / max(1, blocks_per_sm * num_sms))
+    warp_factor = max(
+        1.0,
+        min(max_warps_per_sm, blocks_per_sm * spec.warps_per_block())
+        / max(resident, 1),
+    )
+    return resident, waves, warp_factor
 
 
 @dataclass(frozen=True)
@@ -206,21 +240,13 @@ class TraceGenerator:
             traced_len,
         )
 
-        # Resident warps of one SM wave.  A launch too small to fill every
-        # SM leaves each SM with fewer resident blocks, so adding SMs
-        # still spreads the work (and its memory traffic) thinner.
-        blocks_per_sm = min(
+        resident, waves, warp_factor = launch_geometry(
+            spec,
+            self.num_sms,
             self.max_blocks_per_sm,
-            max(1, self.max_warps_per_sm // max(spec.warps_per_block(), 1)),
+            self.max_warps_per_sm,
+            self.max_resident_warps,
         )
-        total_blocks = spec.num_blocks()
-        blocks_per_sm = min(
-            blocks_per_sm, max(1, -(-total_blocks // self.num_sms))
-        )
-        resident = min(
-            self.max_resident_warps, blocks_per_sm * spec.warps_per_block()
-        )
-        resident = min(resident, spec.num_warps())
 
         warps: List[WarpTrace] = []
         n_mem = int(np.count_nonzero((kinds == Op.LOAD) | (kinds == Op.STORE)))
@@ -238,14 +264,7 @@ class TraceGenerator:
 
         # Extrapolation: waves across the GPU x untraced loop iterations
         # x untraced resident warps.
-        blocks_per_wave = max(1, blocks_per_sm * self.num_sms)
-        waves = max(1.0, total_blocks / blocks_per_wave)
         loop_factor = scaled_total / traced_len
-        warp_factor = max(
-            1.0,
-            min(self.max_warps_per_sm, blocks_per_sm * spec.warps_per_block())
-            / max(resident, 1),
-        )
         return KernelTrace(
             invocation=invocation,
             warps=warps,

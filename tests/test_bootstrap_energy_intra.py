@@ -1,4 +1,4 @@
-"""Tests for bootstrap CIs, the energy model, and intra-kernel sampling."""
+"""Tests for bootstrap CIs and intra-kernel sampling."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ from repro.core import StemRootSampler
 from repro.core.bootstrap import bootstrap_estimate
 from repro.core.plan import PlanCluster, SamplingPlan
 from repro.hardware import RTX_2080
-from repro.sim import AdaptiveWaveSimulator, EnergyModel, GpuSimulator
-from repro.sim.stats import SimStats
+from repro.sim import AdaptiveWaveSimulator, GpuSimulator
 from repro.workloads import load_workload
 
 
@@ -58,53 +57,6 @@ class TestBootstrap:
         hw_small = bootstrap_estimate(small, mixed_times, seed=2).half_width_percent
         hw_large = bootstrap_estimate(large, mixed_times, seed=2).half_width_percent
         assert hw_large < hw_small
-
-
-class TestEnergyModel:
-    def test_breakdown_totals(self):
-        stats = SimStats(
-            cycles=1000.0, fp32_ops=100, l1_hits=10, l1_misses=5,
-            l2_hits=5, l2_misses=2, dram_accesses=2,
-        )
-        breakdown = EnergyModel().evaluate(stats, RTX_2080)
-        assert breakdown.total_nj == pytest.approx(
-            breakdown.compute_nj
-            + breakdown.l1_nj
-            + breakdown.l2_nj
-            + breakdown.dram_nj
-            + breakdown.static_nj
-        )
-        assert breakdown.total_nj > 0
-
-    def test_shares_sum_to_one(self):
-        stats = SimStats(cycles=500.0, fp16_ops=50, dram_accesses=3)
-        shares = EnergyModel().evaluate(stats, RTX_2080).shares()
-        assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_dram_heavy_kernel_spends_more_memory_energy(self):
-        compute_stats = SimStats(cycles=100.0, fp32_ops=10_000)
-        memory_stats = SimStats(cycles=100.0, dram_accesses=10_000)
-        model = EnergyModel()
-        e_compute = model.evaluate(compute_stats, RTX_2080)
-        e_memory = model.evaluate(memory_stats, RTX_2080)
-        assert e_memory.dram_nj > e_compute.dram_nj
-        assert e_compute.compute_nj > e_memory.compute_nj
-
-    def test_sampled_energy_estimate_tracks_full(self):
-        """The Fig. 14 logic extends to energy: weighted-sum energy from
-        sampled kernels matches the full workload's."""
-        workload = load_workload("rodinia", "hotspot", scale=0.05, seed=0).head(40)
-        sim = GpuSimulator(RTX_2080)
-        model = EnergyModel()
-        results = sim.simulate_workload(workload, seed=0)
-        per_kernel_nj = np.array(
-            [model.evaluate(r.stats, RTX_2080).total_nj for r in results.kernel_results]
-        )
-        store = ProfileStore(workload, RTX_2080, seed=0)
-        plan = StemRootSampler().build_plan_from_store(store, seed=0)
-        estimated = plan.estimate_total(per_kernel_nj)
-        full = per_kernel_nj.sum()
-        assert abs(estimated - full) / full < 0.10
 
 
 class TestAdaptiveWaveSampling:

@@ -28,6 +28,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sample", "rodinia", "bfs", "--gpu", "a100"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "rodinia", "bfs"],
+            ["compare", "rodinia", "bfs"],
+            ["report", "rodinia", "bfs"],
+            ["trace", "rodinia", "bfs", "out.jsonl"],
+            ["faults", "seed=3"],
+            ["grid", "rodinia", "bfs"],
+            ["suite", "rodinia"],
+            ["sweep", "rodinia"],
+            ["dse"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rejects_negative_seed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-3"])
+        assert exc.value.code == 2
+        assert "--seed: must be >= 0, got -3" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_suites(self, capsys):

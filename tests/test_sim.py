@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hardware import RTX_2080, GPUConfig
+from repro.hardware import RTX_2080
 from repro.sim import (
     Cache,
     DramModel,
@@ -318,58 +318,6 @@ class TestWarmup:
         n_mem = sum(len(w.addresses) for w in trace.warps)
         expected = int(round(n_mem * trace.extrapolation))
         assert result.stats.l1_hits + result.stats.l1_misses == expected
-
-
-class TestMultiSmSimulator:
-    def test_validation(self):
-        from repro.sim import MultiSmSimulator
-
-        with pytest.raises(ValueError):
-            MultiSmSimulator(RTX_2080, num_detailed_sms=0)
-
-    def test_detailed_sms_capped_at_config(self):
-        from repro.sim import MultiSmSimulator
-
-        cfg = GPUConfig(name="tiny", num_sms=2)
-        sim = MultiSmSimulator(cfg, num_detailed_sms=8)
-        assert sim.num_detailed_sms == 2
-
-    def test_cycles_positive_and_deterministic(self):
-        from repro.sim import MultiSmSimulator
-        from repro.workloads.generators.synthetic import flat_workload
-
-        w = flat_workload(n=4, seed=0)
-        a = MultiSmSimulator(RTX_2080, num_detailed_sms=2).cycle_counts(w, seed=3)
-        b = MultiSmSimulator(RTX_2080, num_detailed_sms=2).cycle_counts(w, seed=3)
-        assert (a > 0).all()
-        assert np.allclose(a, b)
-
-    def test_contention_never_faster_than_isolated(self):
-        """Sharing L2/DRAM across detailed SMs cannot speed a kernel up."""
-        from repro.sim import MultiSmSimulator
-        from repro.workloads import WorkloadBuilder
-
-        builder = WorkloadBuilder(name="w")
-        spec = make_kernel_spec("k", memory_boundedness=0.9, working_set_mb=64.0)
-        builder.launch(spec, locality=0.4)
-        w = builder.build()
-        single = GpuSimulator(RTX_2080, noise=0.0).cycle_counts(w, seed=1).sum()
-        multi = (
-            MultiSmSimulator(RTX_2080, num_detailed_sms=4, noise=0.0)
-            .cycle_counts(w, seed=1)
-            .sum()
-        )
-        assert multi >= single * 0.8  # allow trace-shape slack, no big speedup
-
-    def test_stats_cover_whole_gpu(self):
-        from repro.sim import MultiSmSimulator
-        from repro.workloads.generators.synthetic import flat_workload
-
-        w = flat_workload(n=1, seed=0)
-        sim = MultiSmSimulator(RTX_2080, num_detailed_sms=2, noise=0.0)
-        result = sim.simulate_invocation(w, 0, seed=0)
-        # Extrapolated counters exceed what two SMs alone executed.
-        assert result.stats.instructions > 2 * 16 * 10
 
 
 class TestBatchedWorkloadSimulation:

@@ -10,6 +10,7 @@ oracle, so every test here compares the two directly.
 
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -352,9 +353,14 @@ class TestCacheKeyLint:
 class TestNoiseFactors:
     def test_bit_identical_to_scalar(self):
         sim = GpuSimulator(RTX_2080, noise=0.02)
-        for seed in (0, 7, 123456):
+        # Negative and beyond-64-bit seeds too: the scalar oracle masks
+        # Python ints, so the batched keys must neither raise nor warn.
+        seeds = (0, 7, 123456, -1, -12345, 2**32 + 5, 2**40, 2**64 + 3)
+        for seed in seeds:
             indices = list(range(64)) + [10**6, 2**31 - 1]
-            batched = noise_factors(seed, indices, sim.noise)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batched = noise_factors(seed, indices, sim.noise)
             scalar = np.array(
                 [sim._noise_factor(seed, i) for i in indices], dtype=np.float64
             )
