@@ -12,6 +12,9 @@ is bit-identical, with the determinism sanitizer on, in one process:
   Table-4 variant of the GPU against one
   :func:`~repro.sim.simulate_workload_on` call over all of them (shared
   traces, one mixed-machine lock-step batch);
+* **separate vs stage-wide specs** — two workloads x the Table-4
+  variants, one ``simulate_workload_on`` call per workload against one
+  request list over both (the stage-major DSE's cross-workload batch);
 * **sequential vs parallel** — the same experiment grid at ``jobs=1``
   and ``jobs=2``, compared on the aggregated rows the parent receives.
 
@@ -66,12 +69,13 @@ def add_detsan_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_phase(args) -> None:
-    """Scalar vs batch, cold vs warm, then separate vs fused design
-    points, on raw simulator output."""
+    """Scalar vs batch, cold vs warm, separate vs fused design points,
+    then separate vs stage-wide specs, on raw simulator output."""
     from ..hardware import dse_variants, get_preset
     from ..memo import SimResultCache
     from ..sim import BatchPolicy, GpuSimulator, simulate_workload_on
     from ..workloads import load_workload
+    from ..workloads.suites import SUITES
 
     gpu = get_preset(args.gpu)
     workload = load_workload(
@@ -110,10 +114,31 @@ def _engine_phase(args) -> None:
             )
     with detsan.scope("configs=fused"):
         simulate_workload_on(
-            [GpuSimulator(v, batch_policy=eager) for v in dse_variants(gpu)],
-            workload,
+            [(GpuSimulator(v, batch_policy=eager), workload, None)
+             for v in dse_variants(gpu)],
             seed=args.seed,
         )
+
+    # A second workload of the suite, so the stage-wide call really
+    # mixes workloads in one batch.
+    other = next(n for n in SUITES[args.suite].names() if n != args.workload)
+    workloads = [
+        workload,
+        load_workload(args.suite, other, scale=args.scale, seed=args.seed),
+    ]
+
+    def requests(workload_list):
+        return [
+            (GpuSimulator(v, batch_policy=eager), w, None)
+            for w in workload_list
+            for v in dse_variants(gpu)
+        ]
+
+    with detsan.scope("specs=separate"):
+        for w in workloads:
+            simulate_workload_on(requests([w]), seed=args.seed)
+    with detsan.scope("specs=stage"):
+        simulate_workload_on(requests(workloads), seed=args.seed)
 
 
 def _grid_phase(args) -> None:

@@ -15,6 +15,7 @@ from .fidelity import (
     FidelityPolicy,
     FidelityTimes,
     fidelity_cycle_counts,
+    fidelity_cycle_counts_many,
     probe_indices,
     tail_gap,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "FidelityPolicy",
     "FidelityTimes",
     "fidelity_cycle_counts",
+    "fidelity_cycle_counts_many",
     "probe_indices",
     "tail_gap",
 ]

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "probe_indices",
     "tail_gap",
     "fidelity_cycle_counts",
+    "fidelity_cycle_counts_many",
 ]
 
 #: Recognized fidelity tiers for ground-truth generation.
@@ -332,100 +333,185 @@ def fidelity_cycle_counts(
     escalation results come from the same oracle
     with the same cache identity, so they warm the cycle-level sim cache
     for later full runs.
+
+    This is :func:`fidelity_cycle_counts_many` with one pair.
+    """
+    return fidelity_cycle_counts_many([(workload, gpu)], seed, policy, sim_cache)[0]
+
+
+def fidelity_cycle_counts_many(
+    pairs: Sequence[Tuple[object, object]],
+    seed: int = 0,
+    policy: Optional[FidelityPolicy] = None,
+    sim_cache=None,
+) -> List[FidelityTimes]:
+    """:func:`fidelity_cycle_counts` for every ``(workload, gpu)`` pair.
+
+    Stage-major: each pair's result is bit-identical to running its
+    stages alone, but every cycle-level stage runs as one
+    :func:`~repro.sim.simulate_workload_on` request list across all
+    pairs, so the probes of every workload and design point share
+    lock-step batches, and so do the escalations:
+
+    1. **screen** each pair analytically (closed form, nothing to share,
+       so one ``AnalyticalSimulator.cycle_counts`` per pair);
+    2. **probe** every pair in one request list;
+    3. **calibrate** per pair and pick its escalations (they depend on
+       its probe results, hence the stage boundary);
+    4. **escalate** every pair in one request list;
+    5. **finish** per pair: the tail-aware gap and the ``FidelityTimes``.
+
+    ``mode="cycle"`` pairs (and empty workloads) run their full
+    simulations as one request list.
     """
     # Lazy imports: core must stay importable without pulling the whole
     # simulator stack (mirrors SimGroundTruth in the sweep experiment).
-    from ..sim import BatchPolicy, GpuSimulator
+    from ..sim import GpuSimulator, simulate_workload_on
     from ..sim.analytical import AnalyticalSimulator
 
     policy = policy or FidelityPolicy()
-    n = len(workload)
-    if policy.mode == "cycle" or n == 0:
-        oracle = GpuSimulator(gpu, sim_cache=sim_cache)
-        values = oracle.cycle_counts(workload, seed=seed)
+    pairs = list(pairs)
+    oracles = [GpuSimulator(gpu, sim_cache=sim_cache) for _w, gpu in pairs]
+    out: List[Optional[FidelityTimes]] = [None] * len(pairs)
+
+    full = [
+        k for k, (workload, _gpu) in enumerate(pairs)
+        if policy.mode == "cycle" or len(workload) == 0
+    ]
+    runs = simulate_workload_on(
+        [(oracles[k], pairs[k][0], None) for k in full], seed=seed
+    )
+    for k, run in zip(full, runs):
+        n = len(pairs[k][0])
         obs.inc("sim.fidelity.cycle_kernels", n)
         obs.set_gauge("sim.fidelity.cycle_share", 1.0)
-        return FidelityTimes(
-            values=values,
+        out[k] = FidelityTimes(
+            values=np.array([r.cycles for r in run.kernel_results], dtype=np.float64),
             cycle_mask=np.ones(n, dtype=bool),
             gap=0.0,
             mode="cycle",
         )
+    screened = [k for k in range(len(pairs)) if out[k] is None]
+    if not screened:
+        return out  # type: ignore[return-value]
 
-    # Probe/escalation groups are far narrower than the width where the
-    # SoA batch engine pays off (a ~20-lane chunk costs 2-6x the scalar
-    # event loop per trace), so the subset oracle raises the batching
-    # threshold.  Batch policy is execution strategy only — never part
-    # of a cache key — so results and cache entries stay bit-identical.
-    oracle = GpuSimulator(
-        gpu, batch_policy=BatchPolicy(min_width=64), sim_cache=sim_cache
+    names = ",".join(sorted({pairs[k][0].name for k in screened}))
+    with obs.span("sim.fidelity.screen", workload=names, mode=policy.mode):
+        # Stage 1: screen.
+        analytical = {
+            k: AnalyticalSimulator(pairs[k][1], sim_cache=sim_cache).cycle_counts(
+                pairs[k][0], seed=seed
+            )
+            for k in screened
+        }
+        # Stage 2: probe.
+        probes = {k: probe_indices(pairs[k][0], policy) for k in screened}
+        probe_runs = simulate_workload_on(
+            [(oracles[k], pairs[k][0], probes[k]) for k in screened], seed=seed
+        )
+        # Stage 3: calibrate, and choose each pair's escalations.
+        stages = {}
+        for k, probe_run in zip(screened, probe_runs):
+            probe_cycles = np.array(
+                [r.cycles for r in probe_run.kernel_results], dtype=np.float64
+            )
+            stages[k] = _calibrate(
+                pairs[k][0], policy, analytical[k], probes[k], probe_cycles
+            )
+        # Stage 4: escalate.
+        escalated = [k for k in screened if len(stages[k].escalate)]
+        esc_runs = simulate_workload_on(
+            [(oracles[k], pairs[k][0], stages[k].escalate) for k in escalated],
+            seed=seed,
+        )
+        for k, esc_run in zip(escalated, esc_runs):
+            stage = stages[k]
+            stage.values[stage.escalate] = [r.cycles for r in esc_run.kernel_results]
+            stage.cycle_mask[stage.escalate] = True
+        # Stage 5: finish.
+        for k in screened:
+            out[k] = _finish(pairs[k][0], policy, probes[k], stages[k])
+    return out  # type: ignore[return-value]
+
+
+@dataclass
+class _Calibrated:
+    """One pair's state between the probe and escalation stages."""
+
+    values: np.ndarray
+    cycle_mask: np.ndarray
+    scales: Dict[str, float]
+    residuals: np.ndarray
+    #: Sorted invocation indices chosen for cycle-level escalation.
+    escalate: np.ndarray
+
+
+def _calibrate(
+    workload,
+    policy: FidelityPolicy,
+    screened: np.ndarray,
+    probes: np.ndarray,
+    probe_cycles: np.ndarray,
+) -> _Calibrated:
+    """Calibrate the screen on the probes and pick the escalations."""
+    n = len(workload)
+    scales = _calibration_scales(workload, probes, probe_cycles, screened)
+    scale_arr = np.ones(n, dtype=np.float64)
+    risk_arr = np.zeros(n, dtype=np.float64)
+    residuals = _loo_residuals(workload, probes, probe_cycles, screened)
+    risks = _name_risks(workload, probes, residuals)
+    for name, idxs in workload.indices_by_name().items():
+        group = np.asarray(idxs, dtype=np.int64)
+        scale_arr[group] = scales[name]
+        risk_arr[group] = risks[name]
+    values = screened * scale_arr
+
+    cycle_mask = np.zeros(n, dtype=bool)
+    values[probes] = probe_cycles
+    cycle_mask[probes] = True
+
+    escalate = np.zeros(0, dtype=np.int64)
+    if policy.mode == "hybrid" and policy.escalation_budget > 0.0:
+        budget = min(n - len(probes), math.ceil(policy.escalation_budget * n))
+        if budget > 0:
+            candidates = np.flatnonzero(~cycle_mask)
+            # Screening uncertainty is residual risk x value: a large
+            # invocation from a group the probes showed to calibrate
+            # poorly is where a wrong screen could move the
+            # weighted-sum estimate (or the KKT allocation) most.
+            uncertainty = risk_arr[candidates] * values[candidates]
+            order = candidates[np.argsort(-uncertainty, kind="stable")][:budget]
+            escalate = np.sort(order)
+    return _Calibrated(values, cycle_mask, scales, residuals, escalate)
+
+
+def _finish(
+    workload, policy: FidelityPolicy, probes: np.ndarray, stage: _Calibrated
+) -> FidelityTimes:
+    """The tail-aware gap and the pair's ``FidelityTimes``."""
+    n = len(workload)
+    # The gap must bound unseen invocations, so extrapolate the
+    # leave-one-out residual quantile to the invocations that stay
+    # analytical after escalation (probes/escalations carry no gap).
+    unseen = int(n - stage.cycle_mask.sum())
+    gap = max(
+        policy.min_gap,
+        tail_gap(stage.residuals, policy.gap_quantile, unseen) * policy.gap_safety,
     )
-    with obs.span("sim.fidelity.screen", workload=workload.name, mode=policy.mode):
-        analytical = AnalyticalSimulator(gpu, sim_cache=sim_cache)
-        screened = analytical.cycle_counts(workload, seed=seed)
-
-        probes = probe_indices(workload, policy)
-        probe_result = oracle.simulate_workload(workload, probes, seed=seed)
-        probe_cycles = np.array(
-            [r.cycles for r in probe_result.kernel_results], dtype=np.float64
-        )
-
-        scales = _calibration_scales(workload, probes, probe_cycles, screened)
-        scale_arr = np.ones(n, dtype=np.float64)
-        risk_arr = np.zeros(n, dtype=np.float64)
-        residuals = _loo_residuals(workload, probes, probe_cycles, screened)
-        risks = _name_risks(workload, probes, residuals)
-        for name, idxs in workload.indices_by_name().items():
-            group = np.asarray(idxs, dtype=np.int64)
-            scale_arr[group] = scales[name]
-            risk_arr[group] = risks[name]
-        values = screened * scale_arr
-
-        cycle_mask = np.zeros(n, dtype=bool)
-        values[probes] = probe_cycles
-        cycle_mask[probes] = True
-
-        escalations = 0
-        if policy.mode == "hybrid" and policy.escalation_budget > 0.0:
-            budget = min(n - len(probes), math.ceil(policy.escalation_budget * n))
-            if budget > 0:
-                candidates = np.flatnonzero(~cycle_mask)
-                # Screening uncertainty is residual risk x value: a large
-                # invocation from a group the probes showed to calibrate
-                # poorly is where a wrong screen could move the
-                # weighted-sum estimate (or the KKT allocation) most.
-                uncertainty = risk_arr[candidates] * values[candidates]
-                order = candidates[
-                    np.argsort(-uncertainty, kind="stable")
-                ][:budget]
-                escalate = np.sort(order)
-                esc_result = oracle.simulate_workload(workload, escalate, seed=seed)
-                values[escalate] = [r.cycles for r in esc_result.kernel_results]
-                cycle_mask[escalate] = True
-                escalations = len(escalate)
-
-        # The gap must bound unseen invocations, so extrapolate the
-        # leave-one-out residual quantile to the invocations that stay
-        # analytical after escalation (probes/escalations carry no gap).
-        unseen = int(n - cycle_mask.sum())
-        gap = max(
-            policy.min_gap,
-            tail_gap(residuals, policy.gap_quantile, unseen) * policy.gap_safety,
-        )
-
+    escalations = len(stage.escalate)
     times = FidelityTimes(
-        values=values,
-        cycle_mask=cycle_mask,
+        values=stage.values,
+        cycle_mask=stage.cycle_mask,
         gap=gap,
         mode=policy.mode,
         probes=len(probes),
         escalations=escalations,
-        calibration=scales,
-        residuals=residuals,
+        calibration=stage.scales,
+        residuals=stage.residuals,
     )
     obs.inc("sim.fidelity.probes", len(probes))
     obs.inc("sim.fidelity.escalations", escalations)
-    obs.inc("sim.fidelity.screened_kernels", n - int(cycle_mask.sum()))
+    obs.inc("sim.fidelity.screened_kernels", unseen)
     obs.observe("sim.fidelity.gap", gap)
     obs.set_gauge("sim.fidelity.cycle_share", 1.0 - times.analytical_share)
     obs.log_event(

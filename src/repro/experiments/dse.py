@@ -31,7 +31,7 @@ from ..core import (
     FidelityTimes,
     combine_fidelity_bound,
     evaluate_plan,
-    fidelity_cycle_counts,
+    fidelity_cycle_counts_many,
 )
 from ..errors import (
     InfeasibleProfilingError,
@@ -40,7 +40,6 @@ from ..errors import (
 )
 from ..hardware import RTX_2080, GPUConfig, dse_variants
 from ..resilience.faults import FaultPlan
-from ..sim import GpuSimulator, simulate_workload_on
 from ..workloads import load_workload
 from .runner import ExperimentConfig
 
@@ -126,10 +125,10 @@ class DseResult:
 
 
 @dataclass(frozen=True)
-class _DseSpecTask:
-    """Picklable payload: one workload spec's slice of the DSE grid."""
+class _DseGroupTask:
+    """Picklable payload: a group of workload specs' slice of the DSE grid."""
 
-    spec: DseWorkloadSpec
+    specs: Tuple[DseWorkloadSpec, ...]
     baseline: GPUConfig
     methods: Tuple[str, ...]
     repetitions: int
@@ -144,21 +143,76 @@ class _DseSpecTask:
     fault_plan: Optional[FaultPlan] = None
 
 
-def _dse_spec_worker(task: _DseSpecTask) -> List[DseResult]:
-    """Evaluate one workload spec on every variant (worker-safe).
+def _reduced_workload(spec: DseWorkloadSpec, seed: int):
+    workload = load_workload(spec.suite, spec.name, scale=spec.scale, seed=seed)
+    if len(workload) > spec.max_invocations:
+        # Strided reduction keeps every kernel type and launch phase
+        # represented (a head() slice would keep only the first ones).
+        picks = np.linspace(0, len(workload) - 1, spec.max_invocations)
+        workload = workload.subset(np.unique(picks.astype(np.int64)), name=spec.name)
+    return workload
 
-    Self-contained per spec — nothing is shared across specs but the
-    config values in the payload — so the DSE grid parallelizes across
-    specs with results identical to the sequential loop.
+
+def _dse_group_worker(task: _DseGroupTask) -> List[List[DseResult]]:
+    """Evaluate a group of workload specs on every variant (worker-safe).
+
+    Stage-major: the per-variant ground truth of the *whole group* runs
+    first, each simulation stage as one request list across every spec
+    and design point (full cycle-level runs, or the hybrid tier's probe
+    and escalation stages — see
+    :func:`~repro.core.fidelity.fidelity_cycle_counts_many`), so they
+    share wide lock-step batches.  Plans are then built and scored per
+    spec.  Returns one row list per spec, in ``task.specs`` order.  Every
+    spec's rows are bit-identical to a group of that spec alone, so the
+    grouping (and hence ``jobs``) never changes results.
     """
-    spec = task.spec
     baseline = task.baseline
     seed = task.seed
-    policy = task.fidelity_policy
-    faulty = task.fault_plan is not None and task.fault_plan.enabled
     variants: List[Tuple[str, GPUConfig]] = list(
         zip(VARIANT_LABELS, dse_variants(baseline))
     )
+    sim_cache = None
+    if task.sim_cache_root:
+        from .error_bound_sweep import _sim_cache_for
+
+        sim_cache = _sim_cache_for(task.sim_cache_root)
+
+    workloads = [_reduced_workload(spec, seed) for spec in task.specs]
+    # Per-variant ground truth.  With no fidelity policy (or a pure cycle
+    # one) every variant is fully simulated at cycle level, and the rows
+    # equal the legacy path's.  Otherwise each variant is analytically
+    # screened, calibrated against cycle-level probes and selectively
+    # escalated (see :mod:`repro.core.fidelity`); probes/escalations share
+    # the cycle tier's sim-cache identity, so they warm future full runs.
+    pairs = [(workload, gpu) for workload in workloads for _label, gpu in variants]
+    truths = fidelity_cycle_counts_many(
+        pairs,
+        seed=seed,
+        policy=task.fidelity_policy or FidelityPolicy(mode="cycle"),
+        sim_cache=sim_cache,
+    )
+    per_spec = len(variants)
+    return [
+        _score_spec(
+            task, spec, workload, variants, truths[i * per_spec:(i + 1) * per_spec]
+        )
+        for i, (spec, workload) in enumerate(zip(task.specs, workloads))
+    ]
+
+
+def _score_spec(
+    task: _DseGroupTask,
+    spec: DseWorkloadSpec,
+    workload,
+    variants: List[Tuple[str, GPUConfig]],
+    truths: List[FidelityTimes],
+) -> List[DseResult]:
+    """Build one spec's plans from baseline profiles and score them
+    against each variant's ground truth (``truths``, aligned with
+    ``variants``)."""
+    baseline = task.baseline
+    seed = task.seed
+    faulty = task.fault_plan is not None and task.fault_plan.enabled
     config = ExperimentConfig(
         gpu=baseline, epsilon=task.epsilon, fault_plan=task.fault_plan
     )
@@ -167,54 +221,16 @@ def _dse_spec_worker(task: _DseSpecTask) -> List[DseResult]:
         from ..parallel import ProfileCache
 
         cache = ProfileCache(task.cache_root)
-    sim_cache = None
-    if task.sim_cache_root:
-        from .error_bound_sweep import _sim_cache_for
 
-        sim_cache = _sim_cache_for(task.sim_cache_root)
-
-    workload = load_workload(spec.suite, spec.name, scale=spec.scale, seed=seed)
-    if len(workload) > spec.max_invocations:
-        # Strided reduction keeps every kernel type and launch phase
-        # represented (a head() slice would keep only the first ones).
-        picks = np.linspace(0, len(workload) - 1, spec.max_invocations)
-        workload = workload.subset(np.unique(picks.astype(np.int64)), name=spec.name)
-
-    # Per-variant ground truth.  The legacy path — full cycle-level
-    # simulation of every variant — runs when no fidelity policy is set
-    # (or the policy asks for pure cycle), so `fidelity=cycle` results
-    # stay bit-identical.  Otherwise each variant is analytically screened,
-    # calibrated against cycle-level probes and selectively escalated
-    # (see :mod:`repro.core.fidelity`); probes/escalations share the
-    # cycle tier's sim-cache identity, so they warm future full runs.
-    variant_cycles: Dict[str, np.ndarray] = {}
-    variant_times: Dict[str, object] = {}
+    variant_times: Dict[str, FidelityTimes] = {}
     max_gap = 0.0
-    if policy is None or policy.mode == "cycle":
-        # Every design point in one call: shared traces, one lock-step
-        # batch with per-lane machine parameters.
-        full_runs = simulate_workload_on(
-            [GpuSimulator(gpu, sim_cache=sim_cache) for _label, gpu in variants],
-            workload,
-            seed=seed,
-        )
-        for (label, _gpu), run in zip(variants, full_runs):
-            variant_cycles[label] = np.array(
-                [r.cycles for r in run.kernel_results], dtype=np.float64
-            )
-            variant_times[label] = variant_cycles[label]
-    else:
-        for label, gpu in variants:
-            times = fidelity_cycle_counts(
-                workload, gpu, seed=seed, policy=policy, sim_cache=sim_cache
-            )
-            # Label the ground truth so evaluate_plan files each
-            # variant's fidelity provenance under its own key instead of
-            # the last variant overwriting the plan's single slot.
-            times.label = label
-            variant_cycles[label] = times.values
-            variant_times[label] = times
-            max_gap = max(max_gap, times.effective_gap)
+    for (label, _gpu), times in zip(variants, truths):
+        # Label the ground truth so evaluate_plan files each variant's
+        # fidelity provenance under its own key instead of the last
+        # variant overwriting the plan's single slot.
+        times.label = label
+        max_gap = max(max_gap, times.effective_gap)
+        variant_times[label] = times
 
     # Plans from baseline profiles, evaluated against every variant.
     error_sums: Dict[Tuple[str, str], List[float]] = {}
@@ -263,14 +279,7 @@ def _dse_spec_worker(task: _DseSpecTask) -> List[DseResult]:
     results: List[DseResult] = []
     for (method, label), errors in sorted(error_sums.items()):
         times = variant_times[label]
-        total = float(variant_cycles[label].sum())
-        if isinstance(times, FidelityTimes):
-            fidelity = times.mode
-            gap = times.effective_gap
-            cycle_tier = float(times.values[times.cycle_mask].sum())
-        else:
-            fidelity, gap = "cycle", 0.0
-            cycle_tier = total
+        gap = times.effective_gap
         bound_pct = combine_fidelity_bound(task.epsilon, gap) * 100.0
         results.append(
             DseResult(
@@ -279,11 +288,11 @@ def _dse_spec_worker(task: _DseSpecTask) -> List[DseResult]:
                 method=method,
                 error_percent=float(np.mean(errors)),
                 estimated_cycles=float(np.mean(estimate_sums[(method, label)])),
-                full_cycles=total,
-                fidelity=fidelity,
+                full_cycles=float(times.values.sum()),
+                fidelity=times.mode,
                 fidelity_gap=gap,
                 error_bound_percent=bound_pct,
-                cycle_tier_cycles=cycle_tier,
+                cycle_tier_cycles=float(times.values[times.cycle_mask].sum()),
             )
         )
     return results
@@ -310,10 +319,15 @@ def run_dse(
     fixed across variants; repetitions re-draw the random parts of each
     plan and average the resulting errors.
 
-    ``jobs`` fans workload specs across processes (``1``/``None`` =
-    sequential, ``0`` = all cores) with results identical to the
-    sequential loop; specs share
-    nothing but the payload config.  ``profile_cache`` (a
+    ``jobs`` sets the process parallelism (``1``/``None`` = in-process,
+    ``0`` = all cores).  The specs are split into
+    ``min(jobs, len(specs))`` groups balanced by invocation cap
+    (``max_invocations``), one task per group; within a group every
+    simulation stage runs as one lock-step batch request across all its
+    specs and design points, so ``jobs=1`` is fully stage-major and
+    ``jobs>1`` trades batch width for processes.  Rows come back in
+    spec order and are identical at every ``jobs``.
+    ``profile_cache`` (a
     :class:`repro.parallel.ProfileCache`) reuses baseline profiles across
     runs; ``sim_cache`` (a :class:`repro.memo.SimResultCache` or a cache
     directory path) does the same for the full per-variant cycle
@@ -328,7 +342,7 @@ def run_dse(
     grid: profile corruption degrades poisoned cells instead of failing
     the run, and worker-kill rates exercise the supervised pool.
     """
-    from ..parallel import run_tasks
+    from ..parallel import resolve_jobs, run_tasks
 
     if fidelity not in ("cycle", "analytical", "hybrid"):
         raise ValueError(
@@ -351,9 +365,11 @@ def run_dse(
             sim_cache_root = sim_cache.root
         else:
             sim_cache_root = str(sim_cache)
+    specs = list(workloads or default_dse_workloads())
+    groups = _balanced_groups(specs, resolve_jobs(1 if jobs is None else jobs))
     tasks = [
-        _DseSpecTask(
-            spec=spec,
+        _DseGroupTask(
+            specs=tuple(specs[i] for i in group),
             baseline=baseline,
             methods=tuple(methods or ["pka", "sieve", "photon", "stem"]),
             repetitions=repetitions,
@@ -366,10 +382,10 @@ def run_dse(
             fidelity_policy=fidelity_policy,
             fault_plan=fault_plan,
         )
-        for spec in (workloads or default_dse_workloads())
+        for group in groups
     ]
-    per_spec = run_tasks(
-        _dse_spec_worker,
+    per_group = run_tasks(
+        _dse_group_worker,
         tasks,
         jobs=(1 if jobs is None else jobs),
         label="dse",
@@ -379,10 +395,27 @@ def run_dse(
             else None
         ),
     )
-    results: List[DseResult] = []
-    for spec_rows in per_spec:
-        results.extend(spec_rows)
-    return results
+    per_spec: List[List[DseResult]] = [[] for _ in specs]
+    for group, group_rows in zip(groups, per_group):
+        for i, spec_rows in zip(group, group_rows):
+            per_spec[i] = spec_rows
+    return [row for spec_rows in per_spec for row in spec_rows]
+
+
+def _balanced_groups(specs: List[DseWorkloadSpec], jobs: int) -> List[List[int]]:
+    """Spec positions split into ``min(jobs, len(specs))`` groups.
+
+    Greedy longest-first by invocation cap, each spec to the least
+    loaded group (lowest position on ties); every group keeps its specs
+    in input order.
+    """
+    groups: List[List[int]] = [[] for _ in range(min(jobs, len(specs)))]
+    load = [0] * len(groups)
+    for i in sorted(range(len(specs)), key=lambda i: (-specs[i].max_invocations, i)):
+        g = load.index(min(load))
+        groups[g].append(i)
+        load[g] += specs[i].max_invocations
+    return [sorted(group) for group in groups]
 
 
 def table4_summary(results: List[DseResult]) -> Dict[str, Dict[str, float]]:

@@ -300,7 +300,12 @@ class AnalyticalSimulator:
         same invocation differ *only* in the predicted wave cycles and
         event counters.
         """
-        return simulate_workload_on([self], workload, indices, seed, dedup, _ANALYTICAL)[0]
+        return simulate_workload_on([(self, workload, indices)], seed, dedup)[0]
+
+    @property
+    def _tier(self) -> _Tier:
+        """This simulator's tier in :func:`simulate_workload_on`."""
+        return _ANALYTICAL
 
     def cycle_counts(self, workload: Workload, seed: int = 0) -> np.ndarray:
         """Per-invocation analytical cycle predictions."""
@@ -309,9 +314,7 @@ class AnalyticalSimulator:
 
 
 def _produce(
-    simulators: Sequence[AnalyticalSimulator],
-    requests: Sequence[List[int]],
-    workload: Workload,
+    requests: Sequence[Tuple[AnalyticalSimulator, Workload, List[int]]],
     seed: int,
 ) -> List[List[RawKernelSim]]:
     """The analytical tier's raw producer for :func:`simulate_workload_on`.
@@ -319,7 +322,7 @@ def _produce(
     ``seed`` is unused: the closed-form model is deterministic, and noise
     is applied in post-processing, exactly as for the cycle tier.
     """
-    return [sim._raw_invocations(workload, r) for sim, r in zip(simulators, requests)]
+    return [sim._raw_invocations(workload, r) for sim, workload, r in requests]
 
 
 _ANALYTICAL = _Tier(

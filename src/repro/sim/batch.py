@@ -102,11 +102,13 @@ class BatchPolicy:
     #: costs a fixed ~35 numpy calls however wide the batch is (the
     #: per-lane latency-table and memory-cursor gathers included), so
     #: very narrow batches lose to the plain Python loop.  Measured on
-    #: CPython 3.11 / NumPy 2.4 (2-CPU x86 host), 0.1-scale cfd traces
-    #: break even at about 32 lanes, with or without per-lane machine
-    #: parameters.  Callers with several design points to simulate pass
-    #: them as one batch to stay far above the floor.
-    min_width: int = 16
+    #: CPython 3.11 / NumPy 2.4 (2-CPU x86 host, best of 5): 0.1-scale
+    #: cfd traces on one machine break even at 32-48 lanes, and the
+    #: hybrid DSE's probe traces (four workloads x five design points,
+    #: mixed) at about 48 (batch speedup over scalar, i.e. scalar time /
+    #: batch time: 0.85 at 40 lanes, 1.05 at 48, 1.46 at 64).  Callers pass a whole stage — every workload and
+    #: design point — as one request list to stay far above the floor.
+    min_width: int = 48
     #: Widest single lock-step chunk; wider batches run as consecutive
     #: chunks (lanes are independent, so chunk boundaries cannot change
     #: results — they only bound peak memory).

@@ -272,9 +272,14 @@ class GpuSimulator:
         vectorized post-processing, so every result and aggregate stays
         bit-for-bit equal to ``dedup=False``.
 
-        This is :func:`simulate_workload_on` with one simulator.
+        This is :func:`simulate_workload_on` with one request.
         """
-        return simulate_workload_on([self], workload, indices, seed, dedup)[0]
+        return simulate_workload_on([(self, workload, indices)], seed, dedup)[0]
+
+    @property
+    def _tier(self) -> "_Tier":
+        """This simulator's tier in :func:`simulate_workload_on`."""
+        return _CYCLE
 
     def cycle_counts(
         self, workload: Workload, seed: int = 0
@@ -295,82 +300,118 @@ def _raw_result(trace: KernelTrace, wave_cycles: float, stats: SimStats) -> RawK
 
 
 def _raw_invocations(
-    simulators: Sequence[GpuSimulator],
-    requests: Sequence[List[int]],
-    workload: Workload,
+    requests: Sequence[Tuple[GpuSimulator, Workload, List[int]]],
     seed: int,
 ) -> List[List[RawKernelSim]]:
-    """Raw simulations of ``requests[k]`` on ``simulators[k]``, in order.
+    """Raw simulations of every ``(simulator, workload, indices)`` request.
 
-    Batched traces are generated once per distinct trace generator (a
-    frozen dataclass, so equal knobs compare equal) and index (design
-    points that differ only in cache size share them; the engines only
-    read traces).  Every simulator whose
-    policy allows it joins one structure-of-arrays batch per batch
-    policy (:func:`execute_wave_batch`), each lane carrying its own
-    machine; the rest — batching disabled, warmup attached, or a single
-    lane — run the scalar per-trace loop, which is also the oracle the
-    parity suite checks the batch against.
+    Every request whose simulator's policy allows it joins a
+    structure-of-arrays batch of its batch policy
+    (:func:`execute_wave_batch`), each lane carrying its own machine and
+    its own workload's trace — the engine never asks which workload a
+    trace came from.  All lanes of one workload object stay in one batch,
+    so its design points share traces; workloads are packed in order of
+    first appearance, and a batch closes at a workload boundary when the
+    next workload would take it past the policy's ``max_width`` lanes (a
+    single wider workload is chunked by the engine).  The rest —
+    batching disabled, warmup attached, or a single lane — run the
+    scalar per-trace loop, which is also the oracle the parity suite
+    checks the batch against.
     """
-    shared: Dict[tuple, KernelTrace] = {}
-
-    def trace_of(sim: GpuSimulator, index: int, keep: bool) -> KernelTrace:
-        key = (sim.tracer, index)
-        trace = shared.get(key)
-        if trace is None:
-            trace = sim.tracer.generate(workload.invocation(index), seed=seed)
-            if keep:
-                shared[key] = trace
-        return trace
-
-    # Lanes per batch policy: (simulator position, slot) in request order.
-    groups: Dict[BatchPolicy, List[Tuple[int, int]]] = {}
-    for k, sim in enumerate(simulators):
-        if sim.batch_policy.enabled and sim.spec.warmup is None:
-            lanes = groups.setdefault(sim.batch_policy, [])
-            lanes.extend((k, slot) for slot in range(len(requests[k])))
-    raws: List[List[Optional[RawKernelSim]]] = [[None] * len(r) for r in requests]
-    for policy, lanes in groups.items():
-        if len(lanes) < 2:
-            continue
-        lane_traces = [
-            trace_of(simulators[k], requests[k][slot], keep=True) for k, slot in lanes
-        ]
-        pairs, report = execute_wave_batch(
-            lane_traces,
-            [simulators[k].spec.latencies for k, _ in lanes],
-            [simulators[k].config for k, _ in lanes],
-            policy,
-        )
-        if obs.is_enabled():
-            obs.inc("sim.batch.calls")
-            obs.inc("sim.batch.lanes", report.batched_lanes)
-            obs.inc("sim.batch.scalar_lanes", report.scalar_lanes)
-            obs.inc("sim.batch.chunks", report.chunks)
-            obs.observe("sim.batch.width", float(report.batched_lanes))
-            obs.observe("sim.batch.fill_ratio", float(report.fill_ratio))
-        for (k, slot), trace, (wave_cycles, stats) in zip(lanes, lane_traces, pairs):
-            raws[k][slot] = _raw_result(trace, wave_cycles, stats)
+    # Lanes per batch policy and workload object, each a list of
+    # (request position, slot) in request order.
+    groups: Dict[BatchPolicy, Dict[int, List[Tuple[int, int]]]] = {}
+    for k, (sim, workload, indices) in enumerate(requests):
+        policy = sim.batch_policy
+        if policy.enabled and sim.spec.warmup is None:
+            lanes = groups.setdefault(policy, {}).setdefault(id(workload), [])
+            lanes.extend((k, slot) for slot in range(len(indices)))
+    batches: List[Tuple[BatchPolicy, List[Tuple[int, int]]]] = []
+    for policy, by_workload in groups.items():
+        batch: List[Tuple[int, int]] = []
+        for lanes in by_workload.values():
+            if batch and len(batch) + len(lanes) > policy.max_width:
+                batches.append((policy, batch))
+                batch = []
+            batch.extend(lanes)
+        batches.append((policy, batch))
+    raws: List[List[Optional[RawKernelSim]]] = [[None] * len(r[2]) for r in requests]
+    for policy, lanes in batches:
+        if len(lanes) >= 2:
+            _run_batch(requests, lanes, policy, seed, raws)
     # The scalar loop streams: one trace alive at a time.
-    for sim, row, indices in zip(simulators, raws, requests):
-        for slot, index in enumerate(indices):
-            if row[slot] is None:
-                trace = trace_of(sim, index, keep=False)
-                row[slot] = _raw_result(trace, *sim._execute_trace(trace))
+    for request, row in zip(requests, raws):
+        for slot, raw in enumerate(row):
+            if raw is None:
+                trace = _trace_of(request, slot, seed)
+                row[slot] = _raw_result(trace, *request[0]._execute_trace(trace))
     return raws  # type: ignore[return-value]
+
+
+def _trace_of(
+    request: Tuple[GpuSimulator, Workload, List[int]],
+    slot: int,
+    seed: int,
+    shared: Optional[Dict[tuple, KernelTrace]] = None,
+) -> KernelTrace:
+    """The trace of ``request``'s ``slot``, reused through ``shared``.
+
+    Keyed by (workload object, trace generator, index): design points
+    that differ only in cache size share traces (the generator is a
+    frozen dataclass, so equal knobs compare equal), two same-named
+    workloads never do, and the engines only read traces.
+    """
+    sim, workload, indices = request
+    key = (id(workload), sim.tracer, indices[slot])
+    trace = shared.get(key) if shared is not None else None
+    if trace is None:
+        trace = sim.tracer.generate(workload.invocation(indices[slot]), seed=seed)
+        if shared is not None:
+            shared[key] = trace
+    return trace
+
+
+def _run_batch(
+    requests: Sequence[Tuple[GpuSimulator, Workload, List[int]]],
+    lanes: List[Tuple[int, int]],
+    policy: BatchPolicy,
+    seed: int,
+    raws: List[List[Optional[RawKernelSim]]],
+) -> None:
+    """Run one packed batch of ``(request position, slot)`` lanes into
+    ``raws``; its traces are released on return."""
+    shared: Dict[tuple, KernelTrace] = {}
+    traces = [_trace_of(requests[k], slot, seed, shared) for k, slot in lanes]
+    sims = [requests[k][0] for k, _slot in lanes]
+    pairs, report = execute_wave_batch(
+        traces,
+        [sim.spec.latencies for sim in sims],
+        [sim.config for sim in sims],
+        policy,
+    )
+    if obs.is_enabled():
+        obs.inc("sim.batch.calls")
+        obs.inc("sim.batch.lanes", report.batched_lanes)
+        obs.inc("sim.batch.scalar_lanes", report.scalar_lanes)
+        obs.inc("sim.batch.chunks", report.chunks)
+        obs.observe("sim.batch.width", float(report.batched_lanes))
+        obs.observe("sim.batch.fill_ratio", float(report.fill_ratio))
+    for (k, slot), trace, (wave_cycles, stats) in zip(lanes, traces, pairs):
+        raws[k][slot] = _raw_result(trace, wave_cycles, stats)
 
 
 @dataclass(frozen=True)
 class _Tier:
     """What one simulator tier plugs into :func:`simulate_workload_on`.
 
-    ``produce(simulators, requests, workload, seed)`` returns the raw
-    results of ``requests[k]`` on ``simulators[k]``; the rest are the
-    tier's observability names.
+    ``produce(requests, seed)`` returns the raw results of each
+    ``(simulator, workload, indices)`` request, in order; the rest are
+    the tier's observability names.  A simulator names its tier through
+    its ``_tier`` property.
     """
 
     produce: Callable[
-        [Sequence, Sequence[List[int]], Workload, int], List[List[RawKernelSim]]
+        [Sequence[Tuple[object, Workload, List[int]]], int], List[List[RawKernelSim]]
     ]
     #: Span around the whole call.
     span: str
@@ -471,51 +512,59 @@ def _post_process(
     )
 
 
+#: One simulation request: a simulator, a workload, and the invocation
+#: indices to simulate on it (``None`` = every invocation, in order).
+Request = Tuple[object, Workload, Optional[Iterable[int]]]
+
+
 def simulate_workload_on(
-    simulators: Sequence[GpuSimulator],
-    workload: Workload,
-    indices: Optional[Iterable[int]] = None,
+    requests: Sequence[Request],
     seed: int = 0,
     dedup: bool = True,
-    tier: _Tier = _CYCLE,
 ) -> List[WorkloadSimResult]:
-    """Simulate one workload on several simulators, e.g. DSE design points.
+    """Simulate a list of ``(simulator, workload, indices)`` requests.
 
-    Returns one result per simulator, each bit-identical to that
-    simulator's own ``simulate_workload`` — which is this function with
-    one simulator.  Fault checks, dedup, sim-cache load and store, noise,
-    post-processing and the DetSan sync point stay per simulator; what is
-    shared is the work in between: traces are generated once per
-    distinct trace generator, and every simulator's not-yet-cached
-    invocations run as lanes of one lock-step batch, each lane on its
-    own machine parameters.
+    Returns one result per request, each bit-identical to
+    ``simulator.simulate_workload(workload, indices, seed, dedup)`` —
+    which is this function with one request.  Fault checks, dedup,
+    sim-cache load and store, noise, post-processing and the DetSan sync
+    point stay per request; what is shared is the work in between: the
+    not-yet-cached invocations of every request run as lanes of shared
+    lock-step batches, each lane on its own machine and its own
+    workload's trace (see :func:`_raw_invocations` for the packing rule
+    and trace sharing).  Callers pass a whole stage at once — every
+    design point, every workload — to keep the batches wide.
 
-    ``tier`` is internal: the analytical tier passes its closed-form
-    producer and its own observability names, and every other step is
-    this function's for both tiers.
+    Every request must use the same simulator tier (all cycle-level or
+    all analytical); the analytical tier's closed-form producer runs
+    per request.
     """
-    simulators = list(simulators)
-    if indices is None:
-        indices = range(len(workload))
-    index_list = [int(i) for i in indices]
-    with obs.span(tier.span, workload=workload.name) as sp:
+    if not requests:
+        return []
+    tier = requests[0][0]._tier
+    if any(sim._tier is not tier for sim, _w, _i in requests):
+        raise ValueError("simulate_workload_on: requests mix simulator tiers")
+    index_lists = [
+        [int(i) for i in (range(len(workload)) if indices is None else indices)]
+        for _sim, workload, indices in requests
+    ]
+    names = sorted({workload.name for _sim, workload, _i in requests})
+    with obs.span(tier.span, workload=",".join(names)) as sp:
         # Fault decisions are pure functions of (plan seed, index,
         # attempt), so checking every index upfront raises the same
         # first failure as the interleaved loop — without paying for
         # the simulations ahead of it.
-        for sim in simulators:
+        for (sim, _workload, _indices), index_list in zip(requests, index_lists):
             if sim.fault_injector is not None:
                 for index in index_list:
                     sim.fault_injector.check_simulation(index, 1)
 
-        unique_list = index_list
-        if dedup:
-            draws = collapse_draws(index_list)
-            unique_list = [int(i) for i in draws.unique]
-        cached, contexts, requests = [], [], []
-        for sim in simulators:
-            raw_by_index, missing, context = {}, unique_list, None
+        pending = []
+        for (sim, workload, _indices), index_list in zip(requests, index_lists):
+            raw_by_index, missing, unique_list, context = {}, index_list, index_list, None
             if dedup:
+                draws = collapse_draws(index_list)
+                unique_list = missing = [int(i) for i in draws.unique]
                 obs.inc("memo.dedup.draws", draws.num_draws)
                 obs.inc("memo.dedup.collapsed", draws.collapsed)
                 if sim.sim_cache is not None and unique_list:
@@ -523,15 +572,17 @@ def simulate_workload_on(
                         workload, sim.config, seed, sim.spec
                     )
                     raw_by_index, missing = sim.sim_cache.load(context, unique_list)
-            cached.append(raw_by_index)
-            contexts.append(context)
-            requests.append(missing)
+            pending.append((raw_by_index, missing, unique_list, context))
 
+        fresh = tier.produce(
+            [(sim, workload, p[1]) for (sim, workload, _i), p in zip(requests, pending)],
+            seed,
+        )
         results = []
-        fresh = tier.produce(simulators, requests, workload, seed)
-        for sim, raw_by_index, context, missing, raws in zip(
-            simulators, cached, contexts, requests, fresh
+        for (sim, workload, _i), index_list, state, raws in zip(
+            requests, index_lists, pending, fresh
         ):
+            raw_by_index, missing, unique_list, context = state
             if dedup:
                 raw_by_index.update(zip(missing, raws))
                 if sim.sim_cache is not None and missing:
@@ -540,7 +591,7 @@ def simulate_workload_on(
             results.append(
                 _post_process(sim, tier, workload, index_list, raws, len(missing), seed)
             )
-        sp.attrs["kernels"] = len(index_list)
-        sp.attrs["kernels_simulated"] = sum(len(m) for m in requests)
-        sp.attrs["simulators"] = len(simulators)
+        sp.attrs["kernels"] = sum(len(i) for i in index_lists)
+        sp.attrs["kernels_simulated"] = sum(len(p[1]) for p in pending)
+        sp.attrs["requests"] = len(requests)
     return results

@@ -203,7 +203,10 @@ class TestCli:
         assert "DIVERGENCE" in out
         assert "sim.cycle|" in out
 
-    def test_smoke_cross_checks_fused_design_points(self):
+    @staticmethod
+    def _engine_pairing(scopes):
+        """Run the smoke's engine phase; the sync-point keys recorded
+        under every one of ``scopes``, and the sanitizer."""
         from argparse import Namespace
 
         from repro.analysis.detsan_smoke import _engine_phase
@@ -213,10 +216,20 @@ class TestCli:
             suite="rodinia", workload="bfs", scale=0.05, gpu="rtx2080", seed=0
         ))
         paired = [
-            key for key, entry in san._table.items()
-            if {"configs=separate", "configs=fused"} <= entry.scopes
+            key for key, entry in san._table.items() if set(scopes) <= entry.scopes
         ]
+        return paired, san
+
+    def test_smoke_cross_checks_fused_design_points(self):
+        paired, san = self._engine_pairing(["configs=separate", "configs=fused"])
         assert len(paired) == 10  # 5 design points x (cycles, events)
+        assert san.divergences == []
+
+    def test_smoke_cross_checks_stage_wide_specs(self):
+        paired, san = self._engine_pairing(["specs=separate", "specs=stage"])
+        # 2 workloads x 5 design points x (cycles, events)
+        assert len(paired) == 20
+        assert len({key.split("|")[1] for key in paired}) == 2
         assert san.divergences == []
 
     def test_dse_design_points_do_not_false_diverge(self, capsys):

@@ -28,6 +28,7 @@ from repro.core import (
     combine_fidelity_bound,
     evaluate_plan,
     fidelity_cycle_counts,
+    fidelity_cycle_counts_many,
     probe_indices,
     tail_gap,
     verify_fidelity_bound,
@@ -292,6 +293,29 @@ class TestFidelityCycleCounts:
         assert np.array_equal(a.cycle_mask, b.cycle_mask)
         assert a.gap == b.gap
 
+    @pytest.mark.parametrize("mode", FIDELITY_MODES)
+    def test_stage_major_matches_per_pair(self, mode, workload, mixed_names_workload):
+        """Every pair's result from one stage-major call equals its own
+        fidelity_cycle_counts call (the multi-pair function with one pair)."""
+        policy = FidelityPolicy(mode=mode, escalation_budget=0.1)
+        pairs = [
+            (w, gpu)
+            for w in (workload, mixed_names_workload)
+            for gpu in dse_variants(RTX_2080)[::2]
+        ]
+        many = fidelity_cycle_counts_many(pairs, seed=3, policy=policy)
+        assert len(many) == len(pairs)
+        for (w, gpu), got in zip(pairs, many):
+            want = fidelity_cycle_counts(w, gpu, seed=3, policy=policy)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.cycle_mask, want.cycle_mask)
+            assert np.array_equal(got.residuals, want.residuals)
+            assert (got.gap, got.mode, got.probes, got.escalations) == (
+                want.gap, want.mode, want.probes, want.escalations
+            )
+            assert got.calibration == want.calibration
+        assert len({float(t.values.sum()) for t in many}) == len(pairs)
+
     def test_effective_gap_never_exceeds_measured_gap(self, workload):
         times = fidelity_cycle_counts(workload, RTX_2080, seed=0)
         assert 0.0 < times.effective_gap <= times.gap
@@ -482,6 +506,21 @@ class TestRunDse:
             true_total = truth[(row.workload, row.variant)]
             achieved = abs(row.estimated_cycles - true_total) / true_total * 100
             assert achieved <= row.error_bound_percent + 1e-9
+
+    def test_stage_major_rows_independent_of_grouping(self):
+        """A hybrid grid's rows equal the concatenated single-spec runs,
+        and the rows at jobs=2 (two spec groups instead of one)."""
+        specs = [
+            SPEC,
+            DseWorkloadSpec("rodinia", "bfs", 0.1, 30),
+            DseWorkloadSpec("huggingface", "gpt2", 0.002, 30),
+        ]
+        common = dict(methods=["stem"], repetitions=1, seed=2, fidelity="hybrid")
+        together = run_dse(workloads=specs, jobs=1, **common)
+        alone = [row for spec in specs for row in run_dse(workloads=[spec], **common)]
+        assert together == alone
+        assert run_dse(workloads=specs, jobs=2, **common) == together
+        assert [r.workload for r in together][::5] == ["hotspot", "bfs", "gpt2"]
 
     def test_invalid_fidelity_rejected(self):
         with pytest.raises(ValueError):

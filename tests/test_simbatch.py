@@ -27,12 +27,13 @@ from repro.sim import (
     noise_factors,
     simulate_workload_on,
 )
+from repro.sim.analytical import AnalyticalSimulator
 from repro.sim.noise import uses_fallback
 from repro.workloads import load_workload
 
 from .test_memo import results_equal
 
-#: Forces batching for the tiny test workloads (production floor is 16).
+#: Forces batching for the tiny test workloads (production floor is 48).
 EAGER = BatchPolicy(min_width=2)
 SCALAR = BatchPolicy(enabled=False)
 
@@ -267,68 +268,169 @@ class TestMixedConfigBatches:
 
     @pytest.mark.parametrize("dedup", [True, False])
     def test_fused_entry_point_matches_separate(self, dedup):
-        workload = small_workload()
+        """A cross-workload request list with repeated indices equals
+        each request's own simulate_workload, bit for bit."""
+        workloads = [small_workload(), other_workload()]
         indices = [0, 3, 3, 1, 0, 2, 3, 5]
         fused = simulate_workload_on(
-            variant_simulators(batch_policy=EAGER), workload, indices,
+            [
+                (sim, w, indices)
+                for w in workloads
+                for sim in variant_simulators(batch_policy=EAGER)
+            ],
             seed=5, dedup=dedup,
         )
         separate = [
-            sim.simulate_workload(workload, indices, seed=5, dedup=dedup)
+            sim.simulate_workload(w, indices, seed=5, dedup=dedup)
+            for w in workloads
             for sim in variant_simulators(batch_policy=SCALAR)
         ]
-        assert len(fused) == len(separate) == 5
+        assert len(fused) == len(separate) == 10
         for a, b in zip(fused, separate):
             assert results_equal(a, b)
         # The design points really differ, so a mixed-up lane would show.
-        assert len({r.total_cycles for r in fused}) > 1
+        assert len({r.total_cycles for r in fused}) == 10
 
     def test_fused_sim_cache_cold_then_warm(self, tmp_path):
-        workload = small_workload()
+        workloads = [small_workload(), other_workload()]
         root = str(tmp_path / "sim")
         reference = [
-            sim.simulate_workload(workload, seed=6)
+            sim.simulate_workload(w, seed=6)
+            for w in workloads
             for sim in variant_simulators(batch_policy=SCALAR)
         ]
+
+        def requests(cache):
+            return [
+                (sim, w, None)
+                for w in workloads
+                for sim in variant_simulators(batch_policy=EAGER, sim_cache=cache)
+            ]
+
         cache = SimResultCache(root)
-        cold = simulate_workload_on(
-            variant_simulators(batch_policy=EAGER, sim_cache=cache), workload, seed=6
-        )
+        cold = simulate_workload_on(requests(cache), seed=6)
         assert cache.stats()["hits"] == 0
-        warm = simulate_workload_on(
-            variant_simulators(batch_policy=EAGER, sim_cache=cache), workload, seed=6
-        )
-        assert cache.stats()["hits"] == 5 * len(workload)
+        warm = simulate_workload_on(requests(cache), seed=6)
+        total = sum(5 * len(w) for w in workloads)
+        assert cache.stats()["hits"] == total
         for ref, a, b in zip(reference, cold, warm):
             assert results_equal(a, ref) and results_equal(b, ref)
-        # Entries written by the fused call are the per-simulator ones.
-        for gpu, ref in zip(dse_variants(RTX_2080), reference):
+        # Entries written by the request list are the per-simulator ones.
+        lone = [(w, gpu) for w in workloads for gpu in dse_variants(RTX_2080)]
+        for (w, gpu), ref in zip(lone, reference):
             reread = SimResultCache(root)
-            lone = GpuSimulator(gpu, sim_cache=reread).simulate_workload(
-                workload, seed=6
-            )
-            assert results_equal(lone, ref)
-            assert reread.stats() == {
-                "hits": len(workload), "misses": 0, "stores": 0
-            }
+            result = GpuSimulator(gpu, sim_cache=reread).simulate_workload(w, seed=6)
+            assert results_equal(result, ref)
+            assert reread.stats() == {"hits": len(w), "misses": 0, "stores": 0}
 
     def test_traces_generated_once_per_generator_identity(self, monkeypatch):
-        from repro.sim.trace import TraceGenerator
-
-        calls = []
-        original = TraceGenerator.generate
-
-        def counting(self, invocation, seed=0):
-            calls.append(self)
-            return original(self, invocation, seed=seed)
-
-        monkeypatch.setattr(TraceGenerator, "generate", counting)
+        calls = count_trace_calls(monkeypatch)
         workload = small_workload()
         sims = variant_simulators(batch_policy=EAGER)
-        simulate_workload_on(sims, workload, seed=0)
+        simulate_workload_on([(sim, workload, None) for sim in sims], seed=0)
         tracers = {sim.tracer for sim in sims}
         assert len(tracers) == 3  # cache variants share the baseline's
         assert len(calls) == len(tracers) * len(workload)
+
+    def test_same_name_workloads_never_share_traces(self, monkeypatch):
+        """The same benchmark at two scales has one name but different
+        invocations: each request must get its own workload's traces."""
+        small, large = small_workload(0.2), small_workload(0.4)
+        assert small.name == large.name
+        indices = list(range(min(len(small), len(large))))
+        sim = GpuSimulator(RTX_2080, batch_policy=EAGER)
+        calls = count_trace_calls(monkeypatch)
+        fused = simulate_workload_on(
+            [(sim, small, indices), (sim, large, indices)], seed=2
+        )
+        assert len(calls) == 2 * len(indices)
+        monkeypatch.undo()
+        for workload, result in zip((small, large), fused):
+            lone = GpuSimulator(RTX_2080, batch_policy=SCALAR)
+            assert results_equal(result, lone.simulate_workload(workload, indices, seed=2))
+        assert fused[0].total_cycles != fused[1].total_cycles
+
+    def test_analytical_tier_through_the_same_call(self):
+        workloads = [small_workload(), other_workload()]
+        indices = [1, 1, 0, 4]
+        sims = [AnalyticalSimulator(gpu) for gpu in dse_variants(RTX_2080)]
+        fused = simulate_workload_on(
+            [(sim, w, indices) for w in workloads for sim in sims], seed=3
+        )
+        separate = [
+            sim.simulate_workload(w, indices, seed=3) for w in workloads for sim in sims
+        ]
+        for a, b in zip(fused, separate):
+            assert results_equal(a, b)
+        with pytest.raises(ValueError, match="mix simulator tiers"):
+            simulate_workload_on(
+                [(sims[0], workloads[0], indices),
+                 (GpuSimulator(RTX_2080), workloads[0], indices)]
+            )
+
+    @pytest.mark.parametrize(
+        "lanes,calls,chunks,traces",
+        [
+            # a+b fill a batch; c starts one.
+            ([("a", 0, 4), ("b", 1, 4), ("c", 2, 4)], 2, 2, 12),
+            # A wider workload batches alone, chunked by the engine.
+            ([("a", 0, 3), ("b", 1, 10), ("c", 2, 2)], 3, 4, 15),
+            # Both of a's requests join one batch (past b), so its
+            # baseline and cache-x2 design points share traces.
+            ([("a", 0, 4), ("b", 0, 4), ("a", 1, 4)], 2, 2, 8),
+        ],
+    )
+    def test_max_width_packing_rule(self, monkeypatch, lanes, calls, chunks, traces):
+        """Workloads pack in order of first appearance into batches of
+        at most max_width lanes, closing only at workload boundaries;
+        all requests of one workload object share a batch."""
+        from repro import obs
+
+        policy = BatchPolicy(min_width=2, max_width=8)
+        workloads = {
+            "a": small_workload(),
+            "b": other_workload(),
+            "c": small_workload(0.4),
+        }
+        assert len({id(w) for w in workloads.values()}) == 3
+        gpus = dse_variants(RTX_2080)
+        requests = [
+            (GpuSimulator(gpus[v], batch_policy=policy), workloads[w], list(range(size)))
+            for w, v, size in lanes
+        ]
+        assert all(len(w) >= len(idx) for _sim, w, idx in requests)
+        trace_calls = count_trace_calls(monkeypatch)
+        with obs.scoped() as session:
+            fused = simulate_workload_on(requests, seed=4)
+            counters = session.metrics.snapshot().get("counters", {})
+        assert counters.get("sim.batch.calls") == calls
+        assert counters.get("sim.batch.chunks") == chunks
+        assert counters.get("sim.batch.lanes") == sum(size for _w, _v, size in lanes)
+        assert len(trace_calls) == traces
+        monkeypatch.undo()
+        for (sim, w, idx), result in zip(requests, fused):
+            lone = GpuSimulator(sim.config, batch_policy=SCALAR)
+            assert results_equal(result, lone.simulate_workload(w, idx, seed=4))
+
+
+def other_workload():
+    """A second workload for cross-workload request lists."""
+    return load_workload("rodinia", "hotspot", scale=0.1, seed=0)
+
+
+def count_trace_calls(monkeypatch):
+    """Record every TraceGenerator.generate call (its generator)."""
+    from repro.sim.trace import TraceGenerator
+
+    calls = []
+    original = TraceGenerator.generate
+
+    def counting(self, invocation, seed=0):
+        calls.append(self)
+        return original(self, invocation, seed=seed)
+
+    monkeypatch.setattr(TraceGenerator, "generate", counting)
+    return calls
 
 
 class TestCacheKeyLint:
