@@ -1,16 +1,13 @@
-"""Result aggregation and reporting, plus the static-analysis tier.
+"""Result aggregation and reporting, plus the runtime determinism sanitizer.
 
 Two families live here:
 
 * **result analysis** — histograms, method aggregates, plain-text
   tables and distribution validation for experiment outputs;
-* **program analysis** — the whole-program static tier behind ``repro
-  analyze`` (:mod:`~repro.analysis.graph`, :mod:`~repro.analysis.engine`
-  and the interprocedural passes) and the runtime determinism sanitizer
-  (:mod:`~repro.analysis.detsan`).
+* **DetSan** — the runtime determinism sanitizer
+  (:mod:`~repro.analysis.detsan`, ``repro detsan``).
 
-The static modules are imported lazily by the CLI; importing this
-package stays cheap for code that only wants ``render_table``.
+The static rules live in :mod:`repro.lint` (``repro lint``).
 """
 
 from .histogram import (
@@ -43,23 +40,5 @@ __all__ = [
     "DistributionMatch",
     "weighted_ks_statistic",
     "validate_distribution",
-    # static-analysis tier (lazy: import the submodules directly)
-    "build_graph",
-    "run_analysis",
 ]
 
-
-def __getattr__(name):  # pragma: no cover - thin lazy-import shim
-    if name in ("build_graph", "run_analysis"):
-        from . import engine
-
-        return getattr(engine, name)
-    if name == "ProjectGraph":
-        from .graph import ProjectGraph
-
-        return ProjectGraph
-    if name == "DeterminismSanitizer":
-        from .detsan import DeterminismSanitizer
-
-        return DeterminismSanitizer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,6 +1,6 @@
 """DetSan — the runtime determinism sanitizer.
 
-The static tier (``repro analyze``) proves the *absence of known
+The static rules (``repro lint``) prove the *absence of known
 nondeterminism patterns*; DetSan checks the property itself at runtime:
 **every engine configuration must produce bit-identical intermediate
 state at every sync point**.  Instrumented code records

@@ -17,11 +17,11 @@ Commands
 ``suite``     run a whole suite and print per-method Table-3 summaries
 ``sweep``     error-bound sensitivity sweep (Figure 11) with memoization
 ``dse``       design-space exploration grid (Table 4)
-``lint``      AST-based invariant linter (determinism, key functions,
-              simulator salt — see :mod:`repro.lint` and docs/static-analysis.md)
-``analyze``   whole-program determinism analyzer: interprocedural seed
-              flow and worker purity over the full module graph (see :mod:`repro.analysis` and
-              docs/static-analysis.md)
+``lint``      the static invariant checker: module rules (RNG
+              discipline, wall clock, typed errors, set iteration,
+              simulator salt) and whole-program rules (seed flow,
+              pool-worker safety) from one parse — see :mod:`repro.lint`
+              and docs/static-analysis.md
 ``detsan``    cross-engine determinism smoke under the runtime
               sanitizer (scalar vs batch, cold vs warm, sequential vs
               parallel); every workload command also accepts
@@ -310,21 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the repo invariant linter (exit 0 clean / 1 findings / "
-             "2 internal error)",
+        help="run the static invariant checker, module and whole-program "
+             "rules (exit 0 clean / 1 findings / 2 internal error)",
     )
     from .lint.cli import add_lint_arguments
 
     add_lint_arguments(p_lint)
-
-    p_analyze = sub.add_parser(
-        "analyze",
-        help="run the whole-program determinism analyzer (seed flow, "
-             "pool purity; exit 0 clean / 1 findings / 2 internal error)",
-    )
-    from .analysis.cli import add_analyze_arguments
-
-    add_analyze_arguments(p_analyze)
 
     p_detsan = sub.add_parser(
         "detsan",
@@ -1227,12 +1218,6 @@ def _cmd_lint(args) -> int:
     return run_lint_command(args)
 
 
-def _cmd_analyze(args) -> int:
-    from .analysis.cli import run_analyze_command
-
-    return run_analyze_command(args)
-
-
 def _cmd_detsan(args) -> int:
     from .analysis.detsan_smoke import run_detsan_command
 
@@ -1252,7 +1237,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "dse": _cmd_dse,
     "lint": _cmd_lint,
-    "analyze": _cmd_analyze,
     "detsan": _cmd_detsan,
 }
 

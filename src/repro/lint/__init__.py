@@ -1,35 +1,37 @@
-"""``repro lint`` — AST-based invariant linter for this repository.
+"""``repro lint`` — the static invariant checker for this repository.
 
 The pipeline's correctness claims rest on invariants no type checker or
 generic linter enforces: bit-identical determinism (every RNG explicitly
-seeded, no wall-clock reads in result paths, no set iteration in keys),
-typed error handling, and a simulator-version salt that tracks every
-change to the simulator.  This package machine-checks the ones a single
-file (or the salt manifest) can decide; the invariants that span call
-chains — seed flow and pool-worker safety — belong to the
-whole-program tier, :mod:`repro.analysis` (``repro analyze``):
+seeded from explicit inputs, no wall-clock reads in result paths, no set
+iteration in keys, pool workers that pickle and stay pure), typed error
+handling, and a simulator-version salt that tracks every change to the
+simulator.  This package machine-checks them with two kinds of rule in
+one run:
 
-* :mod:`~repro.lint.engine` parses each file once and dispatches to the
-  registered passes (:mod:`~repro.lint.passes`);
-* findings are filtered by inline ``# repro-lint: disable=<rule>``
-  suppressions and the committed baseline
-  (:mod:`~repro.lint.baseline`);
-* configuration lives in ``[tool.repro.lint]`` in pyproject.toml
-  (:mod:`~repro.lint.config`);
-* ``repro lint`` (:mod:`~repro.lint.cli`) reports as text or JSON with
-  exit codes 0 (clean) / 1 (findings) / 2 (internal error).
+* **module rules** look at one parsed file at a time (``global-rng``,
+  ``wall-clock``, ``typed-errors``, ``unordered-iteration``, and
+  ``sim-version-salt``, which checks each watched file against one
+  salt manifest);
+* **whole-program rules** walk the :class:`~repro.lint.graph.ProjectGraph`
+  built once from the same parse (``seed-flow``, ``pool-safety``).
+
+:mod:`~repro.lint.engine` parses each file once and dispatches to the
+registered passes (:mod:`~repro.lint.passes`); findings are filtered by
+inline ``# repro-lint: disable=<rule>`` suppressions and the committed
+baseline (:mod:`~repro.lint.baseline`); configuration lives in
+``[tool.repro.lint]`` in pyproject.toml (:mod:`~repro.lint.config`);
+``repro lint`` (:mod:`~repro.lint.cli`) reports as text or JSON with
+exit codes 0 (clean) / 1 (findings) / 2 (internal error).
 
 See ``docs/static-analysis.md`` for the rule catalogue.
 """
 
 from __future__ import annotations
 
-from .baseline import load_baseline, match_baseline, write_baseline
 from .config import LintConfig, LintUsageError, load_config
-from .engine import LintResult, SourceModule, run_lint
+from .engine import LintResult, run_lint
 from .findings import Finding
 from .passes import LintPass, load_builtin_passes, register, registered_passes
-from .reporters import render_json, render_text, report_dict
 
 __all__ = [
     "Finding",
@@ -37,16 +39,9 @@ __all__ = [
     "LintPass",
     "LintResult",
     "LintUsageError",
-    "SourceModule",
-    "load_baseline",
     "load_builtin_passes",
     "load_config",
-    "match_baseline",
     "register",
     "registered_passes",
-    "render_json",
-    "render_text",
-    "report_dict",
     "run_lint",
-    "write_baseline",
 ]

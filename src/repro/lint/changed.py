@@ -1,12 +1,10 @@
 """``--changed`` support: which Python files differ from a git ref.
 
-``repro lint --changed`` and ``repro analyze --changed`` restrict
-*reporting* to files that differ from a base ref (default
-``origin/main``, configurable via ``changed-ref`` in
-``[tool.repro.lint]``).  The analysis tier still loads the whole program
-graph — interprocedural facts do not localize — but only findings in
-changed files are reported, which is what a PR author wants on a large
-tree.
+``repro lint --changed [REF]`` restricts *reporting* to files that
+differ from ``REF`` (default :data:`DEFAULT_CHANGED_REF`).  The engine
+still loads the configured roots and the whole program graph —
+interprocedural facts do not localize — but only findings in changed
+files are reported, which is what a PR author wants on a large tree.
 
 Implemented with a ``git diff --name-only`` subprocess against the
 working tree (so uncommitted edits count) plus ``git ls-files
@@ -23,7 +21,10 @@ from typing import List
 
 from .config import LintUsageError
 
-__all__ = ["changed_python_files", "under_config_roots"]
+__all__ = ["DEFAULT_CHANGED_REF", "changed_python_files", "under_config_roots"]
+
+#: Base ref of a bare ``--changed``.
+DEFAULT_CHANGED_REF = "origin/main"
 
 
 def under_config_roots(config, rels: List[str]) -> List[str]:

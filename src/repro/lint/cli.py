@@ -29,7 +29,8 @@ def add_lint_arguments(parser) -> None:
     """Attach ``repro lint`` arguments to an argparse subparser."""
     parser.add_argument(
         "paths", nargs="*",
-        help="files/directories to lint (default: [tool.repro.lint] paths)")
+        help="report findings only for these files/directories (the "
+             "configured [tool.repro.lint] paths are always loaded)")
     parser.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="report format (default text)")
@@ -53,8 +54,8 @@ def add_lint_arguments(parser) -> None:
         help="run only this rule (repeatable)")
     parser.add_argument(
         "--changed", nargs="?", const="", default=None, metavar="REF",
-        help="lint only files that differ from REF (default: the "
-             "configured changed-ref, origin/main)")
+        help="report findings only for files that differ from REF "
+             "(default: origin/main)")
     parser.add_argument(
         "--out", metavar="PATH", default=None,
         help="also write the JSON report to this path")
@@ -110,9 +111,13 @@ def _run(args) -> int:
 
     paths = args.paths or None
     if args.changed is not None:
-        from .changed import changed_python_files, under_config_roots
+        from .changed import (
+            DEFAULT_CHANGED_REF,
+            changed_python_files,
+            under_config_roots,
+        )
 
-        ref = args.changed or config.changed_ref
+        ref = args.changed or DEFAULT_CHANGED_REF
         changed = under_config_roots(
             config, changed_python_files(config.root, ref)
         )

@@ -26,10 +26,7 @@ except ImportError:  # pragma: no cover - exercised only on 3.9/3.10
 __all__ = ["LintConfig", "LintUsageError", "load_config"]
 
 #: Top-level [tool.repro.lint] keys that are not per-rule option tables.
-_RESERVED_KEYS = {
-    "paths", "exclude", "baseline", "disable",
-    "analysis-baseline", "changed-ref",
-}
+_RESERVED_KEYS = {"paths", "exclude", "baseline", "disable"}
 
 
 class LintUsageError(Exception):
@@ -44,11 +41,6 @@ class LintConfig:
     paths: List[str] = field(default_factory=lambda: ["src"])
     exclude: List[str] = field(default_factory=list)
     baseline: str = "lint-baseline.json"
-    #: Baseline of the whole-program analysis tier (``repro analyze``).
-    analysis_baseline: str = "analysis-baseline.json"
-    #: Default git ref for ``--changed`` (lint/analyze only files that
-    #: differ from this ref).
-    changed_ref: str = "origin/main"
     disable: List[str] = field(default_factory=list)
     #: Per-rule option tables, keyed by rule id.
     rule_options: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -58,9 +50,6 @@ class LintConfig:
 
     def baseline_path(self) -> str:
         return os.path.join(self.root, self.baseline)
-
-    def analysis_baseline_path(self) -> str:
-        return os.path.join(self.root, self.analysis_baseline)
 
 
 def _find_pyproject(start: str) -> Optional[str]:
@@ -116,10 +105,6 @@ def load_config(
         config.exclude = [str(p) for p in table["exclude"]]
     if "baseline" in table:
         config.baseline = str(table["baseline"])
-    if "analysis-baseline" in table:
-        config.analysis_baseline = str(table["analysis-baseline"])
-    if "changed-ref" in table:
-        config.changed_ref = str(table["changed-ref"])
     if "disable" in table:
         config.disable = [str(r) for r in table["disable"]]
     for key, value in table.items():

@@ -6,7 +6,7 @@ ambient-nondeterminism APIs — and propagates them over the call graph to
 a transitive summary: a function is impure iff it, or anything it can
 reach through project-internal calls, has a direct effect.
 
-Soundness bias matches :mod:`repro.analysis.graph`: an *unresolvable*
+Soundness bias matches :mod:`repro.lint.graph`: an *unresolvable*
 callee contributes nothing (dynamic dispatch is assumed benign), while a
 *resolved* project callee contributes everything it can reach.  Modules
 in the effect exemption set (by default :mod:`repro.obs` — worker-local
@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graph import CallSite, FunctionInfo, ProjectGraph, _dotted
+from .passes.global_rng import SEEDABLE_NUMPY_RANDOM
+from .passes.wall_clock import WALL_CLOCK_CALLS
 
 __all__ = [
     "DirectEffects",
@@ -54,44 +56,16 @@ MUTATING_METHODS = {
     "__setitem__", "__delitem__", "write",
 }
 
-#: Ambient wall-clock / OS-entropy reads (mirrors the ``wall-clock``
-#: lint rule's ban list — one invariant, two tiers).
-_WALLCLOCK = {
-    "time.time",
-    "time.time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-    "os.urandom",
-    "uuid.uuid1",
-    "uuid.uuid4",
-}
-
-#: numpy.random entry points that are explicit, seedable constructions
-#: (mirrors the ``global-rng`` lint rule's allowlist).
-_ALLOWED_NUMPY_RANDOM = {
-    "numpy.random.default_rng",
-    "numpy.random.Generator",
-    "numpy.random.SeedSequence",
-    "numpy.random.BitGenerator",
-    "numpy.random.PCG64",
-    "numpy.random.PCG64DXSM",
-    "numpy.random.Philox",
-    "numpy.random.SFC64",
-    "numpy.random.MT19937",
-}
-
 
 def banned_call_reason(absolute: str) -> Optional[str]:
     """Why an absolute dotted callee is banned in a pure context."""
-    if absolute in _WALLCLOCK:
+    if absolute in WALL_CLOCK_CALLS:
         return f"reads ambient wall-clock/OS state via {absolute}()"
     if absolute == "random" or absolute.startswith("random."):
         return f"uses the module-state stdlib RNG via {absolute}()"
     if (
         absolute.startswith("numpy.random.")
-        and absolute not in _ALLOWED_NUMPY_RANDOM
+        and absolute not in SEEDABLE_NUMPY_RANDOM
     ):
         return f"uses the numpy module-state RNG via {absolute}()"
     return None

@@ -2,8 +2,12 @@
 
 One :func:`run_lint` call walks the configured roots, parses every
 Python file once into a shared :class:`SourceModule`, runs every enabled
-pass (module-local hooks first, then project-wide hooks), and filters
-the raw findings through two mechanisms, in order:
+rule's module hook, builds the whole-program
+:class:`~repro.lint.graph.ProjectGraph` once (only when an enabled rule
+has a graph hook) and runs the graph hooks over it.  Path operands and
+``--changed`` narrow which files findings are *reported* for, never what
+is loaded: whole-program facts do not localize.  The raw findings then
+pass two filters, in order:
 
 1. **inline suppressions** — ``# repro-lint: disable=<rule>[,<rule>]``
    on the flagged line (or ``disable`` with no ``=`` to suppress every
@@ -22,16 +26,17 @@ import fnmatch
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .baseline import match_baseline
 from .config import LintConfig, LintUsageError
 from .findings import Finding
+from .graph import ProjectGraph
 from .names import ImportMap
 from .passes import load_builtin_passes
-from .passes.base import registered_passes
+from .passes.base import LintPass, registered_passes
 
-__all__ = ["LintResult", "SourceModule", "run_lint"]
+__all__ = ["LintResult", "SourceModule", "load_modules", "run_lint"]
 
 #: ``# repro-lint: disable=rule-a,rule-b`` (no ``=rules`` = all rules).
 _SUPPRESS_RE = re.compile(
@@ -70,9 +75,7 @@ class LintResult:
     files_checked: int
     suppressed: int
     baselined: int
-    #: Raw (pre-suppression, pre-baseline) findings, newest baseline input.
-    raw_findings: List[Finding] = field(default_factory=list)
-    #: Root-relative POSIX paths of every file this run looked at —
+    #: Root-relative POSIX paths of every file this run reports on —
     #: what a partial --update-baseline may rewrite entries for.
     linted_paths: List[str] = field(default_factory=list)
 
@@ -164,48 +167,21 @@ def parse_module(path: str, root: str) -> SourceModule:
     )
 
 
-def run_lint(
-    config: LintConfig,
-    paths: Optional[Sequence[str]] = None,
-    use_baseline: bool = True,
-    rules: Optional[Sequence[str]] = None,
-) -> LintResult:
-    """Run every enabled pass over the configured (or given) paths."""
-    from ..analysis.passes import (
-        load_builtin_analysis_passes,
-        registered_analysis_passes,
-    )
+def load_modules(
+    config: LintConfig, extra: Sequence[str] = ()
+) -> Tuple[List[SourceModule], List[Finding]]:
+    """Parse the configured roots plus the ``extra`` files, once each.
 
-    load_builtin_passes()
-    load_builtin_analysis_passes()
-    known = set(registered_passes())
-    # ``disable`` is shared with ``repro analyze``, so its rule ids are
-    # valid here too.
-    shared = known | set(registered_analysis_passes())
-    unknown = sorted(
-        {rule for rule in (rules or []) if rule not in known}
-        | {rule for rule in config.disable if rule not in shared}
-    )
-    if unknown:
-        raise LintUsageError(
-            "unknown rule id(s): " + ", ".join(unknown)
-            + " (run `repro lint --list-rules` for the registry)"
-        )
-    enabled = {
-        rule: cls
-        for rule, cls in registered_passes().items()
-        if rule not in config.disable and (rules is None or rule in rules)
-    }
-
+    Returns the parsed modules and one ``parse-error`` finding per file
+    that does not parse.
+    """
     modules: List[SourceModule] = []
-    raw: List[Finding] = []
-    linted_rels: List[str] = []
-    for path in discover_files(config, paths):
-        linted_rels.append(_rel_posix(path, config.root))
+    errors: List[Finding] = []
+    for path in sorted(set(discover_files(config)) | set(extra)):
         try:
             modules.append(parse_module(path, config.root))
         except SyntaxError as err:
-            raw.append(
+            errors.append(
                 Finding(
                     path=_rel_posix(path, config.root),
                     line=int(err.lineno or 1),
@@ -216,15 +192,64 @@ def run_lint(
                     hint="fix the syntax error; unparseable files are unlintable",
                 )
             )
+    return modules, errors
 
-    module_by_rel = {m.rel: m for m in modules}
-    for cls in enabled.values():
-        instance = cls()
+
+def run_lint(
+    config: LintConfig,
+    paths: Optional[Sequence[str]] = None,
+    use_baseline: bool = True,
+    rules: Optional[Sequence[str]] = None,
+) -> LintResult:
+    """Run every enabled rule over the configured roots.
+
+    ``paths`` (CLI operands, or the root-relative files ``--changed``
+    produces) narrow *reporting* to the files they name; the modules and
+    the program graph always cover the configured roots, because a seed
+    tainted three modules away still taints this file's sink.
+    """
+    load_builtin_passes()
+    known = registered_passes()
+    unknown = sorted(
+        {rule for rule in (rules or []) if rule not in known}
+        | {rule for rule in config.disable if rule not in known}
+    )
+    if unknown:
+        raise LintUsageError(
+            "unknown rule id(s): " + ", ".join(unknown)
+            + " (run `repro lint --list-rules` for the registry)"
+        )
+    enabled = [
+        cls()
+        for rule, cls in known.items()
+        if rule not in config.disable and (rules is None or rule in rules)
+    ]
+
+    # Operands outside the roots are loaded too: `repro lint /x.py`
+    # checks that file.
+    operands = discover_files(config, paths) if paths else []
+    modules, raw = load_modules(config, operands)
+    reported: Optional[Set[str]] = (
+        {_rel_posix(path, config.root) for path in operands} if paths else None
+    )
+
+    for rule in enabled:
         for module in modules:
-            raw.extend(instance.check_module(module, config))
-        raw.extend(instance.check_project(modules, config))
+            if reported is None or module.rel in reported:
+                raw.extend(rule.check_module(module, config))
+    graph_rules = [
+        rule for rule in enabled
+        if type(rule).check_graph is not LintPass.check_graph
+    ]
+    if graph_rules:
+        graph = ProjectGraph(modules)
+        for rule in graph_rules:
+            raw.extend(rule.check_graph(graph, config))
+    if reported is not None:
+        raw = [f for f in raw if f.path in reported]
     raw.sort()
 
+    module_by_rel = {m.rel: m for m in modules}
     visible: List[Finding] = []
     suppressed = 0
     for finding in raw:
@@ -243,6 +268,7 @@ def run_lint(
         files_checked=len(modules),
         suppressed=suppressed,
         baselined=baselined,
-        raw_findings=raw,
-        linted_paths=linted_rels,
+        linted_paths=(
+            sorted(reported) if reported is not None else [m.rel for m in modules]
+        ),
     )

@@ -1,17 +1,17 @@
 """Whole-program graph over the parsed source tree.
 
-The syntactic lint tier (:mod:`repro.lint`) sees one file at a time; the
-analysis tier needs to answer questions that span call chains — "does
-this pool worker transitively write a module global?", "can this seed
-reach ``default_rng`` through a helper?".  :class:`ProjectGraph` is the
-shared substrate those passes walk:
+Module rules see one file at a time; the whole-program rules answer
+questions that span call chains — "does this pool worker transitively
+write a module global?", "can this seed reach ``default_rng`` through a
+helper?".  :class:`ProjectGraph` is the shared substrate those rules
+walk, built once per lint run from the already-parsed modules:
 
 * **module naming** — every parsed file gets a dotted module name
   derived from its project-relative path (``src/repro/sim/batch.py`` →
   ``repro.sim.batch``), so imports can be resolved to project files;
 * **binding tables** — per-module name bindings from ``import`` /
-  ``from … import`` statements *including relative imports* (the lint
-  tier's :class:`~repro.lint.names.ImportMap` deliberately skips those);
+  ``from … import`` statements *including relative imports* (the module
+  rules' :class:`~repro.lint.names.ImportMap` deliberately skips those);
 * **function table** — every module-level function and every method,
   keyed ``module:qualpath`` (e.g. ``repro.parallel.executor:run_tasks``);
 * **call graph** — best-effort resolved callee edges per function:
@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..lint.engine import SourceModule
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .engine import SourceModule
 
 __all__ = [
     "CallSite",

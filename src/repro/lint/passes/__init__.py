@@ -22,6 +22,8 @@ def load_builtin_passes() -> None:
         return
     from . import (  # noqa: F401  (imported for registration side effect)
         global_rng,
+        pool_safety,
+        seed_flow,
         sim_salt,
         typed_errors,
         unordered_iter,

@@ -2,11 +2,13 @@
 
 A pass is a class with a ``rule`` id and one or both hooks:
 
-* :meth:`LintPass.check_module` — called once per parsed file, for
-  purely local rules (RNG discipline, wall-clock bans, raise hygiene);
-* :meth:`LintPass.check_project` — called once with every parsed file,
-  for cross-file rules (the simulator-version salt hashes every watched
-  module against one manifest).
+* :meth:`LintPass.check_module` — called once per file the run reports
+  on, for local rules (RNG discipline, wall-clock bans, raise hygiene,
+  one watched file against the salt manifest);
+* :meth:`LintPass.check_graph` — called once with the whole-program
+  :class:`~repro.lint.graph.ProjectGraph`, for rules that follow call
+  chains across files (seed flow, pool-worker safety).  The engine
+  builds the graph only when an enabled rule overrides this hook.
 
 Passes register themselves with :func:`register`; the engine
 instantiates every registered pass per run, so passes may keep per-run
@@ -15,13 +17,14 @@ state but must not keep cross-run state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Type
+from typing import TYPE_CHECKING, Dict, Iterable, Type
 
 from ..findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import LintConfig
     from ..engine import SourceModule
+    from ..graph import ProjectGraph
 
 __all__ = ["LintPass", "register", "registered_passes"]
 
@@ -58,8 +61,8 @@ class LintPass:
     ) -> Iterable[Finding]:
         return ()
 
-    def check_project(
-        self, modules: List["SourceModule"], config: "LintConfig"
+    def check_graph(
+        self, graph: "ProjectGraph", config: "LintConfig"
     ) -> Iterable[Finding]:
         return ()
 

@@ -26,7 +26,7 @@ from ..findings import Finding
 from .base import LintPass, register
 
 #: Explicit-construction entry points under numpy.random that are fine.
-_ALLOWED_NUMPY_RANDOM = {
+SEEDABLE_NUMPY_RANDOM = {
     "numpy.random.default_rng",
     "numpy.random.Generator",
     "numpy.random.SeedSequence",
@@ -96,7 +96,7 @@ class GlobalRngPass(LintPass):
                     )
                 elif (
                     resolved.startswith("numpy.random.")
-                    and resolved not in _ALLOWED_NUMPY_RANDOM
+                    and resolved not in SEEDABLE_NUMPY_RANDOM
                 ):
                     yield self.finding(
                         module,

@@ -1,4 +1,4 @@
-"""Analysis rule ``pool-safety``: pool workers must ship and be pure.
+"""Whole-program rule ``pool-safety``: pool workers must ship and be pure.
 
 :func:`repro.parallel.run_tasks` promises that any worker count or
 platform produces the same values.  That holds only when a dispatched
@@ -34,7 +34,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Set, Tuple
 
-from ...lint.findings import Finding
+from ..findings import Finding
 from ..effects import (
     DEFAULT_EFFECT_EXEMPT_MODULES,
     compute_direct_effects,
@@ -43,7 +43,7 @@ from ..effects import (
     shortest_chain,
 )
 from ..graph import ProjectGraph
-from .base import AnalysisPass, register_analysis_pass
+from .base import LintPass, register
 
 
 def _short(key: str) -> str:
@@ -55,8 +55,8 @@ def _chain_text(chain: List[str]) -> str:
     return " -> ".join(_short(k) for k in chain)
 
 
-@register_analysis_pass
-class PoolPurityPass(AnalysisPass):
+@register
+class PoolPurityPass(LintPass):
     rule = "pool-safety"
     description = (
         "pool-dispatched workers must pickle by qualified name (no "

@@ -1,4 +1,4 @@
-"""Analysis rule ``seed-flow``: RNG seeds must derive from explicit inputs.
+"""Whole-program rule ``seed-flow``: RNG seeds must derive from explicit inputs.
 
 Taint-tracks seed material interprocedurally.  **Sources** are ambient
 values that differ between identical runs or processes: wall-clock reads
@@ -33,10 +33,10 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ...lint.findings import Finding
+from ..findings import Finding
 from ..effects import find_pool_dispatches
 from ..graph import FunctionInfo, ProjectGraph
-from .base import AnalysisPass, register_analysis_pass
+from .base import LintPass, register
 
 #: Absolute dotted callees whose return value is tainted seed material.
 _SOURCE_CALLS = {
@@ -270,8 +270,8 @@ def _sink_name(absolute: str) -> str:
     return absolute.rsplit(".", 1)[-1]
 
 
-@register_analysis_pass
-class SeedFlowPass(AnalysisPass):
+@register
+class SeedFlowPass(LintPass):
     rule = "seed-flow"
     description = (
         "taint-track RNG seeds across call chains: no seed may derive "

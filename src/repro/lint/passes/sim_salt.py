@@ -33,7 +33,8 @@ import ast
 import hashlib
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..config import LintConfig
 from ..findings import Finding
@@ -131,8 +132,59 @@ def update_salt_manifest(config: LintConfig) -> Tuple[str, int]:
     return manifest_path, len(files)
 
 
+@dataclass
+class _Manifest:
+    """The salt manifest as one lint run sees it."""
+
+    rel: str
+    watched: Set[str]
+    #: (message, hint) of a manifest-level problem, if any.
+    problem: Optional[Tuple[str, str]] = None
+    files: Dict[str, str] = field(default_factory=dict)
+    recorded_version: Optional[int] = None
+    current_version: Optional[int] = None
+
+
+def _read_manifest(config: LintConfig) -> Optional[_Manifest]:
+    """The configured manifest, or None when the rule is inactive."""
+    resolved = _salt_options(config)
+    if resolved is None:
+        return None
+    manifest_rel, watch, version_source = resolved
+    state = _Manifest(rel=manifest_rel, watched=set(_watched_files(config, watch)))
+    manifest_path = os.path.join(config.root, manifest_rel)
+    if not os.path.isfile(manifest_path):
+        state.problem = (
+            f"sim-version salt manifest {manifest_rel} does not exist; "
+            "simulator changes cannot be checked against the cache salt",
+            "run `repro lint --update-sim-salt` and commit the manifest",
+        )
+        return state
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        state.files = dict(manifest.get("files", {}))
+        state.recorded_version = manifest.get("sim_version")
+    except (ValueError, OSError):
+        state.problem = (
+            f"sim-version salt manifest {manifest_rel} is unreadable",
+            "regenerate it with `repro lint --update-sim-salt`",
+        )
+        return state
+    state.current_version = _current_sim_version(config, version_source)
+    return state
+
+
 @register
 class SimVersionSaltPass(LintPass):
+    """Per-module check against one manifest read per run.
+
+    A module hook, not a graph hook: only the modules a run reports on
+    are checked, so a manifest-level finding (missing, unreadable or
+    stale manifest) lands on the first *reported* watched module and is
+    reported once.
+    """
+
     rule = "sim-version-salt"
     description = (
         "watched simulator modules must match the committed SIM_VERSION "
@@ -140,96 +192,57 @@ class SimVersionSaltPass(LintPass):
         "replay stale cached results"
     )
 
-    def check_project(self, modules, config: LintConfig) -> Iterable[Finding]:
-        resolved = _salt_options(config)
-        if resolved is None:
-            return  # rule inactive without config
-        manifest_rel, watch, version_source = resolved
-        manifest_path = os.path.join(config.root, manifest_rel)
-        module_by_rel = {m.rel: m for m in modules}
+    def __init__(self) -> None:
+        self._manifest: Optional[_Manifest] = None
+        self._loaded = False
+        #: Set once a manifest-level finding is out: nothing more to say.
+        self._done = False
 
-        if not os.path.isfile(manifest_path):
-            anchor = self._anchor(module_by_rel, watch)
-            if anchor is not None:
-                yield self.finding(
-                    anchor,
-                    anchor.tree,
-                    f"sim-version salt manifest {manifest_rel} does not "
-                    "exist; simulator changes cannot be checked against "
-                    "the cache salt",
-                    hint="run `repro lint --update-sim-salt` and commit "
-                    "the manifest",
-                )
+    def check_module(self, module, config: LintConfig) -> Iterable[Finding]:
+        if not self._loaded:
+            self._manifest, self._loaded = _read_manifest(config), True
+        state = self._manifest
+        if state is None or self._done or module.rel not in state.watched:
             return
-
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            recorded_files: Dict[str, str] = dict(manifest.get("files", {}))
-            recorded_version = manifest.get("sim_version")
-        except (ValueError, OSError):
-            anchor = self._anchor(module_by_rel, watch)
-            if anchor is not None:
-                yield self.finding(
-                    anchor,
-                    anchor.tree,
-                    f"sim-version salt manifest {manifest_rel} is "
-                    "unreadable",
-                    hint="regenerate it with `repro lint --update-sim-salt`",
-                )
+        if state.problem is not None:
+            self._done = True
+            message, hint = state.problem
+            yield self.finding(module, module.tree, message, hint=hint)
             return
-
-        current_version = _current_sim_version(config, version_source)
-        version_stale = (
-            current_version is not None and recorded_version != current_version
-        )
-
-        for rel in _watched_files(config, watch):
-            module = module_by_rel.get(rel)
-            if module is None:
-                continue  # partial run: this file is not being linted
-            recorded = recorded_files.get(rel)
-            if recorded is None:
-                yield self.finding(
-                    module,
-                    module.tree,
-                    f"{rel} is under a SIM_VERSION-salted tree but absent "
-                    f"from {manifest_rel}; its changes would never prompt "
-                    "a salt review",
-                    hint="run `repro lint --update-sim-salt` (bump "
-                    "SIM_VERSION first if raw outputs changed)",
-                )
-                continue
-            actual = _sha256_file(module.path)
-            if actual != recorded:
-                yield self.finding(
-                    module,
-                    module.tree,
-                    f"{rel} changed since the salt manifest was recorded "
-                    f"(SIM_VERSION {recorded_version}); stale cache "
-                    "entries may replay against the new simulator",
-                    hint="if raw simulation outputs changed, bump "
-                    "SIM_VERSION in repro/memo/sim_cache.py; then run "
-                    "`repro lint --update-sim-salt` to re-record",
-                )
-            elif version_stale:
-                yield self.finding(
-                    module,
-                    module.tree,
-                    f"salt manifest {manifest_rel} was recorded under "
-                    f"SIM_VERSION {recorded_version} but the code says "
-                    f"{current_version}; the manifest is stale",
-                    hint="run `repro lint --update-sim-salt` to re-record "
-                    "under the current SIM_VERSION",
-                )
-                return  # one finding is enough for a stale manifest
-
-    @staticmethod
-    def _anchor(module_by_rel, watch: List[str]):
-        """Some watched module to anchor manifest-level findings at."""
-        for rel in sorted(module_by_rel):
-            for entry in watch:
-                prefix = entry.replace(os.sep, "/").rstrip("/") + "/"
-                if rel == entry or rel.startswith(prefix):
-                    return module_by_rel[rel]
-        return None
+        rel = module.rel
+        recorded = state.files.get(rel)
+        if recorded is None:
+            yield self.finding(
+                module,
+                module.tree,
+                f"{rel} is under a SIM_VERSION-salted tree but absent "
+                f"from {state.rel}; its changes would never prompt "
+                "a salt review",
+                hint="run `repro lint --update-sim-salt` (bump "
+                "SIM_VERSION first if raw outputs changed)",
+            )
+        elif _sha256_file(module.path) != recorded:
+            yield self.finding(
+                module,
+                module.tree,
+                f"{rel} changed since the salt manifest was recorded "
+                f"(SIM_VERSION {state.recorded_version}); stale cache "
+                "entries may replay against the new simulator",
+                hint="if raw simulation outputs changed, bump "
+                "SIM_VERSION in repro/memo/sim_cache.py; then run "
+                "`repro lint --update-sim-salt` to re-record",
+            )
+        elif (
+            state.current_version is not None
+            and state.recorded_version != state.current_version
+        ):
+            self._done = True  # one finding is enough for a stale manifest
+            yield self.finding(
+                module,
+                module.tree,
+                f"salt manifest {state.rel} was recorded under "
+                f"SIM_VERSION {state.recorded_version} but the code says "
+                f"{state.current_version}; the manifest is stale",
+                hint="run `repro lint --update-sim-salt` to re-record "
+                "under the current SIM_VERSION",
+            )

@@ -25,7 +25,7 @@ from .base import LintPass, register
 #: Ambient-state calls forbidden by default.  ``datetime.datetime.now``
 #: covers ``from datetime import datetime; datetime.now()`` after import
 #: resolution; naming the class path also catches ``import datetime``.
-_FORBIDDEN = {
+WALL_CLOCK_CALLS = {
     "time.time",
     "time.time_ns",
     "datetime.datetime.now",
@@ -51,7 +51,7 @@ class WallClockPass(LintPass):
         allow = [str(p) for p in options.get("allow", [])]
         if any(fnmatch.fnmatch(module.rel, pattern) for pattern in allow):
             return
-        forbidden = _FORBIDDEN | {str(f) for f in options.get("forbid", [])}
+        forbidden = WALL_CLOCK_CALLS | {str(f) for f in options.get("forbid", [])}
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

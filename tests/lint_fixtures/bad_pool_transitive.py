@@ -2,7 +2,7 @@
 
 A name-based check sees only that the worker is a module-level
 function (picklable to spawn-start pools) and approves this file.  The
-``pool-safety`` analysis rule (``repro analyze``) follows ``_worker ->
+``pool-safety`` whole-program rule of ``repro lint`` follows ``_worker ->
 _remember`` and flags the module-global write — the blind spot this
 fixture pins as a regression test.
 """

@@ -1,11 +1,11 @@
-"""Tests for the ``repro analyze`` whole-program determinism analyzer.
+"""Tests for the whole-program rules of ``repro lint``.
 
-Covers: the two interprocedural passes firing on their fixture
-mini-packages (and staying silent on the clean counterparts), the
-name-based blind spot (a picklable worker that is transitively impure),
-module-level pool dispatches, report filtering vs whole-graph loading,
-the CLI exit-code contract, ``--changed``, and the real ``src/repro``
-tree analyzing clean with an empty baseline.
+Covers: ``seed-flow`` and ``pool-safety`` firing on the fixture
+mini-packages in ``tests/analysis_fixtures/`` (and staying silent on the
+clean counterparts), the name-based blind spot (a picklable worker that
+is transitively impure), module-level pool dispatches, report filtering
+vs whole-graph loading, the CLI on this fixture project, ``--changed``,
+and the real ``src/repro`` tree checking clean with an empty baseline.
 
 Cache-key soundness is no longer a static rule: every key is derived
 from dataclass fields (:mod:`repro.keys`).  ``TestCacheKeySoundness``
@@ -26,18 +26,18 @@ import pytest
 
 from repro.cli import main
 from repro.keys import derive_key, key_exempt
-from repro.lint import load_config
+from repro.lint import load_config, run_lint
 from repro.lint import config as lint_config
 from repro.lint.config import LintUsageError
+from repro.lint.engine import load_modules
+from repro.lint.graph import ProjectGraph
 
 if lint_config.tomllib is None:  # pragma: no cover - 3.9/3.10 without tomli
     pytest.skip(
-        "analysis tests need a TOML parser (stdlib tomllib on 3.11+, "
-        "the tomli package otherwise)",
+        "whole-program rule tests need a TOML parser (stdlib tomllib on "
+        "3.11+, the tomli package otherwise)",
         allow_module_level=True,
     )
-
-from repro.analysis.engine import build_graph, run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
@@ -46,9 +46,9 @@ LINT_FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_CONFIG = str(REPO_ROOT / "pyproject.toml")
 
 
-def analyze_fixture(**kwargs):
+def lint_fixture(**kwargs):
     config = load_config(FIXTURE_CONFIG)
-    return run_analysis(config, **kwargs)
+    return run_lint(config, **kwargs)
 
 
 def findings_for(result, rule, path=None):
@@ -61,7 +61,7 @@ def findings_for(result, rule, path=None):
 
 @pytest.fixture(scope="module")
 def fixture_result():
-    return analyze_fixture()
+    return lint_fixture()
 
 
 class TestSeedFlow:
@@ -92,7 +92,7 @@ class TestSeedFlow:
             A = np.int64(1)
             B = np.int8(2)
         """))
-        result = run_analysis(load_config(str(tmp_path / "pyproject.toml")))
+        result = run_lint(load_config(str(tmp_path / "pyproject.toml")))
         assert findings_for(result, "seed-flow") == []
 
     def test_generator_escape_to_pool_worker(self, fixture_result):
@@ -118,8 +118,8 @@ class TestPoolPurity:
         """A picklable worker that is impure two calls deep: a name-based
         check approves it, the call-graph walk does not."""
         config = load_config(str(LINT_FIXTURES / "pyproject.toml"))
-        analysis = run_analysis(config, paths=["bad_pool_transitive.py"])
-        found = findings_for(analysis, "pool-safety", "bad_pool_transitive.py")
+        result = run_lint(config, paths=["bad_pool_transitive.py"])
+        found = findings_for(result, "pool-safety", "bad_pool_transitive.py")
         assert len(found) == 1
         assert "_worker -> _remember" in found[0].message
 
@@ -188,17 +188,17 @@ class TestCacheKeySoundness:
 class TestEngine:
     def test_report_filter_keeps_whole_graph(self):
         """Path operands restrict reporting, never loading."""
-        result = analyze_fixture(paths=[str(FIXTURES / "poolpkg")])
+        result = lint_fixture(paths=[str(FIXTURES / "poolpkg")])
         assert {f.path.rsplit("/", 1)[0] for f in result.findings} == {"poolpkg"}
         # The graph still covered every fixture file.
         assert result.files_checked == 7
 
     def test_unknown_rule_is_a_usage_error(self):
         with pytest.raises(LintUsageError):
-            analyze_fixture(rules=["no-such-rule"])
+            lint_fixture(rules=["no-such-rule"])
 
     def test_build_graph_resolves_relative_imports(self):
-        graph = build_graph(load_config(FIXTURE_CONFIG))
+        graph = ProjectGraph(load_modules(load_config(FIXTURE_CONFIG))[0])
         info = graph.functions["seedpkg.build:interprocedural"]
         targets = {c.target for c in info.calls}
         assert "seedpkg.clock:wall_seed" in targets
@@ -206,42 +206,42 @@ class TestEngine:
 
 class TestCli:
     def test_exit_one_on_findings(self, capsys):
-        assert main(["analyze", "--config", FIXTURE_CONFIG]) == 1
+        assert main(["lint", "--config", FIXTURE_CONFIG]) == 1
         out = capsys.readouterr().out
         assert "seed-flow" in out and "pool-safety" in out
 
     def test_json_report(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         status = main([
-            "analyze", "--config", FIXTURE_CONFIG,
+            "lint", "--config", FIXTURE_CONFIG,
             "--format", "json", "--out", str(out_path),
         ])
         assert status == 1
         capsys.readouterr()
         payload = json.loads(out_path.read_text())
         rules = {f["rule"] for f in payload["findings"]}
-        assert rules == {"seed-flow", "pool-safety"}
+        assert rules == {"seed-flow", "pool-safety", "wall-clock"}
 
     def test_rule_selection(self, capsys):
         status = main([
-            "analyze", "--config", FIXTURE_CONFIG, "--rule", "seed-flow",
+            "lint", "--config", FIXTURE_CONFIG, "--rule", "seed-flow",
         ])
         assert status == 1
         out = capsys.readouterr().out
         assert "pool-safety" not in out
 
     def test_list_rules(self, capsys):
-        assert main(["analyze", "--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = {line.split()[0] for line in out.splitlines() if line.strip()}
-        assert listed == {"seed-flow", "pool-safety"}
+        assert {"seed-flow", "pool-safety"} <= listed and len(listed) == 7
 
     def test_update_baseline_then_clean(self, tmp_path, capsys):
         root = tmp_path / "proj"
         shutil.copytree(FIXTURES, root)
         cfg = str(root / "pyproject.toml")
-        assert main(["analyze", "--config", cfg, "--update-baseline"]) == 0
-        assert main(["analyze", "--config", cfg]) == 0
+        assert main(["lint", "--config", cfg, "--update-baseline"]) == 0
+        assert main(["lint", "--config", cfg]) == 0
         capsys.readouterr()
 
 
@@ -264,7 +264,7 @@ class TestChanged:
         workers = root / "poolpkg" / "workers.py"
         workers.write_text(workers.read_text() + "\n# touched\n")
         cfg = str(root / "pyproject.toml")
-        status = main(["analyze", "--config", cfg, "--changed", "HEAD"])
+        status = main(["lint", "--config", cfg, "--changed", "HEAD"])
         assert status == 1
         out = capsys.readouterr().out
         assert "poolpkg/workers.py" in out
@@ -280,7 +280,7 @@ class TestChanged:
             "commit", "-q", "-m", "seed", cwd=root,
         )
         cfg = str(root / "pyproject.toml")
-        assert main(["analyze", "--config", cfg, "--changed", "HEAD"]) == 0
+        assert main(["lint", "--config", cfg, "--changed", "HEAD"]) == 0
         err = capsys.readouterr().err
         assert "no .py files changed" in err
 
@@ -289,11 +289,12 @@ class TestRealTree:
     """The acceptance invariants, against the actual repository."""
 
     def test_src_repro_is_clean_with_empty_baseline(self, capsys):
-        baseline = json.loads(
-            (REPO_ROOT / "analysis-baseline.json").read_text()
-        )
+        """One baseline for every rule, and it is empty."""
+        baseline = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
         assert baseline["findings"] == []
-        assert main(["analyze", "--config", REPO_CONFIG]) == 0
+        assert not (REPO_ROOT / "analysis-baseline.json").exists()
+        assert main(["lint", "--config", REPO_CONFIG, "--rule", "seed-flow",
+                     "--rule", "pool-safety"]) == 0
         capsys.readouterr()
 
     def test_deleting_a_key_field_fails_without_editing_toml(self, tmp_path):

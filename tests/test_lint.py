@@ -1,20 +1,23 @@
-"""Tests for the ``repro lint`` invariant linter.
+"""Tests for ``repro lint``, the one static invariant checker.
 
-Covers: every built-in pass firing on its fixture (and staying silent on
+Covers: every built-in rule firing on its fixture (and staying silent on
 the clean counterparts), inline suppressions, the committed baseline,
-the CLI exit-code contract (0 clean / 1 findings / 2 internal error) and
-the JSON report schema.  Fixtures live in ``tests/lint_fixtures/`` as a
-self-contained project with its own pyproject.toml.
+the CLI exit-code contract (0 clean / 1 findings / 2 internal error),
+the JSON report schema, path operands and ``--changed`` narrowing
+reporting but not loading, and the exact finding sets on both fixture
+projects and the repository.  Fixtures live in ``tests/lint_fixtures/``
+as a self-contained project with its own pyproject.toml; the
+whole-program rules have a second fixture project, exercised in
+``tests/test_analyze.py``.
 
-The same fixture project also pins ``pool-safety``, which ``repro
-analyze`` owns, so every fixture here is checked by exactly the tier
-that enforces its rule.  Cache-key completeness is no rule at all any
-more: keys are derived from dataclass fields (:mod:`repro.keys`), and
+Cache-key completeness is no rule at all any more: keys are derived
+from dataclass fields (:mod:`repro.keys`), and
 ``TestCacheKeyCompleteness`` pins that derivation.
 """
 
 import dataclasses
 import json
+import shutil
 import subprocess
 import textwrap
 from pathlib import Path
@@ -30,7 +33,6 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint import config as lint_config
-from repro.analysis.engine import run_analysis
 
 if lint_config.tomllib is None:  # pragma: no cover - 3.9/3.10 without tomli
     pytest.skip(
@@ -39,30 +41,26 @@ if lint_config.tomllib is None:  # pragma: no cover - 3.9/3.10 without tomli
         allow_module_level=True,
     )
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 FIXTURE_CONFIG = str(FIXTURES / "pyproject.toml")
-REPO_CONFIG = str(Path(__file__).resolve().parents[1] / "pyproject.toml")
+ANALYSIS_FIXTURES = Path(__file__).parent / "analysis_fixtures"
+REPO_CONFIG = str(REPO_ROOT / "pyproject.toml")
 
-#: Lint rules with a violating fixture in ``tests/lint_fixtures/``.
+#: Rules with a violating fixture in ``tests/lint_fixtures/``.
 FIXTURE_RULES = {
     "global-rng",
     "wall-clock",
     "typed-errors",
     "unordered-iteration",
+    "pool-safety",
 }
-ALL_RULES = FIXTURE_RULES | {"sim-version-salt"}
-#: Invariants the whole-program tier owns; lint must not register them.
-ANALYSIS_RULES = {"pool-safety", "seed-flow"}
+ALL_RULES = FIXTURE_RULES | {"seed-flow", "sim-version-salt"}
 
 
 def lint_fixture(*paths, **kwargs):
     config = load_config(FIXTURE_CONFIG)
     return run_lint(config, paths=list(paths) or None, **kwargs)
-
-
-def analyze_fixture(*paths, **kwargs):
-    config = load_config(FIXTURE_CONFIG)
-    return run_analysis(config, paths=list(paths) or None, **kwargs)
 
 
 def lines_for(result, rule, path=None):
@@ -74,13 +72,10 @@ def lines_for(result, rule, path=None):
 
 
 class TestPasses:
-    def test_registry_has_all_five_rules(self):
+    def test_registry_has_exactly_seven_rules(self):
         load_builtin_passes()
-        registered = set(registered_passes())
-        assert ALL_RULES <= registered
-        assert not (
-            ANALYSIS_RULES | {"cache-key-completeness", "cache-key-soundness"}
-        ) & registered
+        assert set(registered_passes()) == ALL_RULES
+        assert len(ALL_RULES) == 7
 
     def test_global_rng_fires(self):
         result = lint_fixture("bad_rng.py")
@@ -107,25 +102,24 @@ class TestPasses:
         assert {f.rule for f in result.findings} == {"typed-errors"}
         assert lines_for(result, "typed-errors") == [6, 7, 13]
 
-    # pool-safety is enforced by `repro analyze`: these run the analyzer.
     def test_pool_safety_fires_on_lambda_closure_and_keyword(self):
-        result = analyze_fixture("bad_pool.py")
+        result = lint_fixture("bad_pool.py")
         assert {f.rule for f in result.findings} == {"pool-safety"}
         assert lines_for(result, "pool-safety") == [11, 18, 22]
 
     def test_pool_safety_allows_module_level_worker_and_on_result(self):
-        result = analyze_fixture("bad_pool.py")
+        result = lint_fixture("bad_pool.py")
         assert all(f.line < 25 for f in result.findings)
 
     def test_pool_safety_ignores_module_level_name_shared_with_nested_def(self):
         # `shared_name` exists both at module level and as a nested def
         # elsewhere; passing it to run_tasks resolves to the picklable
         # module-level function and must not fire.
-        result = analyze_fixture("bad_pool.py")
+        result = lint_fixture("bad_pool.py")
         assert not any("shared_name" in f.message for f in result.findings)
 
     def test_pool_safety_fires_on_execute_grid_lambda(self):
-        result = analyze_fixture("bad_pool_grid.py")
+        result = lint_fixture("bad_pool_grid.py")
         assert lines_for(result, "pool-safety") == [7]
 
     def test_unordered_iteration_fires(self):
@@ -282,7 +276,7 @@ class TestCli:
         assert "no-such-rule" in capsys.readouterr().err
 
     def test_disable_accepts_analysis_rule_ids(self, tmp_path, capsys):
-        """`disable` is shared with `repro analyze`; its ids are valid."""
+        """Whole-program rule ids are disabled like any other rule."""
         (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
             [tool.repro.lint]
             paths = ["."]
@@ -298,6 +292,44 @@ class TestCli:
         out = capsys.readouterr().out
         for rule in ALL_RULES:
             assert rule in out
+
+    def test_analyze_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys):
+        (tmp_path / "mod.py").write_text("X = 1\n")
+        for key in ("analysis-baseline", "changed-ref"):
+            (tmp_path / "pyproject.toml").write_text(
+                f'[tool.repro.lint]\npaths = ["."]\n{key} = "x"\n'
+            )
+            status = main(["lint", "--config", str(tmp_path / "pyproject.toml")])
+            assert status == 2
+            assert key in capsys.readouterr().err
+
+    def test_path_operand_outside_roots_is_checked(self, tmp_path, capsys):
+        """An operand outside the configured roots is loaded and
+        reported, not silently skipped."""
+        root = tmp_path / "proj"
+        (root / "pkg").mkdir(parents=True)
+        (root / "pyproject.toml").write_text(
+            "[tool.repro.lint]\npaths = [\"pkg\"]\n"
+        )
+        (root / "pkg" / "mod.py").write_text('"""Clean."""\n')
+        outside = tmp_path / "elsewhere.py"
+        outside.write_text("import time\n\nSTAMP = time.time()\n")
+        status = main([
+            "lint", "--config", str(root / "pyproject.toml"),
+            "--format", "json", str(outside),
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert status == 1
+        assert [(f["rule"], f["line"]) for f in payload["findings"]] == [
+            ("wall-clock", 3)
+        ]
+        assert payload["findings"][0]["path"].endswith("elsewhere.py")
 
     def test_baseline_roundtrip(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
@@ -401,6 +433,18 @@ class TestSimVersionSalt:
         assert "sim-version-salt" in out
         assert "does not exist" in out
 
+    def test_missing_manifest_fires_on_a_narrowed_run(self, tmp_path, capsys):
+        """A manifest-level finding lands on the first *reported* watched
+        file, so narrowing to one file does not hide it."""
+        root = self._project(tmp_path)
+        status = main([
+            "lint", "--config", str(root / "pyproject.toml"), "sim/engine.py",
+        ])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "sim/engine.py:1:0: error sim-version-salt" in out
+        assert "does not exist" in out
+
     def test_update_then_clean_then_drift(self, tmp_path, capsys):
         root = self._project(tmp_path)
         cfg = str(root / "pyproject.toml")
@@ -467,11 +511,9 @@ class TestLintChanged:
             ["git", *argv], cwd=cwd, check=True, capture_output=True
         )
 
-    def _seeded_copy(self, tmp_path):
-        import shutil
-
+    def _seeded_copy(self, tmp_path, fixtures=FIXTURES):
         root = tmp_path / "proj"
-        shutil.copytree(FIXTURES, root)
+        shutil.copytree(fixtures, root)
         self._git("init", "-q", cwd=root)
         self._git("add", "-A", cwd=root)
         self._git(
@@ -492,6 +534,27 @@ class TestLintChanged:
         assert status == 1
         assert "bad_rng.py" in out
         assert "bad_wallclock.py" not in out  # unchanged: not reported
+
+    def test_changed_sink_reports_taint_from_unchanged_source(
+        self, tmp_path, capsys
+    ):
+        """Touching only the sink module still reports the seed-flow
+        taint whose source lives in an unchanged module."""
+        root = self._seeded_copy(tmp_path, ANALYSIS_FIXTURES)
+        build = root / "seedpkg" / "build.py"
+        build.write_text(build.read_text() + "\n# touched\n")
+        status = main([
+            "lint", "--config", str(root / "pyproject.toml"),
+            "--changed", "HEAD", "--format", "json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert status == 1
+        assert {f["path"] for f in payload["findings"]} == {"seedpkg/build.py"}
+        via = [
+            f for f in payload["findings"]
+            if f["rule"] == "seed-flow" and f["line"] == 21
+        ]
+        assert len(via) == 1 and "via wall_seed()" in via[0]["message"]
 
     def test_changed_never_widens_past_configured_roots(
         self, tmp_path, capsys
@@ -533,15 +596,45 @@ class TestLintChanged:
         assert "--changed" in capsys.readouterr().err
 
 
+class TestFixtureUnion:
+    """One run finds exactly what the module rules and the whole-program
+    rules found as two separate tools."""
+
+    def test_lint_fixtures(self, capsys):
+        assert main(["lint", "--config", FIXTURE_CONFIG, "--no-baseline",
+                     "--format", "json"]) == 1
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert counts["findings"] == 21 and counts["suppressed"] == 2
+        assert counts["by_rule"] == {
+            "global-rng": 5, "pool-safety": 5, "typed-errors": 3,
+            "unordered-iteration": 3, "wall-clock": 5,
+        }
+
+    def test_analysis_fixtures(self, capsys):
+        config = str(ANALYSIS_FIXTURES / "pyproject.toml")
+        assert main(["lint", "--config", config, "--no-baseline",
+                     "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"]["findings"] == 8
+        assert payload["counts"]["by_rule"] == {
+            "pool-safety": 2, "seed-flow": 4, "wall-clock": 2,
+        }
+        assert sorted(
+            (f["path"], f["line"])
+            for f in payload["findings"] if f["rule"] == "wall-clock"
+        ) == [("seedpkg/build.py", 16), ("seedpkg/clock.py", 7)]
+
+
 class TestRepoIsClean:
     def test_repo_lints_clean_under_committed_config(self):
         """Zero non-baselined findings over src/ — the CI gate, as a test."""
         result = run_lint(load_config(REPO_CONFIG))
         assert result.findings == [], [f.format_text() for f in result.findings]
         # The sanctioned sites stay visible in the counts: the tracer
-        # epoch and the ledger timestamp suppressions.  The baseline is
-        # empty — grandfathered debt has been paid down, and stays down.
-        assert result.suppressed >= 2
+        # epoch and the ledger timestamp (wall-clock) and three reviewed
+        # pool-safety effect sites.  The baseline is empty —
+        # grandfathered debt has been paid down, and stays down.
+        assert result.suppressed == 5
         assert result.baselined == 0
 
     def test_repo_keyed_dataclasses_resolve(self):
