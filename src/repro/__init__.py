@@ -50,15 +50,12 @@ from .errors import (
     ProfileValidationError,
     ReproError,
     SimulationFailure,
-    SimulationTimeout,
 )
 from .hardware import H100, H200, RTX_2080, GPUConfig, TimingModel
 from .resilience import (
     FaultInjector,
     FaultPlan,
     GridCheckpoint,
-    ResilientExecutor,
-    RetryPolicy,
     sample_resiliently,
 )
 from .sim import GpuSimulator
@@ -97,14 +94,11 @@ __all__ = [
     "InfeasibleProfilingError",
     "ProfileValidationError",
     "SimulationFailure",
-    "SimulationTimeout",
     "EstimationError",
     "CheckpointError",
     # resilience
     "FaultPlan",
     "FaultInjector",
-    "RetryPolicy",
-    "ResilientExecutor",
     "GridCheckpoint",
     "sample_resiliently",
 ]

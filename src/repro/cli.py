@@ -43,11 +43,11 @@ warm runs are bit-identical to cold ones.
 Fault tolerance
 ---------------
 Workload commands accept ``--faults SPEC`` (e.g.
-``--faults "seed=3,sim_fail=0.1,nan=0.02"``), which routes the run
-through the resilient pipeline: profiles are corrupted then repaired,
-failing sample simulations are retried and, when permanently dead,
-replaced by re-drawn cluster members with the error bound recomputed —
-the output then reports *achieved* next to *requested* epsilon.  ``grid``
+``--faults "seed=3,sim_fail=0.1,nan=0.02"``): profiles are corrupted
+then repaired, and in ``sample`` a failing sample simulation is tried
+up to three times and, if it never succeeds, replaced by re-drawn
+cluster members with the error bound recomputed — the output then
+reports *achieved* next to *requested* epsilon.  ``grid``
 accepts ``--checkpoint PATH`` (plus ``--resume``) to persist per-cell
 progress and continue a killed run exactly where it stopped.
 
@@ -446,50 +446,37 @@ def _fault_plan(args) -> Optional[FaultPlan]:
 
 
 def _cmd_sample(args) -> int:
-    store = _store(args)
     fault_plan = _fault_plan(args)
-    if fault_plan is None:
-        plan = StemRootSampler(epsilon=args.epsilon).build_plan_from_store(
-            store, seed=args.seed
-        )
-        result = evaluate_plan(plan, store.execution_times())
-        print(
-            render_table(
-                ["workload", "launches", "clusters", "samples", "error %", "speedup x", "bound %"],
-                [[
-                    store.workload.name,
-                    len(store.workload),
-                    plan.num_clusters,
-                    plan.num_samples,
-                    result.error_percent,
-                    result.speedup,
-                    plan.metadata["predicted_error"] * 100,
-                ]],
-                title="STEM+ROOT sampled simulation",
-            )
-        )
-        return 0
-
+    store = _faulty_store(args)
     res = sample_resiliently(
         store,
         StemRootSampler(epsilon=args.epsilon),
         fault_plan=fault_plan,
         seed=args.seed,
     )
+    row = [
+        store.workload.name,
+        len(store.workload),
+        res.plan.num_clusters,
+        res.plan.num_samples,
+        res.result.error_percent,
+        res.result.speedup,
+    ]
+    headers = ["workload", "launches", "clusters", "samples", "error %", "speedup x"]
+    if fault_plan is None:
+        print(
+            render_table(
+                headers + ["bound %"],
+                [row + [res.plan.metadata["predicted_error"] * 100]],
+                title="STEM+ROOT sampled simulation",
+            )
+        )
+        return 0
     print(
         render_table(
-            [
-                "workload", "launches", "clusters", "samples", "error %",
-                "speedup x", "requested eps %", "achieved eps %",
-                "quarantined", "retries",
-            ],
-            [[
-                store.workload.name,
-                len(store.workload),
-                res.plan.num_clusters,
-                res.plan.num_samples,
-                res.result.error_percent,
-                res.result.speedup,
+            headers
+            + ["requested eps %", "achieved eps %", "quarantined", "retries"],
+            [row + [
                 res.requested_epsilon * 100,
                 res.achieved_epsilon * 100,
                 res.quarantined,

@@ -26,7 +26,6 @@ __all__ = [
     "InfeasibleProfilingError",
     "ProfileValidationError",
     "SimulationFailure",
-    "SimulationTimeout",
     "EstimationError",
     "CheckpointError",
     "WorkerCrashError",
@@ -66,8 +65,7 @@ class SimulationFailure(ReproError):
     ``key`` identifies the failed unit of work (typically the workload
     invocation index); ``attempt`` is the 1-based retry attempt that
     observed the failure, when known.  ``permanent`` marks failures that
-    retrying cannot fix — the resilient executor quarantines these
-    immediately instead of burning its retry budget.
+    retrying cannot fix.
     """
 
     def __init__(
@@ -81,22 +79,6 @@ class SimulationFailure(ReproError):
         self.key = key
         self.attempt = attempt
         self.permanent = permanent
-
-
-class SimulationTimeout(SimulationFailure):
-    """One sample simulation exceeded its deadline budget (a hang)."""
-
-    def __init__(
-        self,
-        message: str,
-        key: object = None,
-        attempt: int = 0,
-        elapsed: float = 0.0,
-        deadline: float = 0.0,
-    ):
-        super().__init__(message, key=key, attempt=attempt)
-        self.elapsed = elapsed
-        self.deadline = deadline
 
 
 class EstimationError(ReproError, ValueError):

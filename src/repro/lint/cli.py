@@ -9,12 +9,13 @@ Exit codes are part of the contract CI relies on:
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import Optional
 
 from .baseline import write_baseline
 from .config import LintUsageError, load_config
-from .engine import run_lint
+from .engine import discover_files, run_lint
 from .passes import load_builtin_passes, registered_passes
 from .reporters import render_json, render_text
 
@@ -122,8 +123,13 @@ def _run(args) -> int:
             config, changed_python_files(config.root, ref)
         )
         if args.paths:
-            # Operands narrow the changed set, not the other way round.
-            changed = [rel for rel in changed if rel in set(args.paths)]
+            # Operands narrow the changed set, not the other way round;
+            # a directory operand keeps every changed file beneath it.
+            operands = set(discover_files(config, args.paths))
+            changed = [
+                rel for rel in changed
+                if os.path.abspath(os.path.join(config.root, rel)) in operands
+            ]
         if not changed:
             print(
                 f"repro lint: no .py files changed against {ref}",

@@ -7,22 +7,20 @@ makes the trust survive contact with messy reality:
   (canonically defined in :mod:`repro.errors`);
 * :mod:`~repro.resilience.faults` — a deterministic, seeded
   fault-injection harness (:class:`FaultPlan` / :class:`FaultInjector`)
-  for corrupting profiles and failing/hanging sample simulations;
+  for corrupting profiles and failing sample simulations;
 * :mod:`~repro.resilience.validation` — strict/repair profile
   validation in front of the sampler and the profile store;
-* :mod:`~repro.resilience.executor` — per-sample retries, exponential
-  backoff, deadline budgets and a quarantine list;
 * :mod:`~repro.resilience.degraded` — bound-preserving degraded
   estimation: replacement draws, KKT re-allocation over survivors, and
   achieved-vs-requested epsilon accounting;
 * :mod:`~repro.resilience.checkpoint` — JSONL checkpoint/resume for
   experiment grids;
 * :mod:`~repro.resilience.pipeline` — :func:`sample_resiliently`, the
-  orchestrated fault-tolerant pipeline.
+  one sampling path behind ``repro sample``: a bounded per-invocation
+  attempt walk, quarantine, and degraded re-estimation.
 
-Everything is **off by default**: with no fault plan, validation finding
-nothing and no checkpoint path, the pipeline's outputs are bit-identical
-to the plain code path.
+Everything is **off by default**: with no fault plan the pipeline does
+exactly ``build_plan_from_store`` then ``evaluate_plan``.
 """
 
 from .checkpoint import GridCheckpoint
@@ -36,10 +34,8 @@ from .errors import (
     ProfileValidationError,
     ReproError,
     SimulationFailure,
-    SimulationTimeout,
     WorkerCrashError,
 )
-from .executor import ManualClock, ResilientExecutor, RetryPolicy, SampleOutcome
 from .faults import FaultInjector, FaultPlan, SimDecision, WorkerDecision
 from .pipeline import ResilientSampleResult, sample_resiliently
 from .validation import ProfileHealth, validate_times
@@ -50,7 +46,6 @@ __all__ = [
     "InfeasibleProfilingError",
     "ProfileValidationError",
     "SimulationFailure",
-    "SimulationTimeout",
     "EstimationError",
     "CheckpointError",
     "WorkerCrashError",
@@ -61,11 +56,6 @@ __all__ = [
     "FaultInjector",
     "SimDecision",
     "WorkerDecision",
-    # executor
-    "RetryPolicy",
-    "SampleOutcome",
-    "ManualClock",
-    "ResilientExecutor",
     # validation
     "ProfileHealth",
     "validate_times",

@@ -17,7 +17,6 @@ from ..errors import (
     ProfileValidationError,
     ReproError,
     SimulationFailure,
-    SimulationTimeout,
     WorkerCrashError,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "InfeasibleProfilingError",
     "ProfileValidationError",
     "SimulationFailure",
-    "SimulationTimeout",
     "EstimationError",
     "CheckpointError",
     "WorkerCrashError",

@@ -22,7 +22,7 @@ Fault classes (all rates are probabilities in ``[0, 1]``):
 ``sim_fail_rate``   one simulation *attempt* crashes (transient)
 ``sim_perm_fail_rate`` an invocation's simulation always crashes (corrupt
                     trace record — retries cannot help)
-``sim_hang_rate``   one simulation attempt hangs for ``hang_seconds``
+``sim_hang_rate``   one simulation attempt hangs (transient, like a crash)
 ``worker_kill_rate`` one parallel task attempt SIGKILLs its own worker
                     process (OOM-killer / hard crash; drawn per attempt,
                     so the supervisor's re-dispatch can succeed)
@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -84,7 +84,6 @@ _SPEC_ALIASES: Dict[str, str] = {
     "sim_hang": "sim_hang_rate",
     "sim_hang_rate": "sim_hang_rate",
     "hang": "sim_hang_rate",
-    "hang_seconds": "hang_seconds",
     "worker_kill": "worker_kill_rate",
     "worker_kill_rate": "worker_kill_rate",
     "kill": "worker_kill_rate",
@@ -112,7 +111,6 @@ class FaultPlan:
     sim_fail_rate: float = 0.0
     sim_perm_fail_rate: float = 0.0
     sim_hang_rate: float = 0.0
-    hang_seconds: float = 30.0
     worker_kill_rate: float = 0.0
     worker_stall_rate: float = 0.0
     worker_stall_s: float = 5.0
@@ -120,7 +118,7 @@ class FaultPlan:
 
     #: Duration fields (seconds, not probabilities) — validated as
     #: non-negative and excluded from the ``enabled`` test.
-    _DURATION_FIELDS = ("hang_seconds", "worker_stall_s")
+    _DURATION_FIELDS = ("worker_stall_s",)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -230,8 +228,6 @@ class FaultPlan:
             return "\n".join(lines)
         for name, value in active:
             lines.append(f"{name}: {value:g}")
-        if self.sim_hang_rate > 0:
-            lines.append(f"hang_seconds: {self.hang_seconds:g}")
         if self.worker_stall_rate > 0:
             lines.append(f"worker_stall_s: {self.worker_stall_s:g}")
         return "\n".join(lines)
@@ -243,8 +239,6 @@ class SimDecision:
 
     #: "ok", "fail", "perm_fail" or "hang".
     kind: str
-    #: Virtual seconds the attempt wastes before its outcome (hangs only).
-    delay: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -333,7 +327,7 @@ class FaultInjector:
 
         Permanent failures depend only on the invocation (every attempt
         fails); transient crashes and hangs are drawn independently per
-        attempt, so retries can succeed.
+        attempt, under their own salts, so retries can succeed.
         """
         plan = self.plan
         index = int(index)
@@ -345,28 +339,15 @@ class FaultInjector:
                 return SimDecision("fail")
         if plan.sim_hang_rate > 0:
             if self._rng(_SALT_HANG, index, attempt).random() < plan.sim_hang_rate:
-                return SimDecision("hang", delay=plan.hang_seconds)
+                return SimDecision("hang")
         return SimDecision("ok")
 
-    def check_simulation(
-        self,
-        index: int,
-        attempt: int = 1,
-        charge: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        """Raise :class:`SimulationFailure` if this attempt is doomed.
-
-        ``charge`` receives the virtual seconds a hang wastes (the
-        resilient executor passes its clock's ``sleep``); the hang itself
-        is reported as a plain retryable failure whose elapsed time the
-        executor compares against its deadline budget.
-        """
+    def check_simulation(self, index: int, attempt: int = 1) -> None:
+        """Raise :class:`SimulationFailure` if this attempt is doomed."""
         decision = self.simulation_decision(index, attempt)
         if decision.ok:
             return
         obs.inc(f"resilience.sim_faults.{decision.kind}")
-        if decision.kind == "hang" and charge is not None and decision.delay > 0:
-            charge(decision.delay)
         raise SimulationFailure(
             f"injected {decision.kind} simulating invocation {index} "
             f"(attempt {attempt})",

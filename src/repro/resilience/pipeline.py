@@ -1,46 +1,47 @@
-"""The resilient sampled-simulation pipeline.
+"""The one sampled-simulation pipeline behind ``repro sample``.
 
-:func:`sample_resiliently` is the fault-tolerant counterpart of the
-plain ``build_plan → evaluate_plan`` flow:
+:func:`sample_resiliently` runs the plain ``build_plan_from_store →
+evaluate_plan`` flow and, when a fault plan is active, survives it:
 
-1. profile the workload (optionally corrupting the profile through a
-   seeded :class:`~repro.resilience.faults.FaultInjector`);
-2. validate/repair the profile (:mod:`repro.resilience.validation`);
-3. build the sampling plan as usual;
-4. run every selected sample's simulation through a
-   :class:`~repro.resilience.executor.ResilientExecutor` (retries,
-   deadlines, quarantine), with injected crash/hang faults if enabled;
-5. repair the plan around permanently failed samples
-   (:func:`~repro.resilience.degraded.degrade_plan`), simulating any
-   replacement draws, and iterating until the plan is clean or
-   ``max_rounds`` is hit;
-6. score the final plan against the *clean* ground truth and report the
-   requested vs. achieved error bound.
+1. read the observed profile from the
+   :class:`~repro.baselines.base.ProfileStore` (which corrupts and
+   repairs it when it carries a fault injector) and build the plan;
+2. walk every sampled invocation's simulation attempts through the
+   seeded :class:`~repro.resilience.faults.FaultInjector` — up to
+   :data:`MAX_ATTEMPTS`, stopping at the first success or permanent
+   failure — and quarantine the ones that never succeed;
+3. repair the plan around quarantined samples
+   (:func:`~repro.resilience.degraded.degrade_plan`), walking any
+   replacement draws, until the plan is clean or ``max_rounds`` is hit;
+4. score the final plan against the store's *clean* profile and report
+   the requested vs. achieved error bound.
 
-With ``fault_plan`` ``None`` (or all rates zero) every step reduces to
-the plain pipeline: no injector is built, validation passes through
-clean profiles untouched, no sample fails, and the returned plan's
-cluster draws are bit-identical to ``sampler.build_plan_from_store``.
+Fault decisions are pure functions of (plan seed, invocation, attempt),
+so the walk needs no clock and no executor.  With no fault plan nothing
+fails: the plan is exactly ``sampler.build_plan_from_store`` and its
+achieved bound is the plan's own ``predicted_error``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..core.estimator import SampledSimulationResult, evaluate_plan
 from ..core.plan import SamplingPlan
-from ..core.stem import DEFAULT_Z, ClusterStats, predicted_error_multi
+from ..core.stem import DEFAULT_Z
 from .degraded import degrade_plan
 from .errors import EstimationError
-from .executor import ManualClock, ResilientExecutor, RetryPolicy
 from .faults import FaultInjector, FaultPlan
-from .validation import ProfileHealth, validate_times
+from .validation import ProfileHealth
 
-__all__ = ["ResilientSampleResult", "sample_resiliently"]
+__all__ = ["MAX_ATTEMPTS", "ResilientSampleResult", "sample_resiliently"]
+
+#: Simulation attempts per sampled invocation before it is quarantined.
+MAX_ATTEMPTS = 3
 
 
 @dataclass
@@ -76,142 +77,100 @@ def _cluster_members(sampler, workload, times, seed: int) -> Dict[str, np.ndarra
     return members
 
 
-def _memoized_simulate(
-    sim_cache, base: Callable[[int], float], simulate_id: str, store, workload, seed: int
-) -> Callable[[int], float]:
-    """Wrap a per-sample simulate callable with invocation-keyed caching.
+def _walk_attempts(injector: FaultInjector, index: int) -> Tuple[bool, int]:
+    """Simulate one invocation's attempts; return ``(ok, retries)``.
 
-    Values are stored per (workload, GPU, profile seed, plan seed,
-    simulate identity, invocation index) — one tiny entry per sampled
-    invocation, so repeated rounds, pipeline calls and re-runs skip the
-    simulation entirely.  Only *successful* values are ever stored (the
-    injector raises before this wrapper runs), so fault semantics are
-    untouched.
+    Stops at the first success or permanent failure; an invocation whose
+    every attempt fails (crash or hang) is quarantined too.
     """
-    from ..memo.sim_cache import RawKernelSim
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        kind = injector.simulation_decision(index, attempt).kind
+        if kind == "ok":
+            return True, attempt - 1
+        obs.inc(f"resilience.sim_faults.{kind}")
+        if kind == "perm_fail":
+            return False, attempt - 1
+    return False, MAX_ATTEMPTS - 1
 
-    context = sim_cache.context_for(
-        workload,
-        getattr(store, "config", None),
-        int(getattr(store, "seed", 0)),
-        ("resilience-sample", int(seed), simulate_id),
+
+def _observing_store(store, injector: Optional[FaultInjector]):
+    """``store``, or a copy that observes its profile through ``injector``.
+
+    A store that already carries a fault injector (the CLI builds one)
+    is used as is; otherwise profile faults of the plan are applied by a
+    fresh :class:`~repro.baselines.base.ProfileStore` in repair mode, so
+    the store stays the one place a profile is corrupted and repaired.
+    """
+    if (
+        injector is None
+        or not injector.plan.corrupts_profiles
+        or store.fault_injector is not None
+    ):
+        return store
+    from ..baselines.base import ProfileStore
+
+    return ProfileStore(
+        store.workload,
+        store.config,
+        seed=store.seed,
+        fault_injector=injector,
+        validation="repair",
+        cache=store.cache,
     )
-    no_events = np.zeros(0, dtype=np.int64)
-
-    def simulate(idx: int) -> float:
-        index = int(idx)
-        found, missing = sim_cache.load(context, [index])
-        if not missing:
-            return float(found[index].wave_cycles)
-        value = float(base(index))
-        sim_cache.store(
-            context,
-            [index],
-            {index: RawKernelSim(value, 0.0, 0.0, no_events)},
-        )
-        return value
-
-    return simulate
-
-
-def _plan_epsilon(plan: SamplingPlan, sampler, default: float = 0.05) -> float:
-    meta = plan.metadata.get("epsilon")
-    if isinstance(meta, (int, float)):
-        return float(meta)
-    return float(getattr(sampler, "epsilon", default))
 
 
 def sample_resiliently(
     store,
     sampler,
     fault_plan: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
     seed: int = 0,
     max_rounds: int = 8,
     max_loss_fraction: float = 0.25,
-    simulate: Optional[Callable[[int], float]] = None,
-    sim_cache=None,
 ) -> ResilientSampleResult:
     """Build and evaluate a sampling plan, surviving injected faults.
 
-    ``store`` is a :class:`~repro.baselines.base.ProfileStore` (or any
-    object with ``workload`` and ``execution_times()``); ``sampler`` must
-    expose ``build_plan``/``cluster`` (the STEM sampler does — degraded
-    estimation needs cluster membership).  ``simulate`` optionally
-    overrides the per-sample simulation; by default a sample's
-    "simulation" reproduces its profiled execution time, the model used
-    throughout the evaluation harness.
-
-    ``sim_cache`` (a :class:`~repro.memo.SimResultCache`) memoizes
-    ``simulate`` per *invocation* across rounds, pipeline calls and runs.
-    Fault decisions are checked before any cache lookup and are keyed by
-    (invocation, attempt) — never by draw slot — so an injected failure
-    is never masked by (or stored into) the cache, and results are
-    bit-identical with and without it.  Custom ``simulate`` callables are
-    keyed by their ``memo_id`` attribute when present, else by object
-    ``repr`` (which degrades to per-process caching, never a stale hit).
+    ``store`` is a :class:`~repro.baselines.base.ProfileStore`: the plan
+    is built from its observed profile and scored against its
+    :meth:`~repro.baselines.base.ProfileStore.true_execution_times`.
+    ``sampler`` must expose ``build_plan_from_store``/``cluster`` (the
+    STEM sampler does — degraded estimation needs cluster membership).
     """
     workload = store.workload
-    truth = np.asarray(store.execution_times(), dtype=np.float64)
-
     injector: Optional[FaultInjector] = None
     if fault_plan is not None and fault_plan.enabled:
         injector = FaultInjector(fault_plan)
+    store = _observing_store(store, injector)
 
     with obs.span("resilience.sample", workload=workload.name):
-        # -- observe (and possibly corrupt + repair) the profile -------------
-        observed = truth
-        if injector is not None and fault_plan.corrupts_profiles:
-            observed = injector.corrupt_times(truth)
-        observed, health = validate_times(
-            observed,
-            expected_length=len(workload),
-            mode="repair",
-            name=f"{workload.name} profile",
-        )
+        plan = sampler.build_plan_from_store(store, seed=seed)
+        epsilon = float(plan.metadata.get("epsilon", sampler.epsilon))
 
-        # -- plan ------------------------------------------------------------
-        plan = sampler.build_plan(workload, observed, seed=seed)
-        members = _cluster_members(sampler, workload, observed, seed)
-        epsilon = _plan_epsilon(plan, sampler)
-        z = float(getattr(sampler, "z", DEFAULT_Z))
-        replacement = bool(getattr(sampler, "replacement", True))
+        # -- walk every sampled invocation's attempts ------------------------
+        ok_by_index: Dict[int, bool] = {}
+        retries = 0
 
-        # -- simulate samples under the resilient executor -------------------
-        clock = ManualClock()
-        executor = ResilientExecutor(
-            policy=retry, clock=clock.now, sleep=clock.sleep
-        )
-        if simulate is None:
-            simulate = lambda idx: float(truth[idx])  # noqa: E731
-            simulate_id = "profile-truth"
-        else:
-            simulate_id = getattr(simulate, "memo_id", None) or repr(simulate)
-        if sim_cache is not None:
-            simulate = _memoized_simulate(
-                sim_cache, simulate, simulate_id, store, workload, seed
-            )
+        def walk(plan: SamplingPlan) -> None:
+            nonlocal retries
+            for index in plan.unique_indices():
+                index = int(index)
+                if injector is None or index in ok_by_index:
+                    continue
+                ok_by_index[index], tries = _walk_attempts(injector, index)
+                retries += tries
 
-        def run_sample(key: int, attempt: int) -> float:
-            # The fault check always runs first: a doomed (invocation,
-            # attempt) fails identically whether or not an earlier
-            # attempt's value sits in the cache.
-            if injector is not None:
-                injector.check_simulation(key, attempt, charge=clock.sleep)
-            return simulate(key)
-
-        executor.run_all(plan.unique_indices(), run_sample)
+        walk(plan)
 
         # -- degrade until clean or out of rounds ----------------------------
         rounds = 1
         degraded = None
+        members: Optional[Dict[str, np.ndarray]] = None
         while rounds <= max_rounds:
-            quarantined = set(executor.quarantine)
-            dirty = [
-                int(i) for i in plan.unique_indices() if int(i) in quarantined
-            ]
-            if not dirty:
+            quarantined = {i for i, ok in ok_by_index.items() if not ok}
+            if not quarantined.intersection(int(i) for i in plan.unique_indices()):
                 break
+            observed = store.execution_times()
+            if members is None:
+                members = _cluster_members(sampler, workload, observed, seed)
             rounds += 1
             degraded = degrade_plan(
                 plan,
@@ -219,13 +178,13 @@ def sample_resiliently(
                 observed,
                 quarantined,
                 epsilon=epsilon,
-                z=z,
+                z=float(getattr(sampler, "z", DEFAULT_Z)),
                 rng=np.random.default_rng([seed, 977, rounds]),
-                replacement=replacement,
+                replacement=bool(getattr(sampler, "replacement", True)),
                 max_loss_fraction=max_loss_fraction,
             )
             plan = degraded.plan
-            executor.run_all(plan.unique_indices(), run_sample)
+            walk(plan)
         else:
             raise EstimationError(
                 f"degraded estimation did not converge within {max_rounds} "
@@ -237,21 +196,7 @@ def sample_resiliently(
         if degraded is not None:
             achieved = degraded.achieved_epsilon
         else:
-            # No degradation: the achieved bound is the plan's own Eq. (5)
-            # bound over its actual allocation.
-            stats = []
-            sizes = []
-            for cluster in plan.clusters:
-                member_times = observed[members[cluster.label]]
-                stats.append(
-                    ClusterStats(
-                        n=cluster.member_count,
-                        mu=float(max(member_times.mean(), 1e-12)),
-                        sigma=float(member_times.std()),
-                    )
-                )
-                sizes.append(cluster.sample_size)
-            achieved = predicted_error_multi(stats, sizes, z=z)
+            achieved = float(plan.metadata["predicted_error"])
         metadata = dict(plan.metadata)
         metadata.setdefault("requested_epsilon", epsilon)
         metadata["achieved_epsilon"] = achieved
@@ -262,14 +207,15 @@ def sample_resiliently(
             metadata=metadata,
         )
 
-        result = evaluate_plan(plan, truth)
+        result = evaluate_plan(plan, store.true_execution_times())
 
-    quarantined_total = len(executor.quarantine)
+    health = store.profile_health or ProfileHealth(n_entries=len(workload))
+    quarantined_total = sum(1 for ok in ok_by_index.values() if not ok)
     obs.log_event(
         "resilience.sample_completed",
         workload=workload.name,
         quarantined=quarantined_total,
-        retries=executor.total_retries,
+        retries=retries,
         rounds=rounds,
         requested_epsilon=epsilon,
         achieved_epsilon=achieved,
@@ -280,8 +226,8 @@ def sample_resiliently(
     obs.set_gauge("resilience.achieved_epsilon", achieved)
     if quarantined_total:
         obs.inc("resilience.samples_quarantined", quarantined_total)
-    if executor.total_retries:
-        obs.inc("resilience.retries", executor.total_retries)
+    if retries:
+        obs.inc("resilience.retries", retries)
     if quarantined_total > 0 or health.repaired:
         obs.inc("resilience.degraded_runs")
     return ResilientSampleResult(
@@ -292,7 +238,7 @@ def sample_resiliently(
         profile_health=health,
         quarantined=quarantined_total,
         redrawn=degraded.redrawn if degraded is not None else 0,
-        retries=executor.total_retries,
+        retries=retries,
         rounds=rounds,
         reallocated=degraded.reallocated if degraded is not None else False,
     )

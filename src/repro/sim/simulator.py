@@ -134,10 +134,10 @@ class GpuSimulator:
         )
         self.noise = noise
         #: Optional :class:`~repro.resilience.faults.FaultInjector`; when
-        #: set, :meth:`simulate_invocation` consults it and raises
-        #: :class:`~repro.errors.SimulationFailure` for invocations the
-        #: fault plan dooms — the hook the resilient executor retries
-        #: around.  ``None`` (the default) costs nothing.
+        #: set, :meth:`simulate_workload` consults it and raises
+        #: :class:`~repro.errors.SimulationFailure` for the first
+        #: requested invocation the fault plan dooms on its first
+        #: attempt.  ``None`` (the default) costs nothing.
         self.fault_injector = fault_injector
         #: Optional :class:`~repro.memo.SimResultCache`; when set,
         #: :meth:`simulate_workload` reuses raw per-invocation results
@@ -231,18 +231,6 @@ class GpuSimulator:
             stats=stats,
         )
 
-    def simulate_invocation(
-        self,
-        workload: Workload,
-        index: int,
-        seed: int = 0,
-        attempt: int = 1,
-    ) -> KernelSimResult:
-        if self.fault_injector is not None:
-            self.fault_injector.check_simulation(int(index), attempt)
-        trace = self.tracer.generate(workload.invocation(index), seed=seed)
-        return self.simulate_trace(trace, seed=seed)
-
     # -- workloads ---------------------------------------------------------
     def simulate_workload(
         self,
@@ -258,7 +246,7 @@ class GpuSimulator:
         engine (:mod:`repro.sim.batch`), and noise, launch overhead,
         extrapolation scaling, counter rounding and aggregation are
         single array operations over all invocations.  Results are
-        bit-identical to calling :meth:`simulate_invocation` per index —
+        bit-identical to :meth:`simulate_trace` on each index's trace —
         each lock-step lane performs the same IEEE ops in the same order
         as the scalar event loop, and the post-processing is the same
         arithmetic applied elementwise.

@@ -583,6 +583,32 @@ class TestLintChanged:
         assert status == 0
         assert "no .py files changed" in capsys.readouterr().err
 
+    def test_changed_file_under_a_directory_operand(self, tmp_path, capsys):
+        root = tmp_path / "proj"
+        (root / "pkg" / "sub").mkdir(parents=True)
+        (root / "pyproject.toml").write_text(
+            "[tool.repro.lint]\npaths = [\"pkg\"]\n"
+        )
+        mod = root / "pkg" / "sub" / "mod.py"
+        mod.write_text('"""Clean."""\n')
+        (root / "pkg" / "other.py").write_text('"""Clean."""\n')
+        self._git("init", "-q", cwd=root)
+        self._git("add", "-A", cwd=root)
+        self._git(
+            "-c", "user.email=t@example.com", "-c", "user.name=t",
+            "commit", "-q", "-m", "seed", cwd=root,
+        )
+        mod.write_text('"""Now reads the clock."""\nimport time\ntime.time()\n')
+        (root / "pkg" / "other.py").write_text("import time\ntime.time()\n")
+        status = main([
+            "lint", "--config", str(root / "pyproject.toml"),
+            "--changed", "HEAD", "pkg/sub",
+        ])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "pkg/sub/mod.py" in out and "wall-clock" in out
+        assert "pkg/other.py" not in out  # changed, but outside the operand
+
     def test_changed_outside_a_repo_exits_2(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text(
             "[tool.repro.lint]\npaths = [\".\"]\n"

@@ -38,7 +38,7 @@ from repro.memo import (
     collapse_draws,
     expand_unique,
 )
-from repro.resilience import FaultPlan, sample_resiliently
+from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultInjector
 from repro.sim import GpuSimulator
 from repro.workloads import load_workload
@@ -475,54 +475,6 @@ class TestSweepMemo:
 
         truth = SimGroundTruth(sim_cache_root=str(tmp_path / "sim"))
         assert pickle.loads(pickle.dumps(truth)) == truth
-
-
-class TestResilienceMemo:
-    @staticmethod
-    def outcome_key(res):
-        return (
-            res.plan.to_dict(),
-            res.result.estimated_total,
-            res.result.error_percent,
-            res.achieved_epsilon,
-            res.quarantined,
-            res.redrawn,
-            res.retries,
-            res.rounds,
-        )
-
-    def test_faulty_pipeline_bit_identical_with_cache(self, tmp_path):
-        workload = small_workload()
-        sampler = StemRootSampler(epsilon=0.1)
-        fault_plan = FaultPlan.from_spec("seed=7,sim_fail=0.1,perm_fail=0.02")
-
-        def run(sim_cache=None):
-            store = ProfileStore(workload, RTX_2080, seed=6)
-            return sample_resiliently(
-                store, sampler, fault_plan=fault_plan, seed=6,
-                sim_cache=sim_cache,
-            )
-
-        plain = run()
-        cache = SimResultCache(str(tmp_path / "sim"))
-        cold = run(sim_cache=cache)
-        assert cache.stores > 0
-        warm = run(sim_cache=cache)
-        assert cache.hits > 0
-        assert self.outcome_key(plain) == self.outcome_key(cold)
-        assert self.outcome_key(plain) == self.outcome_key(warm)
-
-    def test_clean_pipeline_bit_identical_with_cache(self, tmp_path):
-        workload = small_workload()
-        sampler = StemRootSampler(epsilon=0.1)
-        store = ProfileStore(workload, RTX_2080, seed=6)
-        plain = sample_resiliently(store, sampler, seed=6)
-        cache = SimResultCache(str(tmp_path / "sim"))
-        cached = sample_resiliently(
-            ProfileStore(workload, RTX_2080, seed=6), sampler, seed=6,
-            sim_cache=cache,
-        )
-        assert self.outcome_key(plain) == self.outcome_key(cached)
 
 
 class TestMemoCli:

@@ -22,6 +22,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines import PkaSampler, ProfileStore
 from repro.core import StemRootSampler, evaluate_plan
 from repro.core.estimator import sampling_error_percent
@@ -36,12 +37,11 @@ from repro.errors import (
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import ExperimentConfig, ResultRow, run_suite
 from repro.hardware import RTX_2080
+from repro.resilience import pipeline as pipeline_mod
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
-    ManualClock,
-    ResilientExecutor,
-    RetryPolicy,
+    SimDecision,
     degrade_plan,
     sample_resiliently,
     validate_times,
@@ -102,7 +102,7 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(nan_rate=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(hang_seconds=-1)
+            FaultPlan(worker_stall_s=-1)
 
 
 class TestInjectorDeterminism:
@@ -212,127 +212,37 @@ class TestSamplerValidation:
 
 
 # ---------------------------------------------------------------------------
-# Resilient executor
+# Per-invocation attempt walk
 # ---------------------------------------------------------------------------
-class TestExecutor:
-    def test_transient_failure_retried(self):
-        calls = []
+class _ScriptedInjector:
+    """Injector stand-in returning a fixed verdict per attempt."""
 
-        def flaky(key, attempt):
-            calls.append(attempt)
-            if attempt < 3:
-                raise SimulationFailure("boom", key=key, attempt=attempt)
-            return 42.0
+    def __init__(self, kinds):
+        self.kinds = kinds
+        self.calls = []
 
-        ex = ResilientExecutor(RetryPolicy(max_attempts=3))
-        outcome = ex.run(7, flaky)
-        assert outcome.ok and outcome.value == 42.0
-        assert outcome.attempts == 3 and outcome.retries == 2
-        assert calls == [1, 2, 3]
-        assert ex.quarantine == []
+    def simulation_decision(self, index, attempt=1):
+        self.calls.append(attempt)
+        return SimDecision(self.kinds[attempt - 1])
 
-    def test_permanent_failure_skips_retries(self):
-        def dead(key, attempt):
-            raise SimulationFailure("corrupt", key=key, permanent=True)
 
-        ex = ResilientExecutor(RetryPolicy(max_attempts=5))
-        outcome = ex.run(1, dead)
-        assert not outcome.ok
-        assert outcome.attempts == 1
-        assert outcome.gave_up == "permanent failure"
-        assert ex.quarantine == [1]
+class TestAttemptWalk:
+    def test_transient_failures_retried_until_success(self):
+        injector = _ScriptedInjector(["fail", "hang", "ok"])
+        assert pipeline_mod._walk_attempts(injector, 7) == (True, 2)
+        assert injector.calls == [1, 2, 3]
 
-    def test_max_attempts_exhausted(self):
-        ex = ResilientExecutor(RetryPolicy(max_attempts=2))
-        outcome = ex.run(
-            3, lambda k, a: (_ for _ in ()).throw(SimulationFailure("x"))
-        )
-        assert not outcome.ok and outcome.attempts == 2
-        assert outcome.gave_up == "max attempts exhausted"
+    def test_permanent_failure_stops_the_walk(self):
+        injector = _ScriptedInjector(["perm_fail", "ok", "ok"])
+        assert pipeline_mod._walk_attempts(injector, 1) == (False, 0)
+        assert injector.calls == [1]
 
-    def test_deadline_turns_hang_into_timeout(self):
-        clock = ManualClock()
-        ex = ResilientExecutor(
-            RetryPolicy(max_attempts=2, deadline=5.0),
-            clock=clock.now,
-            sleep=clock.sleep,
-        )
-
-        def hangs_once(key, attempt):
-            if attempt == 1:
-                clock.sleep(60.0)  # the "hang"
-            return 1.0
-
-        outcome = ex.run(0, hangs_once)
-        assert outcome.ok and outcome.failures == ["timeout"]
-
-    def test_total_budget_exhaustion(self):
-        clock = ManualClock()
-        ex = ResilientExecutor(
-            RetryPolicy(max_attempts=10, deadline=5.0, total_budget=50.0),
-            clock=clock.now,
-            sleep=clock.sleep,
-        )
-
-        def always_hangs(key, attempt):
-            clock.sleep(30.0)
-            return 1.0
-
-        outcome = ex.run(0, always_hangs)
-        assert not outcome.ok
-        assert outcome.gave_up == "total budget exhausted"
-        assert outcome.attempts < 10
-
-    def test_backoff_is_exponential(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=3.0)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(3) == pytest.approx(0.9)
-
-    def test_backoff_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=3.0, jitter=0.1)
-        for attempt in (1, 2, 3):
-            base = 0.1 * 3.0 ** (attempt - 1)
-            for key in (0, 7, 12345):
-                delay = policy.backoff(attempt, key=key)
-                # Stable for the same (key, attempt)...
-                assert delay == policy.backoff(attempt, key=key)
-                # ...and bounded by [base, base * (1 + jitter)].
-                assert base <= delay <= base * 1.1
-        # Distinct keys de-synchronize: not every key gets the same delay.
-        delays = {policy.backoff(2, key=k) for k in range(16)}
-        assert len(delays) > 1
-        # No key (the legacy call) keeps the exact un-jittered schedule.
-        assert policy.backoff(2) == pytest.approx(0.3)
-        # jitter=0 opts out even with a key.
-        flat = RetryPolicy(backoff_base=0.1, backoff_factor=3.0, jitter=0.0)
-        assert flat.backoff(2, key=9) == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.5)
-
-    def test_executor_jitters_by_sample_key(self):
-        slept = {}
-
-        def flaky(key, attempt):
-            if attempt == 1:
-                raise SimulationFailure("boom", key=key, attempt=attempt)
-            return float(key)
-
-        policy = RetryPolicy(max_attempts=2, backoff_base=1.0, jitter=0.5)
-        for key in (3, 4):
-            clock = ManualClock()
-            sleeps = []
-
-            def spy_sleep(seconds, _sleeps=sleeps, _clock=clock):
-                _sleeps.append(seconds)
-                _clock.sleep(seconds)
-
-            ex = ResilientExecutor(policy, clock=clock.now, sleep=spy_sleep)
-            assert ex.run(key, flaky).ok
-            assert len(sleeps) == 1
-            assert sleeps[0] == policy.backoff(1, key=key)
-            slept[key] = sleeps[0]
-        # Two samples retrying at once back off at different moments.
-        assert slept[3] != slept[4]
+    def test_quarantined_after_last_attempt(self):
+        kinds = ["fail"] * pipeline_mod.MAX_ATTEMPTS + ["ok"]
+        injector = _ScriptedInjector(kinds)
+        ok, retries = pipeline_mod._walk_attempts(injector, 3)
+        assert not ok and retries == pipeline_mod.MAX_ATTEMPTS - 1
+        assert injector.calls == list(range(1, pipeline_mod.MAX_ATTEMPTS + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +377,49 @@ class TestDegradedBound:
 
     def test_hangs_are_retried_within_deadline_budget(self, workload):
         store = ProfileStore(workload, RTX_2080, seed=1)
-        fault_plan = FaultPlan(seed=21, sim_hang_rate=0.3, hang_seconds=60.0)
+        fault_plan = FaultPlan(seed=21, sim_hang_rate=0.3)
         res = sample_resiliently(
-            store, StemRootSampler(epsilon=0.05), fault_plan=fault_plan,
-            retry=RetryPolicy(max_attempts=6, deadline=10.0), seed=1,
+            store, StemRootSampler(epsilon=0.05), fault_plan=fault_plan, seed=1,
         )
         assert res.retries > 0
         assert np.isfinite(res.result.error_percent)
+
+
+class TestOneSamplingPath:
+    def test_undegraded_bound_is_the_plans_predicted_error(self, store):
+        res = sample_resiliently(
+            store, StemRootSampler(epsilon=0.05),
+            fault_plan=FaultPlan(seed=4, sim_fail_rate=0.05), seed=2,
+        )
+        assert res.quarantined == 0
+        assert res.achieved_epsilon == res.plan.metadata["predicted_error"]
+
+    def test_zero_fault_run_clusters_once(self, workload):
+        with obs.scoped() as session:
+            StemRootSampler(epsilon=0.05).build_plan_from_store(
+                ProfileStore(workload, RTX_2080, seed=7), seed=11
+            )
+            plain = len(session.tracer.find("sampler.cluster"))
+        with obs.scoped() as session:
+            sample_resiliently(
+                ProfileStore(workload, RTX_2080, seed=7),
+                StemRootSampler(epsilon=0.05), seed=11,
+            )
+            resilient = len(session.tracer.find("sampler.cluster"))
+        assert plain == resilient == 1
+
+    def test_fault_counters_match_the_result(self, workload):
+        store = ProfileStore(workload, RTX_2080, seed=0)
+        with obs.scoped() as session:
+            res = sample_resiliently(
+                store, StemRootSampler(epsilon=0.05),
+                fault_plan=FaultPlan.from_spec("seed=5,sim_fail=0.3,perm_fail=0.1"),
+                seed=0,
+            )
+            counters = session.metrics.snapshot().get("counters", {})
+        assert res.retries > 0 and res.quarantined > 0
+        assert counters.get("resilience.retries") == res.retries
+        assert counters.get("resilience.samples_quarantined") == res.quarantined
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +633,12 @@ class TestSimulatorFaultHook:
             if injector.simulation_decision(i).kind == "perm_fail"
         )
         with pytest.raises(SimulationFailure):
-            sim.simulate_invocation(flat, doomed, seed=0)
+            sim.simulate_workload(flat, indices=[doomed], seed=0)
 
     def test_no_injector_no_cost(self, flat):
         sim = GpuSimulator(RTX_2080)
-        result = sim.simulate_invocation(flat, 0, seed=0)
-        assert result.cycles > 0
+        result = sim.simulate_workload(flat, indices=[0], seed=0)
+        assert result.kernel_results[0].cycles > 0
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,9 @@ class TestBatchedWorkloadSimulation:
         scalar_sim = GpuSimulator(RTX_2080)
         assert len(batch.kernel_results) == len(w)
         for i, got in enumerate(batch.kernel_results):
-            want = scalar_sim.simulate_invocation(w, i, seed=3)
+            want = scalar_sim.simulate_trace(
+                scalar_sim.tracer.generate(w.invocation(i), seed=3), seed=3
+            )
             assert got.cycles == want.cycles
             assert got.wave_cycles == want.wave_cycles
             assert got.extrapolation == want.extrapolation
