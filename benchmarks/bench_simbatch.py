@@ -45,7 +45,7 @@ from _shared import write_bench_report
 import numpy as np
 
 from repro.hardware import RTX_2080, dse_variants
-from repro.sim import BatchPolicy, GpuSimulator, execute_wave_batch
+from repro.sim import BatchPolicy, GpuSimulator, execute_trace, execute_wave_batch
 from repro.sim.simulator import _EVENT_FIELDS
 from repro.workloads import load_workload
 
@@ -85,7 +85,9 @@ def bench_engine(suite: str, name: str, scale: float, seed: int) -> Dict[str, ob
         for i in range(len(workload))
     ]
 
-    scalar, scalar_s = timed(lambda: [sim._execute_trace(t) for t in traces])
+    scalar, scalar_s = timed(
+        lambda: [execute_trace(t, sim.spec.latencies, sim.config) for t in traces]
+    )
     (batched, report), batched_s = timed(
         lambda: execute_wave_batch(traces, sim.spec.latencies, sim.config, sim.batch_policy)
     )

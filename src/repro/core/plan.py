@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
+
+from ..keys import key_exempt
 
 __all__ = ["PlanCluster", "SamplingPlan"]
 
@@ -29,12 +31,18 @@ class PlanCluster:
     the full workload); ``sampled_indices`` are the workload-level indices
     of the selected representatives, possibly with repeats when sampling
     with replacement.  Estimation weighs the *mean* of the sampled times
-    by ``member_count``.
+    by ``member_count``.  ``members`` holds the workload-level indices of
+    all ``N_i`` members when the sampler knows them (degraded estimation
+    redraws from them); it is not serialized.
     """
 
     label: str
     member_count: int
     sampled_indices: np.ndarray
+    members: Optional[np.ndarray] = key_exempt(
+        "a function of the profile and seed that produced sampled_indices",
+        default=None, compare=False, repr=False,
+    )
 
     def __post_init__(self) -> None:
         if self.member_count <= 0:

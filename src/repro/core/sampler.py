@@ -217,6 +217,7 @@ class StemRootSampler:
                             label=f"{labeled.name}#{peak}",
                             member_count=len(indices),
                             sampled_indices=np.asarray(chosen, dtype=np.int64),
+                            members=indices,
                         )
                     )
 

@@ -11,7 +11,7 @@ the same durability discipline as :class:`repro.parallel.ProfileCache`
 
 What is cached
 --------------
-The **raw** per-invocation outputs of ``GpuSimulator._execute_trace``
+The **raw** per-invocation outputs of :func:`repro.sim.sm.execute_trace`
 (wave cycles, extrapolation factor, unscaled stall cycles and the
 unscaled integer event matrix) — never the post-processed
 ``KernelSimResult``.  Noise, launch overhead, extrapolation scaling and

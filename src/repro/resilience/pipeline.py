@@ -64,19 +64,6 @@ class ResilientSampleResult:
         return self.quarantined > 0 or self.profile_health.repaired
 
 
-def _cluster_members(sampler, workload, times, seed: int) -> Dict[str, np.ndarray]:
-    """Reproduce the plan's cluster membership (labels match build_plan)."""
-    rng = np.random.default_rng(seed)
-    labeled = sampler.cluster(workload, times, rng=rng)
-    counter: Dict[str, int] = {}
-    members: Dict[str, np.ndarray] = {}
-    for lc in labeled:
-        i = counter.get(lc.name, 0)
-        counter[lc.name] = i + 1
-        members[f"{lc.name}#{i}"] = lc.indices
-    return members
-
-
 def _walk_attempts(injector: FaultInjector, index: int) -> Tuple[bool, int]:
     """Simulate one invocation's attempts; return ``(ok, retries)``.
 
@@ -132,8 +119,9 @@ def sample_resiliently(
     ``store`` is a :class:`~repro.baselines.base.ProfileStore`: the plan
     is built from its observed profile and scored against its
     :meth:`~repro.baselines.base.ProfileStore.true_execution_times`.
-    ``sampler`` must expose ``build_plan_from_store``/``cluster`` (the
-    STEM sampler does — degraded estimation needs cluster membership).
+    ``sampler`` must expose ``build_plan_from_store`` and record each
+    plan cluster's ``members`` (the STEM sampler does — degraded
+    estimation needs cluster membership).
     """
     workload = store.workload
     injector: Optional[FaultInjector] = None
@@ -143,6 +131,10 @@ def sample_resiliently(
 
     with obs.span("resilience.sample", workload=workload.name):
         plan = sampler.build_plan_from_store(store, seed=seed)
+        # Degraded plans drop membership; keep the original plan's.
+        members = {
+            c.label: c.members for c in plan.clusters if c.members is not None
+        }
         epsilon = float(plan.metadata.get("epsilon", sampler.epsilon))
 
         # -- walk every sampled invocation's attempts ------------------------
@@ -163,14 +155,11 @@ def sample_resiliently(
         # -- degrade until clean or out of rounds ----------------------------
         rounds = 1
         degraded = None
-        members: Optional[Dict[str, np.ndarray]] = None
         while rounds <= max_rounds:
             quarantined = {i for i, ok in ok_by_index.items() if not ok}
             if not quarantined.intersection(int(i) for i in plan.unique_indices()):
                 break
             observed = store.execution_times()
-            if members is None:
-                members = _cluster_members(sampler, workload, observed, seed)
             rounds += 1
             degraded = degrade_plan(
                 plan,

@@ -7,7 +7,7 @@ from .cache import Cache, CacheStats
 from .intra_kernel import AdaptiveWaveSimulator, WaveSampleResult
 from .memory import DramModel
 from .noise import noise_factors
-from .sm import LatencyTable, StreamingMultiprocessor
+from .sm import LatencyTable, StreamingMultiprocessor, execute_trace
 from .simulator import (
     GpuSimulator,
     KernelSimResult,
@@ -15,7 +15,7 @@ from .simulator import (
     simulate_workload_on,
 )
 from .stats import SimStats
-from .trace import KernelTrace, Op, TraceGenerator, WarpTrace
+from .trace import KernelTrace, Op, TraceGenerator
 from .warmup import NoWarmup, ProportionalWarmup, WarmupKernel, WarmupStrategy
 
 __all__ = [
@@ -32,9 +32,9 @@ __all__ = [
     "DramModel",
     "LatencyTable",
     "StreamingMultiprocessor",
+    "execute_trace",
     "SimStats",
     "Op",
-    "WarpTrace",
     "KernelTrace",
     "TraceGenerator",
     "GpuSimulator",

@@ -226,7 +226,7 @@ class AnalyticalSimulator:
         ) / lat.ilp
         chain = compute_chain + n_mem * mem_latency
         # 3) DRAM bandwidth: per-SM slice in bytes per core cycle (the
-        #    same derivation as GpuSimulator._make_dram).
+        #    same derivation as repro.sim.sm.make_dram).
         bw = max(cfg.dram_bandwidth_gbps / cfg.num_sms / cfg.clock_ghz, 1e-3)
         dram_accesses = dram_frac * acc
         dram_bw = dram_accesses * line / bw

@@ -17,16 +17,19 @@ instruction per trace per step:
   that reproduce the scalar list-LRU decision for decision.
 
 Lane layout, for ``L`` lanes of up to ``W`` warps, ``I`` instructions
-and ``M`` memory operations per warp:
+and ``M`` memory operations per warp (a trace's warps all run its one
+instruction stream, so opcodes are per lane, not per warp):
 
-* ``kinds`` — int8 ``[L, W, I]`` opcodes, padded;
+* ``kinds`` — int8 ``[L, I]`` opcodes, padded, with the per-lane stream
+  length ``length`` int64 ``[L]``; a lane runs ``W_b x length[b]``
+  steps, and its padded warps start "never ready" so none is picked;
 * ``lat`` — float64 ``[L, 8]`` per-lane latency table, gathered by
   ``lane * 8 + kind``: compute kinds hold the exposed latency
   ``base[k] / (ilp * max(eff, 1e-3))`` of the lane's machine and the
   lane's efficiency, memory kinds hold NaN so one ``isnan`` finds them;
-* ``addr_lines`` — int64 ``[L, W, M]`` cache-line numbers, consumed
-  through a per-warp memory cursor ``[L, W]`` (the scalar loop's
-  ``mem_cursor``);
+* ``addr_lines`` — int64 ``[L, W, M]`` cache-line numbers (the traces'
+  ``addresses`` rows), consumed through a per-warp memory cursor
+  ``[L, W]`` (the scalar loop's ``mem_cursor``);
 * per-lane machine scalars — L1/L2/DRAM latencies and the DRAM service
   time — as float64 ``[L]`` arrays, and per-lane cache geometry inside
   the timestamp-LRU caches.
@@ -39,8 +42,8 @@ numerical accident: step *t* of lane *b* performs the same IEEE float
 operations, in the same order, on the same values as iteration *t* of
 the scalar event loop for trace *b*.  The parity suite
 (``tests/test_simbatch.py``) asserts this across every bundled workload
-and across mixed-machine batches, and the scalar path stays available
-as the oracle.
+and across mixed-machine batches, and the scalar path
+(:func:`~repro.sim.sm.execute_trace`) stays available as the oracle.
 
 Performance shape: one lock-step iteration costs a fixed number of numpy
 calls regardless of batch width, so throughput grows with width while
@@ -62,9 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cache import Cache
-from .memory import DramModel
-from .sm import LatencyTable, StreamingMultiprocessor
+from .sm import LatencyTable, execute_trace, make_dram
 from .stats import SimStats
 from .trace import KernelTrace, Op
 
@@ -144,7 +145,7 @@ class _LaneParams:
 
     Each distinct (latency table, GPU config) pair is resolved once into
     Python floats by exactly the expressions the scalar oracle evaluates
-    (``StreamingMultiprocessor`` and ``GpuSimulator._make_dram``); lanes
+    (``StreamingMultiprocessor`` and ``make_dram``); lanes
     then gather their machine's row by id.  The compute-latency table is
     the one per-lane array operation: ``base / (ilp * max(eff, 1e-3))``
     elementwise, the same IEEE division ``_compute_latency`` performs.
@@ -172,7 +173,7 @@ class _LaneParams:
         self.l1_lat = column(lambda lat, c: lat.l1_hit / lat.ilp)
         self.l2_lat = column(lambda lat, c: lat.l2_hit / lat.ilp)
         self.dram_lat = column(lambda lat, c: lat.dram / lat.ilp)
-        self.service = column(lambda lat, c: _dram_service_cycles(c))
+        self.service = column(lambda lat, c: make_dram(c).service_cycles)
         ilp = column(lambda lat, c: lat.ilp)
         base = column(lambda lat, c: (
             lat.fp32, lat.fp16, lat.int_alu, lat.sfu, lat.shared, lat.branch,
@@ -182,7 +183,7 @@ class _LaneParams:
             [t.invocation.context.efficiency for t in traces], dtype=np.float64
         )
         self.lat = base / (ilp * np.maximum(efficiency, 1e-3))[:, None]
-        # Scaled capacities, as ``_execute_trace`` sizes its caches.
+        # Scaled capacities, as ``execute_trace`` sizes its caches.
         scales = np.array([t.cache_scale for t in traces], dtype=np.float64)
         self.l1_bytes = np.maximum(
             self.line_bytes * 2, (l1_per_sm * scales).astype(np.int64)
@@ -299,49 +300,41 @@ class _Chunk:
     """Structure-of-arrays state for one lock-step chunk."""
 
     __slots__ = (
-        "params", "steps", "ready", "pcs", "warp_len", "kinds", "cursor",
+        "params", "steps", "ready", "pcs", "length", "kinds", "cursor",
         "addr_lines", "l1", "l2", "busy", "events",
     )
 
     def __init__(self, traces: Sequence[KernelTrace], params: _LaneParams):
         self.params = params
         lanes = len(traces)
-        n_warps = max(len(t.warps) for t in traces)
-        n_instr = max(max(len(w.kinds) for w in t.warps) for t in traces)
-        n_mem = max(max(len(w.addresses) for w in t.warps) for t in traces)
+        n_warps = max(t.num_warps for t in traces)
+        n_instr = max(len(t.kinds) for t in traces)
+        n_mem = max(t.addresses.shape[1] for t in traces)
 
-        self.kinds = np.zeros((lanes, n_warps, n_instr), dtype=np.int8)
-        self.warp_len = np.zeros((lanes, n_warps), dtype=np.int64)
+        self.kinds = np.zeros((lanes, n_instr), dtype=np.int8)
+        self.length = np.zeros(lanes, dtype=np.int64)
         self.addr_lines = np.zeros((lanes, n_warps, max(n_mem, 1)), dtype=np.int64)
         self.ready = np.full((lanes, n_warps), _BIG, dtype=np.float64)
         # Static event counts: every traced instruction issues exactly
-        # once, so per-kind totals never depend on timing.
+        # once per warp, so per-kind totals never depend on timing.
         self.events = np.zeros((lanes, _KINDS), dtype=np.int64)
+        warps = np.zeros(lanes, dtype=np.int64)
         for b, trace in enumerate(traces):
-            line_bytes = int(params.line_bytes[b])
-            events = self.events[b]
-            for w, warp in enumerate(trace.warps):
-                k = len(warp.kinds)
-                self.kinds[b, w, :k] = warp.kinds
-                self.warp_len[b, w] = k
-                m = len(warp.addresses)
-                self.addr_lines[b, w, :m] = warp.addresses // line_bytes
-                self.ready[b, w] = 0.0
-                events += np.bincount(warp.kinds, minlength=_KINDS)
+            k = len(trace.kinds)
+            w, m = trace.addresses.shape
+            self.kinds[b, :k] = trace.kinds
+            self.length[b] = k
+            warps[b] = w
+            self.addr_lines[b, :w, :m] = trace.addresses // params.line_bytes[b]
+            self.ready[b, :w] = 0.0
+            self.events[b] = w * np.bincount(trace.kinds, minlength=_KINDS)
         self.pcs = np.zeros((lanes, n_warps), dtype=np.int64)
         self.cursor = np.zeros((lanes, n_warps), dtype=np.int64)
-        self.steps = self.warp_len.sum(axis=1)
+        self.steps = warps * self.length
 
         self.l1 = _LaneCaches(params.l1_bytes, params.line_bytes, 8)
         self.l2 = _LaneCaches(params.l2_bytes, params.line_bytes, 16)
         self.busy = np.zeros(lanes, dtype=np.float64)
-
-
-def _dram_service_cycles(config) -> float:
-    """Exactly ``GpuSimulator._make_dram()``'s service time in cycles."""
-    per_sm_gbps = config.dram_bandwidth_gbps / config.num_sms
-    bytes_per_cycle = per_sm_gbps / config.clock_ghz
-    return config.cache_line_bytes / max(bytes_per_cycle, 1e-3)
 
 
 def _run_chunk(chunk: _Chunk) -> Tuple[np.ndarray, np.ndarray]:
@@ -363,7 +356,7 @@ def _run_chunk(chunk: _Chunk) -> Tuple[np.ndarray, np.ndarray]:
     steps = chunk.steps
     total = int(steps.max()) if lanes else 0
     n_warps = chunk.ready.shape[1]
-    n_instr = chunk.kinds.shape[2]
+    n_instr = chunk.kinds.shape[1]
     n_mem = chunk.addr_lines.shape[2]
 
     # Active-lane count per step, precomputed: lanes are sorted by
@@ -377,7 +370,7 @@ def _run_chunk(chunk: _Chunk) -> Tuple[np.ndarray, np.ndarray]:
     kinds_flat = chunk.kinds.reshape(-1)
     cursor_flat = chunk.cursor.reshape(-1)
     addr_flat = chunk.addr_lines.reshape(-1)
-    warp_len_flat = chunk.warp_len.reshape(-1)
+    length = chunk.length
     lat_flat = params.lat.reshape(-1)
     l1_latency, l2_latency = params.l1_lat, params.l2_lat
     dram_latency, service = params.dram_lat, params.service
@@ -389,6 +382,7 @@ def _run_chunk(chunk: _Chunk) -> Tuple[np.ndarray, np.ndarray]:
     last_completion = np.zeros(lanes, dtype=np.float64)
     lane_range = np.arange(lanes)
     lat_row = lane_range * _KINDS
+    kind_row = lane_range * n_instr
 
     for t in range(total):
         active = int(active_at[t])
@@ -402,7 +396,7 @@ def _run_chunk(chunk: _Chunk) -> Tuple[np.ndarray, np.ndarray]:
         np.add(issue, 1.0, out=port_a)
 
         pc = pcs_flat.take(flat_w)
-        kind = kinds_flat.take(flat_w * n_instr + pc)
+        kind = kinds_flat.take(kind_row[:active] + pc)
         lat = lat_flat.take(lat_row[:active] + kind)
         mem = np.isnan(lat)
         m = mem.nonzero()[0]  # == lane ids: the active set is a prefix
@@ -435,7 +429,7 @@ def _run_chunk(chunk: _Chunk) -> Tuple[np.ndarray, np.ndarray]:
         completion = issue + lat
         new_pc = pc + 1
         pcs_flat[flat_w] = new_pc
-        finished = new_pc >= warp_len_flat.take(flat_w)
+        finished = new_pc >= length[:active]
         ready_flat[flat_w] = np.where(finished, _BIG, completion)
         np.maximum(last_completion[:active], completion, out=last_completion[:active])
 
@@ -480,33 +474,6 @@ def _stats_for_lane(
     return stats
 
 
-def _execute_scalar(trace: KernelTrace, latencies: LatencyTable, config) -> Tuple[float, SimStats]:
-    """The oracle: per-trace scalar execution, as ``_execute_trace`` runs it."""
-    scale = trace.cache_scale
-    line = config.cache_line_bytes
-    l1 = Cache(
-        max(line * 2, int(config.l1_bytes_per_sm * scale)),
-        line_bytes=line,
-        associativity=8,
-    )
-    l2 = Cache(
-        max(line * 4, int(config.l2_bytes * scale)),
-        line_bytes=line,
-        associativity=16,
-    )
-    per_sm_gbps = config.dram_bandwidth_gbps / config.num_sms
-    dram = DramModel(
-        latency_cycles=0.0,
-        bandwidth_bytes_per_cycle=max(per_sm_gbps / config.clock_ghz, 1e-3),
-        line_bytes=line,
-    )
-    sm = StreamingMultiprocessor(latencies, l1, l2, dram)
-    wave_cycles, stats = sm.execute_wave(trace)
-    stats.l1_hits = l1.stats.hits
-    stats.l1_misses = l1.stats.misses
-    return wave_cycles, stats
-
-
 def execute_wave_batch(
     traces: Sequence[KernelTrace],
     latencies: Union[LatencyTable, Sequence[LatencyTable]],
@@ -519,8 +486,9 @@ def execute_wave_batch(
     or one entry per trace, aligned with ``traces`` — lanes on different
     machines (e.g. the DSE design points) share the lock-step chunks.
     Results are returned in input order and are bit-identical to the
-    scalar ``_execute_trace`` of each trace's own machine.  The report
-    carries the batching shape for ``sim.batch.*`` observability.
+    scalar :func:`~repro.sim.sm.execute_trace` of each trace's own
+    machine.  The report carries the batching shape for ``sim.batch.*``
+    observability.
     """
     policy = policy or BatchPolicy()
     report = BatchExecReport()
@@ -544,19 +512,19 @@ def execute_wave_batch(
         if policy.enabled and int(cost) <= policy.max_lane_cache_bytes:
             batchable.append(i)
         else:
-            results[i] = _execute_scalar(traces[i], lat_of[i], config_of[i])
+            results[i] = execute_trace(traces[i], lat_of[i], config_of[i])
             report.scalar_lanes += 1
 
     if len(batchable) < max(2, policy.min_width):
         for i in batchable:
-            results[i] = _execute_scalar(traces[i], lat_of[i], config_of[i])
+            results[i] = execute_trace(traces[i], lat_of[i], config_of[i])
             report.scalar_lanes += 1
         return [r for r in results], report  # type: ignore[misc]
 
     # Sort by total instruction count, descending, so finished lanes are
     # always a suffix of each chunk (active set = prefix slice).
     steps = np.array(
-        [sum(len(w.kinds) for w in traces[i].warps) for i in batchable], dtype=np.int64
+        [traces[i].num_warps * len(traces[i].kinds) for i in batchable], dtype=np.int64
     )
     order = sorted(range(len(batchable)), key=lambda j: (-int(steps[j]), j))
 

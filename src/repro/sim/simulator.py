@@ -36,10 +36,8 @@ from ..memo.dedup import collapse_draws
 from ..memo.sim_cache import RawKernelSim
 from ..workloads.workload import Workload
 from .batch import BatchPolicy, execute_wave_batch
-from .cache import Cache
-from .memory import DramModel
 from .noise import noise_factors
-from .sm import LatencyTable, StreamingMultiprocessor
+from .sm import LatencyTable, execute_trace
 from .spec import CycleSpec
 from .stats import SimStats
 from .trace import KernelTrace, TraceGenerator
@@ -157,49 +155,7 @@ class GpuSimulator:
             dram=max(100.0, config.dram_latency_ns * cycles_per_ns),
         )
 
-    def _make_dram(self) -> DramModel:
-        # Per-SM share of DRAM bandwidth, in bytes per core cycle.
-        per_sm_gbps = self.config.dram_bandwidth_gbps / self.config.num_sms
-        bytes_per_cycle = per_sm_gbps / self.config.clock_ghz
-        return DramModel(
-            latency_cycles=0.0,  # fixed latency lives in LatencyTable.dram
-            bandwidth_bytes_per_cycle=max(bytes_per_cycle, 1e-3),
-            line_bytes=self.config.cache_line_bytes,
-        )
-
     # -- single kernels -----------------------------------------------------
-    def _execute_trace(self, trace: KernelTrace) -> Tuple[float, SimStats]:
-        """Run the event-driven wave simulation for one trace.
-
-        The irreducibly sequential core: cache setup, optional warmup and
-        the SM wave loop.  Returns the raw (unscaled) wave cycles and
-        stats, with L1 counters already folded in.
-        """
-        # Cache capacities are scaled into the trace's reduced address
-        # space so footprint-to-capacity ratios match the full kernel.
-        scale = trace.cache_scale
-        line = self.config.cache_line_bytes
-        l1 = Cache(
-            max(line * 2, int(self.config.l1_bytes_per_sm * scale)),
-            line_bytes=line,
-            associativity=8,
-        )
-        l2 = Cache(
-            max(line * 4, int(self.config.l2_bytes * scale)),
-            line_bytes=line,
-            associativity=16,
-        )
-        if self.spec.warmup is not None:
-            self.spec.warmup.apply(trace, l1, l2)
-            l1.reset_stats()
-            l2.reset_stats()
-        dram = self._make_dram()
-        sm = StreamingMultiprocessor(self.spec.latencies, l1, l2, dram)
-        wave_cycles, stats = sm.execute_wave(trace)
-        stats.l1_hits = l1.stats.hits
-        stats.l1_misses = l1.stats.misses
-        return wave_cycles, stats
-
     def _noise_factor(self, seed: int, index: int) -> float:
         """Per-invocation hardware-noise multiplier (log-normal, mean 1)."""
         if not self.noise:
@@ -208,7 +164,9 @@ class GpuSimulator:
         return float(np.exp(rng.standard_normal() * self.noise - 0.5 * self.noise**2))
 
     def simulate_trace(self, trace: KernelTrace, seed: int = 0) -> KernelSimResult:
-        wave_cycles, stats = self._execute_trace(trace)
+        wave_cycles, stats = execute_trace(
+            trace, self.spec.latencies, self.config, self.spec.warmup
+        )
 
         index = trace.invocation.index
         noise = self._noise_factor(seed, index)
@@ -331,8 +289,10 @@ def _raw_invocations(
     for request, row in zip(requests, raws):
         for slot, raw in enumerate(row):
             if raw is None:
+                sim = request[0]
                 trace = _trace_of(request, slot, seed)
-                row[slot] = _raw_result(trace, *request[0]._execute_trace(trace))
+                wave = execute_trace(trace, sim.spec.latencies, sim.config, sim.spec.warmup)
+                row[slot] = _raw_result(trace, *wave)
     return raws  # type: ignore[return-value]
 
 

@@ -6,20 +6,23 @@ cycle: warps become ready when their previous instruction's latency
 expires, a single issue port serializes issues (1 instruction/cycle), and
 a greedy-then-oldest pick order approximates a GTO scheduler.  Memory
 instructions traverse L1 -> L2 slice -> DRAM with bandwidth queueing.
+:func:`execute_trace` sizes that hierarchy for one trace on one machine
+and runs its wave: the scalar oracle every engine is checked against.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .cache import Cache
 from .memory import DramModel
 from .stats import SimStats
 from .trace import KernelTrace, Op
+from .warmup import WarmupStrategy
 
-__all__ = ["LatencyTable", "StreamingMultiprocessor"]
+__all__ = ["LatencyTable", "StreamingMultiprocessor", "execute_trace", "make_dram"]
 
 #: Op code -> SimStats counter attribute, in opcode order.
 _COUNTER_FIELDS = (
@@ -112,40 +115,92 @@ class StreamingMultiprocessor:
         compute_latency = tuple(
             self._compute_latency(kind, efficiency) for kind in range(Op.BRANCH + 1)
         )
+        kinds = trace.kinds.tolist()
+        n_instr = len(kinds)
+        addresses = trace.addresses.tolist()
 
         # Per-warp state: program counter and memory-address cursor.
-        pcs = [0] * len(trace.warps)
-        mem_cursor = [0] * len(trace.warps)
+        pcs = [0] * trace.num_warps
+        mem_cursor = [0] * trace.num_warps
         # Ready heap entries: (ready_cycle, warp_index).
-        heap = [(0.0, w) for w in range(len(trace.warps))]
+        heap = [(0.0, w) for w in range(trace.num_warps)]
         heapq.heapify(heap)
         issue_free_at = 0.0
         last_completion = 0.0
 
         while heap:
             ready, w = heapq.heappop(heap)
-            warp = trace.warps[w]
-            if pcs[w] >= len(warp.kinds):
+            if pcs[w] >= n_instr:
                 continue
             issue_at = max(ready, issue_free_at)
             stats.stall_cycles += max(0.0, issue_at - ready)
             issue_free_at = issue_at + 1.0
 
-            kind = int(warp.kinds[pcs[w]])
+            kind = kinds[pcs[w]]
             pcs[w] += 1
             stats.instructions += 1
             setattr(stats, counters[kind], getattr(stats, counters[kind]) + 1)
 
             if kind in (Op.LOAD, Op.STORE):
-                address = int(warp.addresses[mem_cursor[w]])
+                address = addresses[w][mem_cursor[w]]
                 mem_cursor[w] += 1
                 latency = self._memory_latency(address, issue_at, stats)
             else:
                 latency = compute_latency[kind]
             completion = issue_at + latency
             last_completion = max(last_completion, completion)
-            if pcs[w] < len(warp.kinds):
+            if pcs[w] < n_instr:
                 heapq.heappush(heap, (completion, w))
 
         stats.cycles = last_completion
         return last_completion, stats
+
+
+def make_dram(config) -> DramModel:
+    """The DRAM channel one SM of ``config`` sees: its per-SM share of
+    the bandwidth, in bytes per core cycle."""
+    per_sm_gbps = config.dram_bandwidth_gbps / config.num_sms
+    bytes_per_cycle = per_sm_gbps / config.clock_ghz
+    return DramModel(
+        latency_cycles=0.0,  # fixed latency lives in LatencyTable.dram
+        bandwidth_bytes_per_cycle=max(bytes_per_cycle, 1e-3),
+        line_bytes=config.cache_line_bytes,
+    )
+
+
+def execute_trace(
+    trace: KernelTrace,
+    latencies: LatencyTable,
+    config,
+    warmup: Optional[WarmupStrategy] = None,
+) -> Tuple[float, SimStats]:
+    """The scalar oracle: one trace's wave on one machine.
+
+    The irreducibly sequential core: cache setup, optional warmup and
+    the SM wave loop.  Returns the raw (unscaled) wave cycles and stats,
+    with L1 counters already folded in.  The batched engine
+    (:mod:`repro.sim.batch`) is checked against this function.
+    """
+    # Cache capacities are scaled into the trace's reduced address
+    # space so footprint-to-capacity ratios match the full kernel.
+    scale = trace.cache_scale
+    line = config.cache_line_bytes
+    l1 = Cache(
+        max(line * 2, int(config.l1_bytes_per_sm * scale)),
+        line_bytes=line,
+        associativity=8,
+    )
+    l2 = Cache(
+        max(line * 4, int(config.l2_bytes * scale)),
+        line_bytes=line,
+        associativity=16,
+    )
+    if warmup is not None:
+        warmup.apply(trace, l1, l2)
+        l1.reset_stats()
+        l2.reset_stats()
+    sm = StreamingMultiprocessor(latencies, l1, l2, make_dram(config))
+    wave_cycles, stats = sm.execute_wave(trace)
+    stats.l1_hits = l1.stats.hits
+    stats.l1_misses = l1.stats.misses
+    return wave_cycles, stats

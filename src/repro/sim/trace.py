@@ -1,13 +1,14 @@
 """Warp-level trace generation from kernel descriptors.
 
 The simulator is trace-driven, as MacSim and Accel-Sim are.  A trace for
-one kernel invocation is a per-warp instruction stream plus an address
-stream for its global-memory operations.  Traces are *compact*: the
-per-warp stream is capped at ``max_instructions_per_warp`` and the cycle
-count extrapolated by the work ratio, the standard loop-extrapolation
-reduction for long kernels (the sampled-simulation literature's
-intra-kernel reduction; our ground truth and sampled runs share it, so
-comparisons stay internally consistent).
+one kernel invocation is plain arrays: one instruction stream that every
+resident warp runs, and one row per warp of addresses for its
+global-memory operations.  Traces are *compact*: the stream is capped at
+``max_instructions_per_warp`` and the cycle count extrapolated by the
+work ratio, the standard loop-extrapolation reduction for long kernels
+(the sampled-simulation literature's intra-kernel reduction; our ground
+truth and sampled runs share it, so comparisons stay internally
+consistent).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ..workloads.kernel import KernelInvocation, KernelSpec
 
-__all__ = ["Op", "WarpTrace", "KernelTrace", "TraceGenerator", "launch_geometry"]
+__all__ = ["Op", "KernelTrace", "TraceGenerator", "launch_geometry"]
 
 
 class Op:
@@ -36,34 +37,26 @@ class Op:
 
 
 @dataclass
-class WarpTrace:
-    """One warp's instruction stream.
-
-    ``kinds`` holds opcode codes in program order; ``addresses`` holds one
-    transaction address per memory instruction, consumed in order.
-    """
-
-    kinds: np.ndarray
-    addresses: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-
-@dataclass
 class KernelTrace:
     """Compact trace of one kernel invocation."""
 
     invocation: KernelInvocation
-    warps: List[WarpTrace]
-    #: Thread blocks per SM wave actually traced.
-    resident_warps: int
+    #: int8 ``[I]`` opcodes in program order, shared by every warp.
+    kinds: np.ndarray
+    #: int64 ``[W, M]`` transaction addresses: row ``w`` holds warp
+    #: ``w``'s, one per memory instruction, consumed in order.
+    addresses: np.ndarray
     #: Multiply simulated-wave cycles by this to cover the full kernel:
     #: (waves across the whole GPU) x (uncaptured loop iterations).
     extrapolation: float
     #: Scale caches by this factor when simulating the trace: the trace's
     #: scaled address space stands in for the real working set.
     cache_scale: float = 1.0
+
+    @property
+    def num_warps(self) -> int:
+        """Resident warps of the traced SM wave."""
+        return self.addresses.shape[0]
 
 
 def launch_geometry(
@@ -248,7 +241,6 @@ class TraceGenerator:
             self.max_resident_warps,
         )
 
-        warps: List[WarpTrace] = []
         n_mem = int(np.count_nonzero((kinds == Op.LOAD) | (kinds == Op.STORE)))
         # Scaled address space: the wave's total transaction count stands
         # in for the real working set (footprint-to-capacity preserved).
@@ -258,17 +250,18 @@ class TraceGenerator:
             self.line_bytes * 4,
         )
         cache_scale = ws_lines * self.line_bytes / working_set
+        # One warp at a time: the per-warp draw order is trace identity.
+        addresses = np.empty((resident, n_mem), dtype=np.int64)
         for w in range(resident):
-            addresses = self._addresses(invocation, w, n_mem, ws_lines, rng)
-            warps.append(WarpTrace(kinds=kinds.copy(), addresses=addresses))
+            addresses[w] = self._addresses(invocation, w, n_mem, ws_lines, rng)
 
         # Extrapolation: waves across the GPU x untraced loop iterations
         # x untraced resident warps.
         loop_factor = scaled_total / traced_len
         return KernelTrace(
             invocation=invocation,
-            warps=warps,
-            resident_warps=resident,
+            kinds=kinds,
+            addresses=addresses,
             extrapolation=waves * loop_factor * warp_factor,
             cache_scale=cache_scale,
         )

@@ -70,11 +70,7 @@ class ProportionalWarmup:
             raise ValueError("fraction must be within [0, 1]")
 
     def apply(self, trace: KernelTrace, l1: Cache, l2: Cache) -> int:
-        addresses = np.unique(
-            np.concatenate([w.addresses for w in trace.warps])
-            if trace.warps
-            else np.empty(0, dtype=np.int64)
-        )
+        addresses = np.unique(trace.addresses)
         count = int(round(len(addresses) * self.fraction))
         touched = 0
         for address in addresses[:count]:
@@ -103,11 +99,10 @@ class WarmupKernel:
             raise ValueError("prefix_fraction must be in (0, 1]")
 
     def apply(self, trace: KernelTrace, l1: Cache, l2: Cache) -> int:
-        touched = 0
-        for warp in trace.warps:
-            prefix = int(round(len(warp.addresses) * self.prefix_fraction))
-            for address in warp.addresses[:prefix]:
-                if not l1.access(int(address)):
-                    l2.access(int(address))
-                touched += 1
-        return touched
+        prefix = int(round(trace.addresses.shape[1] * self.prefix_fraction))
+        # Row-major: each warp's prefix in turn, as the warps were traced.
+        replay = trace.addresses[:, :prefix].ravel().tolist()
+        for address in replay:
+            if not l1.access(address):
+                l2.access(address)
+        return len(replay)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import PlanCluster, SamplingPlan
+from repro.keys import derive_key
 
 
 def simple_plan():
@@ -28,6 +29,16 @@ class TestPlanCluster:
         values = np.array([2.0, 4.0, 0.0, 0.0])
         c = PlanCluster("x", member_count=10, sampled_indices=np.array([0, 1]))
         assert c.estimate_total(values) == pytest.approx(30.0)
+
+    def test_members_stay_out_of_identity(self):
+        bare = PlanCluster("x", member_count=3, sampled_indices=np.array([1]))
+        full = PlanCluster(
+            "x", member_count=3, sampled_indices=np.array([1]),
+            members=np.array([0, 1, 2]),
+        )
+        assert derive_key(bare) == derive_key(full)
+        plan = SamplingPlan(method="m", workload_name="w", clusters=[full])
+        assert "members" not in plan.to_dict()["clusters"][0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -408,6 +408,27 @@ class TestOneSamplingPath:
             resilient = len(session.tracer.find("sampler.cluster"))
         assert plain == resilient == 1
 
+    def test_degraded_run_clusters_once(self, workload):
+        """The first quarantine reuses the plan's own cluster membership
+        instead of running ROOT again, and the outcome is unchanged."""
+        with obs.scoped() as session:
+            res = sample_resiliently(
+                ProfileStore(workload, RTX_2080, seed=0),
+                StemRootSampler(epsilon=0.05),
+                fault_plan=FaultPlan.from_spec("seed=5,sim_fail=0.3,perm_fail=0.1"),
+                seed=0,
+            )
+            clusters = len(session.tracer.find("sampler.cluster"))
+        assert clusters == 1
+        # The outcome the pipeline produced when it re-clustered.
+        outcome = (
+            res.quarantined, res.redrawn, res.retries, res.rounds,
+            res.reallocated, res.plan.num_samples,
+        )
+        assert outcome == (1, 1, 18, 2, False, 45)
+        assert res.achieved_epsilon == pytest.approx(0.008762743668541753, rel=1e-12)
+        assert res.result.error_percent == pytest.approx(0.3938148036434173, rel=1e-12)
+
     def test_fault_counters_match_the_result(self, workload):
         store = ProfileStore(workload, RTX_2080, seed=0)
         with obs.scoped() as session:

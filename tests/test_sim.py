@@ -107,16 +107,15 @@ class TestTraceGenerator:
 
     def test_trace_shape(self, tracer):
         trace = tracer.generate(self.invocation())
-        assert trace.resident_warps == len(trace.warps)
-        assert trace.resident_warps > 0
-        for warp in trace.warps:
-            n_mem = int(np.count_nonzero((warp.kinds == Op.LOAD) | (warp.kinds == Op.STORE)))
-            assert len(warp.addresses) == n_mem
+        assert trace.num_warps > 0
+        assert trace.kinds.ndim == 1
+        n_mem = int(np.count_nonzero((trace.kinds == Op.LOAD) | (trace.kinds == Op.STORE)))
+        assert trace.addresses.shape == (trace.num_warps, n_mem)
 
     def test_instruction_cap(self):
         tracer = TraceGenerator(num_sms=46, max_instructions_per_warp=50)
         trace = tracer.generate(self.invocation(work_scale=100.0))
-        assert len(trace.warps[0]) == 50
+        assert len(trace.kinds) == 50
         assert trace.extrapolation > 1.0
 
     def test_extrapolation_covers_work_scale(self, tracer):
@@ -127,13 +126,13 @@ class TestTraceGenerator:
     def test_deterministic(self, tracer):
         a = tracer.generate(self.invocation(), seed=3)
         b = tracer.generate(self.invocation(), seed=3)
-        assert np.array_equal(a.warps[0].addresses, b.warps[0].addresses)
+        assert np.array_equal(a.addresses, b.addresses)
 
     def test_locality_concentrates_addresses(self, tracer):
         hot = tracer.generate(self.invocation(locality=0.95), seed=1)
         cold = tracer.generate(self.invocation(locality=0.05), seed=1)
-        hot_unique = len(np.unique(np.concatenate([w.addresses for w in hot.warps])))
-        cold_unique = len(np.unique(np.concatenate([w.addresses for w in cold.warps])))
+        hot_unique = len(np.unique(hot.addresses))
+        cold_unique = len(np.unique(cold.addresses))
         assert hot_unique < cold_unique
 
     def test_small_launch_fewer_resident_warps(self):
@@ -142,7 +141,7 @@ class TestTraceGenerator:
         big_spec = make_kernel_spec("big", grid=4096)
         tiny = tracer.generate(self.invocation(spec=tiny_spec))
         big = tracer.generate(self.invocation(spec=big_spec))
-        assert tiny.resident_warps <= big.resident_warps
+        assert tiny.num_warps <= big.num_warps
 
     def test_cache_scale_positive(self, tracer):
         trace = tracer.generate(self.invocation())
@@ -165,7 +164,7 @@ class TestStreamingMultiprocessor:
         inv = KernelInvocation(0, make_kernel_spec(), LaunchContext())
         trace = tracer.generate(inv)
         cycles, stats = self.make_sm().execute_wave(trace)
-        expected = sum(len(w) for w in trace.warps)
+        expected = trace.num_warps * len(trace.kinds)
         assert stats.instructions == expected
         assert cycles >= expected  # single-issue port
 
@@ -315,7 +314,7 @@ class TestWarmup:
         result = sim.simulate_trace(trace, seed=0)
         # Measured accesses equal the trace's memory ops scaled by the
         # kernel extrapolation — the untimed warmup replay adds nothing.
-        n_mem = sum(len(w.addresses) for w in trace.warps)
+        n_mem = trace.addresses.size
         expected = int(round(n_mem * trace.extrapolation))
         assert result.stats.l1_hits + result.stats.l1_misses == expected
 

@@ -23,6 +23,7 @@ from repro.resilience.faults import FaultInjector
 from repro.sim import (
     BatchPolicy,
     GpuSimulator,
+    execute_trace,
     execute_wave_batch,
     noise_factors,
     simulate_workload_on,
@@ -56,7 +57,7 @@ def assert_engine_parity(traces, sim, policy=EAGER):
     assert report.batched_lanes + report.scalar_lanes == len(traces)
     assert 0.0 < report.fill_ratio <= 1.0
     for i, trace in enumerate(traces):
-        cycles, stats = sim._execute_trace(trace)
+        cycles, stats = execute_trace(trace, sim.spec.latencies, sim.config)
         bcycles, bstats = batched[i]
         assert bcycles == cycles, f"lane {i}: cycles differ"
         assert bstats.as_dict() == stats.as_dict(), f"lane {i}: stats differ"
@@ -74,7 +75,13 @@ class TestEngineParity:
         sim = GpuSimulator(RTX_2080)
         short = make_traces(sim, load_workload("rodinia", "nw", scale=0.1, seed=0))
         long = make_traces(sim, load_workload("rodinia", "hotspot", scale=0.1, seed=0))
-        assert_engine_parity(short + long, sim)
+        traces = short + long
+        # Mixed warp counts and stream lengths: narrow lanes carry padded
+        # warps that must never be scheduled.
+        assert len({t.num_warps for t in traces}) > 1
+        assert len({len(t.kinds) for t in traces}) > 1
+        report = assert_engine_parity(traces, sim)
+        assert report.batched_lanes == len(traces) and report.chunks == 1
 
     def test_width_one_falls_back_to_scalar(self):
         sim = GpuSimulator(RTX_2080)
@@ -234,7 +241,7 @@ class TestMixedConfigBatches:
         if policy.max_width == 3:
             assert report.chunks > 1
         for i, (trace, sim) in enumerate(zip(traces, owners)):
-            cycles, stats = sim._execute_trace(trace)
+            cycles, stats = execute_trace(trace, sim.spec.latencies, sim.config)
             bcycles, bstats = batched[i]
             assert bcycles == cycles, f"lane {i} ({sim.config.name}): cycles differ"
             assert bstats.as_dict() == stats.as_dict(), f"lane {i}: stats differ"
@@ -251,9 +258,7 @@ class TestMixedConfigBatches:
         sims = variant_simulators()[:3]  # baseline, cache x2, cache x0.5
         assert len({sim.tracer for sim in sims}) == 1
         traces = make_traces(sims[0], workload)
-        before = [
-            [(w.kinds.copy(), w.addresses.copy()) for w in t.warps] for t in traces
-        ]
+        before = [(t.kinds.copy(), t.addresses.copy()) for t in traces]
         lanes = [(sim, trace) for sim in sims for trace in traces]
         execute_wave_batch(
             [t for _, t in lanes],
@@ -261,10 +266,9 @@ class TestMixedConfigBatches:
             [sim.config for sim, _ in lanes],
             EAGER,
         )
-        for trace, saved in zip(traces, before):
-            for warp, (kinds, addresses) in zip(trace.warps, saved):
-                assert np.array_equal(warp.kinds, kinds)
-                assert np.array_equal(warp.addresses, addresses)
+        for trace, (kinds, addresses) in zip(traces, before):
+            assert np.array_equal(trace.kinds, kinds)
+            assert np.array_equal(trace.addresses, addresses)
 
     @pytest.mark.parametrize("dedup", [True, False])
     def test_fused_entry_point_matches_separate(self, dedup):
