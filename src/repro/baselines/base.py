@@ -75,18 +75,6 @@ class ProfileStore:
                 self.workload, seed=self.seed
             )
         self._cache["times_true"] = clean
-        observed = clean
-        if self.fault_injector is not None:
-            observed = self.fault_injector.corrupt_times(clean)
-        if self.validation != "off":
-            observed, health = validate_times(
-                observed,
-                expected_length=len(self.workload),
-                mode=self.validation,
-                name=f"{self.workload.name} profile",
-            )
-            self._cache["profile_health"] = health
-        self._cache["times"] = observed
 
     def execution_times(self) -> np.ndarray:
         """nsys view: per-invocation execution time (STEM's input).
@@ -95,7 +83,18 @@ class ProfileStore:
         and/or repaired by validation when those are enabled.
         """
         if "times" not in self._cache:
-            self._collect_times()
+            observed = self.true_execution_times()
+            if self.fault_injector is not None:
+                observed = self.fault_injector.corrupt_times(observed)
+            if self.validation != "off":
+                observed, health = validate_times(
+                    observed,
+                    expected_length=len(self.workload),
+                    mode=self.validation,
+                    name=f"{self.workload.name} profile",
+                )
+                self._cache["profile_health"] = health
+            self._cache["times"] = observed
         else:
             obs.inc("profile.cache_hits")
         return self._cache["times"]  # type: ignore[return-value]
@@ -104,7 +103,8 @@ class ProfileStore:
         """The clean profile, untouched by fault injection or repair.
 
         Experiments score plans against this so injected profile faults
-        degrade the *plan*, not the ground truth.  Identical to
+        degrade the *plan*, not the ground truth — reading it never
+        validates the observed profile.  Identical to
         :meth:`execution_times` when faults and validation are off.
         """
         if "times_true" not in self._cache:

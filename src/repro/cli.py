@@ -98,6 +98,7 @@ from .core import StemRootSampler, evaluate_plan
 from .core.report import build_report
 from .errors import InfeasibleProfilingError, ProfileValidationError
 from .hardware import PRESETS, get_preset
+from .parallel import resolve_jobs
 from .resilience import FaultInjector, FaultPlan, sample_resiliently
 from .traces import write_sampled_trace
 from .workloads import load_workload, suite_names
@@ -1020,7 +1021,7 @@ def _memo_caches(args, jobs: int):
 
         sim_cache = SimResultCache(args.sim_cache)
     tree_cache = None
-    if jobs == 1:
+    if resolve_jobs(jobs) == 1:
         from .memo import SplitTreeCache
 
         tree_cache = SplitTreeCache()

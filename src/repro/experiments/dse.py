@@ -24,8 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import obs
-from ..baselines import ProfileStore
 from ..core import (
     FidelityPolicy,
     FidelityTimes,
@@ -33,15 +31,13 @@ from ..core import (
     evaluate_plan,
     fidelity_cycle_counts_many,
 )
-from ..errors import (
-    InfeasibleProfilingError,
-    ProfileValidationError,
-    SimulationFailure,
-)
 from ..hardware import RTX_2080, GPUConfig, dse_variants
+from ..memo import SimResultCache
+from ..parallel import ProfileCache, resolve_jobs, run_tasks
+from ..parallel.handles import cache_handle, share_handle
 from ..resilience.faults import FaultPlan
 from ..workloads import load_workload
-from .runner import ExperimentConfig
+from .runner import ExperimentConfig, plan_cell, repetition_seed
 
 __all__ = [
     "DseResult",
@@ -171,11 +167,11 @@ def _dse_group_worker(task: _DseGroupTask) -> List[List[DseResult]]:
     variants: List[Tuple[str, GPUConfig]] = list(
         zip(VARIANT_LABELS, dse_variants(baseline))
     )
-    sim_cache = None
-    if task.sim_cache_root:
-        from .error_bound_sweep import _sim_cache_for
-
-        sim_cache = _sim_cache_for(task.sim_cache_root)
+    sim_cache = (
+        cache_handle(SimResultCache, task.sim_cache_root)
+        if task.sim_cache_root
+        else None
+    )
 
     workloads = [_reduced_workload(spec, seed) for spec in task.specs]
     # Per-variant ground truth.  With no fidelity policy (or a pure cycle
@@ -210,17 +206,13 @@ def _score_spec(
     """Build one spec's plans from baseline profiles and score them
     against each variant's ground truth (``truths``, aligned with
     ``variants``)."""
-    baseline = task.baseline
-    seed = task.seed
-    faulty = task.fault_plan is not None and task.fault_plan.enabled
     config = ExperimentConfig(
-        gpu=baseline, epsilon=task.epsilon, fault_plan=task.fault_plan
+        gpu=task.baseline,
+        base_seed=task.seed,
+        epsilon=task.epsilon,
+        fault_plan=task.fault_plan,
     )
-    cache = None
-    if task.cache_root:
-        from ..parallel import ProfileCache
-
-        cache = ProfileCache(task.cache_root)
+    cache = cache_handle(ProfileCache, task.cache_root) if task.cache_root else None
 
     variant_times: Dict[str, FidelityTimes] = {}
     max_gap = 0.0
@@ -236,11 +228,7 @@ def _score_spec(
     error_sums: Dict[Tuple[str, str], List[float]] = {}
     estimate_sums: Dict[Tuple[str, str], List[float]] = {}
     for rep in range(task.repetitions):
-        rep_seed = seed + rep * 1009 + 1
-        if faulty:
-            store = config.store_for(workload, rep_seed, cache=cache)
-        else:
-            store = ProfileStore(workload, baseline, seed=rep_seed, cache=cache)
+        store = config.store_for(workload, repetition_seed(config, rep), cache=cache)
         for method in task.methods:
             sampler = config.sampler_for(method, workload)
             if max_gap and hasattr(sampler, "fidelity_gap"):
@@ -248,24 +236,9 @@ def _score_spec(
                 # reported predicted_error so the plan's own bound is
                 # honest against cycle-level truth for every variant.
                 sampler.fidelity_gap = max_gap
-            try:
-                if hasattr(sampler, "build_plan_from_store"):
-                    plan = sampler.build_plan_from_store(store, seed=rep_seed)
-                else:
-                    plan = sampler.build_plan(store, seed=rep_seed)
-            except InfeasibleProfilingError:
-                continue
-            except (ProfileValidationError, SimulationFailure):
-                # Matches the grid runner's degradation rule: only an
-                # active fault plan may turn these into skipped cells.
-                if not faulty:
-                    raise
-                obs.log_event(
-                    "resilience.dse_cell_failed",
-                    workload=spec.name,
-                    method=method,
-                    repetition=rep,
-                )
+            # The grid's N/A cells are the DSE's skipped cells.
+            plan = plan_cell(config, method, rep, sampler, store)
+            if plan is None:
                 continue
             for label, _gpu in variants:
                 outcome = evaluate_plan(plan, variant_times[label])
@@ -342,8 +315,6 @@ def run_dse(
     grid: profile corruption degrades poisoned cells instead of failing
     the run, and worker-kill rates exercise the supervised pool.
     """
-    from ..parallel import resolve_jobs, run_tasks
-
     if fidelity not in ("cycle", "analytical", "hybrid"):
         raise ValueError(
             f"fidelity must be 'cycle', 'analytical' or 'hybrid', got {fidelity!r}"
@@ -354,31 +325,18 @@ def run_dse(
             kwargs["escalation_budget"] = escalation_budget
         fidelity_policy = FidelityPolicy(**kwargs)
 
-    baseline = baseline_gpu or RTX_2080
-    sim_cache_root = None
-    if sim_cache is not None:
-        from .error_bound_sweep import _SIM_CACHES
-        from ..memo import SimResultCache
-
-        if isinstance(sim_cache, SimResultCache):
-            _SIM_CACHES[sim_cache.root] = sim_cache
-            sim_cache_root = sim_cache.root
-        else:
-            sim_cache_root = str(sim_cache)
     specs = list(workloads or default_dse_workloads())
-    groups = _balanced_groups(specs, resolve_jobs(1 if jobs is None else jobs))
+    groups = _balanced_groups(specs, resolve_jobs(jobs))
     tasks = [
         _DseGroupTask(
             specs=tuple(specs[i] for i in group),
-            baseline=baseline,
+            baseline=baseline_gpu or RTX_2080,
             methods=tuple(methods or ["pka", "sieve", "photon", "stem"]),
             repetitions=repetitions,
             seed=seed,
             epsilon=epsilon,
-            cache_root=(
-                profile_cache.root if profile_cache is not None else None
-            ),
-            sim_cache_root=sim_cache_root,
+            cache_root=share_handle(profile_cache),
+            sim_cache_root=share_handle(sim_cache),
             fidelity_policy=fidelity_policy,
             fault_plan=fault_plan,
         )
@@ -387,7 +345,7 @@ def run_dse(
     per_group = run_tasks(
         _dse_group_worker,
         tasks,
-        jobs=(1 if jobs is None else jobs),
+        jobs=jobs,
         label="dse",
         fault_plan=(
             fault_plan

@@ -24,6 +24,8 @@ import numpy as np
 
 from ..analysis.metrics import harmonic_mean
 from ..memo import SimResultCache, SplitTreeCache
+from ..parallel import resolve_jobs
+from ..parallel.handles import cache_handle, share_handle
 from .runner import ExperimentConfig, run_suite
 
 __all__ = [
@@ -38,22 +40,6 @@ DEFAULT_EPSILONS = (0.03, 0.05, 0.10, 0.25)
 
 #: Paper reference points: {epsilon: (speedup, error%)}.
 PAPER_FIGURE11 = {0.03: (76.46, 0.18), 0.25: (228.53, 2.00)}
-
-#: Per-process registry so every scorer (and re-run) sharing a cache root
-#: also shares one in-memory layer and one set of hit/miss counters.
-_SIM_CACHES: Dict[str, SimResultCache] = {}
-
-
-def _sim_cache_for(root: str) -> SimResultCache:
-    cache = _SIM_CACHES.get(root)
-    if cache is None:
-        cache = SimResultCache(root)
-        # Result-neutral: memoizes the *handle* to a content-addressed
-        # store keyed only by its root path; hits/misses change timing,
-        # never any returned number.
-        _SIM_CACHES[root] = cache  # repro-lint: disable=pool-safety
-    return cache
-
 
 @dataclass(frozen=True)
 class SimGroundTruth:
@@ -81,7 +67,7 @@ class SimGroundTruth:
         from ..sim import GpuSimulator  # lazy: keeps import graph light
 
         cache = (
-            _sim_cache_for(self.sim_cache_root)
+            cache_handle(SimResultCache, self.sim_cache_root)
             if self.sim_cache_root is not None
             else None
         )
@@ -139,9 +125,9 @@ def run_error_bound_sweep(
     points and runs), or any custom :func:`run_suite`-style callable.
 
     ``tree_cache`` shares ROOT candidate split trees across epsilon
-    points; sequential sweeps create one automatically (epsilon is not
-    part of the tree key, so every point after the first re-walks cached
-    trees instead of re-clustering).  Pass ``False`` to disable the
+    points; in-process sweeps (``jobs`` resolving to 1) create one
+    automatically (epsilon is not part of the tree key, so every point
+    after the first re-walks cached trees instead of re-clustering).  Pass ``False`` to disable the
     automatic cache (the benchmark's cold baseline).  Results are
     bit-identical with and without every cache.
 
@@ -157,10 +143,9 @@ def run_error_bound_sweep(
         )
     if config is None:
         config = ExperimentConfig()
-    sequential = jobs is None or int(jobs) == 1
     if tree_cache is False:
         tree_cache = None
-    elif tree_cache is None and sequential and config.tree_cache is None:
+    elif tree_cache is None and resolve_jobs(jobs) == 1 and config.tree_cache is None:
         tree_cache = SplitTreeCache()
     if tree_cache is not None:
         config = replace(config, tree_cache=tree_cache)
@@ -170,14 +155,8 @@ def run_error_bound_sweep(
     elif ground_truth in (None, "profile"):
         truth_fn = None
     elif ground_truth == "sim":
-        root: Optional[str] = None
-        if isinstance(sim_cache, SimResultCache):
-            _SIM_CACHES[sim_cache.root] = sim_cache
-            root = sim_cache.root
-        elif sim_cache is not None:
-            root = str(sim_cache)
         truth_fn = SimGroundTruth(
-            sim_cache_root=root,
+            sim_cache_root=share_handle(sim_cache),
             fidelity=fidelity,
             escalation_budget=escalation_budget,
         )

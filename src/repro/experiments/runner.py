@@ -1,8 +1,11 @@
 """Shared experiment orchestration.
 
-Runs (method x workload x repetition) grids, producing flat result rows
-that the per-table/per-figure experiment modules aggregate.  Encodes the
-paper's methodology choices:
+Defines the (method x workload x repetition) grid cell — its config,
+seed, sampler, plan-or-skip rule and result row — that the per-table/
+per-figure experiment modules aggregate.  Every grid runs through
+:func:`repro.parallel.execute_grid` at every ``jobs``; :func:`run_suite`
+and :func:`run_workload` are its suite- and workload-level entry points.
+Encodes the paper's methodology choices:
 
 * every experiment repeats ``repetitions`` times (paper: 10) with varied
   hardware-noise and sampler seeds, then averages — harmonic mean for
@@ -21,7 +24,8 @@ Fault tolerance (all off by default, see :mod:`repro.resilience`):
 * ``ExperimentConfig.fault_plan`` corrupts each repetition's profile
   through a seeded injector; plans are still scored against the clean
   ground truth, so the rows measure how much the corruption hurt;
-* only :class:`~repro.errors.InfeasibleProfilingError` maps to an N/A
+* :func:`plan_cell` is the one degradation rule, shared with the DSE:
+  only :class:`~repro.errors.InfeasibleProfilingError` maps to an N/A
   row — unrelated runtime bugs propagate instead of masquerading as
   "profiling infeasible".  With a fault plan active, profile-validation
   and simulation failures also degrade to N/A rows so one poisoned cell
@@ -39,7 +43,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 import numpy as np
 
 from .. import obs
-from ..analysis import detsan
 from ..baselines import (
     PhotonSampler,
     PkaSampler,
@@ -57,6 +60,7 @@ from ..errors import (
 )
 from ..hardware import RTX_2080, GPUConfig
 from ..keys import key_exempt
+from ..parallel.grid import execute_grid
 from ..resilience.checkpoint import GridCheckpoint
 from ..resilience.faults import FaultInjector, FaultPlan
 from ..workloads import load_suite
@@ -69,6 +73,7 @@ __all__ = [
     "run_workload",
     "run_suite",
     "compute_cell_rows",
+    "plan_cell",
     "repetition_seed",
 ]
 
@@ -246,7 +251,11 @@ def build_plan(sampler, store: ProfileStore, seed: int) -> SamplingPlan:
     return sampler.build_plan(store, seed=seed)
 
 
-def _infeasible_row(workload: Workload, method: str, rep: int) -> ResultRow:
+def _na_row(
+    workload: Workload, method: str, rep: int, quarantined: bool = False
+) -> ResultRow:
+    """An N/A row: the cell is infeasible, or (``quarantined``) its task
+    was poison-quarantined by the supervisor."""
     return ResultRow(
         suite=workload.suite,
         workload=workload.name,
@@ -257,22 +266,7 @@ def _infeasible_row(workload: Workload, method: str, rep: int) -> ResultRow:
         num_samples=0,
         num_clusters=0,
         feasible=False,
-    )
-
-
-def _quarantined_row(workload: Workload, method: str, rep: int) -> ResultRow:
-    """An N/A-shaped row for a cell whose task was poison-quarantined."""
-    return ResultRow(
-        suite=workload.suite,
-        workload=workload.name,
-        method=method,
-        repetition=rep,
-        error_percent=float("nan"),
-        speedup=float("nan"),
-        num_samples=0,
-        num_clusters=0,
-        feasible=False,
-        quarantined=True,
+        quarantined=quarantined,
     )
 
 
@@ -296,6 +290,35 @@ def repetition_seed(config: ExperimentConfig, rep: int) -> int:
     return config.base_seed + rep * 1009 + 1
 
 
+def plan_cell(
+    config: ExperimentConfig, method: str, rep: int, sampler, store: ProfileStore
+) -> Optional[SamplingPlan]:
+    """Build one (method, repetition) cell's plan, or ``None`` for N/A.
+
+    The one degradation rule of every grid.  Profiling infeasible at the
+    workload's scale (Table 3/5 "N/A") always skips the cell.  A
+    profile-validation or simulation failure skips it only under an
+    enabled fault plan — an injected fault broke the cell beyond repair,
+    and the rest of the grid survives — and logs one event.  Anything
+    else is a bug and propagates.
+    """
+    try:
+        return build_plan(sampler, store, seed=repetition_seed(config, rep))
+    except InfeasibleProfilingError:
+        return None
+    except (ProfileValidationError, SimulationFailure):
+        if config.fault_plan is None or not config.fault_plan.enabled:
+            raise
+        obs.log_event(
+            "resilience.grid_cell_failed",
+            level="warning",
+            workload=store.workload.name,
+            method=method,
+            repetition=rep,
+        )
+        return None
+
+
 def compute_cell_rows(
     workload: Workload,
     config: ExperimentConfig,
@@ -306,57 +329,35 @@ def compute_cell_rows(
 ) -> Iterator[Tuple[str, ResultRow]]:
     """Compute the (method, row) cells of one repetition, lazily.
 
-    The single source of truth for cell evaluation: the sequential runner
-    drains this generator cell-by-cell (checkpointing each row as it
-    lands), and parallel grid workers drain it inside their own process —
-    both paths therefore produce identical rows by construction.
+    The single source of truth for cell evaluation: ``execute_grid``
+    drains this generator in-process at ``jobs == 1`` (recording each row
+    as it lands) and inside pool workers otherwise, so every ``jobs``
+    produces identical rows by construction.
 
-    The repetition's profile store is created lazily and shared across
-    all requested methods, so a repetition profiles its workload at most
-    once (and not at all when ``methods`` is empty or the profile comes
-    out of ``profile_cache``).
+    The repetition's profile store is shared across all requested
+    methods, and it profiles lazily, so a repetition profiles its workload
+    at most once (and not at all when ``methods`` is empty or the profile
+    comes out of ``profile_cache``).
     """
     seed = repetition_seed(config, rep)
-    faulty = config.fault_plan is not None and config.fault_plan.enabled
-    store: Optional[ProfileStore] = None
+    store = config.store_for(workload, seed, cache=profile_cache)
     truth: Optional[np.ndarray] = None
-
-    def rep_store() -> ProfileStore:
-        nonlocal store
-        if store is None:
-            store = config.store_for(workload, seed, cache=profile_cache)
-        return store
 
     def rep_truth() -> np.ndarray:
         nonlocal truth
         if truth is None:
             truth = (
-                rep_store().true_execution_times()
+                store.true_execution_times()
                 if ground_truth is None
-                else ground_truth(rep_store(), seed)
+                else ground_truth(store, seed)
             )
         return truth
 
     for method in methods:
         sampler = config.sampler_for(method, workload)
-        try:
-            plan = build_plan(sampler, rep_store(), seed=seed)
-        except InfeasibleProfilingError:
-            # Profiling infeasible at this scale (Table 3/5 "N/A").
-            row = _infeasible_row(workload, method, rep)
-        except (ProfileValidationError, SimulationFailure):
-            if not faulty:
-                raise
-            # An injected fault broke this cell beyond repair; record
-            # it as N/A so the rest of the grid survives.
-            obs.log_event(
-                "resilience.grid_cell_failed",
-                level="warning",
-                workload=workload.name,
-                method=method,
-                repetition=rep,
-            )
-            row = _infeasible_row(workload, method, rep)
+        plan = plan_cell(config, method, rep, sampler, store)
+        if plan is None:
+            row = _na_row(workload, method, rep)
         else:
             result = evaluate_plan(plan, rep_truth())
             row = ResultRow(
@@ -397,80 +398,26 @@ def run_workload(
     recomputed, making a killed grid resumable.
 
     ``jobs`` fans repetitions across worker processes (``1``/``None`` =
-    sequential, ``0`` = all cores); results are bit-identical to
-    ``jobs=1`` because every
-    cell's randomness derives from :func:`repetition_seed` alone.  With
-    ``jobs != 1``, ``ground_truth`` must be picklable (a module-level
-    function).  ``profile_cache`` (a :class:`repro.parallel.ProfileCache`)
-    reuses collected profiles across runs and processes.  ``policy`` (a
+    in-process, ``0`` = all cores); results are bit-identical at every
+    ``jobs`` because every cell's randomness derives from
+    :func:`repetition_seed` alone.  With a pool, ``ground_truth`` must be
+    picklable (a module-level function).  ``profile_cache`` (a
+    :class:`repro.parallel.ProfileCache`) reuses collected profiles across
+    runs and processes.  ``policy`` (a
     :class:`repro.parallel.SupervisionPolicy`) tunes worker-death
-    supervision for the parallel path; it never affects results.
+    supervision for the pool; it never affects results.  The grid runs
+    through :func:`repro.parallel.execute_grid`.
     """
-    if config is None:
-        config = ExperimentConfig()
-    if jobs is not None and int(jobs) != 1:
-        from ..parallel.grid import execute_grid
-
-        return execute_grid(
-            [workload],
-            config=config,
-            methods=methods,
-            ground_truth=ground_truth,
-            checkpoint=checkpoint,
-            profile_cache=profile_cache,
-            jobs=jobs,
-            policy=policy,
-        )
-    checkpoint = _as_checkpoint(checkpoint, config)
-    method_list = list(methods or METHODS)
-    rows: List[ResultRow] = []
-    for rep in range(config.repetitions):
-        # Replay checkpointed cells; when the whole repetition is stored,
-        # its profile is never collected at all.
-        stored_rows: Dict[str, ResultRow] = {}
-        missing: List[str] = []
-        for method in method_list:
-            stored = (
-                checkpoint.get(workload.suite, workload.name, method, rep)
-                if checkpoint is not None
-                else None
-            )
-            if stored is not None:
-                stored_rows[method] = ResultRow.from_dict(stored)
-                obs.inc("resilience.checkpoint_cells_replayed")
-            else:
-                missing.append(method)
-        computed: Dict[str, ResultRow] = {}
-        for method, row in compute_cell_rows(
-            workload,
-            config,
-            missing,
-            rep,
-            ground_truth=ground_truth,
-            profile_cache=profile_cache,
-        ):
-            # Record the moment each cell lands, so a kill mid-repetition
-            # loses at most the in-flight cell.
-            computed[method] = row
-            if detsan.is_enabled():
-                # Sync point: the post-aggregation row — what every
-                # downstream table is built from — in its serialized
-                # form, so sequential rows compare against parallel
-                # rows received by the grid parent.
-                detsan.record(
-                    f"grid.row|{workload.suite}|{workload.name}"
-                    f"|{method}|rep={rep}",
-                    row.as_dict(),
-                )
-            if checkpoint is not None:
-                checkpoint.record(
-                    workload.suite, workload.name, method, rep, row.as_dict()
-                )
-        for method in method_list:
-            rows.append(
-                stored_rows[method] if method in stored_rows else computed[method]
-            )
-    return rows
+    return execute_grid(
+        [workload],
+        config=config or ExperimentConfig(),
+        methods=methods,
+        ground_truth=ground_truth,
+        checkpoint=checkpoint,
+        profile_cache=profile_cache,
+        jobs=jobs,
+        policy=policy,
+    )
 
 
 def run_suite(
@@ -486,12 +433,8 @@ def run_suite(
 ) -> List[ResultRow]:
     """Evaluate methods on every workload of a suite.
 
-    ``ground_truth`` overrides what plans are scored against, exactly as
-    in :func:`run_workload` (picklable when ``jobs != 1``);
-    ``checkpoint`` (path or :class:`~repro.resilience.GridCheckpoint`)
-    makes the grid resumable; ``jobs`` fans (workload, repetition) cells
-    across processes with bit-identical results; ``profile_cache`` reuses
-    collected profiles — see :func:`run_workload`.
+    ``ground_truth``, ``checkpoint``, ``jobs``, ``profile_cache`` and
+    ``policy`` work exactly as in :func:`run_workload`.
     """
     if config is None:
         config = ExperimentConfig()
@@ -499,30 +442,13 @@ def run_suite(
     if workload_names is not None:
         wanted = set(workload_names)
         workloads = [w for w in workloads if w.name in wanted]
-    if jobs is not None and int(jobs) != 1:
-        from ..parallel.grid import execute_grid
-
-        return execute_grid(
-            workloads,
-            config=config,
-            methods=methods,
-            ground_truth=ground_truth,
-            checkpoint=checkpoint,
-            profile_cache=profile_cache,
-            jobs=jobs,
-            policy=policy,
-        )
-    checkpoint = _as_checkpoint(checkpoint, config)
-    rows: List[ResultRow] = []
-    for workload in workloads:
-        rows.extend(
-            run_workload(
-                workload,
-                config=config,
-                methods=methods,
-                ground_truth=ground_truth,
-                checkpoint=checkpoint,
-                profile_cache=profile_cache,
-            )
-        )
-    return rows
+    return execute_grid(
+        workloads,
+        config=config,
+        methods=methods,
+        ground_truth=ground_truth,
+        checkpoint=checkpoint,
+        profile_cache=profile_cache,
+        jobs=jobs,
+        policy=policy,
+    )

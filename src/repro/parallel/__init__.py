@@ -13,8 +13,8 @@ Three layers, each useful on its own:
   re-dispatch, poison-task quarantine, heartbeat stall detection and
   speculative straggler re-execution
   (:class:`SupervisionPolicy` / :class:`SupervisionReport`);
-* :func:`execute_grid` — the experiment-grid fan-out built on all of
-  the above, guaranteed bit-identical to the sequential runner (see
+* :func:`execute_grid` — the one experiment-grid driver, built on all
+  of the above, with rows bit-identical at every ``jobs`` (see
   :mod:`repro.parallel.grid` for the determinism contract).
 
 Everything is opt-in: ``jobs=1`` (the default throughout the code base)

@@ -40,8 +40,11 @@ __all__ = ["resolve_jobs", "run_tasks"]
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: ``None``/``0`` means all cores."""
-    if jobs is None or int(jobs) <= 0:
+    """Normalize a ``--jobs`` value, the one place that interprets it:
+    ``None`` means 1 (in-process) and ``0`` (or less) means all cores."""
+    if jobs is None:
+        return 1
+    if int(jobs) <= 0:
         return max(1, os.cpu_count() or 1)
     return int(jobs)
 

@@ -1,32 +1,36 @@
-"""Parallel experiment-grid execution with bit-identical results.
+"""The experiment-grid driver: one path at every ``jobs``.
 
 The (workload × method × repetition) grids behind every table and figure
 are embarrassingly parallel *above* the repetition: each repetition's
 cells share one profile store (so a workload is profiled once per
-repetition, exactly like the sequential runner), while different
-repetitions and workloads share nothing but the config.  The unit of
-parallelism is therefore the **(workload, repetition) task** — never a
-single method cell, which would multiply profiling cost, and never a
-whole workload, which would under-utilize small grids.
+repetition), while different repetitions and workloads share nothing
+but the config.  The unit of work is therefore the **(workload,
+repetition) task** — never a single method cell, which would multiply
+profiling cost, and never a whole workload, which would under-utilize
+small grids.
+
+:func:`execute_grid` is the only grid driver (``run_workload`` and
+``run_suite`` call it).  It replays checkpointed cells, computes the
+missing ones, records each computed cell in one place (checkpoint row
+plus the DetSan ``grid.row`` sync point), applies one failure rule and
+reassembles rows in grid order.  Only *where* missing cells are computed
+depends on ``jobs``: in-process at ``jobs == 1``, recorded cell by cell,
+or as pool tasks recorded as each task lands.
 
 Determinism contract
 --------------------
-``execute_grid(jobs=N)`` returns rows **bit-identical** to the
-sequential runner, by construction rather than by tolerance:
+Rows are **bit-identical** at every ``jobs``, by construction rather
+than by tolerance:
 
 * every cell's randomness derives from
   :func:`repro.experiments.runner.repetition_seed`, a pure function of
   the config — never from shared state or collection order;
-* workers and the sequential runner drain the *same*
-  :func:`~repro.experiments.runner.compute_cell_rows` generator, so
-  there is no second implementation to drift;
-* the executor reorders nothing: results are reassembled in grid order
-  (workload → repetition → method) no matter which worker finished
-  first.
+* both modes drain the *same*
+  :func:`~repro.experiments.runner.compute_cell_rows` generator;
+* rows are reassembled in grid order (workload → repetition → method)
+  no matter which worker finished first.
 
-Checkpoints are written from the parent as each task completes, so a
-killed parallel grid resumes exactly like a killed sequential one — and
-either mode can resume the other's checkpoint file.
+A checkpoint written at one ``jobs`` resumes at any other.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .. import obs
 from ..analysis import detsan
 from ..errors import GridExecutionError
 from .executor import resolve_jobs, run_tasks
+from .handles import cache_handle, share_handle
 from .profile_cache import ProfileCache
 from .supervisor import SupervisionPolicy, SupervisionReport
 
@@ -50,13 +55,12 @@ __all__ = ["GridTask", "execute_grid"]
 
 @dataclass
 class GridTask:
-    """One worker payload: the missing cells of a (workload, repetition).
+    """One pool payload: the missing cells of a (workload, repetition).
 
     Self-contained and picklable — workers receive everything they need
     and share no mutable state, which is what lets any worker count and
     completion order produce identical rows.  The profile cache travels
-    as its ``root`` path (each process opens its own handle onto the
-    shared on-disk store).
+    as its ``root`` path (see :mod:`repro.parallel.handles`).
     """
 
     workload: "Workload"
@@ -65,35 +69,19 @@ class GridTask:
     config: "ExperimentConfig"
     ground_truth: Optional[Callable] = None
     cache_root: Optional[str] = None
-    cache_memory_entries: int = 64
 
 
-def _grid_task_worker(task: GridTask) -> List[Tuple[str, Dict[str, object]]]:
-    """Compute one task's rows; runs inside a worker process.
-
-    Returns ``(method, row_dict)`` pairs — plain dicts, so the parent
-    can checkpoint them without re-serializing.
-    """
+def _grid_task_worker(task: GridTask) -> List["ResultRow"]:
+    """Compute one task's rows (in ``task.methods`` order)."""
     from ..experiments import runner  # lazy: keeps import graph acyclic
 
-    cache = (
-        ProfileCache(task.cache_root, max_memory_entries=task.cache_memory_entries)
-        if task.cache_root
-        else None
-    )
-    plan = task.config.fault_plan
-    if cache is not None and plan is not None and plan.corrupts_cache:
-        from ..resilience.faults import FaultInjector
-
-        # Chaos-testing hook: freshly stored entries get their on-disk
-        # bytes flipped, exercising checksum quarantine on later reads.
-        cache.fault_injector = FaultInjector(plan)
+    cache = cache_handle(ProfileCache, task.cache_root) if task.cache_root else None
     with obs.span(
         "parallel.grid_task", workload=task.workload.name, repetition=task.rep
     ):
         return [
-            (method, row.as_dict())
-            for method, row in runner.compute_cell_rows(
+            row
+            for _method, row in runner.compute_cell_rows(
                 task.workload,
                 task.config,
                 task.methods,
@@ -111,27 +99,26 @@ def execute_grid(
     ground_truth: Optional[Callable] = None,
     checkpoint=None,
     profile_cache: Optional[ProfileCache] = None,
-    jobs: Optional[int] = None,
+    jobs: Optional[int] = 1,
     policy: Optional[SupervisionPolicy] = None,
 ) -> List["ResultRow"]:
-    """Run an experiment grid across worker processes.
+    """Run an experiment grid; rows come back in grid order.
 
-    The parallel twin of :func:`repro.experiments.runner.run_suite`'s
-    inner loop: checkpointed cells are replayed up front, the remaining
-    cells are grouped into (workload, repetition) tasks and fanned across
-    ``jobs`` processes, and rows come back in exact grid order.
+    Checkpointed cells are replayed; the rest are computed and recorded
+    as they land — cell by cell at ``jobs == 1`` (so a kill loses at most
+    the cell in flight), task by task with a pool.  ``jobs`` follows
+    :func:`~repro.parallel.resolve_jobs` (``None`` = 1, ``0`` = all
+    cores); with a pool, ``ground_truth`` must be picklable (a
+    module-level function) since it rides inside worker payloads.
 
-    ``ground_truth`` must be picklable (a module-level function) since it
-    rides inside worker payloads.
-
-    Execution is supervised (``policy``, default
+    Pooled execution is supervised (``policy``, default
     :class:`~repro.parallel.SupervisionPolicy`): a killed worker
     rebuilds the pool and re-dispatches unfinished tasks with
     bit-identical results, and a task that keeps killing workers is
     quarantined — its cells come back as non-feasible rows flagged
     ``quarantined`` (never checkpointed, so a resume retries them) while
-    the rest of the grid completes normally.  On an *unrecoverable*
-    failure every completed cell is flushed to the checkpoint before a
+    the rest of the grid completes normally.  On any other failure, at
+    every ``jobs``, the checkpoint is flushed and a
     :class:`~repro.errors.GridExecutionError` carrying the completed
     cell keys propagates with the original failure as its cause.
     """
@@ -143,7 +130,7 @@ def execute_grid(
     jobs = resolve_jobs(jobs)
 
     # Replay checkpointed cells; group what's left by (workload, rep).
-    stored: Dict[Tuple[int, str, int], "runner.ResultRow"] = {}
+    rows: Dict[Tuple[int, str, int], "ResultRow"] = {}
     missing: Dict[Tuple[int, int], List[str]] = {}
     for wl_idx, workload in enumerate(workload_list):
         for rep in range(config.repetitions):
@@ -154,100 +141,99 @@ def execute_grid(
                     else None
                 )
                 if cell is not None:
-                    stored[(wl_idx, method, rep)] = runner.ResultRow.from_dict(cell)
+                    rows[(wl_idx, method, rep)] = runner.ResultRow.from_dict(cell)
                     obs.inc("resilience.checkpoint_cells_replayed")
                 else:
                     missing.setdefault((wl_idx, rep), []).append(method)
 
-    task_keys = list(missing.keys())
-    payloads = [
-        GridTask(
-            workload=workload_list[wl_idx],
-            rep=rep,
-            methods=missing[(wl_idx, rep)],
-            config=config,
-            ground_truth=ground_truth,
-            cache_root=profile_cache.root if profile_cache is not None else None,
-            cache_memory_entries=(
-                profile_cache.max_memory_entries if profile_cache is not None else 64
-            ),
-        )
-        for wl_idx, rep in task_keys
-    ]
+    completed: List[Tuple[str, str, str, int]] = []
 
-    computed: Dict[Tuple[int, str, int], "runner.ResultRow"] = {}
-
-    def on_result(index: int, cells: List[Tuple[str, Dict[str, object]]]) -> None:
-        # Fires in completion order; checkpoint each task the moment it
-        # lands so a killed parallel grid loses only in-flight tasks.
-        wl_idx, rep = task_keys[index]
+    def record(wl_idx: int, rep: int, row: "ResultRow") -> None:
         workload = workload_list[wl_idx]
-        for method, row_dict in cells:
-            computed[(wl_idx, method, rep)] = runner.ResultRow.from_dict(row_dict)
-            if detsan.is_enabled():
-                # Parent-side sync point: rows received from workers use
-                # the same key (and serialized form) as the sequential
-                # runner's, so sequential-vs-jobs>1 cross-checks happen
-                # here regardless of completion order.
-                detsan.record(
-                    f"grid.row|{workload.suite}|{workload.name}"
-                    f"|{method}|rep={rep}",
-                    row_dict,
-                )
-            if checkpoint is not None:
-                checkpoint.record(
-                    workload.suite, workload.name, method, rep, row_dict
-                )
-
-    def _completed_cell_keys() -> List[Tuple[str, str, str, int]]:
-        keys = []
-        for (wl_idx, method, rep), row in computed.items():
-            workload = workload_list[wl_idx]
-            keys.append((workload.suite, workload.name, method, rep))
-        return sorted(keys)
-
-    fault_plan = config.fault_plan
-    report = SupervisionReport()
-    with obs.span("parallel.execute_grid", tasks=len(payloads), jobs=jobs):
-        try:
-            run_tasks(
-                _grid_task_worker,
-                payloads,
-                jobs=jobs,
-                on_result=on_result,
-                label="parallel.grid",
-                policy=policy,
-                fault_plan=(
-                    fault_plan
-                    if fault_plan is not None and fault_plan.faults_workers
-                    else None
-                ),
-                report=report,
+        rows[(wl_idx, row.method, rep)] = row
+        completed.append((workload.suite, workload.name, row.method, rep))
+        row_dict = row.as_dict()
+        if detsan.is_enabled():
+            # Sync point: the row every downstream table is built from,
+            # in its serialized form, under one key at every ``jobs``.
+            detsan.record(
+                f"grid.row|{workload.suite}|{workload.name}"
+                f"|{row.method}|rep={rep}",
+                row_dict,
             )
+        if checkpoint is not None:
+            checkpoint.record(workload.suite, workload.name, row.method, rep, row_dict)
+
+    task_keys = list(missing)
+
+    def on_task(index: int, task_rows: List["ResultRow"]) -> None:
+        # Fires in completion order, so a killed grid loses only the
+        # tasks in flight.
+        for row in task_rows:
+            record(*task_keys[index], row)
+
+    report = SupervisionReport()
+    with obs.span("parallel.execute_grid", tasks=len(task_keys), jobs=jobs):
+        try:
+            if jobs == 1:
+                for wl_idx, rep in task_keys:
+                    for _method, row in runner.compute_cell_rows(
+                        workload_list[wl_idx],
+                        config,
+                        missing[(wl_idx, rep)],
+                        rep,
+                        ground_truth=ground_truth,
+                        profile_cache=profile_cache,
+                    ):
+                        record(wl_idx, rep, row)
+            else:
+                cache_root = share_handle(profile_cache)
+                fault_plan = config.fault_plan
+                run_tasks(
+                    _grid_task_worker,
+                    [
+                        GridTask(
+                            workload=workload_list[wl_idx],
+                            rep=rep,
+                            methods=missing[(wl_idx, rep)],
+                            config=config,
+                            ground_truth=ground_truth,
+                            cache_root=cache_root,
+                        )
+                        for wl_idx, rep in task_keys
+                    ],
+                    jobs=jobs,
+                    on_result=on_task,
+                    label="parallel.grid",
+                    policy=policy,
+                    fault_plan=(
+                        fault_plan
+                        if fault_plan is not None and fault_plan.faults_workers
+                        else None
+                    ),
+                    report=report,
+                )
         except Exception as err:
-            # Unrecoverable (a genuine worker exception, or pool death
-            # beyond the rebuild budget): salvage what completed.  Every
-            # finished cell is already in the checkpoint via on_result;
-            # force the pending fsync so the file survives the caller.
+            # Salvage what completed: every finished cell is already in
+            # the checkpoint; force the pending fsync so the file
+            # survives the caller.
             if checkpoint is not None:
                 checkpoint.flush()
-            completed = _completed_cell_keys()
             raise GridExecutionError(
-                f"parallel grid failed with {len(completed)} cells completed "
+                f"grid failed with {len(completed)} cells completed "
                 f"(flushed to checkpoint: {checkpoint is not None}): {err}",
-                completed_cells=completed,
+                completed_cells=sorted(completed),
             ) from err
 
     # Tasks the supervisor quarantined come back as explicit non-feasible
     # rows (never checkpointed, so a resume retries them) and are
     # enumerated in the obs stream for the run ledger.
-    quarantined: Dict[Tuple[int, str, int], "runner.ResultRow"] = {}
     for poisoned in report.poisoned:
         wl_idx, rep = task_keys[poisoned.index]
         workload = workload_list[wl_idx]
         for method in missing[(wl_idx, rep)]:
-            quarantined[(wl_idx, method, rep)] = runner._quarantined_row(
-                workload, method, rep
+            rows[(wl_idx, method, rep)] = runner._na_row(
+                workload, method, rep, quarantined=True
             )
             obs.inc("parallel.grid.cells_quarantined")
             obs.log_event(
@@ -260,16 +246,9 @@ def execute_grid(
                 kills=poisoned.kills,
             )
 
-    # Reassemble in grid order — identical to the sequential runner's.
-    rows: List["runner.ResultRow"] = []
-    for wl_idx, workload in enumerate(workload_list):
-        for rep in range(config.repetitions):
-            for method in method_list:
-                key = (wl_idx, method, rep)
-                if key in stored:
-                    rows.append(stored[key])
-                elif key in quarantined:
-                    rows.append(quarantined[key])
-                else:
-                    rows.append(computed[key])
-    return rows
+    return [
+        rows[(wl_idx, method, rep)]
+        for wl_idx in range(len(workload_list))
+        for rep in range(config.repetitions)
+        for method in method_list
+    ]

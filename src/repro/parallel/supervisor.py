@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..errors import PoisonedTaskError, WorkerCrashError
+from .handles import absorb_lookups, lookup_counts, lookups_since
 
 __all__ = [
     "SupervisionPolicy",
@@ -119,14 +120,20 @@ def _pool_context():
 
 
 def _invoke(worker: Callable[[Any], Any], payload: Any, capture_obs: bool) -> Dict:
-    """Run one payload in the worker process, capturing obs if asked."""
+    """Run one payload in the worker process, capturing obs if asked.
+
+    The cache lookups the payload made ride back with its value (see
+    :mod:`repro.parallel.handles`).
+    """
+    before = lookup_counts()
     if not capture_obs:
-        return {"value": worker(payload)}
+        return {"value": worker(payload), "lookups": lookups_since(before)}
     with obs.scoped() as session:
         with obs.ResourceMonitor() as monitor:
             value = worker(payload)
         return {
             "value": value,
+            "lookups": lookups_since(before),
             "spans": [s.to_dict() for s in session.tracer.finished()],
             "metrics": session.metrics.export_state(),
             "epoch_wall": session.tracer.epoch_wall,
@@ -342,6 +349,7 @@ class _Supervisor:
             )
             return
         _merge_worker_obs(wrapped, worker_label=f"{self.label}-{index}")
+        absorb_lookups(wrapped["lookups"])
         self.results[index] = wrapped["value"]
         self.done.add(index)
         obs.inc(f"{self.label}.tasks_completed")

@@ -26,6 +26,7 @@ from ..hardware.gpu_config import GPUConfig
 from ..workloads.kernel import KernelInvocation
 from ..workloads.workload import Workload
 from .simulator import GpuSimulator
+from .sm import execute_trace
 
 __all__ = ["WaveSampleResult", "AdaptiveWaveSimulator"]
 
@@ -78,9 +79,12 @@ class AdaptiveWaveSimulator:
 
     def _wave_cycles(self, invocation: KernelInvocation, wave_seed: int) -> float:
         """Detailed cycles of one wave (address streams vary per wave)."""
-        trace = self._simulator.tracer.generate(invocation, seed=wave_seed)
-        result = self._simulator.simulate_trace(trace, seed=wave_seed)
-        return result.wave_cycles
+        sim = self._simulator
+        trace = sim.tracer.generate(invocation, seed=wave_seed)
+        wave_cycles, _stats = execute_trace(
+            trace, sim.spec.latencies, sim.config, sim.spec.warmup
+        )
+        return wave_cycles
 
     def total_waves(self, invocation: KernelInvocation) -> float:
         trace = self._simulator.tracer.generate(invocation, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines import RandomSampler, ProfileStore
 from repro.core import StemRootSampler
 from repro.core.bootstrap import bootstrap_estimate
@@ -67,6 +68,20 @@ class TestAdaptiveWaveSampling:
             AdaptiveWaveSimulator(RTX_2080, min_waves=1)
         with pytest.raises(ValueError):
             AdaptiveWaveSimulator(RTX_2080, min_waves=8, max_waves=4)
+
+    def test_waves_run_on_the_scalar_oracle_alone(self):
+        """Each wave's cycles come straight from ``execute_trace``: the
+        numbers are the ones post-processing used to wrap, and no wave is
+        counted as an executed kernel."""
+        workload = load_workload("rodinia", "hotspot", scale=0.1, seed=0)
+        sampler = AdaptiveWaveSimulator(RTX_2080, max_waves=8)
+        with obs.scoped() as session:
+            result = sampler.simulate(workload, 3, seed=2, compute_full=True)
+        counters = session.metrics.snapshot()["counters"]
+        assert counters.get("sim.kernels_executed", 0) == 0
+        assert result.simulated_waves == 3
+        assert result.estimated_cycles == float.fromhex("0x1.18e6ea8d44a7dp+16")
+        assert result.full_cycles == float.fromhex("0x1.15b0b60fe68f2p+16")
 
     def test_simulates_fewer_waves_than_total(self):
         workload = load_workload("rodinia", "hotspot", scale=0.05, seed=0)

@@ -184,6 +184,36 @@ class TestDse:
                 assert err >= 0
 
 
+    def test_skips_exactly_the_cells_the_grid_marks_na(self):
+        """Under unrepairable faults the DSE drops a (spec, method) row
+        exactly when the grid's cell at the same config and seed is N/A."""
+        from repro.experiments.dse import _reduced_workload
+        from repro.experiments.runner import compute_cell_rows
+        from repro.resilience import FaultPlan
+
+        plan = FaultPlan(seed=5, drop_rate=1.0)
+        specs = [
+            DseWorkloadSpec("rodinia", "hotspot", 0.02, 30),
+            DseWorkloadSpec("huggingface", "gpt2", 0.002, 30),
+        ]
+        methods = ["random", "pka", "stem"]
+        rows = run_dse(
+            workloads=specs, methods=methods, repetitions=1, seed=4,
+            fault_plan=plan,
+        )
+        config = ExperimentConfig(base_seed=4, fault_plan=plan)
+        feasible = {
+            (spec.name, method)
+            for spec in specs
+            for method, row in compute_cell_rows(
+                _reduced_workload(spec, 4), config, methods, rep=0
+            )
+            if row.feasible
+        }
+        assert {(r.workload, r.method) for r in rows} == feasible
+        assert 0 < len(feasible) < len(specs) * len(methods)
+
+
 class TestWarmupStudy:
     def test_rows_cover_grid(self):
         from repro.experiments.warmup_study import run_warmup_study

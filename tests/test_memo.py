@@ -524,6 +524,37 @@ class TestMemoCli:
         assert payload["table"]
         assert payload["memo"]["sim_cache"]["misses"] > 0
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_dse_rerun_counts_cache_hits_made_by_tasks(self, tmp_path, jobs):
+        """Lookups made inside DSE tasks (in-process or in pool workers)
+        reach the caller's counters, so a warm re-run reports its hits."""
+        args = [
+            "dse", "--workloads", "hotspot,bfs", "--methods", "stem",
+            "--repetitions", "1", "--max-invocations", "16", "--jobs", jobs,
+            "--profile-cache", str(tmp_path / "profiles"),
+            "--sim-cache", str(tmp_path / "sim"), "--no-ledger",
+        ]
+        assert main(args + ["--out", str(tmp_path / "cold.json")]) == 0
+        assert main(args + ["--out", str(tmp_path / "warm.json")]) == 0
+        cold = json.loads((tmp_path / "cold.json").read_text())["memo"]
+        warm = json.loads((tmp_path / "warm.json").read_text())["memo"]
+        assert cold["profile_cache"]["misses"] > 0
+        assert cold["sim_cache"]["misses"] > 0
+        assert warm["profile_cache"]["hits"] == cold["profile_cache"]["misses"]
+        assert warm["sim_cache"]["hits"] == cold["sim_cache"]["misses"]
+
+    def test_pooled_sweep_counts_profile_cache_hits(self, tmp_path):
+        args = [
+            "sweep", "rodinia", "--epsilons", "0.05,0.25",
+            "--repetitions", "1", "--scale", "0.01", "--jobs", "2",
+            "--profile-cache", str(tmp_path / "profiles"), "--no-ledger",
+        ]
+        assert main(args + ["--out", str(tmp_path / "cold.json")]) == 0
+        assert main(args + ["--out", str(tmp_path / "warm.json")]) == 0
+        warm = json.loads((tmp_path / "warm.json").read_text())["memo"]
+        assert warm["profile_cache"]["hits"] > 0
+        assert warm["profile_cache"]["misses"] == 0
+
     def test_dse_rejects_unknown_workload(self, capsys):
         assert main(["dse", "--workloads", "not-a-workload"]) == 2
         assert "unknown DSE workloads" in capsys.readouterr().err

@@ -107,7 +107,7 @@ class TestRunTasks:
         assert resolve_jobs(3) == 3
         assert resolve_jobs(1) == 1
         assert resolve_jobs(0) >= 1
-        assert resolve_jobs(None) >= 1
+        assert resolve_jobs(None) == 1
 
 
 # ---------------------------------------------------------------------------
