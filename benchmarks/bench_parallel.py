@@ -33,7 +33,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _shared import write_bench_report
 
 from repro.experiments.runner import ExperimentConfig, ResultRow, run_suite
-from repro.parallel import ProfileCache
+from repro.memo import ProfileCache
 
 
 def rows_equal(a: List[ResultRow], b: List[ResultRow]) -> bool:

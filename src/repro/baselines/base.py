@@ -29,9 +29,11 @@ class ProfileStore:
     """Lazy, cached access to every profiler's view of one workload.
 
     ``fault_injector`` (a :class:`~repro.resilience.faults.FaultInjector`,
-    or ``None``) corrupts the nsys execution-time profile as it is
-    collected — the store then *observes* the corrupted view while
+    or ``None``) carries the run's fault plan.  Under profile faults it
+    corrupts the nsys execution-time profile as it is collected — the
+    store then *observes* the corrupted view while
     :meth:`true_execution_times` retains the clean one for scoring.
+    Under ``cache_corrupt`` it goes with each write to ``cache``.
     ``validation`` (``"off"``/``"strict"``/``"repair"``) gates the
     observed profile through :func:`repro.resilience.validate_times`.
     Both default to disabled, leaving behaviour bit-identical.
@@ -53,7 +55,7 @@ class ProfileStore:
         self.seed = seed
         self.fault_injector = fault_injector
         self.validation = validation
-        #: Optional :class:`repro.parallel.ProfileCache` shared across
+        #: Optional :class:`repro.memo.ProfileCache` shared across
         #: stores, processes and runs.  Only the *clean* nsys profile is
         #: cached; fault injection and validation run on every read path,
         #: so cached and collected profiles behave identically.
@@ -69,6 +71,7 @@ class ProfileStore:
                 lambda: NsysProfiler(self.config).execution_times(
                     self.workload, seed=self.seed
                 ),
+                fault_injector=self.fault_injector,
             )
         else:
             clean = NsysProfiler(self.config).execution_times(
@@ -84,8 +87,9 @@ class ProfileStore:
         """
         if "times" not in self._cache:
             observed = self.true_execution_times()
-            if self.fault_injector is not None:
-                observed = self.fault_injector.corrupt_times(observed)
+            injector = self.fault_injector
+            if injector is not None and injector.plan.corrupts_profiles:
+                observed = injector.corrupt_times(observed)
             if self.validation != "off":
                 observed, health = validate_times(
                     observed,

@@ -933,13 +933,9 @@ def _run_grid(args):
         )
     profile_cache = None
     if args.profile_cache:
-        from .parallel import ProfileCache
+        from .memo import ProfileCache
 
         profile_cache = ProfileCache(args.profile_cache)
-        if config.fault_plan is not None and config.fault_plan.corrupts_cache:
-            from .resilience import FaultInjector
-
-            profile_cache.fault_injector = FaultInjector(config.fault_plan)
     from .parallel import SupervisionPolicy
 
     policy = SupervisionPolicy(
@@ -1012,7 +1008,7 @@ def _memo_caches(args, jobs: int):
     """Build the (profile, sim, tree) caches a memoized command asked for."""
     profile_cache = None
     if getattr(args, "profile_cache", None):
-        from .parallel import ProfileCache
+        from .memo import ProfileCache
 
         profile_cache = ProfileCache(args.profile_cache)
     sim_cache = None

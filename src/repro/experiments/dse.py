@@ -32,8 +32,8 @@ from ..core import (
     fidelity_cycle_counts_many,
 )
 from ..hardware import RTX_2080, GPUConfig, dse_variants
-from ..memo import SimResultCache
-from ..parallel import ProfileCache, resolve_jobs, run_tasks
+from ..memo import ProfileCache, SimResultCache
+from ..parallel import resolve_jobs, run_tasks
 from ..parallel.handles import cache_handle, share_handle
 from ..resilience.faults import FaultPlan
 from ..workloads import load_workload
@@ -300,11 +300,13 @@ def run_dse(
     specs and design points, so ``jobs=1`` is fully stage-major and
     ``jobs>1`` trades batch width for processes.  Rows come back in
     spec order and are identical at every ``jobs``.
-    ``profile_cache`` (a
-    :class:`repro.parallel.ProfileCache`) reuses baseline profiles across
-    runs; ``sim_cache`` (a :class:`repro.memo.SimResultCache` or a cache
-    directory path) does the same for the full per-variant cycle
-    simulations — the dominant cost of a warm DSE re-run.
+    ``profile_cache`` (a :class:`repro.memo.ProfileCache`) reuses
+    baseline profiles across runs; ``sim_cache`` (a
+    :class:`repro.memo.SimResultCache` or a cache directory path) does
+    the same for the full per-variant cycle simulations — the dominant
+    cost of a warm DSE re-run.  Both keep their entries in the shared
+    :mod:`repro.memo.store`; a ``cache_corrupt`` fault plan reaches the
+    profile cache's entries only.
 
     ``fidelity`` selects the ground-truth tier per variant: ``cycle``
     (the default — bit-identical to the legacy path), ``analytical``

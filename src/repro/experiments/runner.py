@@ -215,25 +215,22 @@ class ExperimentConfig:
     ) -> ProfileStore:
         """Build the repetition's profile store, wiring in fault injection.
 
-        ``cache`` (a :class:`repro.parallel.ProfileCache`, or ``None``)
-        lets the store reuse already-collected nsys profiles instead of
+        ``cache`` (a :class:`repro.memo.ProfileCache`, or ``None``) lets
+        the store reuse already-collected nsys profiles instead of
         recollecting them; cached profiles are the *clean* ones, so fault
-        injection and validation behave identically either way.
+        injection and validation behave identically either way.  The
+        store hands its injector to each cache write, so a
+        ``cache_corrupt`` plan corrupts this run's entries and no other's.
         """
         injector = None
         validation = self.validation
-        if self.fault_plan is not None and self.fault_plan.enabled:
-            if self.fault_plan.corrupts_profiles:
-                injector = FaultInjector(self.fault_plan)
-                if validation == "off":
-                    validation = "repair"
-            if self.fault_plan.corrupts_cache and cache is not None:
-                if getattr(cache, "fault_injector", None) is None:
-                    # Chaos-testing hook: corrupt freshly stored cache
-                    # entries on disk.  Results stay bit-identical — the
-                    # in-memory array is what gets used, and corrupted
-                    # entries are quarantined and recollected on read.
-                    cache.fault_injector = FaultInjector(self.fault_plan)
+        plan = self.fault_plan
+        if plan is not None and (
+            plan.corrupts_profiles or (plan.corrupts_cache and cache is not None)
+        ):
+            injector = FaultInjector(plan)
+            if plan.corrupts_profiles and validation == "off":
+                validation = "repair"
         return ProfileStore(
             workload,
             self.gpu,
@@ -402,7 +399,7 @@ def run_workload(
     ``jobs`` because every cell's randomness derives from
     :func:`repetition_seed` alone.  With a pool, ``ground_truth`` must be
     picklable (a module-level function).  ``profile_cache`` (a
-    :class:`repro.parallel.ProfileCache`) reuses collected profiles across
+    :class:`repro.memo.ProfileCache`) reuses collected profiles across
     runs and processes.  ``policy`` (a
     :class:`repro.parallel.SupervisionPolicy`) tunes worker-death
     supervision for the pool; it never affects results.  The grid runs

@@ -31,7 +31,6 @@ clustering provably equal to re-clustering from scratch
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -41,6 +40,7 @@ from .. import obs
 from ..core.clustering import kmeans_1d
 from ..core.stem import ClusterStats
 from ..keys import derive_key
+from .store import LRU
 
 __all__ = ["SplitNode", "build_split_tree", "SplitTreeCache"]
 
@@ -145,8 +145,7 @@ class SplitTreeCache:
     """
 
     def __init__(self, max_entries: int = 128):
-        self.max_entries = max(1, int(max_entries))
-        self._trees: "OrderedDict[str, SplitNode]" = OrderedDict()
+        self._trees = LRU(max_entries)
         self.hits = 0
         self.misses = 0
 
@@ -175,17 +174,13 @@ class SplitTreeCache:
     ) -> SplitNode:
         node = self._trees.get(key)
         if node is not None:
-            self._trees.move_to_end(key)
             self.hits += 1
             obs.inc("memo.tree_cache.hits")
             return node
         self.misses += 1
         obs.inc("memo.tree_cache.misses")
         node = builder()
-        self._trees[key] = node
-        self._trees.move_to_end(key)
-        while len(self._trees) > self.max_entries:
-            self._trees.popitem(last=False)
+        self._trees.put(key, node)
         return node
 
     def __len__(self) -> int:

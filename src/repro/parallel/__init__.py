@@ -2,10 +2,6 @@
 
 Three layers, each useful on its own:
 
-* :class:`ProfileCache` — content-addressed on-disk store (plus an
-  in-process LRU) for collected nsys profiles, keyed by the derived
-  key of workload × GPU × seed, with atomic writes safe under concurrent
-  workers;
 * :func:`run_tasks` — a generic ordered process-pool executor that
   merges worker observability (spans, metrics) back into the parent;
 * :mod:`~repro.parallel.supervisor` — the self-healing layer under
@@ -19,17 +15,17 @@ Three layers, each useful on its own:
 
 Everything is opt-in: ``jobs=1`` (the default throughout the code base)
 never touches a process pool, and no cache is consulted unless one is
-passed explicitly or via ``--profile-cache`` on the CLI.
+passed explicitly or via ``--profile-cache`` on the CLI.  The profile
+cache itself is :class:`repro.memo.ProfileCache`; workers reach it
+through :mod:`~repro.parallel.handles`.
 """
 
 from ..errors import GridExecutionError, PoisonedTaskError, WorkerCrashError
 from .executor import resolve_jobs, run_tasks
 from .grid import GridTask, execute_grid
-from .profile_cache import ProfileCache
 from .supervisor import SupervisionPolicy, SupervisionReport, supervise_tasks
 
 __all__ = [
-    "ProfileCache",
     "GridTask",
     "execute_grid",
     "resolve_jobs",

@@ -41,9 +41,9 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tupl
 from .. import obs
 from ..analysis import detsan
 from ..errors import GridExecutionError
+from ..memo import ProfileCache
 from .executor import resolve_jobs, run_tasks
 from .handles import cache_handle, share_handle
-from .profile_cache import ProfileCache
 from .supervisor import SupervisionPolicy, SupervisionReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles

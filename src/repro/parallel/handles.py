@@ -1,8 +1,11 @@
 """One cache handle per cache root per process, and pool-task lookups.
 
-A cache handle (:class:`~repro.parallel.ProfileCache`,
-:class:`~repro.memo.SimResultCache`) puts an in-memory layer and
-hit/miss/store counters in front of an on-disk store.  Task payloads
+A cache handle (:class:`~repro.memo.ProfileCache`,
+:class:`~repro.memo.SimResultCache`) puts an in-memory LRU and
+hit/miss/store counters in front of the shared on-disk store
+(:mod:`repro.memo.store`).  A handle holds no fault plan: a run's
+``cache_corrupt`` injector goes with each write, so sharing a handle
+across runs cannot carry one run's faults into the next.  Task payloads
 name a cache by its root path, and :func:`cache_handle` maps the root
 to this process's handle.  A caller that registers its own handle with
 :func:`share_handle` therefore sees every lookup a task makes in its

@@ -34,9 +34,10 @@ from repro.experiments.runner import (
 )
 from repro.hardware import RTX_2080, get_preset
 from repro.keys import derive_key
+from repro.memo import ProfileCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.parallel import ProfileCache, resolve_jobs, run_tasks
+from repro.parallel import resolve_jobs, run_tasks
 from repro.resilience import FaultPlan, GridCheckpoint
 from repro.workloads import load_workload
 

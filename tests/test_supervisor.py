@@ -25,6 +25,7 @@ Workers that kill themselves use a *real* SIGKILL: the supervisor is
 exercised against genuine pool breakage, not a simulated exception.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -42,12 +43,12 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.experiments import runner as runner_mod
-from repro.experiments.runner import ExperimentConfig, run_suite
+from repro.experiments.runner import ExperimentConfig, run_suite, run_workload
 from repro.hardware import RTX_2080
-from repro.memo.sim_cache import RawKernelSim, SimResultCache
+from repro.keys import derive_key
+from repro.memo import ProfileCache, RawKernelSim, SimResultCache
 from repro.obs.ledger import _resilience_summary
 from repro.parallel import (
-    ProfileCache,
     SupervisionPolicy,
     SupervisionReport,
     run_tasks,
@@ -55,6 +56,7 @@ from repro.parallel import (
 )
 from repro.parallel.supervisor import _Flight, _Supervisor
 from repro.resilience import FaultInjector, FaultPlan, GridCheckpoint
+from repro.sim import GpuSimulator
 from repro.workloads import load_workload
 
 METHODS = ["random", "stem"]
@@ -452,119 +454,205 @@ class TestGridChaos:
         assert fresh.corrupt > 0
         assert os.path.isdir(os.path.join(root, "quarantine"))
 
+    def test_cache_fault_ends_with_its_run(self, tmp_path):
+        """A ``cache_corrupt`` run leaves a shared cache handle clean.
+
+        The injector goes with each write, so a fault-free run on the
+        same handle afterwards stores entries a fresh handle reads back.
+        """
+        root = str(tmp_path / "cache")
+        cache = ProfileCache(root)
+        run_workload(
+            load_workload("rodinia", "gaussian", scale=0.05, seed=0),
+            config=small_config(
+                repetitions=1, fault_plan=FaultPlan(seed=11, cache_corrupt_rate=1.0)
+            ),
+            methods=["stem"],
+            profile_cache=cache,
+        )
+        bfs = load_workload("rodinia", "bfs", scale=0.05, seed=0)
+        clean = small_config()
+        first = run_workload(bfs, config=clean, methods=["stem"], profile_cache=cache)
+        fresh = ProfileCache(root)
+        again = run_workload(bfs, config=clean, methods=["stem"], profile_cache=fresh)
+        assert (fresh.hits, fresh.misses, fresh.corrupt) == (2, 0, 0)
+        assert rows_equal(first, again)
+
 
 # ---------------------------------------------------------------------------
 # (f) cache integrity: checksums, quarantine, recompute
 # ---------------------------------------------------------------------------
-class TestProfileCacheIntegrity:
-    @pytest.fixture()
-    def workload(self):
-        return load_workload("rodinia", "bfs", scale=0.05, seed=0)
+class _CacheIntegrity:
+    """Quarantine rules of the shared entry store (:mod:`repro.memo.store`).
 
-    def _tamper_array(self, cache: ProfileCache, key: str) -> None:
-        """Rewrite the entry with a flipped array but untouched metadata."""
-        path = cache._path(key)
-        with np.load(path, allow_pickle=False) as payload:
-            meta = np.array(payload["meta"])
-            arr = np.array(payload["profile"])
-        arr[0] += 1.0
-        with open(path, "wb") as fh:
-            np.savez(fh, profile=arr, meta=meta)
+    Each subclass adapts one cache: ``make(root)`` opens it, ``write``
+    stores the reference entry and returns its key, ``read`` returns the
+    entry (``None`` on a miss) and ``matches`` compares it with the
+    reference.  The same tests then run against both caches.
+    """
 
-    def test_checksum_mismatch_quarantines_and_recollects(
-        self, tmp_path, workload
-    ):
+    def _written(self, tmp_path):
         root = str(tmp_path / "cache")
-        cache = ProfileCache(root)
-        original = np.linspace(1.0, 2.0, 16)
-        key = cache.put(workload, RTX_2080, 3, original)
-        self._tamper_array(cache, key)
+        cache = self.make(root)
+        return root, cache, self.write(cache)
 
-        fresh = ProfileCache(root)
-        assert fresh.get(workload, RTX_2080, 3) is None
+    def _assert_quarantined(self, root):
+        fresh = self.make(root)
+        assert self.read(fresh) is None
         assert fresh.corrupt == 1
         assert len(fresh) == 0  # quarantine excluded from the entry count
-        qdir = os.path.join(root, "quarantine")
-        assert len(os.listdir(qdir)) == 1
-        # The slot is free again; a re-store round-trips byte-identically.
-        fresh.put(workload, RTX_2080, 3, original)
-        fresh.clear_memory()
-        assert np.array_equal(fresh.get(workload, RTX_2080, 3), original)
+        assert len(os.listdir(os.path.join(root, "quarantine"))) == 1
+        return fresh
 
-    def test_injected_corruption_never_poisons_reads(self, tmp_path, workload):
-        root = str(tmp_path / "cache")
-        cache = ProfileCache(root)
-        cache.fault_injector = FaultInjector(
-            FaultPlan(seed=7, cache_corrupt_rate=1.0)
-        )
-        original = np.linspace(5.0, 9.0, 32)
-        cache.put(workload, RTX_2080, 0, original)
-        fresh = ProfileCache(root)
-        assert fresh.get(workload, RTX_2080, 0) is None
-        assert fresh.corrupt == 1
-        recollected = fresh.get_or_collect(
-            workload, RTX_2080, 0, collect=lambda: original
-        )
-        assert np.array_equal(recollected, original)
-        fresh.clear_memory()
-        assert np.array_equal(fresh.get(workload, RTX_2080, 0), original)
+    def _assert_restores(self, cache):
+        """The freed slot takes a re-store that reads back unchanged."""
+        self.write(cache)
+        cache.clear_memory()
+        assert self.matches(self.read(cache))
+        assert len(cache) == 1
 
-    def test_unreadable_entry_quarantined(self, tmp_path, workload):
-        root = str(tmp_path / "cache")
-        cache = ProfileCache(root)
-        key = cache.put(workload, RTX_2080, 3, np.ones(4))
+    def test_unreadable_entry_quarantined(self, tmp_path):
+        root, cache, key = self._written(tmp_path)
         with open(cache._path(key), "wb") as fh:
             fh.write(b"not an npz file")
-        fresh = ProfileCache(root)
-        assert fresh.get(workload, RTX_2080, 3) is None
-        assert fresh.corrupt == 1
+        self._assert_restores(self._assert_quarantined(root))
 
+    def test_checksum_mismatch_quarantines_and_recollects(self, tmp_path):
+        root, cache, key = self._written(tmp_path)
+        # Rewrite the entry with one array element changed, meta untouched.
+        path = cache._path(key)
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {name: np.array(payload[name]) for name in payload.files}
+        arrays[cache.array_names[-1]].flat[0] += 1
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        self._assert_restores(self._assert_quarantined(root))
 
-class TestSimCacheIntegrity:
-    def _raws(self, n=4):
-        return {
-            i: RawKernelSim(
-                wave_cycles=100.0 + i,
-                extrapolation=1.5,
-                stall_cycles=10.0 * i,
-                events=np.arange(6, dtype=np.int64) + i,
-            )
-            for i in range(n)
-        }
-
-    def test_corrupt_entry_quarantined_and_resimulated(self, tmp_path):
-        root = str(tmp_path / "sim-cache")
-        cache = SimResultCache(root)
-        cache.fault_injector = FaultInjector(
-            FaultPlan(seed=3, cache_corrupt_rate=1.0)
-        )
-        raws = self._raws()
-        indices = sorted(raws)
-        cache.store("ctx", indices, raws)
-
-        fresh = SimResultCache(root)
-        found, missing = fresh.load("ctx", indices)
-        assert found == {} and missing == indices
-        assert fresh.corrupt == 1
-        assert len(fresh) == 0
-        # Re-store (the "re-simulation") and read back byte-identically.
-        fresh.store("ctx", indices, raws)
-        fresh.clear_memory()
-        found, missing = fresh.load("ctx", indices)
-        assert missing == []
-        for i in indices:
-            assert found[i].wave_cycles == raws[i].wave_cycles
-            assert found[i].stall_cycles == raws[i].stall_cycles
-            assert np.array_equal(found[i].events, raws[i].events)
+    def test_injected_corruption_never_poisons_reads(self, tmp_path):
+        root, cache, key = self._written(tmp_path)
+        injector = FaultInjector(FaultPlan(seed=7, cache_corrupt_rate=1.0))
+        assert injector.cache_corrupt_decision(key)
+        injector.corrupt_cache_entry(cache._path(key), key)
+        self._assert_restores(self._assert_quarantined(root))
 
     def test_clean_entry_roundtrip_unaffected(self, tmp_path):
-        cache = SimResultCache(str(tmp_path / "sim-cache"))
-        raws = self._raws(3)
-        cache.store("ctx", sorted(raws), raws)
-        fresh = SimResultCache(str(tmp_path / "sim-cache"))
-        found, missing = fresh.load("ctx", sorted(raws))
-        assert missing == [] and fresh.corrupt == 0
-        assert len(fresh) == 1
+        root, _cache, _key = self._written(tmp_path)
+        fresh = self.make(root)
+        assert self.matches(self.read(fresh))
+        assert fresh.corrupt == 0 and len(fresh) == 1
+
+
+def _sha256_of(arrays) -> str:
+    """The entry checksum, spelled out: dtype, shape, bytes per array."""
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(str(array.dtype).encode())
+        h.update(repr(tuple(array.shape)).encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def _save_entry(root, key, meta, **arrays) -> None:
+    """Write an entry by hand in the v2 on-disk layout."""
+    os.makedirs(os.path.join(root, key[:2]), exist_ok=True)
+    blob = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(os.path.join(root, key[:2], key + ".npz"), "wb") as fh:
+        np.savez(fh, **arrays, meta=blob)
+
+
+class TestProfileCacheIntegrity(_CacheIntegrity):
+    WORKLOAD = load_workload("rodinia", "bfs", scale=0.05, seed=0)
+    PROFILE = np.linspace(1.0, 2.0, 16)
+
+    make = ProfileCache
+
+    def write(self, cache):
+        return cache.put(self.WORKLOAD, RTX_2080, 3, self.PROFILE)
+
+    def read(self, cache):
+        return cache.get(self.WORKLOAD, RTX_2080, 3)
+
+    def matches(self, got):
+        return got is not None and np.array_equal(got, self.PROFILE)
+
+    def test_hand_built_entry_reads_back(self, tmp_path):
+        root = str(tmp_path / "cache")
+        workload = self.WORKLOAD
+        key = derive_key((2, "nsys_times", 3, workload, RTX_2080))
+        meta = {
+            "version": 2,
+            "kind": "nsys_times",
+            "workload": workload.name,
+            "suite": workload.suite,
+            "fingerprint": derive_key(workload),
+            "gpu": RTX_2080.name,
+            "gpu_key": derive_key(RTX_2080),
+            "seed": 3,
+            "checksum": _sha256_of([self.PROFILE]),
+        }
+        _save_entry(root, key, meta, profile=self.PROFILE)
+        cache = ProfileCache(root)
+        assert self.matches(self.read(cache))
+        assert (cache.hits, cache.misses, cache.corrupt) == (1, 0, 0)
+
+
+class TestSimCacheIntegrity(_CacheIntegrity):
+    INDICES = [0, 1, 2, 3]
+    RAWS = {
+        i: RawKernelSim(
+            wave_cycles=100.0 + i,
+            extrapolation=1.5,
+            stall_cycles=10.0 * i,
+            events=np.arange(6, dtype=np.int64) + i,
+        )
+        for i in INDICES
+    }
+
+    make = SimResultCache
+
+    def write(self, cache):
+        return cache.store("ctx", self.INDICES, self.RAWS)
+
+    def read(self, cache):
+        found, missing = cache.load("ctx", self.INDICES)
+        return None if missing else found
+
+    def matches(self, got):
+        return got is not None and all(
+            got[i].wave_cycles == raw.wave_cycles
+            and got[i].extrapolation == raw.extrapolation
+            and got[i].stall_cycles == raw.stall_cycles
+            and np.array_equal(got[i].events, raw.events)
+            for i, raw in self.RAWS.items()
+        )
+
+    def test_hand_built_entry_reads_back(self, tmp_path):
+        root = str(tmp_path / "cache")
+        workload = load_workload("rodinia", "bfs", scale=0.05, seed=0)
+        spec = GpuSimulator(RTX_2080).spec
+        assert SimResultCache.context_for(workload, RTX_2080, 5, spec) == (
+            derive_key((2, 1, workload, RTX_2080, 5, spec))
+        )
+        indices = np.asarray(self.INDICES, dtype=np.int64)
+        key = hashlib.sha256(b"ctx" + b"\x00" + indices.tobytes()).hexdigest()
+        arrays = dict(
+            indices=indices,
+            wave_cycles=np.array([r.wave_cycles for r in self.RAWS.values()]),
+            extrapolation=np.array([r.extrapolation for r in self.RAWS.values()]),
+            stall_cycles=np.array([r.stall_cycles for r in self.RAWS.values()]),
+            events=np.stack([r.events for r in self.RAWS.values()]),
+        )
+        meta = {
+            "version": 2,
+            "sim_version": 1,
+            "context": "ctx",
+            "n": len(indices),
+            "checksum": _sha256_of(arrays.values()),
+        }
+        _save_entry(root, key, meta, **arrays)
+        cache = SimResultCache(root)
+        assert self.matches(self.read(cache))
+        assert (cache.hits, cache.misses, cache.corrupt) == (4, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +677,32 @@ class TestPlumbing:
         assert plan.cache_corrupt_rate == 0.4
         assert plan.faults_workers and plan.corrupts_cache
         assert "worker_stall_s: 2.5" in plan.describe()
+
+    def test_ci_chaos_plan_corrupts_a_grid_entry(self, tmp_path):
+        """CI's chaos-smoke plan must corrupt at least one of its grid's
+        profile entries, and its cache rate must not move the kill
+        schedule that KILL_RECOVER_SEED was pinned for."""
+        root = str(tmp_path / "cache")
+        run_suite(
+            "rodinia",
+            config=small_config(workload_scale=0.05),
+            methods=METHODS,
+            workload_names=["bfs", "gaussian"],
+            profile_cache=ProfileCache(root),
+        )
+        keys = [
+            name[:-4]
+            for sub in os.listdir(root)
+            for name in os.listdir(os.path.join(root, sub))
+        ]
+        assert len(keys) == 4
+        spec = "seed={},worker_kill=0.3,cache_corrupt={},nan=0.02"
+        chaos = FaultInjector(FaultPlan.from_spec(spec.format(KILL_RECOVER_SEED, 0.9)))
+        assert any(chaos.cache_corrupt_decision(key) for key in keys)
+        before = FaultInjector(FaultPlan.from_spec(spec.format(KILL_RECOVER_SEED, 0.5)))
+        assert [
+            chaos.worker_decision(i, a).kind for i in range(4) for a in range(1, 9)
+        ] == [before.worker_decision(i, a).kind for i in range(4) for a in range(1, 9)]
 
     def test_worker_decisions_deterministic(self):
         inj = FaultInjector(FaultPlan(seed=5, worker_kill_rate=0.5))
