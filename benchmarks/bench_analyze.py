@@ -8,9 +8,7 @@ on every PR, so its wall-clock is an SLO: ``analyze_runtime_s`` in
 the ledger record this bench appends).
 
 Also measured, for context: parsing plus graph construction alone (the
-rules are the rest), and the cost of one *disabled* DetSan hook — the
-runtime sanitizer's hooks sit on hot simulation paths and must be an
-early-returning no-op when ``REPRO_DETSAN`` is unset.
+rules are the rest).
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_analyze.py``,
 which writes BENCH_analyze.json and ledger-records the runtime) or via
@@ -25,7 +23,6 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from repro.analysis import detsan
 from repro.lint import load_config, registered_passes, run_lint
 from repro.lint.engine import load_modules
 from repro.lint.graph import ProjectGraph
@@ -36,15 +33,6 @@ REPO_CONFIG = os.path.join(
 )
 REPEATS = 3
 MAX_ANALYZE_SECONDS = 60.0  # [tool.repro.slo.metric_max] analyze_runtime_s
-
-
-def _disabled_hook_seconds(calls: int = 200_000) -> float:
-    """Average cost of one DetSan record() with the sanitizer off."""
-    assert not detsan.is_enabled()
-    start = time.perf_counter()
-    for _ in range(calls):
-        detsan.record("bench.noop", None)
-    return (time.perf_counter() - start) / calls
 
 
 def measure() -> dict:
@@ -67,15 +55,12 @@ def measure() -> dict:
         findings = len(result.findings)
     rules = len(registered_passes())
 
-    hook = _disabled_hook_seconds()
-
     print()
     print(f"files checked            : {files:8d}")
     print(f"functions in call graph  : {functions:8d}")
     print(f"parse + graph            : {best_graph * 1e3:8.1f} ms")
     print(f"full lint ({rules} rules)      : {best_total * 1e3:8.1f} ms "
           f"(bound {MAX_ANALYZE_SECONDS:.0f}s)")
-    print(f"disabled detsan hook     : {hook * 1e9:8.1f} ns/call")
     print(f"findings                 : {findings:8d}")
 
     return {
@@ -86,7 +71,6 @@ def measure() -> dict:
         "graph_seconds": best_graph,
         "analyze_seconds": best_total,
         "rules": rules,
-        "detsan_disabled_hook_seconds": hook,
         "findings": findings,
         "bound_seconds": MAX_ANALYZE_SECONDS,
     }

@@ -1,13 +1,8 @@
-"""Result aggregation and reporting, plus the runtime determinism sanitizer.
+"""Result aggregation and reporting.
 
-Two families live here:
-
-* **result analysis** — histograms, method aggregates, plain-text
-  tables and distribution validation for experiment outputs;
-* **DetSan** — the runtime determinism sanitizer
-  (:mod:`~repro.analysis.detsan`, ``repro detsan``).
-
-The static rules live in :mod:`repro.lint` (``repro lint``).
+Histograms, method aggregates, plain-text tables and distribution
+validation for experiment outputs.  The determinism checks are
+``repro lint`` (:mod:`repro.lint`) and the tier-1 engine-pair tests.
 """
 
 from .histogram import (

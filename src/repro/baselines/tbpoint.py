@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from ..core.plan import PlanCluster, SamplingPlan
 from ..errors import InfeasibleProfilingError
@@ -87,6 +86,10 @@ class TbpointSampler:
         if len(linkage_rows) == 1:
             row_labels = np.zeros(len(distinct), dtype=np.int64)
         else:
+            # Imported here: scipy.cluster costs every ``import repro``
+            # a fraction of a second, and only TBPoint uses it.
+            from scipy.cluster.hierarchy import fcluster, linkage
+
             tree = linkage(linkage_rows, method=self.linkage_method)
             k = min(self.max_clusters, len(linkage_rows))
             sub_labels = fcluster(tree, t=k, criterion="maxclust") - 1

@@ -22,10 +22,6 @@ Commands
               simulator salt) and whole-program rules (seed flow,
               pool-worker safety) from one parse — see :mod:`repro.lint`
               and docs/static-analysis.md
-``detsan``    cross-engine determinism smoke under the runtime
-              sanitizer (scalar vs batch, cold vs warm, sequential vs
-              parallel); every workload command also accepts
-              ``--detsan`` to sanitize that run
 
 Parallelism & memoization
 -------------------------
@@ -138,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip appending this run to the run ledger")
         p.add_argument("--run-label", metavar="LABEL", default=None,
                        help="free-form label stored in the run record")
-        p.add_argument("--detsan", action="store_true",
-                       help="enable the runtime determinism sanitizer "
-                            "(records sync points, cross-checks engine "
-                            "configurations; non-zero exit on divergence — "
-                            "see repro detsan / docs/static-analysis.md)")
 
     def add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("suite", choices=suite_names())
@@ -317,16 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .lint.cli import add_lint_arguments
 
     add_lint_arguments(p_lint)
-
-    p_detsan = sub.add_parser(
-        "detsan",
-        help="cross-engine determinism smoke: scalar vs batch, cold vs "
-             "warm cache, sequential vs parallel under the runtime "
-             "sanitizer (exit 0 bit-identical / 1 divergence)",
-    )
-    from .analysis.detsan_smoke import add_detsan_arguments
-
-    add_detsan_arguments(p_detsan)
 
     p_obs = sub.add_parser(
         "obs",
@@ -590,8 +571,6 @@ _NON_IDENTITY_ARGS = {
     # Supervision knobs never change results (quarantine excepted, and a
     # quarantined cell is visible in the rows themselves, not run_id).
     "speculate", "max_task_kills", "heartbeat_timeout",
-    # The sanitizer observes results, never changes them.
-    "detsan",
 }
 
 
@@ -1202,12 +1181,6 @@ def _cmd_lint(args) -> int:
     return run_lint_command(args)
 
 
-def _cmd_detsan(args) -> int:
-    from .analysis.detsan_smoke import run_detsan_command
-
-    return run_detsan_command(args)
-
-
 _COMMANDS = {
     "sample": _cmd_sample,
     "compare": _cmd_compare,
@@ -1221,29 +1194,7 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "dse": _cmd_dse,
     "lint": _cmd_lint,
-    "detsan": _cmd_detsan,
 }
-
-
-def _dispatch(args) -> int:
-    """Run one command, honouring ``--detsan`` around it.
-
-    With the sanitizer on (flag or ``REPRO_DETSAN=1``), the run's
-    coverage report lands on stderr and any divergence turns a
-    successful exit into status 1 — determinism violations fail runs
-    exactly like wrong results would.
-    """
-    from .analysis import detsan
-
-    if getattr(args, "detsan", False):
-        detsan.enable()
-    status = _COMMANDS[args.command](args)
-    sanitizer = detsan.get_sanitizer()
-    if sanitizer is not None and sanitizer.records:
-        print(sanitizer.report(), file=sys.stderr, end="")
-        if sanitizer.divergences and status == 0:
-            status = 1
-    return status
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1256,7 +1207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     runs_dir = _resolve_runs_dir(args) if args.command in _LEDGERED else None
     enable = bool(trace_out or metrics_out or flame_out or log_level or runs_dir)
     if not enable:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
 
     # Stream events to stderr only when the user asked for a level, so
     # --trace-out alone keeps stdout/stderr exactly as before.
@@ -1267,7 +1218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     monitor = obs.ResourceMonitor()
     try:
         with monitor:
-            status = _dispatch(args)
+            status = _COMMANDS[args.command](args)
     finally:
         if trace_out:
             count = session.write_trace(trace_out)

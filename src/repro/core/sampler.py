@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import obs
-from ..analysis import detsan
 from ..resilience.validation import validate_times
 from ..workloads.workload import Workload
 from .plan import PlanCluster, SamplingPlan
@@ -172,10 +171,6 @@ class StemRootSampler:
         seed: int = 0,
     ) -> SamplingPlan:
         """Full pipeline: profile times in, sampling plan out."""
-        # DetSan can only compare draws across runs when the seed is
-        # authoritative; an externally-threaded generator carries
-        # caller-side state the sync-point key cannot capture.
-        seeded = rng is None
         if rng is None:
             rng = np.random.default_rng(seed)
         with obs.span(
@@ -202,16 +197,6 @@ class StemRootSampler:
                         chosen = rng.choice(indices, size=m, replace=True)
                     else:
                         chosen = rng.choice(indices, size=m, replace=False)
-                    if seeded and detsan.is_enabled():
-                        # Sync point: the members drawn for each leaf
-                        # cluster are a pure function of (workload,
-                        # method, seed) — any engine or ordering change
-                        # that shifts them breaks reproducibility.
-                        detsan.record(
-                            f"plan.draw|{workload.name}|{self.method}"
-                            f"|seed={seed}|{labeled.name}#{peak}",
-                            np.asarray(chosen, dtype=np.int64),
-                        )
                     plan_clusters.append(
                         PlanCluster(
                             label=f"{labeled.name}#{peak}",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtri
 
 from .. import obs
 
@@ -48,7 +48,9 @@ def z_score(confidence: float) -> float:
     """Two-sided standard score for a confidence level in (0, 1)."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    return float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    # ndtri is the standard normal quantile that ``scipy.stats.norm.ppf``
+    # calls, bit for bit, without importing scipy.stats.
+    return float(ndtri(0.5 + confidence / 2.0))
 
 
 @dataclass(frozen=True)

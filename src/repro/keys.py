@@ -1,4 +1,4 @@
-"""One derived key for every cache, checkpoint and sanitizer digest.
+"""One derived key for every cache and checkpoint.
 
 A cache may only return a result computed under the same inputs, so
 every cache key in the package comes from :func:`derive_key`, called by

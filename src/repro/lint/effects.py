@@ -1,15 +1,17 @@
 """Interprocedural effect inference over the project graph.
 
 Computes, per function, the *direct* effects that matter for pool
-purity — writes to module-level globals and calls into banned
-ambient-nondeterminism APIs — and propagates them over the call graph to
-a transitive summary: a function is impure iff it, or anything it can
-reach through project-internal calls, has a direct effect.
+purity — writes to module-level globals — and propagates them over the
+call graph to a transitive summary: a function is impure iff it, or
+anything it can reach through project-internal calls, has a direct
+effect.  Ambient reads (wall clock, module-state RNGs) are not effects
+here: ``wall-clock`` and ``global-rng`` ban them in every module, so a
+worker reaching one is already reported once, at the read.
 
 Soundness bias matches :mod:`repro.lint.graph`: an *unresolvable*
 callee contributes nothing (dynamic dispatch is assumed benign), while a
 *resolved* project callee contributes everything it can reach.  Modules
-in the effect exemption set (by default :mod:`repro.obs` — worker-local
+in :data:`EFFECT_EXEMPT_MODULES` (:mod:`repro.obs` — worker-local
 observability that the parallel executor merges deterministically)
 contribute no effects at all.
 
@@ -23,19 +25,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .graph import CallSite, FunctionInfo, ProjectGraph, _dotted
-from .passes.global_rng import SEEDABLE_NUMPY_RANDOM
-from .passes.wall_clock import WALL_CLOCK_CALLS
 
 __all__ = [
     "DirectEffects",
     "Effect",
     "PoolDispatch",
-    "DEFAULT_EFFECT_EXEMPT_MODULES",
+    "EFFECT_EXEMPT_MODULES",
     "MUTATING_METHODS",
-    "banned_call_reason",
     "compute_direct_effects",
     "find_pool_dispatches",
     "local_names",
@@ -45,9 +44,8 @@ __all__ = [
 
 #: Modules whose effects are exempt from purity: process-local
 #: observability that workers ship back and the parent merges in a
-#: canonical order (see ``repro.parallel.executor``), plus the runtime
-#: determinism sanitizer itself.
-DEFAULT_EFFECT_EXEMPT_MODULES = ("repro.obs", "repro.analysis.detsan")
+#: canonical order (see ``repro.parallel.executor``).
+EFFECT_EXEMPT_MODULES = ("repro.obs",)
 
 #: Method names that mutate their receiver in place.
 MUTATING_METHODS = {
@@ -57,25 +55,10 @@ MUTATING_METHODS = {
 }
 
 
-def banned_call_reason(absolute: str) -> Optional[str]:
-    """Why an absolute dotted callee is banned in a pure context."""
-    if absolute in WALL_CLOCK_CALLS:
-        return f"reads ambient wall-clock/OS state via {absolute}()"
-    if absolute == "random" or absolute.startswith("random."):
-        return f"uses the module-state stdlib RNG via {absolute}()"
-    if (
-        absolute.startswith("numpy.random.")
-        and absolute not in SEEDABLE_NUMPY_RANDOM
-    ):
-        return f"uses the numpy module-state RNG via {absolute}()"
-    return None
-
-
 @dataclass(frozen=True)
 class Effect:
-    """One direct impurity, anchored at its source location."""
+    """One direct module-global write, anchored at its source location."""
 
-    kind: str  # "global-write" | "banned-call"
     function: str  # key of the function containing the effect
     detail: str  # human sentence fragment
     path: str  # module rel path of the effect site
@@ -144,30 +127,25 @@ def _root_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def compute_direct_effects(
-    graph: ProjectGraph,
-    exempt_modules: Sequence[str] = DEFAULT_EFFECT_EXEMPT_MODULES,
-) -> Dict[str, DirectEffects]:
+def compute_direct_effects(graph: ProjectGraph) -> Dict[str, DirectEffects]:
     """Direct effects of every project function."""
-    exempt = tuple(exempt_modules)
     out: Dict[str, DirectEffects] = {}
     for key, info in graph.functions.items():
-        if _module_exempt(info.module_name, exempt):
+        if _module_exempt(info.module_name):
             out[key] = DirectEffects()
             continue
-        out[key] = _direct_effects(graph, info, exempt)
+        out[key] = _direct_effects(graph, info)
     return out
 
 
-def _module_exempt(module_name: str, exempt: Tuple[str, ...]) -> bool:
+def _module_exempt(module_name: str) -> bool:
     return any(
-        module_name == mod or module_name.startswith(mod + ".") for mod in exempt
+        module_name == mod or module_name.startswith(mod + ".")
+        for mod in EFFECT_EXEMPT_MODULES
     )
 
 
-def _direct_effects(
-    graph: ProjectGraph, info: FunctionInfo, exempt: Tuple[str, ...]
-) -> DirectEffects:
+def _direct_effects(graph: ProjectGraph, info: FunctionInfo) -> DirectEffects:
     effects = DirectEffects()
     fn_node = info.node
     locals_ = local_names(fn_node)
@@ -177,10 +155,9 @@ def _direct_effects(
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
 
-    def add(kind: str, node: ast.AST, detail: str) -> None:
+    def add(node: ast.AST, detail: str) -> None:
         effects.effects.append(
             Effect(
-                kind=kind,
                 function=info.key,
                 detail=detail,
                 path=info.module.rel,
@@ -207,17 +184,11 @@ def _direct_effects(
         for target in targets:
             if isinstance(target, ast.Name):
                 if target.id in declared_global:
-                    add(
-                        "global-write", node,
-                        f"rebinds module global '{target.id}'",
-                    )
+                    add(node, f"rebinds module global '{target.id}'")
             else:
                 root = _root_name(target)
                 if is_shared_root(root):
-                    add(
-                        "global-write", node,
-                        f"mutates module global '{root}' in place",
-                    )
+                    add(node, f"mutates module global '{root}' in place")
 
     for site in info.calls:
         call = site.node
@@ -226,13 +197,9 @@ def _direct_effects(
             root = _root_name(call.func)
             if call.func.attr in MUTATING_METHODS and is_shared_root(root):
                 add(
-                    "global-write", call,
+                    call,
                     f"mutates module global '{root}' via .{call.func.attr}()",
                 )
-        if site.target is not None and site.target.startswith("external:"):
-            reason = banned_call_reason(site.target[len("external:"):])
-            if reason is not None:
-                add("banned-call", call, reason)
     return effects
 
 

@@ -13,20 +13,19 @@ worker is
   boundary), is reported at the dispatch site.  Parent-side callbacks
   such as ``on_result`` never cross the boundary and stay unrestricted;
 * **pure up to its explicit payload** — no writes to module-level
-  globals and no ambient nondeterminism (wall-clock reads, stdlib
-  ``random``, numpy's module-state RNG) anywhere in its call closure,
-  followed through any chain of project-internal calls.
+  globals anywhere in its call closure, followed through any chain of
+  project-internal calls.  Ambient reads (wall clock, stdlib ``random``,
+  numpy's module-state RNG) are ``wall-clock`` and ``global-rng``
+  findings in every module, worker or not, so this rule does not report
+  them a second time.
 
-Effects inside exempt modules do not count (default: :mod:`repro.obs`,
-whose per-worker state is shipped back and merged deterministically, and
-the DetSan runtime sanitizer).  Config::
+Writes inside :mod:`repro.obs`, whose per-worker state is shipped back
+and merged deterministically, do not count
+(:data:`~repro.lint.effects.EFFECT_EXEMPT_MODULES`).
 
-    [tool.repro.lint.pool-safety]
-    effect_exempt_modules = ["repro.obs", "repro.analysis.detsan"]
-
-Impurity findings are anchored at the *effect site* (the global write or
-banned call), so an inline ``# repro-lint: disable=pool-safety`` with a
-rationale at that line exempts exactly the statement that was reviewed.
+Impurity findings are anchored at the *effect site* (the global write),
+so an inline ``# repro-lint: disable=pool-safety`` with a rationale at
+that line exempts exactly the statement that was reviewed.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 from ..findings import Finding
 from ..effects import (
-    DEFAULT_EFFECT_EXEMPT_MODULES,
     compute_direct_effects,
     find_pool_dispatches,
     propagate_effects,
@@ -61,19 +59,11 @@ class PoolPurityPass(LintPass):
     description = (
         "pool-dispatched workers must pickle by qualified name (no "
         "lambdas or nested functions) and be transitively pure: no "
-        "module-global writes and no ambient nondeterminism anywhere in "
-        "their call closure"
+        "module-global writes anywhere in their call closure"
     )
 
     def check_graph(self, graph: ProjectGraph, config) -> Iterable[Finding]:
-        options = config.options_for(self.rule)
-        exempt_modules = tuple(
-            str(m)
-            for m in options.get(
-                "effect_exempt_modules", DEFAULT_EFFECT_EXEMPT_MODULES
-            )
-        )
-        direct = compute_direct_effects(graph, exempt_modules)
+        direct = compute_direct_effects(graph)
         transitive = propagate_effects(graph, direct)
         dispatches = find_pool_dispatches(graph)
 

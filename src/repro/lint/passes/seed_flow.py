@@ -1,12 +1,15 @@
 """Whole-program rule ``seed-flow``: RNG seeds must derive from explicit inputs.
 
 Taint-tracks seed material interprocedurally.  **Sources** are ambient
-values that differ between identical runs or processes: wall-clock reads
-(``time.time`` and friends), OS entropy (``os.urandom``, ``uuid4``),
-``id()`` (address-dependent), ``hash()`` (salted per process for
-strings), and unordered-set construction (iteration order is arbitrary;
+values that differ between identical runs or processes and that no
+module rule bans outright: monotonic timers (``perf_counter``,
+``monotonic``), the process id, ``secrets`` entropy, ``id()``
+(address-dependent), ``hash()`` (salted per process for strings), and
+unordered-set construction (iteration order is arbitrary;
 ``sorted()``/``len()``/``min()``/``max()`` launder the taint because
-their value does not depend on iteration order).  **Sinks** are the
+their value does not depend on iteration order).  Wall-clock reads,
+``os.urandom`` and UUIDs are not sources here: ``wall-clock`` reports
+every such call at the read, wherever its value goes.  **Sinks** are the
 explicit generator constructors (``numpy.random.default_rng``,
 ``SeedSequence`` and the bit generators, stdlib ``random.Random``).
 
@@ -15,7 +18,7 @@ per-function summaries computed to fixpoint on the call graph:
 
 * *return taint* — whether a function's return value carries a source
   (and which parameters pass through to the return value), so a helper
-  like ``def wall_seed(): return int(time.time())`` taints every caller;
+  like ``def pid_seed(): return os.getpid()`` taints every caller;
 * *seed-sink parameters* — parameters that reach a sink inside the
   function (directly or via a callee's seed-sink parameter), so a
   tainted argument is flagged at the call site that supplies it.
@@ -40,16 +43,9 @@ from .base import LintPass, register
 
 #: Absolute dotted callees whose return value is tainted seed material.
 _SOURCE_CALLS = {
-    "time.time": "wall-clock read time.time()",
-    "time.time_ns": "wall-clock read time.time_ns()",
     "time.perf_counter": "monotonic-timer read time.perf_counter() (process-relative)",
     "time.monotonic": "monotonic-timer read time.monotonic() (process-relative)",
-    "datetime.datetime.now": "wall-clock read datetime.now()",
-    "datetime.datetime.utcnow": "wall-clock read datetime.utcnow()",
-    "os.urandom": "OS entropy os.urandom()",
     "os.getpid": "process id os.getpid()",
-    "uuid.uuid1": "OS entropy uuid.uuid1()",
-    "uuid.uuid4": "OS entropy uuid.uuid4()",
     "secrets.token_bytes": "OS entropy secrets.token_bytes()",
     "secrets.randbits": "OS entropy secrets.randbits()",
 }
@@ -90,7 +86,7 @@ class Taint:
 
     kind: str  # "src" | "param"
     detail: str  # source description, or the parameter name
-    via: str = ""  # call chain note ("via wall_seed()")
+    via: str = ""  # call chain note ("via pid_seed()")
 
     def describe(self) -> str:
         text = self.detail
@@ -275,8 +271,8 @@ class SeedFlowPass(LintPass):
     rule = "seed-flow"
     description = (
         "taint-track RNG seeds across call chains: no seed may derive "
-        "from wall-clock, OS entropy, id()/hash() or unordered-set "
-        "iteration, and no seeded generator may escape into shared "
+        "from timers, the process id, secrets entropy, id()/hash() or "
+        "unordered-set iteration, and no seeded generator may escape into shared "
         "mutable state reachable from pool workers"
     )
 

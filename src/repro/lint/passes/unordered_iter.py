@@ -8,12 +8,12 @@ function therefore produces a different hash per process, which
 defeats the cache (spurious misses) or, worse, collides distinct
 states.  Dicts preserve insertion order and are fine.
 
-The rule fires inside functions whose name matches the configured
-``key_functions`` patterns (default: :mod:`repro.keys`' ``derive_key``,
-``_keyed_fields`` and ``_encode``; ``key_for``/``context_for``,
-``_meta``, ``to_dict``/``as_dict``) when a set literal, set
-comprehension or ``set()``/``frozenset()`` call is iterated — as a ``for`` target, a comprehension
-source, or an argument to ``join``/``list``/``tuple``.  Wrapping the set
+The rule fires inside functions named in :data:`KEY_FUNCTIONS`
+(:mod:`repro.keys`' ``derive_key``, ``_keyed_fields`` and ``_encode``;
+``key_for``/``context_for``, ``_meta``, ``to_dict``/``as_dict``) when a
+set literal, set comprehension or ``set()``/``frozenset()`` call is
+iterated — as a ``for`` target, a comprehension source, or an argument
+to ``join``/``list``/``tuple``.  Wrapping the set
 in ``sorted(...)`` restores a deterministic order and is the idiomatic
 fix.
 """
@@ -21,14 +21,14 @@ fix.
 from __future__ import annotations
 
 import ast
-import fnmatch
 from typing import Iterable
 
 from ..findings import Finding
 from ..names import dotted_name
 from .base import LintPass, register
 
-_DEFAULT_KEY_FUNCTIONS = (
+#: Names of the key and serialization functions the rule checks.
+KEY_FUNCTIONS = frozenset({
     "derive_key",
     "_keyed_fields",
     "_encode",
@@ -37,7 +37,7 @@ _DEFAULT_KEY_FUNCTIONS = (
     "_meta",
     "to_dict",
     "as_dict",
-)
+})
 
 #: Order-sensitive consumers: feeding them a set leaks hash order.
 _ORDER_SENSITIVE_CALLS = {"join", "list", "tuple"}
@@ -62,18 +62,12 @@ class UnorderedIterationPass(LintPass):
     )
 
     def check_module(self, module, config) -> Iterable[Finding]:
-        patterns = tuple(
-            str(p)
-            for p in config.options_for(self.rule).get(
-                "key_functions", _DEFAULT_KEY_FUNCTIONS
-            )
-        )
         for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not any(fnmatch.fnmatch(node.name, pat) for pat in patterns):
-                continue
-            yield from self._check_function(module, node)
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in KEY_FUNCTIONS
+            ):
+                yield from self._check_function(module, node)
 
     def _check_function(self, module, fn: ast.AST) -> Iterable[Finding]:
         name = fn.name

@@ -1,4 +1,4 @@
-"""Rule ``wall-clock``: no ambient nondeterminism outside the allowlist.
+"""Rule ``wall-clock``: no ambient nondeterminism, anywhere.
 
 Results, cache keys, fingerprints and checkpoints must depend only on
 explicit inputs.  Wall-clock reads (``time.time``, ``datetime.now``),
@@ -7,22 +7,22 @@ runs observe different values, which silently poisons anything they
 touch.  Monotonic timers (``time.perf_counter``/``monotonic``) are fine
 — they measure durations, they don't stamp results.
 
-The observability layer legitimately needs one wall-clock epoch to
-rebase worker traces; such sanctioned sites either live in a file listed
-in the rule's ``allow`` config or carry an inline
+The rule owns these calls everywhere: a seed derived from one, or a
+pool worker reaching one, is reported here, once, at the read.  The
+observability layer legitimately needs one wall-clock epoch to rebase
+worker traces; such sanctioned sites carry an inline
 ``# repro-lint: disable=wall-clock`` suppression with a rationale.
 """
 
 from __future__ import annotations
 
 import ast
-import fnmatch
 from typing import Iterable
 
 from ..findings import Finding
 from .base import LintPass, register
 
-#: Ambient-state calls forbidden by default.  ``datetime.datetime.now``
+#: Ambient-state calls forbidden everywhere.  ``datetime.datetime.now``
 #: covers ``from datetime import datetime; datetime.now()`` after import
 #: resolution; naming the class path also catches ``import datetime``.
 WALL_CLOCK_CALLS = {
@@ -43,20 +43,15 @@ class WallClockPass(LintPass):
     rule = "wall-clock"
     description = (
         "forbid wall-clock/OS-entropy reads (time.time, datetime.now, "
-        "os.urandom, uuid4) outside the configured allowlist"
+        "os.urandom, uuid4)"
     )
 
     def check_module(self, module, config) -> Iterable[Finding]:
-        options = config.options_for(self.rule)
-        allow = [str(p) for p in options.get("allow", [])]
-        if any(fnmatch.fnmatch(module.rel, pattern) for pattern in allow):
-            return
-        forbidden = WALL_CLOCK_CALLS | {str(f) for f in options.get("forbid", [])}
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             resolved = module.imports.resolve_call(node)
-            if resolved in forbidden:
+            if resolved in WALL_CLOCK_CALLS:
                 yield self.finding(
                     module,
                     node,

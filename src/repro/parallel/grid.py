@@ -11,11 +11,11 @@ small grids.
 
 :func:`execute_grid` is the only grid driver (``run_workload`` and
 ``run_suite`` call it).  It replays checkpointed cells, computes the
-missing ones, records each computed cell in one place (checkpoint row
-plus the DetSan ``grid.row`` sync point), applies one failure rule and
-reassembles rows in grid order.  Only *where* missing cells are computed
-depends on ``jobs``: in-process at ``jobs == 1``, recorded cell by cell,
-or as pool tasks recorded as each task lands.
+missing ones, records each computed cell in one place (its checkpoint
+row), applies one failure rule and reassembles rows in grid order.
+Only *where* missing cells are computed depends on ``jobs``: in-process
+at ``jobs == 1``, recorded cell by cell, or as pool tasks recorded as
+each task lands.
 
 Determinism contract
 --------------------
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
-from ..analysis import detsan
 from ..errors import GridExecutionError
 from ..memo import ProfileCache
 from .executor import resolve_jobs, run_tasks
@@ -152,17 +151,10 @@ def execute_grid(
         workload = workload_list[wl_idx]
         rows[(wl_idx, row.method, rep)] = row
         completed.append((workload.suite, workload.name, row.method, rep))
-        row_dict = row.as_dict()
-        if detsan.is_enabled():
-            # Sync point: the row every downstream table is built from,
-            # in its serialized form, under one key at every ``jobs``.
-            detsan.record(
-                f"grid.row|{workload.suite}|{workload.name}"
-                f"|{row.method}|rep={rep}",
-                row_dict,
-            )
         if checkpoint is not None:
-            checkpoint.record(workload.suite, workload.name, row.method, rep, row_dict)
+            checkpoint.record(
+                workload.suite, workload.name, row.method, rep, row.as_dict()
+            )
 
     task_keys = list(missing)
 

@@ -13,8 +13,8 @@ factor) and the trace-reduction arithmetic of
 address space), with the event loop replaced by three closed-form
 bounds — issue throughput, per-warp dependency chain, DRAM bandwidth —
 combined roofline-style.  Everything after the raw per-invocation
-numbers — dedup, cache reuse, noise, post-processing and the DetSan
-sync point — is the cycle tier's own code
+numbers — dedup, cache reuse, noise and post-processing — is the cycle
+tier's own code
 (:func:`~repro.sim.simulator.simulate_workload_on`).
 
 The backend is deliberately *wrong in a measurable way*: it is meant to
@@ -329,5 +329,4 @@ _ANALYTICAL = _Tier(
     produce=_produce,
     span="sim.analytical.workload",
     executed="sim.fidelity.analytical_kernels",
-    detsan="sim.analytical",
 )

@@ -29,9 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..analysis import detsan
 from ..hardware.gpu_config import GPUConfig
-from ..keys import derive_key
 from ..memo.dedup import collapse_draws
 from ..memo.sim_cache import RawKernelSim
 from ..workloads.workload import Workload
@@ -365,9 +363,6 @@ class _Tier:
     span: str
     #: Counter of raw simulations actually run (reuse is free).
     executed: str
-    #: DetSan tag family: tiers legitimately disagree with each other,
-    #: so each one's sync points are checked only against itself.
-    detsan: str
     #: Histogram of per-slot cycles, if the tier keeps one.
     histogram: Optional[str] = None
 
@@ -376,7 +371,6 @@ _CYCLE = _Tier(
     produce=_raw_invocations,
     span="sim.workload",
     executed="sim.kernels_executed",
-    detsan="sim.cycle",
     histogram="sim.kernel_cycles",
 )
 
@@ -439,20 +433,6 @@ def _post_process(
     aggregate = SimStats(**dict(zip(_EVENT_FIELDS, scaled.sum(axis=0).tolist())))
     aggregate.stall_cycles = float(sum(r.stats.stall_cycles for r in results))
     aggregate.cycles = float(sum(r.cycles for r in results))
-    if detsan.is_enabled():
-        # Sync point: per-invocation cycles and scaled counters must be
-        # bit-identical across engine configs (scalar vs batch, cold vs
-        # warm cache, dedup on/off, separate vs fused design points).
-        # The key names the machine (GPU config plus spec) but never the
-        # batch policy, so it is engine-invariant and design points never
-        # cross-check.
-        machine = derive_key((sim.config, sim.spec))
-        tag = (
-            f"{tier.detsan}|{workload.name}|cfg={machine[:12]}|seed={seed}"
-            f"|idx={detsan.index_digest(index_list)}"
-        )
-        detsan.record(tag + "|cycles", cycles)
-        detsan.record(tag + "|events", scaled)
     return WorkloadSimResult(
         workload_name=workload.name,
         kernel_results=results,
@@ -475,8 +455,8 @@ def simulate_workload_on(
     Returns one result per request, each bit-identical to
     ``simulator.simulate_workload(workload, indices, seed, dedup)`` —
     which is this function with one request.  Fault checks, dedup,
-    sim-cache load and store, noise, post-processing and the DetSan sync
-    point stay per request; what is shared is the work in between: the
+    sim-cache load and store, noise and post-processing stay per
+    request; what is shared is the work in between: the
     not-yet-cached invocations of every request run as lanes of shared
     lock-step batches, each lane on its own machine and its own
     workload's trace (see :func:`_raw_invocations` for the packing rule

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from .clock import stable_seed, wall_seed
+from .clock import pid_seed, stable_seed
 
 
 def direct():
-    # line 10: source and sink in one expression
+    # line 10: a wall-clock seed is one wall-clock finding, at the read
     return np.random.default_rng(int(time_like()))
 
 
@@ -17,12 +17,12 @@ def time_like():
 
 
 def interprocedural():
-    # line 20: the taint arrives through wall_seed()'s return value
-    return np.random.default_rng(wall_seed())
+    # line 21: the taint arrives through pid_seed()'s return value
+    return np.random.default_rng(pid_seed())
 
 
 def process_salted(name):
-    # line 25: hash() of a str differs between processes (PYTHONHASHSEED)
+    # line 26: hash() of a str differs between processes (PYTHONHASHSEED)
     return np.random.default_rng(hash(name))
 
 

@@ -1,11 +1,17 @@
-"""Fixture helper: a seed laundered through an innocent-looking helper."""
+"""Fixture helpers: seeds laundered through innocent-looking helpers."""
 
 import time
 
 
 def wall_seed():
-    return int(time.time())  # tainted: wall-clock read
+    return int(time.time())  # a wall-clock finding, at the read
 
 
 def stable_seed(base, index):
     return base * 1000003 + index  # pure function of explicit inputs
+
+
+def pid_seed():
+    import os
+
+    return os.getpid()  # tainted: process id

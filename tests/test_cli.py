@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +30,18 @@ class TestParser:
     def test_rejects_unknown_gpu(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sample", "rodinia", "bfs", "--gpu", "a100"])
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """``scipy.stats`` costs every run most of a second of start-up;
+        nothing on the import path of ``repro`` or its CLI may load it."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.cli; print('scipy.stats' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from repro.core.fidelity import FidelityPolicy
@@ -95,6 +96,44 @@ class TestEncoding:
     def test_values_without_canonical_form_raise(self, value):
         with pytest.raises(TypeError, match="no canonical form"):
             derive_key(("ok", value))
+
+
+class TestCanonicalHashing:
+    def test_list_and_tuple_share_a_digest(self):
+        # as_dict() on one engine path may yield tuples where another
+        # yields lists; sequence identity is the contract, not the type.
+        assert derive_key([1, 2.5, "x"]) == derive_key((1, 2.5, "x"))
+
+    def test_dict_is_order_invariant(self):
+        assert derive_key({"a": 1, "b": 2}) == derive_key({"b": 2, "a": 1})
+
+    def test_numpy_arrays_hash_by_dtype_shape_bytes(self):
+        a = np.arange(6, dtype=np.float64)
+        assert derive_key(a) == derive_key(a.copy())
+        assert derive_key(a) != derive_key(a.astype(np.float32))
+        assert derive_key(a) != derive_key(a.reshape(2, 3))
+
+    def test_numpy_scalar_matches_python_float(self):
+        # np.float64 is a float subclass; a row built in-process and a
+        # row round-tripped through a worker must hash identically.
+        assert derive_key(np.float64(1.5)) == derive_key(1.5)
+
+    def test_floats_are_bit_exact(self):
+        assert derive_key(0.1 + 0.2) != derive_key(0.3)
+
+    def test_type_tags_disambiguate(self):
+        assert derive_key(1) != derive_key("1")
+        assert derive_key(True) != derive_key(1)
+        assert derive_key(None) != derive_key(0)
+
+    def test_dataclasses_hash_by_fields(self):
+        @dataclasses.dataclass
+        class Row:
+            name: str
+            value: float
+
+        assert derive_key(Row("a", 1.0)) == derive_key(Row("a", 1.0))
+        assert derive_key(Row("a", 1.0)) != derive_key(Row("a", 2.0))
 
 
 class TestStableWarmupKeys:
