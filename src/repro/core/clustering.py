@@ -1,16 +1,29 @@
 """Clustering primitives used by ROOT and the PKA baseline.
 
-ROOT needs a k-means over 1-D execution times (k=2 by default); PKA runs
-k-means over 12-dimensional metric vectors with k swept 1..20.  Both use
-the same Lloyd implementation below with k-means++ seeding.  A Gaussian
-KDE peak counter supports Sieve's optional stratification and the
-histogram analysis of Figure 1.
+ROOT needs a k-means over 1-D execution times (k=2 by default) at every
+node of its split trees; PKA runs k-means over 12-dimensional metric
+vectors with k swept 1..20.  Both use k-means++ seeding and Lloyd
+iterations, through two engines:
+
+* :func:`kmeans` on ``(n, d)`` points runs one Lloyd loop per restart
+  (PKA, and the oracle the 1-D engine is tested against);
+* :func:`kmeans_1d_many` runs many 1-D problems at once.  Each
+  (problem, restart) is one *lane*, and one lock-step Lloyd iteration
+  updates every active lane with a fixed number of numpy calls, so the
+  per-call overhead is paid per batch instead of per tree node.  For
+  finite values it returns exactly what :func:`kmeans` returns on the
+  same values as an ``(n, 1)`` array: labels, centres, inertia and the
+  generator state.  :func:`kmeans_1d`, and :func:`kmeans` on a 1-D
+  array, are batches of one.
+
+A Gaussian KDE peak counter supports Sieve's optional stratification and
+the histogram analysis of Figure 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +33,8 @@ __all__ = [
     "KMeansResult",
     "kmeans",
     "kmeans_1d",
+    "kmeans_1d_many",
+    "LANE_BATCH_POINTS",
     "count_kde_peaks",
     "silhouette_score",
     "SILHOUETTE_MAX_POINTS",
@@ -48,14 +63,18 @@ class KMeansResult:
         return [np.flatnonzero(self.labels == j) for j in range(self.k)]
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(
+    points: np.ndarray, centers: np.ndarray, point_sq: np.ndarray
+) -> np.ndarray:
     """(n, k) squared Euclidean distances via the expansion identity.
 
-    Avoids materializing an (n, k, d) intermediate, which matters when PKA
-    clusters tens of thousands of 12-dimensional metric vectors.
+    ``point_sq`` is ``(points**2).sum(axis=1)``, computed once per call of
+    :func:`kmeans`.  Avoids materializing an (n, k, d) intermediate, which
+    matters when PKA clusters tens of thousands of 12-dimensional metric
+    vectors.
     """
     sq = (
-        (points**2).sum(axis=1)[:, None]
+        point_sq[:, None]
         - 2.0 * points @ centers.T
         + (centers**2).sum(axis=1)[None, :]
     )
@@ -85,6 +104,19 @@ def _kmeanspp_init(
     return centers
 
 
+def _padded(result: KMeansResult, k: int) -> KMeansResult:
+    """Pad the center table so callers always see ``k`` rows."""
+    missing = k - len(result.centers)
+    if missing <= 0:
+        return result
+    pad = np.repeat(result.centers[-1:], missing, axis=0)
+    return KMeansResult(
+        labels=result.labels,
+        centers=np.vstack([result.centers, pad]),
+        inertia=result.inertia,
+    )
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -95,14 +127,17 @@ def kmeans(
 ) -> KMeansResult:
     """Lloyd's k-means with k-means++ seeding over ``n_init`` restarts.
 
-    ``points`` is ``(n, d)`` (a 1-D array is treated as ``(n, 1)``).
-    Empty clusters are re-seeded to the point farthest from its center, so
-    the returned result always has ``k`` centers but possibly some with no
-    members when ``n < k``.
+    ``points`` is ``(n, d)``; a 1-D array runs as a batch of one of
+    :func:`kmeans_1d_many`, whose result equals this loop's on the same
+    values shaped ``(n, 1)``.  Empty clusters are re-seeded to the point
+    farthest from its center, so the returned result always has ``k``
+    centers but possibly some with no members when ``n < k``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
-        pts = pts[:, None]
+        return kmeans_1d_many(
+            [(pts, rng)], k, n_init=n_init, max_iter=max_iter, tol=tol
+        )[0]
     n = len(pts)
     if k <= 0:
         raise ValueError("k must be positive")
@@ -113,10 +148,11 @@ def kmeans(
     k_eff = min(k, n)
 
     d = pts.shape[1]
+    point_sq = (pts**2).sum(axis=1)
     best: Optional[KMeansResult] = None
     for _ in range(max(1, n_init)):
         centers = _kmeanspp_init(pts, k_eff, rng)
-        dists = _pairwise_sq_dists(pts, centers)
+        dists = _pairwise_sq_dists(pts, centers, point_sq)
         labels = dists.argmin(axis=1)
         for _iteration in range(max_iter):
             # Update step, vectorized: one bincount per dimension replaces
@@ -143,21 +179,211 @@ def kmeans(
             centers = new_centers
             # Assignment step (doubles as the final assignment when the
             # next update converges or max_iter runs out).
-            dists = _pairwise_sq_dists(pts, centers)
+            dists = _pairwise_sq_dists(pts, centers, point_sq)
             labels = dists.argmin(axis=1)
         inertia = float(dists[np.arange(n), labels].sum())
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels=labels, centers=centers, inertia=inertia)
     assert best is not None
-    if k_eff < k:
-        # Pad center table so callers always see k rows.
-        pad = np.repeat(best.centers[-1:], k - k_eff, axis=0)
-        best = KMeansResult(
-            labels=best.labels,
-            centers=np.vstack([best.centers, pad]),
-            inertia=best.inertia,
-        )
-    return best
+    return _padded(best, k)
+
+
+#: Most points (summed over lanes) in one lock-step batch of
+#: :func:`kmeans_1d_many`; a larger lane runs alone.  It keeps every
+#: per-iteration temporary small: arrays of a few hundred kilobytes or
+#: more come fresh from the operating system on each allocation, and
+#: filling their pages costs more than the arithmetic on them.
+LANE_BATCH_POINTS = 8192
+
+
+class _Lanes:
+    """The active lanes of one lock-step Lloyd batch, laid end to end.
+
+    Lane ``i`` owns ``points[starts[i]:starts[i + 1]]``.  ``sq`` and
+    ``two_p`` are the point terms of :func:`_pairwise_sq_dists`, computed
+    when the set of lanes changes rather than on every iteration.
+    """
+
+    def __init__(self, values: List[np.ndarray], k: int):
+        self.k = k
+        self.sizes = np.array([len(v) for v in values], dtype=np.intp)
+        self.ids = np.arange(len(values))
+        self.points = np.concatenate(values)
+        self._derive()
+
+    def _derive(self) -> None:
+        self.starts = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.first_bin = np.repeat(np.arange(len(self.sizes)) * self.k, self.sizes)
+        self.sq = self.points * self.points
+        self.two_p = 2.0 * self.points
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the lanes where ``mask`` is false."""
+        self.points = self.points[np.repeat(mask, self.sizes)]
+        self.sizes = self.sizes[mask]
+        self.ids = self.ids[mask]
+        self._derive()
+
+    def assign(self, centers: np.ndarray):
+        """Labels and squared distances to the nearest of each lane's centers.
+
+        ``max((p² − (2p)·c) + c², 0)`` per center, as
+        :func:`_pairwise_sq_dists` computes it.  A strict ``<`` keeps the
+        first minimum, as ``argmin`` does on finite distances; a distance
+        is never ``-0.0``, so ``minimum`` picks the same bits.
+        """
+        labels = mind = None
+        for j in range(self.k):
+            c = np.repeat(centers[:, j], self.sizes)
+            dist = np.maximum((self.sq - self.two_p * c) + c * c, 0.0)
+            if mind is None:
+                mind = dist
+                continue
+            closer = dist < mind
+            if labels is None:
+                labels = closer.astype(np.intp)
+            else:
+                labels[closer] = j
+            mind = np.minimum(mind, dist)
+        if labels is None:
+            labels = np.zeros(len(self.points), dtype=np.intp)
+        return labels, mind
+
+    def update(self, centers, labels, mind):
+        """Every lane's Lloyd update, and how far it moved each lane."""
+        n_bins = centers.size
+        bins = self.first_bin + labels
+        # bincount adds each bin's weights in point order, so every lane's
+        # sums have the bits of its own per-lane bincount.
+        sums = np.bincount(bins, weights=self.points, minlength=n_bins)
+        counts = np.bincount(bins, minlength=n_bins)
+        sums = sums.reshape(centers.shape)
+        counts = counts.reshape(centers.shape)
+        new = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
+        for row in np.flatnonzero((counts == 0).any(axis=1)):
+            # Re-seed empty clusters at the lane's worst-fit point.
+            start = self.starts[row]
+            worst = mind[start:self.starts[row + 1]].argmax()
+            new[row, counts[row] == 0] = self.points[start + worst]
+        return new, np.abs(new - centers).max(axis=1)
+
+
+def _lloyd_lanes(
+    values: List[np.ndarray],
+    seeds: np.ndarray,
+    max_iter: int,
+    tol: float,
+) -> List[KMeansResult]:
+    """Run Lloyd on every lane in lock step; one result per lane.
+
+    ``seeds`` is ``(lanes, k)``.  A lane retires when its update moves no
+    center beyond ``tol`` (keeping the assignment computed before the
+    update, as :func:`kmeans` does) or after ``max_iter`` updates.
+    """
+    lanes = _Lanes(values, seeds.shape[1])
+    out: List[Optional[KMeansResult]] = [None] * len(values)
+
+    def retire(rows, centers, labels, mind):
+        for row in rows:
+            span = slice(lanes.starts[row], lanes.starts[row + 1])
+            out[lanes.ids[row]] = KMeansResult(
+                labels=labels[span].copy(),
+                centers=centers[row][:, None].copy(),
+                inertia=float(mind[span].sum()),
+            )
+
+    centers = seeds
+    labels, mind = lanes.assign(centers)
+    for _iteration in range(max_iter):
+        new, shift = lanes.update(centers, labels, mind)
+        converged = shift <= tol
+        if converged.any():
+            retire(np.flatnonzero(converged), centers, labels, mind)
+            if converged.all():
+                return out
+            moving = ~converged
+            lanes.keep(moving)
+            new = new[moving]
+        centers = new
+        labels, mind = lanes.assign(centers)
+    retire(range(len(lanes.ids)), centers, labels, mind)
+    return out
+
+
+def _batches(lanes: List[int], sizes: List[int]):
+    """Split ``lanes`` into consecutive runs of at most
+    :data:`LANE_BATCH_POINTS` points each (a larger lane runs alone)."""
+    batch: List[int] = []
+    points = 0
+    for lane, size in zip(lanes, sizes):
+        if batch and points + size > LANE_BATCH_POINTS:
+            yield batch
+            batch, points = [], 0
+        batch.append(lane)
+        points += size
+    if batch:
+        yield batch
+
+
+def kmeans_1d_many(
+    jobs: Sequence[Tuple[np.ndarray, Optional[np.random.Generator]]],
+    k: int = 2,
+    n_init: int = 3,
+    max_iter: int = 50,
+    tol: float = 1e-7,
+) -> List[KMeansResult]:
+    """:func:`kmeans` over many 1-D problems, run as lock-step lanes.
+
+    ``jobs`` holds ``(values, rng)`` pairs; the result list follows their
+    order.  Lloyd draws no random numbers, so every restart's k-means++
+    seed is drawn up front, in job and restart order: each generator is
+    used exactly as per-problem calls would use it, even when jobs share
+    one.  Each (problem, restart) then becomes one lane, and lanes run in
+    batches of at most :data:`LANE_BATCH_POINTS` points.  For finite
+    values every result equals :func:`kmeans` on the same values as an
+    ``(n, 1)`` array, bit for bit.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    restarts = max(1, n_init)
+    lane_values: List[np.ndarray] = []
+    lane_seeds: List[np.ndarray] = []
+    # Lanes of one batch share a center count; only n < k lowers it.
+    by_k: Dict[int, List[int]] = {}
+    for values, rng in jobs:
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim != 1:
+            raise ValueError("kmeans_1d_many expects 1-D values")
+        if len(vals) == 0:
+            raise ValueError("cannot cluster zero points")
+        if rng is None:
+            rng = np.random.default_rng(0)
+        k_eff = min(k, len(vals))
+        for _ in range(restarts):
+            by_k.setdefault(k_eff, []).append(len(lane_values))
+            lane_values.append(vals)
+            lane_seeds.append(_kmeanspp_init(vals[:, None], k_eff, rng)[:, 0])
+
+    lane_results: List[Optional[KMeansResult]] = [None] * len(lane_values)
+    for group in by_k.values():
+        for batch in _batches(group, [len(lane_values[i]) for i in group]):
+            done = _lloyd_lanes(
+                [lane_values[i] for i in batch],
+                np.array([lane_seeds[i] for i in batch]),
+                max_iter,
+                tol,
+            )
+            for lane, result in zip(batch, done):
+                lane_results[lane] = result
+
+    results = []
+    for first in range(0, len(lane_results), restarts):
+        best = None
+        for lane in lane_results[first:first + restarts]:
+            if best is None or lane.inertia < best.inertia:
+                best = lane
+        results.append(_padded(best, k))
+    return results
 
 
 def kmeans_1d(
@@ -166,8 +392,8 @@ def kmeans_1d(
     rng: Optional[np.random.Generator] = None,
     n_init: int = 3,
 ) -> KMeansResult:
-    """k-means over scalar values (ROOT's split primitive)."""
-    return kmeans(np.asarray(values, dtype=np.float64), k, rng=rng, n_init=n_init)
+    """k-means over scalar values (a batch of one of :func:`kmeans_1d_many`)."""
+    return kmeans_1d_many([(values, rng)], k, n_init=n_init)[0]
 
 
 #: Data points per block of :func:`_gaussian_kde` (bounds its memory).

@@ -10,11 +10,15 @@ enough to pay for the extra per-cluster samples.
 
 The recursion is factored into two halves (see
 :mod:`repro.memo.split_tree`): an epsilon-independent **candidate split
-tree** (the k-means structure, expanded lazily and reusable across error
-bounds) and the epsilon-dependent **acceptance walk**
-(:func:`select_leaves`) applying the Eq. (7)–(8) test.  ``root_split``
-composes the two, so a from-scratch run and a cached-tree re-walk are
-the same code path by construction.
+tree** (the k-means structure, reusable across error bounds) and the
+epsilon-dependent **acceptance** applying the Eq. (7)–(8) test.
+:func:`root_split_many` composes the two for all kernel groups of a
+workload at once: it expands the trees frontier by frontier — each
+frontier is the children of the splits accepted so far, across every
+group, and its k-means run as one lock-step batch — and then walks each
+tree depth first to collect its leaves in order.  A from-scratch run and
+a cached-tree re-walk are the same code path by construction, and
+:func:`root_split` is a call with one group.
 
 K-means seeding is derived per node from ``(salt, *path)``, where the
 salt is a single draw from the caller's generator — so ROOT consumes
@@ -27,7 +31,7 @@ subsequent representative draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from ..memo.split_tree import (
     SplitNode,
     SplitTreeCache,
     build_split_tree,
+    expand_nodes,
 )
 from .stem import (
     DEFAULT_EPSILON,
@@ -51,7 +56,7 @@ __all__ = [
     "RootConfig",
     "RootCluster",
     "root_split",
-    "select_leaves",
+    "root_split_many",
     "RootTreeNode",
 ]
 
@@ -108,20 +113,6 @@ class RootTreeNode:
         return sum(child.leaf_count() for child in self.children)
 
 
-def _split_gain(
-    parent: ClusterStats,
-    children: List[ClusterStats],
-    config: RootConfig,
-) -> bool:
-    """Eqs. (7)–(8): does the split reduce predicted simulated time?
-
-    tau_old uses the single-cluster Eq. (3) sample size; tau_new uses the
-    joint KKT allocation (Eq. 6) over the children.
-    """
-    accepted, _, _ = _split_decision(parent, children, config)
-    return accepted
-
-
 def _split_decision(
     parent: ClusterStats,
     children: List[ClusterStats],
@@ -170,49 +161,114 @@ def root_split(
     -------
     The list of leaf clusters whose union is exactly the input.
     """
-    t = np.asarray(times, dtype=np.float64)
-    if indices is None:
-        indices = np.arange(len(t), dtype=np.int64)
-    else:
-        indices = np.asarray(indices, dtype=np.int64)
-    if len(t) != len(indices):
-        raise ValueError("times and indices must align")
-    if len(t) == 0:
-        return []
+    return root_split_many(
+        [(times, indices)], config=config, rng=rng,
+        trees=[tree], tree_cache=tree_cache,
+    )[0]
+
+
+def root_split_many(
+    groups: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
+    config: Optional[RootConfig] = None,
+    rng: Optional[np.random.Generator] = None,
+    trees: Optional[Sequence[Optional[RootTreeNode]]] = None,
+    tree_cache: Optional[SplitTreeCache] = None,
+) -> List[List[RootCluster]]:
+    """:func:`root_split` over many kernel groups, one leaf list per group.
+
+    ``groups`` holds ``(times, indices)`` pairs (``indices`` may be
+    ``None``) and ``trees`` optional per-group records.  One salt is
+    drawn from ``rng`` per non-empty group, in group order, so the result
+    and the generator's state equal those of one :func:`root_split` call
+    per group; only the k-means of all groups run together.
+    """
     if config is None:
         config = RootConfig()
     if rng is None:
         rng = np.random.default_rng(0)
+    if trees is None:
+        trees = [None] * len(groups)
+    roots: List[Optional[SplitNode]] = []
+    for times, indices in groups:
+        t = np.asarray(times, dtype=np.float64)
+        if indices is None:
+            idx = np.arange(len(t), dtype=np.int64)
+        else:
+            idx = np.asarray(indices, dtype=np.int64)
+        if len(t) != len(idx):
+            raise ValueError("times and indices must align")
+        if len(t) == 0:
+            roots.append(None)
+            continue
+        salt = int(rng.integers(0, np.iinfo(np.int64).max))
+        if tree_cache is not None:
+            key = SplitTreeCache.key_for(
+                t, idx, salt, config.k, config.min_cluster_size, config.max_depth
+            )
+            roots.append(tree_cache.get_or_build(
+                key, lambda: build_split_tree(t, idx, salt)
+            ))
+        else:
+            roots.append(build_split_tree(t, idx, salt))
 
-    salt = int(rng.integers(0, np.iinfo(np.int64).max))
-    if tree_cache is not None:
-        key = SplitTreeCache.key_for(
-            t, indices, salt, config.k, config.min_cluster_size, config.max_depth
-        )
-        node = tree_cache.get_or_build(
-            key, lambda: build_split_tree(t, indices, salt)
-        )
-    else:
-        node = build_split_tree(t, indices, salt)
-    # One span per kernel group; the walk below reports its decisions
-    # through counters/histograms, not per-node spans.
-    with obs.span("root.split", invocations=int(len(t))):
-        leaves = select_leaves(node, config, tree=tree)
-        obs.observe("root.leaves_per_group", float(len(leaves)))
-        return leaves
+    expanding = [node for node in roots if node is not None]
+    # The k-means of every group run here, in frontier batches.
+    with obs.span("root.expand", groups=len(expanding)):
+        decisions = _expand_accepted(expanding, config)
+    out: List[List[RootCluster]] = []
+    for node, tree in zip(roots, trees):
+        if node is None:
+            out.append([])
+            continue
+        # One span per kernel group; the walk below reports its decisions
+        # through counters/histograms, not per-node spans.
+        with obs.span("root.split", invocations=node.size):
+            leaves = _select_leaves(node, config, decisions, tree)
+            obs.observe("root.leaves_per_group", float(len(leaves)))
+        out.append(leaves)
+    return out
 
 
-def select_leaves(
+def _expand_accepted(
+    roots: Sequence[SplitNode], config: RootConfig
+) -> Dict[int, tuple]:
+    """Expand the trees under ``roots`` wherever the acceptance walk goes.
+
+    Frontier by frontier: each frontier's k-means run as one batch, and
+    the next frontier is the children of its accepted splits — the nodes
+    a depth-first walk would visit, since every node's split is seeded
+    from its own path.  Returns the Eq. (7)–(8) decision of every node
+    with children, keyed by ``id(node)``, so the walk evaluates each once.
+    """
+    decisions: Dict[int, tuple] = {}
+    frontier = list(roots)
+    while frontier:
+        expand_nodes(frontier, config.k, config.min_cluster_size, config.max_depth)
+        accepted_children: List[SplitNode] = []
+        for node in frontier:
+            if not node.children:
+                continue
+            decision = _split_decision(
+                node.stats, [child.stats for child in node.children], config
+            )
+            decisions[id(node)] = decision
+            if decision[0]:
+                accepted_children.extend(node.children)
+        frontier = accepted_children
+    return decisions
+
+
+def _select_leaves(
     node: SplitNode,
     config: RootConfig,
-    tree: Optional[RootTreeNode] = None,
+    decisions: Dict[int, tuple],
+    tree: Optional[RootTreeNode],
 ) -> List[RootCluster]:
-    """Walk a candidate split tree, applying the Eq. (7)–(8) acceptance.
+    """Walk an expanded candidate split tree depth first, applying the
+    Eq. (7)–(8) acceptance decisions of :func:`_expand_accepted`.
 
-    The epsilon-dependent half of ROOT: it expands the tree lazily where
-    (and only where) splits are accepted, so walking a cached tree at a
-    new error bound re-evaluates acceptance and re-solves the per-split
-    KKT allocations without redoing any k-means that both bounds share.
+    Fixes the leaf order, the ``root.*`` counters and the
+    :class:`RootTreeNode` records.
     """
     stats = node.stats
     if tree is not None:
@@ -220,18 +276,15 @@ def select_leaves(
         tree.depth = node.depth
     leaf = RootCluster(indices=node.indices, stats=stats, depth=node.depth)
 
-    children = node.ensure_children(
-        config.k, config.min_cluster_size, config.max_depth
-    )
+    children = node.children
     if not children:
         if node.leaf_reason == DEGENERATE:
             obs.inc("root.degenerate_kmeans")
         else:
             obs.inc("root.stop_conditions")
         return [leaf]
-    children_stats = [child.stats for child in children]
 
-    accepted, tau_old, tau_new = _split_decision(stats, children_stats, config)
+    accepted, tau_old, tau_new = decisions[id(node)]
     obs.log_event(
         "root.split_decision",
         level="debug",
@@ -256,5 +309,5 @@ def select_leaves(
         if tree is not None:
             child_tree = RootTreeNode(stats=stats, depth=node.depth + 1)
             tree.children.append(child_tree)
-        leaves.extend(select_leaves(child, config, tree=child_tree))
+        leaves.extend(_select_leaves(child, config, decisions, child_tree))
     return leaves

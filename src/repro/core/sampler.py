@@ -26,7 +26,7 @@ from .. import obs
 from ..resilience.validation import validate_times
 from ..workloads.workload import Workload
 from .plan import PlanCluster, SamplingPlan
-from .root import RootCluster, RootConfig, root_split
+from .root import RootCluster, RootConfig, root_split_many
 from .stem import (
     DEFAULT_EPSILON,
     DEFAULT_Z,
@@ -122,25 +122,27 @@ class StemRootSampler:
             raise ValueError("times must have one entry per invocation")
         if rng is None:
             rng = np.random.default_rng(0)
+        groups = list(workload.indices_by_name().items())
         clusters: List[LabeledCluster] = []
         with obs.span("sampler.cluster", invocations=len(workload)) as sp:
-            for name, indices in workload.indices_by_name().items():
-                group_times = times[indices]
-                if self.use_root:
-                    leaves = root_split(
-                        group_times,
-                        indices,
-                        config=self.root_config,
-                        rng=rng,
-                        tree_cache=self.tree_cache,
-                    )
-                else:
-                    leaves = [
+            if self.use_root:
+                leaf_lists = root_split_many(
+                    [(times[indices], indices) for _, indices in groups],
+                    config=self.root_config,
+                    rng=rng,
+                    tree_cache=self.tree_cache,
+                )
+            else:
+                leaf_lists = [
+                    [
                         RootCluster(
                             indices=indices,
-                            stats=ClusterStats.from_times(group_times),
+                            stats=ClusterStats.from_times(times[indices]),
                         )
                     ]
+                    for _, indices in groups
+                ]
+            for (name, _), leaves in zip(groups, leaf_lists):
                 clusters.extend(
                     LabeledCluster(name=name, cluster=leaf) for leaf in leaves
                 )

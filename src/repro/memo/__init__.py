@@ -9,7 +9,7 @@ Four complementary layers, each exactly-equal by construction:
 * :mod:`~repro.memo.sim_cache` — content-addressed on-disk cache of raw
   per-invocation simulation results shared across repetitions, sweep
   points, DSE variants and runs;
-* :mod:`~repro.memo.split_tree` — reusable lazy ROOT candidate-split
+* :mod:`~repro.memo.split_tree` — reusable ROOT candidate-split
   trees, so an epsilon sweep clusters each (workload, seed) once and
   every epsilon point only re-walks acceptance decisions.
 

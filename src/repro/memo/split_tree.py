@@ -12,37 +12,48 @@ ROOT's recursion interleaves two very different computations:
 An epsilon sweep therefore re-runs the expensive structure work to
 arrive at the same candidate splits and only ever changes the acceptance
 decisions.  This module factors the structure into an explicit
-:class:`SplitNode` tree that is expanded **lazily** (a node's k-means
-runs the first time any walk wants its children) and **memoized** (via
-:class:`SplitTreeCache`), so ``run_error_bound_sweep`` clusters each
-(workload, seed) once and every epsilon point only re-walks the tree.
+:class:`SplitNode` tree that is expanded **on demand**, one frontier at
+a time, and **memoized** (via :class:`SplitTreeCache`), so
+``run_error_bound_sweep`` clusters each (workload, seed) once and every
+epsilon point only re-walks the tree.
+
+:func:`expand_nodes` expands a whole frontier at once: every node that
+still needs its k-means becomes ``n_init`` lanes of one
+:func:`~repro.core.clustering.kmeans_1d_many` call, which runs them in
+lock step in batches of at most
+:data:`~repro.core.clustering.LANE_BATCH_POINTS` points.  ROOT
+(:func:`repro.core.root.root_split_many`) calls it once per level of
+accepted splits, over every kernel group of a workload;
+:meth:`SplitNode.ensure_children` is a frontier of one.
 
 Determinism contract
 --------------------
 Each node's k-means seeding derives from ``(salt, *path)`` — the tree's
 salt plus the node's child-position path from the root — never from a
-shared generator stream.  Expansion order therefore cannot change any
-node's split: a node first expanded during an ``eps=0.25`` walk gets
-bit-identical children to the same node expanded during an ``eps=0.03``
-walk (or during a from-scratch run), which is what makes cached-tree
-clustering provably equal to re-clustering from scratch
-(``tests/test_memo.py`` asserts this equivalence).
+shared generator stream.  Expansion order, and which nodes share a
+batch, therefore cannot change any node's split: a node first expanded
+during an ``eps=0.25`` walk gets bit-identical children to the same node
+expanded during an ``eps=0.03`` walk (or during a from-scratch run),
+which is what makes cached-tree clustering provably equal to
+re-clustering from scratch (``tests/test_memo.py`` asserts this
+equivalence, ``tests/test_root.py`` that frontier batches equal a
+node-by-node expansion).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..core.clustering import kmeans_1d
+from ..core.clustering import kmeans_1d_many
 from ..core.stem import ClusterStats
 from ..keys import derive_key
 from .store import LRU
 
-__all__ = ["SplitNode", "build_split_tree", "SplitTreeCache"]
+__all__ = ["SplitNode", "build_split_tree", "expand_nodes", "SplitTreeCache"]
 
 #: Node leaf reasons (why a node can never have children).
 STRUCTURAL = "structural"
@@ -53,7 +64,7 @@ DEGENERATE = "degenerate_kmeans"
 class SplitNode:
     """One node of a candidate split tree.
 
-    ``children`` is populated on first expansion; ``leaf_reason`` records
+    ``children`` is populated on expansion; ``leaf_reason`` records
     why a node is terminal (``"structural"`` for the size/depth/variance
     stop conditions, ``"degenerate_kmeans"`` when k-means failed to
     produce two non-empty subclusters) or stays ``None`` for inner nodes.
@@ -78,27 +89,17 @@ class SplitNode:
     ) -> List["SplitNode"]:
         """Expand this node (once), returning its candidate children.
 
-        Expansion consults only the structural knobs — never epsilon —
-        and seeds k-means from ``(salt, *path)``, so the result is a pure
-        function of the node's contents no matter which walk (or which
-        epsilon) triggered it.
+        A frontier of one for :func:`expand_nodes`.
         """
-        if self.expanded:
-            return self.children
-        self.expanded = True
-        if (
-            self.size < min_cluster_size
-            or self.depth >= max_depth
-            or self.stats.sigma == 0.0
-        ):
-            self.leaf_reason = STRUCTURAL
-            return self.children
-        rng = np.random.default_rng((self.salt,) + self.path)
-        result = kmeans_1d(self.times, k, rng=rng)
+        expand_nodes([self], k, min_cluster_size, max_depth)
+        return self.children
+
+    def _adopt(self, result) -> None:
+        """Make the non-empty clusters of ``result`` this node's children."""
         member_lists = [m for m in result.cluster_indices() if len(m)]
         if len(member_lists) < 2:
             self.leaf_reason = DEGENERATE
-            return self.children
+            return
         obs.inc("memo.tree_nodes_expanded")
         for j, members in enumerate(member_lists):
             child_times = self.times[members]
@@ -112,13 +113,46 @@ class SplitNode:
                     path=self.path + (j,),
                 )
             )
-        return self.children
+
+
+def expand_nodes(
+    nodes: Sequence[SplitNode], k: int, min_cluster_size: int, max_depth: int
+) -> None:
+    """Expand every not-yet-expanded node of ``nodes`` in one k-means batch.
+
+    Expansion consults only the structural knobs — never epsilon — and
+    seeds each node's k-means from ``(salt, *path)``, so a node's children
+    are a pure function of its contents no matter which walk, which
+    epsilon or which batch expanded it.
+    """
+    pending: List[SplitNode] = []
+    for node in nodes:
+        if node.expanded:
+            continue
+        node.expanded = True
+        if (
+            node.size < min_cluster_size
+            or node.depth >= max_depth
+            or node.stats.sigma == 0.0
+        ):
+            node.leaf_reason = STRUCTURAL
+        else:
+            pending.append(node)
+    results = kmeans_1d_many(
+        [
+            (node.times, np.random.default_rng((node.salt,) + node.path))
+            for node in pending
+        ],
+        k,
+    )
+    for node, result in zip(pending, results):
+        node._adopt(result)
 
 
 def build_split_tree(
     times: np.ndarray, indices: np.ndarray, salt: int
 ) -> SplitNode:
-    """Root node of a (lazy) candidate split tree for one kernel group."""
+    """Root node of an unexpanded candidate split tree for one kernel group."""
     t = np.asarray(times, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.int64)
     return SplitNode(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .. import obs
 from ..core.plan import PlanCluster, SamplingPlan
-from ..core.root import RootConfig, root_split
+from ..core.root import RootConfig, root_split_many
 from ..core.stem import DEFAULT_EPSILON, DEFAULT_Z, kkt_sample_sizes
 from .et import ExecutionTrace
 from .timeline import TimelineSimulator
@@ -96,11 +96,15 @@ class EtStemSampler:
             rng = np.random.default_rng(seed)
         labeled = []
         with obs.span("multigpu.cluster", trace=trace.name, nodes=len(trace)):
+            names, groups = [], []
             for group, node_ids in trace.groups().items():
                 ids = np.asarray(node_ids, dtype=np.int64)
                 times = np.array([durations[int(i)] for i in ids], dtype=np.float64)
-                for leaf in root_split(times, ids, config=self.root_config, rng=rng):
-                    labeled.append((group, leaf))
+                names.append(group)
+                groups.append((times, ids))
+            leaf_lists = root_split_many(groups, config=self.root_config, rng=rng)
+            for group, leaves in zip(names, leaf_lists):
+                labeled.extend((group, leaf) for leaf in leaves)
 
         with obs.span("multigpu.allocate", clusters=len(labeled)):
             sizes = kkt_sample_sizes(

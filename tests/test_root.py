@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.root import RootConfig, RootTreeNode, root_split
+from repro import obs
+from repro.core.root import (
+    RootCluster,
+    RootConfig,
+    RootTreeNode,
+    _split_decision,
+    root_split,
+    root_split_many,
+)
 from repro.core.stem import ClusterStats, predicted_simulated_time, kkt_sample_sizes
+from repro.memo.split_tree import DEGENERATE, SplitTreeCache, build_split_tree
 
 
 def trimodal_sample(rng, n=1200, centers=(10.0, 50.0, 250.0), rel_width=0.02):
@@ -116,3 +125,106 @@ class TestRootSplit:
         assert len(a) == len(b)
         for la, lb in zip(a, b):
             assert np.array_equal(la.indices, lb.indices)
+
+
+def _dfs_root(groups, config, rng, tree_cache=None):
+    """Node-by-node ROOT: one salt per non-empty group, then a depth-first
+    walk that expands each node on its own as it reaches it."""
+    def walk(node):
+        leaf = RootCluster(indices=node.indices, stats=node.stats, depth=node.depth)
+        children = node.ensure_children(
+            config.k, config.min_cluster_size, config.max_depth
+        )
+        if not children:
+            obs.inc("root.degenerate_kmeans" if node.leaf_reason == DEGENERATE
+                    else "root.stop_conditions")
+            return [leaf]
+        accepted, tau_old, tau_new = _split_decision(
+            node.stats, [child.stats for child in children], config
+        )
+        if not accepted:
+            obs.inc("root.splits_rejected")
+            return [leaf]
+        obs.inc("root.splits_accepted")
+        obs.observe("root.split_depth", float(node.depth))
+        obs.observe("root.predicted_time_delta", tau_old - tau_new)
+        return [l for child in children for l in walk(child)]
+
+    out = []
+    for times, indices in groups:
+        if len(times) == 0:
+            out.append([])
+            continue
+        salt = int(rng.integers(0, np.iinfo(np.int64).max))
+        build = lambda: build_split_tree(times, indices, salt)  # noqa: E731
+        if tree_cache is None:
+            node = build()
+        else:
+            node = tree_cache.get_or_build(SplitTreeCache.key_for(
+                times, indices, salt,
+                config.k, config.min_cluster_size, config.max_depth,
+            ), build)
+        leaves = walk(node)
+        obs.observe("root.leaves_per_group", float(len(leaves)))
+        out.append(leaves)
+    return out
+
+
+def _kernel_groups(seed):
+    """Groups shaped like a workload's: multi-peak, flat, tiny, empty."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    start = 0
+    for n_peaks, n in [(3, 300), (1, 100), (2, 40), (0, 0), (4, 500), (2, 5)]:
+        if n_peaks == 0:
+            times = np.empty(0)
+        else:
+            centers = rng.uniform(5.0, 500.0, n_peaks)
+            times = np.abs(rng.normal(centers[rng.integers(n_peaks, size=n)],
+                                      rng.uniform(0.01, 0.2) * centers.mean()))
+        groups.append((times, np.arange(start, start + len(times))))
+        start += len(times)
+    groups.append((np.full(64, 3.0), np.arange(start, start + 64)))
+    return groups
+
+
+class TestFrontierBatching:
+    """``root_split_many`` expands frontier by frontier in lock-step
+    batches; it must equal a node-by-node depth-first expansion."""
+
+    @staticmethod
+    def run_observed(fn):
+        session = obs.configure()
+        try:
+            result = fn()
+            snapshot = session.metrics.snapshot()
+        finally:
+            obs.disable()
+        hists = {name: (h["count"], h["min"], h["max"])
+                 for name, h in snapshot["histograms"].items()}
+        return result, snapshot["counters"], hists
+
+    @pytest.mark.parametrize("shared_cache", [False, True])
+    def test_matches_node_by_node_dfs(self, shared_cache):
+        for seed in range(20):
+            groups = _kernel_groups(seed)
+            batched_cache = SplitTreeCache() if shared_cache else None
+            dfs_cache = SplitTreeCache() if shared_cache else None
+            for epsilon in (0.02, 0.05, 0.25):
+                config = RootConfig(epsilon=epsilon, min_cluster_size=8)
+                batched_rng = np.random.default_rng(seed)
+                dfs_rng = np.random.default_rng(seed)
+                batched, batched_counters, batched_hists = self.run_observed(
+                    lambda: root_split_many(groups, config=config, rng=batched_rng,
+                                            tree_cache=batched_cache))
+                dfs, dfs_counters, dfs_hists = self.run_observed(
+                    lambda: _dfs_root(groups, config, dfs_rng, dfs_cache))
+                assert batched_counters == dfs_counters
+                assert batched_hists == dfs_hists
+                assert batched_rng.bit_generator.state == dfs_rng.bit_generator.state
+                assert len(batched) == len(dfs)
+                for got, want in zip(batched, dfs):
+                    assert [(l.indices.tolist(), l.stats, l.depth) for l in got] == \
+                           [(l.indices.tolist(), l.stats, l.depth) for l in want]
+            if shared_cache:
+                assert batched_cache.stats() == dfs_cache.stats()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.hardware import RTX_2080
+from repro import obs
 from repro.sim import (
+    BatchPolicy,
     Cache,
     DramModel,
     GpuSimulator,
@@ -322,7 +324,16 @@ class TestWarmup:
 class TestBatchedWorkloadSimulation:
     def test_batch_matches_per_invocation_exactly(self):
         w = flat_workload(n=12, seed=1)
-        batch = GpuSimulator(RTX_2080).simulate_workload(w, seed=3)
+        # 12 invocations are below the default min_width: lower it so the
+        # batch engine really runs.
+        simulator = GpuSimulator(RTX_2080, batch_policy=BatchPolicy(min_width=1))
+        session = obs.configure()
+        try:
+            batch = simulator.simulate_workload(w, seed=3)
+            counters = session.metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert counters.get("sim.batch.lanes", 0) > 0
         scalar_sim = GpuSimulator(RTX_2080)
         assert len(batch.kernel_results) == len(w)
         for i, got in enumerate(batch.kernel_results):
