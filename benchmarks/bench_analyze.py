@@ -1,7 +1,7 @@
 """Static-check runtime: one full ``repro lint`` must stay cheap.
 
 ``run_lint`` parses every module under the configured paths once, runs
-the five module rules, builds the project call graph and runs the two
+the four module rules, builds the project call graph and runs the two
 whole-program rules (seed-flow, pool-safety).  It runs
 on every PR, so its wall-clock is an SLO: ``analyze_runtime_s`` in
 ``[tool.repro.slo.metric_max]`` (enforced by ``repro obs check`` over

@@ -193,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fsync-every", type=int, default=1,
                        help="fsync the checkpoint once per N rows "
                             "(default 1 = every row)")
-        p.add_argument("--speculate", action="store_true",
-                       help="speculatively duplicate straggling tasks on "
-                            "idle workers (first copy wins; results are "
-                            "still bit-identical)")
         p.add_argument("--max-task-kills", type=int, default=2,
                        help="kills attributed to one task before it is "
                             "quarantined as poisoned (default 2)")
@@ -279,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--fidelity", choices=["cycle", "analytical", "hybrid"],
                        default="cycle",
                        help="per-variant ground-truth tier: full cycle-level "
-                            "simulation (default, bit-identical to the "
-                            "legacy path), calibrated analytical screening, "
-                            "or hybrid screening with cycle-level escalation")
+                            "simulation (default), calibrated analytical "
+                            "screening, or hybrid screening with cycle-level "
+                            "escalation")
     p_dse.add_argument("--escalation-budget", type=float, default=None,
                        help="fraction of invocations escalated to "
                             "cycle-level at hybrid fidelity (default 0.05)")
@@ -570,7 +566,7 @@ _NON_IDENTITY_ARGS = {
     "resume", "fsync_every", "profile_cache", "sim_cache", "top",
     # Supervision knobs never change results (quarantine excepted, and a
     # quarantined cell is visible in the rows themselves, not run_id).
-    "speculate", "max_task_kills", "heartbeat_timeout",
+    "max_task_kills", "heartbeat_timeout",
 }
 
 
@@ -918,7 +914,6 @@ def _run_grid(args):
     from .parallel import SupervisionPolicy
 
     policy = SupervisionPolicy(
-        speculate=args.speculate,
         max_task_kills=args.max_task_kills,
         heartbeat_timeout=args.heartbeat_timeout,
     )

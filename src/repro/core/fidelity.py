@@ -324,8 +324,8 @@ def fidelity_cycle_counts(
     """Ground-truth times for ``workload`` on ``gpu`` at a fidelity tier.
 
     ``mode="cycle"`` returns exactly
-    ``GpuSimulator(gpu, sim_cache=...).cycle_counts(workload, seed)`` —
-    the bit-identical legacy path.  The other modes screen analytically,
+    ``GpuSimulator(gpu, sim_cache=...).cycle_counts(workload, seed)``.
+    The other modes screen analytically,
     calibrate on probes, and (for ``hybrid``) escalate the invocations
     with the largest risk-weighted values, where risk is the group's
     worst leave-one-out probe residual — a poorly calibrated group is

@@ -99,8 +99,7 @@ class DseResult:
     equal to ``full_cycles`` on cycle rows), so downstream consumers can
     tell how much of the denominator is exact.
 
-    The fidelity fields default to the legacy cycle-level values so
-    existing callers (and serialized rows) are unaffected:
+    The fidelity fields default to the cycle-level values:
     ``fidelity`` names the tier that produced the per-variant ground
     truth, ``fidelity_gap`` is that tier's measured effective gap, and
     ``error_bound_percent`` the honest combined (ε + gap) bound a
@@ -130,10 +129,11 @@ class _DseGroupTask:
     repetitions: int
     seed: int
     epsilon: float
+    #: The per-variant ground-truth tier (``mode="cycle"``: every
+    #: variant fully simulated).
+    fidelity_policy: FidelityPolicy
     cache_root: Optional[str] = None
     sim_cache_root: Optional[str] = None
-    #: ``None`` keeps the legacy pure cycle-level path bit-identical.
-    fidelity_policy: Optional[FidelityPolicy] = None
     #: Optional chaos-testing fault plan (profile corruption degrades
     #: poisoned cells to skipped rows instead of failing the grid).
     fault_plan: Optional[FaultPlan] = None
@@ -174,9 +174,8 @@ def _dse_group_worker(task: _DseGroupTask) -> List[List[DseResult]]:
     )
 
     workloads = [_reduced_workload(spec, seed) for spec in task.specs]
-    # Per-variant ground truth.  With no fidelity policy (or a pure cycle
-    # one) every variant is fully simulated at cycle level, and the rows
-    # equal the legacy path's.  Otherwise each variant is analytically
+    # Per-variant ground truth.  At cycle fidelity every variant is fully
+    # simulated at cycle level.  Otherwise each variant is analytically
     # screened, calibrated against cycle-level probes and selectively
     # escalated (see :mod:`repro.core.fidelity`); probes/escalations share
     # the cycle tier's sim-cache identity, so they warm future full runs.
@@ -184,7 +183,7 @@ def _dse_group_worker(task: _DseGroupTask) -> List[List[DseResult]]:
     truths = fidelity_cycle_counts_many(
         pairs,
         seed=seed,
-        policy=task.fidelity_policy or FidelityPolicy(mode="cycle"),
+        policy=task.fidelity_policy,
         sim_cache=sim_cache,
     )
     per_spec = len(variants)
@@ -309,7 +308,7 @@ def run_dse(
     profile cache's entries only.
 
     ``fidelity`` selects the ground-truth tier per variant: ``cycle``
-    (the default — bit-identical to the legacy path), ``analytical``
+    (the default: full cycle-level simulation), ``analytical``
     (calibrated screening only) or ``hybrid`` (screening plus cycle-level
     escalation of the top-``escalation_budget`` share of invocations).
     ``fidelity_policy`` overrides both with a full
@@ -321,7 +320,7 @@ def run_dse(
         raise ValueError(
             f"fidelity must be 'cycle', 'analytical' or 'hybrid', got {fidelity!r}"
         )
-    if fidelity_policy is None and fidelity != "cycle":
+    if fidelity_policy is None:
         kwargs = {"mode": fidelity}
         if escalation_budget is not None:
             kwargs["escalation_budget"] = escalation_budget

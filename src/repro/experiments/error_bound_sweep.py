@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..analysis.metrics import harmonic_mean
+from ..core.fidelity import FidelityPolicy, fidelity_cycle_counts
 from ..memo import SimResultCache, SplitTreeCache
 from ..parallel import resolve_jobs
 from ..parallel.handles import cache_handle, share_handle
@@ -51,10 +52,11 @@ class SimGroundTruth:
     results are cached on disk — every epsilon point and every re-run
     reuses the same full-workload simulation instead of repeating it.
 
-    ``fidelity`` swaps the truth tier: ``"cycle"`` (default, the
-    bit-identical legacy path) or ``"analytical"``/``"hybrid"`` screened
-    truth from :func:`~repro.core.fidelity.fidelity_cycle_counts` with
-    the given probe/escalation knobs.  The callable still returns a plain
+    ``fidelity`` picks the truth tier of
+    :func:`~repro.core.fidelity.fidelity_cycle_counts`: ``"cycle"``
+    (default: exactly ``GpuSimulator.cycle_counts``) or
+    ``"analytical"``/``"hybrid"`` screened truth with the given
+    probe/escalation knobs.  The callable returns a plain
     per-invocation array, so :func:`run_suite` is unaffected.
     """
 
@@ -64,30 +66,23 @@ class SimGroundTruth:
     escalation_budget: float = 0.05
 
     def __call__(self, store, seed: int) -> np.ndarray:
-        from ..sim import GpuSimulator  # lazy: keeps import graph light
-
         cache = (
             cache_handle(SimResultCache, self.sim_cache_root)
             if self.sim_cache_root is not None
             else None
         )
-        if self.fidelity != "cycle":
-            from ..core.fidelity import FidelityPolicy, fidelity_cycle_counts
-
-            times = fidelity_cycle_counts(
-                store.workload,
-                store.config,
-                seed=seed,
-                policy=FidelityPolicy(
-                    mode=self.fidelity,
-                    probe_count=self.probe_count,
-                    escalation_budget=self.escalation_budget,
-                ),
-                sim_cache=cache,
-            )
-            return times.values
-        simulator = GpuSimulator(store.config, sim_cache=cache)
-        return simulator.cycle_counts(store.workload, seed=seed)
+        times = fidelity_cycle_counts(
+            store.workload,
+            store.config,
+            seed=seed,
+            policy=FidelityPolicy(
+                mode=self.fidelity,
+                probe_count=self.probe_count,
+                escalation_budget=self.escalation_budget,
+            ),
+            sim_cache=cache,
+        )
+        return times.values
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,8 @@ def run_error_bound_sweep(
     ``fidelity``/``escalation_budget`` apply to ``ground_truth="sim"``
     only: ``"analytical"`` or ``"hybrid"`` replaces the full cycle-level
     truth with the calibrated multi-fidelity screen (see
-    :mod:`repro.core.fidelity`); ``"cycle"`` (default) keeps the legacy
-    path bit-identical.
+    :mod:`repro.core.fidelity`); ``"cycle"`` (default) is the full
+    cycle-level truth.
     """
     if fidelity not in ("cycle", "analytical", "hybrid"):
         raise ValueError(

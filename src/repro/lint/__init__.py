@@ -3,23 +3,20 @@
 The pipeline's correctness claims rest on invariants no type checker or
 generic linter enforces: bit-identical determinism (every RNG explicitly
 seeded from explicit inputs, no wall-clock reads in result paths, no set
-iteration in keys, pool workers that pickle and stay pure), typed error
-handling, and a simulator-version salt that tracks every change to the
-simulator.  This package machine-checks them with two kinds of rule in
-one run:
+iteration in keys, pool workers that pickle and stay pure) and typed
+error handling.  This package machine-checks them with two kinds of rule
+in one run:
 
 * **module rules** look at one parsed file at a time (``global-rng``,
-  ``wall-clock``, ``typed-errors``, ``unordered-iteration``, and
-  ``sim-version-salt``, which checks each watched file against one
-  salt manifest);
+  ``wall-clock``, ``typed-errors``, ``unordered-iteration``);
 * **whole-program rules** walk the :class:`~repro.lint.graph.ProjectGraph`
   built once from the same parse (``seed-flow``, ``pool-safety``).
 
 :mod:`~repro.lint.engine` parses each file once and dispatches to the
 registered passes (:mod:`~repro.lint.passes`); findings are filtered by
-inline ``# repro-lint: disable=<rule>`` suppressions and the committed
-baseline (:mod:`~repro.lint.baseline`); configuration lives in
-``[tool.repro.lint]`` in pyproject.toml (:mod:`~repro.lint.config`);
+inline ``# repro-lint: disable=<rule>`` suppressions, the one sanction;
+the only setting is ``paths`` in ``[tool.repro.lint]`` in pyproject.toml
+(:mod:`~repro.lint.config`);
 ``repro lint`` (:mod:`~repro.lint.cli`) reports as text or JSON with
 exit codes 0 (clean) / 1 (findings) / 2 (internal error).
 

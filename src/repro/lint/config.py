@@ -1,8 +1,8 @@
 """Lint configuration, read from ``[tool.repro.lint]`` in pyproject.toml.
 
-The config answers four questions: which files to lint (``paths`` /
-``exclude``), where grandfathered findings live (``baseline``), which
-rules are off repo-wide (``disable``), and the per-rule options.
+The config answers one question: which files to lint (``paths``).  Any
+other key in the table is a usage error, so a stale setting fails loudly
+instead of being silently ignored.
 
 The project *root* is the directory containing the pyproject.toml the
 config was read from; every relative path in the config (and every
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 try:  # Python >= 3.11
     import tomllib
@@ -24,9 +24,6 @@ except ImportError:  # pragma: no cover - exercised only on 3.9/3.10
         tomllib = None
 
 __all__ = ["LintConfig", "LintUsageError", "load_config"]
-
-#: Top-level [tool.repro.lint] keys that are not per-rule option tables.
-_RESERVED_KEYS = {"paths", "exclude", "baseline", "disable"}
 
 
 class LintUsageError(Exception):
@@ -39,17 +36,6 @@ class LintConfig:
 
     root: str
     paths: List[str] = field(default_factory=lambda: ["src"])
-    exclude: List[str] = field(default_factory=list)
-    baseline: str = "lint-baseline.json"
-    disable: List[str] = field(default_factory=list)
-    #: Per-rule option tables, keyed by rule id.
-    rule_options: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def options_for(self, rule: str) -> Dict[str, Any]:
-        return self.rule_options.get(rule, {})
-
-    def baseline_path(self) -> str:
-        return os.path.join(self.root, self.baseline)
 
 
 def _find_pyproject(start: str) -> Optional[str]:
@@ -99,22 +85,13 @@ def load_config(
 
     root = os.path.dirname(config_path)
     config = LintConfig(root=root)
+    unknown = sorted(key for key in table if key != "paths")
+    if unknown:
+        raise LintUsageError(
+            f"{config_path}: unknown [tool.repro.lint] key(s) "
+            + ", ".join(repr(key) for key in unknown)
+            + " (the only setting is 'paths')"
+        )
     if "paths" in table:
         config.paths = [str(p) for p in table["paths"]]
-    if "exclude" in table:
-        config.exclude = [str(p) for p in table["exclude"]]
-    if "baseline" in table:
-        config.baseline = str(table["baseline"])
-    if "disable" in table:
-        config.disable = [str(r) for r in table["disable"]]
-    for key, value in table.items():
-        if key in _RESERVED_KEYS:
-            continue
-        if isinstance(value, dict):
-            config.rule_options[key] = value
-        else:
-            raise LintUsageError(
-                f"{config_path}: unknown [tool.repro.lint] key {key!r} "
-                "(per-rule options must be tables)"
-            )
     return config

@@ -4,31 +4,22 @@ One :func:`run_lint` call walks the configured roots, parses every
 Python file once into a shared :class:`SourceModule`, runs every enabled
 rule's module hook, builds the whole-program
 :class:`~repro.lint.graph.ProjectGraph` once (only when an enabled rule
-has a graph hook) and runs the graph hooks over it.  Path operands and
-``--changed`` narrow which files findings are *reported* for, never what
-is loaded: whole-program facts do not localize.  The raw findings then
-pass two filters, in order:
-
-1. **inline suppressions** — ``# repro-lint: disable=<rule>[,<rule>]``
-   on the flagged line (or ``disable`` with no ``=`` to suppress every
-   rule on that line);
-2. **the committed baseline** — grandfathered findings matched by
-   (rule, path, message) identity, so pre-existing debt doesn't fail CI
-   while any *new* finding still does.
-
-Suppressed and baselined findings are counted, never silently dropped.
+has a graph hook) and runs the graph hooks over it.  Path operands
+narrow which files findings are *reported* for, never what is loaded:
+whole-program facts do not localize.  The raw findings then pass one
+filter, **inline suppressions** — ``# repro-lint: disable=<rule>[,<rule>]``
+on the flagged line (or ``disable`` with no ``=`` to suppress every rule
+on that line).  Suppressed findings are counted, never silently dropped.
 """
 
 from __future__ import annotations
 
 import ast
-import fnmatch
 import os
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .baseline import match_baseline
 from .config import LintConfig, LintUsageError
 from .findings import Finding
 from .graph import ProjectGraph
@@ -74,10 +65,6 @@ class LintResult:
     findings: List[Finding]
     files_checked: int
     suppressed: int
-    baselined: int
-    #: Root-relative POSIX paths of every file this run reports on —
-    #: what a partial --update-baseline may rewrite entries for.
-    linted_paths: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -110,13 +97,6 @@ def _rel_posix(path: str, root: str) -> str:
     return rel.replace(os.sep, "/")
 
 
-def _excluded(rel: str, patterns: Sequence[str]) -> bool:
-    return any(
-        fnmatch.fnmatch(rel, pat) or fnmatch.fnmatch(os.path.basename(rel), pat)
-        for pat in patterns
-    )
-
-
 def discover_files(
     config: LintConfig, paths: Optional[Sequence[str]] = None
 ) -> List[str]:
@@ -133,25 +113,13 @@ def discover_files(
             files.append(root)
         elif os.path.isdir(root):
             for dirpath, dirnames, filenames in os.walk(root):
-                dirnames[:] = sorted(
-                    d for d in dirnames
-                    if d != "__pycache__"
-                    and not _excluded(_rel_posix(os.path.join(dirpath, d), config.root), config.exclude)
-                )
+                dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
                 for name in sorted(filenames):
                     if name.endswith(".py"):
                         files.append(os.path.join(dirpath, name))
         else:
             raise LintUsageError(f"no such file or directory: {root}")
-    unique: List[str] = []
-    seen: Set[str] = set()
-    for path in files:
-        rel = _rel_posix(path, config.root)
-        if path in seen or _excluded(rel, config.exclude):
-            continue
-        seen.add(path)
-        unique.append(path)
-    return sorted(unique)
+    return sorted(set(files))
 
 
 def parse_module(path: str, root: str) -> SourceModule:
@@ -198,31 +166,25 @@ def load_modules(
 def run_lint(
     config: LintConfig,
     paths: Optional[Sequence[str]] = None,
-    use_baseline: bool = True,
     rules: Optional[Sequence[str]] = None,
 ) -> LintResult:
-    """Run every enabled rule over the configured roots.
+    """Run every selected rule (default: all) over the configured roots.
 
-    ``paths`` (CLI operands, or the root-relative files ``--changed``
-    produces) narrow *reporting* to the files they name; the modules and
-    the program graph always cover the configured roots, because a seed
-    tainted three modules away still taints this file's sink.
+    ``paths`` (CLI operands) narrow *reporting* to the files they name;
+    the modules and the program graph always cover the configured roots,
+    because a seed tainted three modules away still taints this file's
+    sink.
     """
     load_builtin_passes()
     known = registered_passes()
-    unknown = sorted(
-        {rule for rule in (rules or []) if rule not in known}
-        | {rule for rule in config.disable if rule not in known}
-    )
+    unknown = sorted({rule for rule in (rules or []) if rule not in known})
     if unknown:
         raise LintUsageError(
             "unknown rule id(s): " + ", ".join(unknown)
             + " (run `repro lint --list-rules` for the registry)"
         )
     enabled = [
-        cls()
-        for rule, cls in known.items()
-        if rule not in config.disable and (rules is None or rule in rules)
+        cls() for rule, cls in known.items() if rules is None or rule in rules
     ]
 
     # Operands outside the roots are loaded too: `repro lint /x.py`
@@ -258,17 +220,6 @@ def run_lint(
             suppressed += 1
         else:
             visible.append(finding)
-
-    baselined = 0
-    if use_baseline:
-        visible, baselined = match_baseline(visible, config.baseline_path())
-
     return LintResult(
-        findings=visible,
-        files_checked=len(modules),
-        suppressed=suppressed,
-        baselined=baselined,
-        linted_paths=(
-            sorted(reported) if reported is not None else [m.rel for m in modules]
-        ),
+        findings=visible, files_checked=len(modules), suppressed=suppressed
     )

@@ -24,7 +24,6 @@ def load_builtin_passes() -> None:
         global_rng,
         pool_safety,
         seed_flow,
-        sim_salt,
         typed_errors,
         unordered_iter,
         wall_clock,

@@ -1,9 +1,9 @@
 """Text and JSON rendering of a lint run.
 
 The JSON report is the machine interface (CI gates on it and archives it
-as an artifact), so its top-level schema is versioned and append-only:
-``version``, ``clean``, ``counts`` and ``findings`` are stable; new keys
-may be added but never removed or retyped.
+as an artifact), so its top-level schema is versioned: ``version``,
+``clean``, ``counts`` and ``findings`` are stable; new keys may be
+added, and removing or retyping one bumps ``REPORT_VERSION``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .engine import LintResult
 
 __all__ = ["REPORT_VERSION", "render_json", "render_text", "report_dict"]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def report_dict(result: LintResult) -> Dict[str, object]:
@@ -28,7 +28,6 @@ def report_dict(result: LintResult) -> Dict[str, object]:
             "files": result.files_checked,
             "findings": len(result.findings),
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
             "by_rule": dict(sorted(by_rule.items())),
         },
         "findings": [f.to_dict() for f in result.findings],
@@ -43,12 +42,12 @@ def render_text(result: LintResult) -> str:
     lines = [f.format_text() for f in result.findings]
     summary = (
         f"{len(result.findings)} finding(s) in {result.files_checked} file(s)"
-        f" ({result.suppressed} suppressed, {result.baselined} baselined)"
+        f" ({result.suppressed} suppressed)"
     )
     if result.clean:
         summary = (
             f"clean: {result.files_checked} file(s), 0 findings"
-            f" ({result.suppressed} suppressed, {result.baselined} baselined)"
+            f" ({result.suppressed} suppressed)"
         )
     lines.append(summary)
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ the split-tree cache uses too).
 
 from .dedup import DrawMultiset, collapse_draws, expand_unique
 from .profile_cache import ProfileCache
-from .sim_cache import SIM_VERSION, RawKernelSim, SimResultCache
+from .sim_cache import RawKernelSim, SimResultCache, sim_source_digest
 from .split_tree import SplitNode, SplitTreeCache, build_split_tree
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "ProfileCache",
     "RawKernelSim",
     "SimResultCache",
-    "SIM_VERSION",
+    "sim_source_digest",
     "SplitNode",
     "SplitTreeCache",
     "build_split_tree",

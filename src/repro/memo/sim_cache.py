@@ -23,10 +23,10 @@ stores plain arrays and callers materialize fresh stats per use.
 Key derivation
 --------------
 A *context key* is :func:`~repro.keys.derive_key` over the entry
-format and simulator version salts, the workload, the GPU config, the
-trace seed and the simulator's spec (:mod:`repro.sim.spec`: latency
-table, tracer knobs, warmup strategy; the spec's class name separates
-the cycle and analytical tiers).  Disk entries are keyed by
+format version, the simulator's source digest, the workload, the GPU
+config, the trace seed and the simulator's spec
+(:mod:`repro.sim.spec`: latency table, tracer knobs, warmup strategy;
+the spec's class name separates the cycle and analytical tiers).  Disk entries are keyed by
 ``sha256(context, sorted unique index list)`` — one file per
 simulate-call — while the in-process layer additionally memoizes
 per (context, index), so a later call over a *different* index subset
@@ -36,11 +36,20 @@ Entry layout, atomic writes, checksums (over indices, wave cycles,
 extrapolation, stall cycles and events, in that order) and quarantine
 are the shared :mod:`repro.memo.store`'s: a corrupted entry costs one
 re-simulation and never poisons a result.
+
+The source digest (:func:`sim_source_digest`) is a sha256 over the
+sorted names and bytes of every ``*.py`` file in the :mod:`repro.sim`
+package, computed once per process, on first use.  Any edit to the
+simulator therefore changes every context key, so an entry can only be
+replayed by the simulator source that wrote it; there is no version
+number to remember to bump.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -50,12 +59,38 @@ from .. import obs
 from ..keys import derive_key
 from .store import CACHE_FORMAT_VERSION, EntryStore
 
-__all__ = ["RawKernelSim", "SimResultCache", "SIM_VERSION"]
+__all__ = ["RawKernelSim", "SimResultCache", "sim_source_digest", "source_digest"]
 
-#: Simulator version salt — bump whenever :mod:`repro.sim` changes in a
-#: way that alters raw simulation outputs, so stale entries can never be
-#: replayed against a newer simulator.
-SIM_VERSION = 1
+_SIM_PACKAGE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "sim"
+)
+
+
+def source_digest(package_dir: str) -> str:
+    """sha256 over the sorted names and bytes of every ``*.py`` file
+    under ``package_dir`` (names are POSIX paths relative to it)."""
+    files = []
+    for dirpath, _dirnames, filenames in os.walk(package_dir):
+        for name in filenames:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, package_dir).replace(os.sep, "/")
+                files.append((rel, path))
+    h = hashlib.sha256()
+    for rel, path in sorted(files):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def sim_source_digest() -> str:
+    """Digest of the :mod:`repro.sim` source this process runs; salts
+    every context key so no entry outlives the simulator code that
+    wrote it."""
+    return source_digest(_SIM_PACKAGE_DIR)
 
 
 @dataclass(frozen=True)
@@ -92,7 +127,7 @@ class SimResultCache(EntryStore):
     def context_for(workload, gpu, seed: int, spec) -> str:
         """Context key: everything that shapes raw results except indices."""
         return derive_key(
-            (CACHE_FORMAT_VERSION, SIM_VERSION, workload, gpu, int(seed), spec)
+            (CACHE_FORMAT_VERSION, sim_source_digest(), workload, gpu, int(seed), spec)
         )
 
     @staticmethod
@@ -153,7 +188,6 @@ class SimResultCache(EntryStore):
         events = np.array([raw.events for raw in rows], dtype=np.int64)
         meta = {
             "version": CACHE_FORMAT_VERSION,
-            "sim_version": SIM_VERSION,
             "context": context,
             "n": len(rows),
         }
@@ -167,7 +201,6 @@ class SimResultCache(EntryStore):
             self.key_for(context, indices),
             lambda meta, arrays: (
                 meta.get("version") == CACHE_FORMAT_VERSION
-                and meta.get("sim_version") == SIM_VERSION
                 and meta.get("context") == context
                 and np.array_equal(arrays["indices"], indices)
             ),

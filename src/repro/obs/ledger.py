@@ -311,7 +311,6 @@ def _resilience_summary(counters: Dict[str, int],
         ("pool_rebuilds", "parallel.supervisor.pool_rebuilds"),
         ("task_redispatches", "parallel.supervisor.redispatches"),
         ("stalls_detected", "parallel.supervisor.stalls_detected"),
-        ("speculation_wins", "parallel.supervisor.speculation_wins"),
         ("tasks_poisoned", "parallel.supervisor.tasks_poisoned"),
         ("cells_quarantined", "parallel.grid.cells_quarantined"),
     ):

@@ -6,8 +6,7 @@ Three layers, each useful on its own:
   merges worker observability (spans, metrics) back into the parent;
 * :mod:`~repro.parallel.supervisor` — the self-healing layer under
   pooled ``run_tasks``: pool-rebuild on worker death, deterministic
-  re-dispatch, poison-task quarantine, heartbeat stall detection and
-  speculative straggler re-execution
+  re-dispatch, poison-task quarantine and heartbeat stall detection
   (:class:`SupervisionPolicy` / :class:`SupervisionReport`);
 * :func:`execute_grid` — the one experiment-grid driver, built on all
   of the above, with rows bit-identical at every ``jobs`` (see

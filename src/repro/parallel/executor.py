@@ -76,7 +76,7 @@ def run_tasks(
     quarantined with a typed
     :class:`~repro.errors.PoisonedTaskError` — recorded in ``report``
     when one is passed, raised otherwise — and ``policy`` opts into
-    heartbeat stall detection and speculative re-execution.
+    heartbeat stall detection.
     ``fault_plan`` (a :class:`~repro.resilience.FaultPlan` with
     process-level rates) injects real worker kills/stalls inside the
     pool — it never reaches the sequential path, which by definition

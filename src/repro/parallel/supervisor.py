@@ -20,10 +20,6 @@ supervisor turns worker death into a scheduling event:
   ``max_task_kills`` such solo kills it is quarantined with a typed
   :class:`~repro.errors.PoisonedTaskError` instead of sinking the
   sweep.  Innocent bystanders can never be quarantined.
-* **Speculation** — optionally, once the dispatch queue drains and
-  worker slots idle, the slowest outstanding tasks are duplicated once;
-  the first copy to finish wins.  Purity makes duplicates bit-identical
-  (late losers are compared and counted, never used).
 
 The dispatch window is bounded at the worker count, so at most ``jobs``
 tasks are ever exposed to a pool breakage and re-dispatch stays cheap.
@@ -65,8 +61,6 @@ class SupervisionPolicy:
 
     #: Solo pool-breakages a task may cause before it is quarantined.
     max_task_kills: int = 2
-    #: Duplicate the slowest outstanding tasks once when slots idle.
-    speculate: bool = False
     #: Declare a started task stalled after this many seconds without
     #: finishing, and SIGKILL its worker (``None`` disables).
     heartbeat_timeout: Optional[float] = None
@@ -105,9 +99,9 @@ class SupervisionReport:
     pool_rebuilds: int = 0
     redispatches: int = 0
     stalls_detected: int = 0
-    speculative_launched: int = 0
-    speculation_wins: int = 0
-    speculation_mismatches: int = 0
+    #: Second completions of a finished task whose value differed from
+    #: the first (a purity violation; the first value is kept).
+    duplicate_mismatches: int = 0
     poisoned: List[PoisonedTask] = field(default_factory=list)
 
     def poisoned_indices(self) -> List[int]:
@@ -198,7 +192,6 @@ class _Flight:
 
     index: int
     attempt: int
-    speculative: bool
     started: float  # parent-side monotonic dispatch time
 
 
@@ -236,7 +229,6 @@ class _Supervisor:
         self.suspects: deque = deque()
         self.attempts: Dict[int, int] = {i: 0 for i in range(n)}
         self.kills: Dict[int, int] = {}
-        self.speculated: set = set()
         self.in_flight: Dict[Any, _Flight] = {}
         self.stall_culprits: set = set()
         self.executor: Optional[ProcessPoolExecutor] = None
@@ -261,9 +253,8 @@ class _Supervisor:
             self.executor = None
 
     # -- dispatch ------------------------------------------------------------
-    def _submit(self, index: int, speculative: bool = False) -> None:
-        if not speculative:
-            self.attempts[index] += 1
+    def _submit(self, index: int) -> None:
+        self.attempts[index] += 1
         spec = _TaskSpec(
             worker=self.worker,
             payload=self.payloads[index],
@@ -277,7 +268,6 @@ class _Supervisor:
         self.in_flight[future] = _Flight(
             index=index,
             attempt=self.attempts[index],
-            speculative=speculative,
             started=time.monotonic(),
         )
 
@@ -294,32 +284,6 @@ class _Supervisor:
         while self.pending and len(self.in_flight) < self.jobs:
             self._submit(self.pending[0])
             self.pending.popleft()
-        if self.policy.speculate:
-            self._maybe_speculate()
-
-    def _maybe_speculate(self) -> None:
-        if self.pending or self.suspects:
-            return
-        candidates = sorted(
-            (
-                flight
-                for flight in self.in_flight.values()
-                if not flight.speculative and flight.index not in self.speculated
-            ),
-            key=lambda flight: flight.started,
-        )
-        for flight in candidates:
-            if len(self.in_flight) >= self.jobs:
-                break
-            self.speculated.add(flight.index)
-            self._submit(flight.index, speculative=True)
-            self.report.speculative_launched += 1
-            obs.inc("parallel.supervisor.speculative_launched")
-            obs.log_event(
-                f"{self.label}.speculation_launched",
-                index=flight.index,
-                attempt=flight.attempt,
-            )
 
     # -- completion ----------------------------------------------------------
     def _values_equal(self, a: Any, b: Any) -> bool:
@@ -329,21 +293,21 @@ class _Supervisor:
         except Exception:  # pragma: no cover - exotic __eq__
             pass
         # NaN-bearing payloads (N/A rows) compare unequal to themselves;
-        # purity makes duplicates structurally identical, so repr
+        # purity makes repeated runs structurally identical, so repr
         # equality is the honest tie-breaker.
         return repr(a) == repr(b)
 
     def _complete(self, flight: _Flight, wrapped: Dict) -> None:
         index = flight.index
         if index in self.done:
-            # The losing copy of a speculated task (or a stale re-dispatch
-            # racing its own stall kill): verify purity, then drop it.
+            # A stale re-dispatch racing its own stall kill: verify
+            # purity, then drop it.
             if self._values_equal(self.results[index], wrapped["value"]):
                 return
-            self.report.speculation_mismatches += 1
-            obs.inc("parallel.supervisor.speculation_mismatches")
+            self.report.duplicate_mismatches += 1
+            obs.inc("parallel.supervisor.duplicate_mismatches")
             obs.log_event(
-                f"{self.label}.speculation_mismatch",
+                f"{self.label}.duplicate_mismatch",
                 level="error",
                 index=index,
             )
@@ -353,10 +317,6 @@ class _Supervisor:
         self.results[index] = wrapped["value"]
         self.done.add(index)
         obs.inc(f"{self.label}.tasks_completed")
-        if flight.speculative:
-            self.report.speculation_wins += 1
-            obs.inc("parallel.supervisor.speculation_wins")
-            obs.log_event(f"{self.label}.speculation_win", index=index)
         if self.on_result is not None:
             self.on_result(index, wrapped["value"])
 
@@ -389,15 +349,10 @@ class _Supervisor:
         obs.inc("parallel.supervisor.worker_deaths")
         flights = list(self.in_flight.values())
         self.in_flight.clear()
-        primaries = [f for f in flights if not f.speculative]
+        live = [f.index for f in flights if f.index not in self.done]
         requeue: List[int] = []
-        seen: set = set()
-        for flight in flights:
-            index = flight.index
-            if index in self.done or index in seen:
-                continue
-            seen.add(index)
-            solo = len(primaries) <= 1 or index in self.stall_culprits
+        for index in live:
+            solo = len(flights) <= 1 or index in self.stall_culprits
             if solo:
                 self.kills[index] = self.kills.get(index, 0) + 1
                 if self.kills[index] >= self.policy.max_task_kills:
@@ -412,7 +367,6 @@ class _Supervisor:
         self.stall_culprits.clear()
         # Re-dispatched tasks run with a fresh attempt number; purity
         # keeps their results bit-identical to a first-try run.
-        self.speculated.difference_update(requeue)
         self.report.redispatches += len(requeue)
         obs.inc("parallel.supervisor.redispatches", len(requeue))
         obs.log_event(
@@ -428,8 +382,8 @@ class _Supervisor:
             raise WorkerCrashError(
                 f"{self.label}: pool broke {self.report.pool_rebuilds} times "
                 f"(budget {self.rebuild_budget}); giving up with payload "
-                f"indices {sorted(seen)} in flight",
-                indices=sorted(seen),
+                f"indices {sorted(live)} in flight",
+                indices=sorted(live),
             )
 
     def _check_stalls(self) -> None:
@@ -532,8 +486,8 @@ def supervise_tasks(
 
     The pool path of :func:`repro.parallel.run_tasks`: results in
     payload order, worker obs merged into the parent session, plus
-    worker death recovery, poison-task quarantine, optional heartbeat
-    stall detection and speculative re-execution.
+    worker death recovery, poison-task quarantine and optional heartbeat
+    stall detection.
 
     When ``report`` is ``None`` a quarantine raises
     :class:`~repro.errors.PoisonedTaskError`; when the caller supplies a

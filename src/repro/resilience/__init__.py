@@ -3,8 +3,8 @@
 The paper's promise is *trustworthy* sampled simulation; this subsystem
 makes the trust survive contact with messy reality:
 
-* :mod:`~repro.resilience.errors` — the typed exception hierarchy
-  (canonically defined in :mod:`repro.errors`);
+* the typed exception hierarchy, re-exported from :mod:`repro.errors`
+  (``from repro.resilience import SimulationFailure``);
 * :mod:`~repro.resilience.faults` — a deterministic, seeded
   fault-injection harness (:class:`FaultPlan` / :class:`FaultInjector`)
   for corrupting profiles and failing sample simulations;
@@ -23,9 +23,7 @@ Everything is **off by default**: with no fault plan the pipeline does
 exactly ``build_plan_from_store`` then ``evaluate_plan``.
 """
 
-from .checkpoint import GridCheckpoint
-from .degraded import DegradedPlanResult, achieved_epsilon_of, degrade_plan
-from .errors import (
+from ..errors import (
     CheckpointError,
     EstimationError,
     GridExecutionError,
@@ -36,6 +34,8 @@ from .errors import (
     SimulationFailure,
     WorkerCrashError,
 )
+from .checkpoint import GridCheckpoint
+from .degraded import DegradedPlanResult, achieved_epsilon_of, degrade_plan
 from .faults import FaultInjector, FaultPlan, SimDecision, WorkerDecision
 from .pipeline import ResilientSampleResult, sample_resiliently
 from .validation import ProfileHealth, validate_times

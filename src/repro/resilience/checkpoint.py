@@ -32,7 +32,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from .. import obs
 from ..keys import _keyed_fields, derive_key
-from .errors import CheckpointError
+from ..errors import CheckpointError
 
 __all__ = ["GridCheckpoint"]
 

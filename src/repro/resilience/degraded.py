@@ -42,7 +42,7 @@ from ..core.stem import (
     kkt_sample_sizes,
     predicted_error_multi,
 )
-from .errors import EstimationError
+from ..errors import EstimationError
 
 __all__ = ["DegradedPlanResult", "degrade_plan", "achieved_epsilon_of"]
 

@@ -49,7 +49,7 @@ from typing import Dict
 import numpy as np
 
 from .. import obs
-from .errors import SimulationFailure
+from ..errors import SimulationFailure
 
 __all__ = ["FaultPlan", "FaultInjector", "SimDecision", "WorkerDecision"]
 

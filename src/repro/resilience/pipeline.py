@@ -34,7 +34,7 @@ from ..core.estimator import SampledSimulationResult, evaluate_plan
 from ..core.plan import SamplingPlan
 from ..core.stem import DEFAULT_Z
 from .degraded import degrade_plan
-from .errors import EstimationError
+from ..errors import EstimationError
 from .faults import FaultInjector, FaultPlan
 from .validation import ProfileHealth
 

@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from .errors import ProfileValidationError
+from ..errors import ProfileValidationError
 
 __all__ = ["ValidationMode", "ProfileHealth", "validate_times", "VALIDATION_MODES"]
 

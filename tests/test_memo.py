@@ -8,14 +8,15 @@ The contract under test, in order of importance:
     including under active fault plans;
 (b) **reuse actually happens** — warm paths report cache hits and skip
     simulation/clustering work;
-(c) **invalidation** — a changed seed, GPU or torn cache entry is a
-    miss, never a stale hit;
+(c) **invalidation** — a changed seed, GPU, simulator source or torn
+    cache entry is a miss, never a stale hit;
 (d) the new CLI subcommands (``sweep``/``dse``) run end to end and
     report per-stage hit rates.
 """
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -37,7 +38,10 @@ from repro.memo import (
     SplitTreeCache,
     collapse_draws,
     expand_unique,
+    sim_source_digest,
 )
+from repro.memo import sim_cache as sim_cache_mod
+from repro.memo.sim_cache import source_digest
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultInjector
 from repro.sim import GpuSimulator
@@ -257,6 +261,44 @@ class TestSimResultCache:
         assert results_equal(
             result, GpuSimulator(other_gpu).simulate_workload(workload, seed=2)
         )
+
+    def test_source_digest_tracks_every_byte_and_file(self, tmp_path):
+        """The cache salt is derived from the simulator's source: on a
+        copy of the repro.sim tree, one flipped byte or one new module
+        changes the digest; a non-Python file does not."""
+        import repro.sim
+
+        sim_dir = tmp_path / "sim"
+        shutil.copytree(
+            os.path.dirname(repro.sim.__file__), sim_dir,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        assert source_digest(str(sim_dir)) == sim_source_digest()
+        module = sim_dir / "sm.py"
+        original = module.read_bytes()
+        module.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
+        assert source_digest(str(sim_dir)) != sim_source_digest()
+        module.write_bytes(original)
+        (sim_dir / "notes.txt").write_text("not simulator source")
+        assert source_digest(str(sim_dir)) == sim_source_digest()
+        (sim_dir / "extra.py").write_text("")
+        assert source_digest(str(sim_dir)) != sim_source_digest()
+
+    def test_entries_miss_under_another_source_digest(self, tmp_path, monkeypatch):
+        """A cache filled by one simulator source is never replayed by
+        another: every invocation misses and is re-simulated."""
+        workload = small_workload()
+        root = str(tmp_path / "sim")
+        first = GpuSimulator(
+            RTX_2080, sim_cache=SimResultCache(root)
+        ).simulate_workload(workload, seed=2)
+        monkeypatch.setattr(sim_cache_mod, "sim_source_digest", lambda: "0" * 64)
+        edited = SimResultCache(root)
+        second = GpuSimulator(RTX_2080, sim_cache=edited).simulate_workload(
+            workload, seed=2
+        )
+        assert edited.hits == 0 and edited.misses == len(workload)
+        assert results_equal(first, second)
 
     def test_torn_entry_is_a_miss(self, tmp_path):
         workload = small_workload()

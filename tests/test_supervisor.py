@@ -11,8 +11,8 @@ docs/robustness.md):
     rest of the fan-out completes; innocents are never quarantined;
 (c) **stall detection** — a wedged worker is caught via heartbeats,
     killed, and its task re-dispatched;
-(d) **speculation** — duplicated stragglers produce bit-identical
-    values and the first copy wins;
+(d) **duplicate completions** — a second completion of a finished task
+    is checked for purity and dropped, never used;
 (e) **grid integration** — seeded process faults (`worker_kill` /
     `cache_corrupt`) leave every non-quarantined grid row bit-identical
     to the faultless sequential run, quarantined cells are enumerated
@@ -46,7 +46,7 @@ from repro.experiments import runner as runner_mod
 from repro.experiments.runner import ExperimentConfig, run_suite, run_workload
 from repro.hardware import RTX_2080
 from repro.keys import derive_key
-from repro.memo import ProfileCache, RawKernelSim, SimResultCache
+from repro.memo import ProfileCache, RawKernelSim, SimResultCache, sim_source_digest
 from repro.obs.ledger import _resilience_summary
 from repro.parallel import (
     SupervisionPolicy,
@@ -134,28 +134,6 @@ def _stall_once_worker(arg):
             fh.write("stalling")
         time.sleep(120.0)  # parent SIGKILLs us long before this returns
     return value * 5
-
-
-def _straggler_worker(arg):
-    """First claimant of the marker straggles until its duplicate wins."""
-    value, root = arg
-    if root is None:
-        return value * 3
-    start_marker = os.path.join(root, "started")
-    win_marker = os.path.join(root, "won")
-    try:
-        fd = os.open(start_marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-    except FileExistsError:
-        # The speculative duplicate: signal the straggler, then win.
-        with open(win_marker, "w") as fh:
-            fh.write("won")
-        return value * 3
-    deadline = time.monotonic() + 15.0
-    while not os.path.exists(win_marker) and time.monotonic() < deadline:
-        time.sleep(0.02)
-    time.sleep(0.5)  # lose decisively; purity still makes the values equal
-    return value * 3
 
 
 # ---------------------------------------------------------------------------
@@ -254,26 +232,9 @@ class TestStallDetection:
 
 
 # ---------------------------------------------------------------------------
-# (d) speculative straggler re-execution
+# (d) duplicate completions
 # ---------------------------------------------------------------------------
-class TestSpeculation:
-    def test_duplicate_wins_and_values_bit_identical(self, tmp_path):
-        root = str(tmp_path)
-        payloads = [(7, root), (1, None), (2, None)]
-        report = SupervisionReport()
-        results, report = supervise_tasks(
-            _straggler_worker,
-            payloads,
-            jobs=2,
-            policy=SupervisionPolicy(speculate=True),
-            report=report,
-        )
-        assert results == [21, 3, 6]
-        assert report.speculative_launched == 1
-        assert report.speculation_wins == 1
-        assert report.speculation_mismatches == 0
-        assert report.worker_deaths == 0
-
+class TestDuplicateCompletion:
     def _bare_supervisor(self) -> _Supervisor:
         return _Supervisor(
             worker=_double,
@@ -281,7 +242,7 @@ class TestSpeculation:
             jobs=2,
             on_result=None,
             label="t",
-            policy=SupervisionPolicy(speculate=True),
+            policy=SupervisionPolicy(),
             capture_obs=False,
             fault_plan=None,
             report=SupervisionReport(),
@@ -292,19 +253,19 @@ class TestSpeculation:
         sup = self._bare_supervisor()
         sup.results[0] = 5
         sup.done.add(0)
-        # The losing copy agrees: verified and dropped silently.
-        sup._complete(_Flight(0, 1, True, 0.0), {"value": 5})
+        # The second copy agrees: verified and dropped silently.
+        sup._complete(_Flight(0, 1, 0.0), {"value": 5})
         assert sup.results[0] == 5
-        assert sup.report.speculation_mismatches == 0
+        assert sup.report.duplicate_mismatches == 0
         # NaN payloads (N/A rows) compare unequal to themselves; repr
         # equality is the purity check that must still pass.
         sup.results[1] = float("nan")
         sup.done.add(1)
-        sup._complete(_Flight(1, 1, True, 0.0), {"value": float("nan")})
-        assert sup.report.speculation_mismatches == 0
+        sup._complete(_Flight(1, 1, 0.0), {"value": float("nan")})
+        assert sup.report.duplicate_mismatches == 0
         # A genuinely different value is a purity violation: counted.
-        sup._complete(_Flight(0, 1, True, 0.0), {"value": 6})
-        assert sup.report.speculation_mismatches == 1
+        sup._complete(_Flight(0, 1, 0.0), {"value": 6})
+        assert sup.report.duplicate_mismatches == 1
         assert sup.results[0] == 5  # the winner's value is never replaced
 
 
@@ -631,7 +592,7 @@ class TestSimCacheIntegrity(_CacheIntegrity):
         workload = load_workload("rodinia", "bfs", scale=0.05, seed=0)
         spec = GpuSimulator(RTX_2080).spec
         assert SimResultCache.context_for(workload, RTX_2080, 5, spec) == (
-            derive_key((2, 1, workload, RTX_2080, 5, spec))
+            derive_key((2, sim_source_digest(), workload, RTX_2080, 5, spec))
         )
         indices = np.asarray(self.INDICES, dtype=np.int64)
         key = hashlib.sha256(b"ctx" + b"\x00" + indices.tobytes()).hexdigest()
@@ -644,7 +605,6 @@ class TestSimCacheIntegrity(_CacheIntegrity):
         )
         meta = {
             "version": 2,
-            "sim_version": 1,
             "context": "ctx",
             "n": len(indices),
             "checksum": _sha256_of(arrays.values()),
@@ -718,7 +678,6 @@ class TestPlumbing:
             "parallel.supervisor.worker_deaths": 3,
             "parallel.supervisor.pool_rebuilds": 3,
             "parallel.supervisor.redispatches": 4,
-            "parallel.supervisor.speculation_wins": 1,
             "parallel.supervisor.tasks_poisoned": 1,
             "parallel.grid.cells_quarantined": 2,
             "parallel.profile_cache.corrupt_quarantined": 2,
@@ -727,7 +686,6 @@ class TestPlumbing:
         summary = _resilience_summary(counters, {})
         assert summary["worker_deaths"] == 3
         assert summary["task_redispatches"] == 4
-        assert summary["speculation_wins"] == 1
         assert summary["tasks_poisoned"] == 1
         assert summary["cells_quarantined"] == 2
         assert summary["cache_entries_quarantined"] == 3
