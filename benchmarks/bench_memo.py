@@ -9,6 +9,9 @@ report with per-stage hit rates:
    simulator.  Cold = no caches at all; warm = same sweep against a
    populated sim-result cache plus a shared ROOT split-tree cache.  The
    acceptance target is a >=2x wall-clock reduction on the warm run.
+   The same points are also swept in descending epsilon on a fresh
+   shared split-tree cache, so trees first walked at a loose bound are
+   expanded deeper later; those points must equal the cold run's.
 2. **dse** — a reduced DSE grid, cold vs warm against the same
    sim-result cache (the per-variant full simulations dominate).
 3. **dedup** — ``simulate_workload`` on a heavy-repeat draw list with
@@ -96,7 +99,20 @@ def bench_sweep(quick: bool, sim_root: str) -> Dict[str, object]:
         )
     )
 
+    sim_stats = cache_stats(sim_cache)
+    # Descending on a fresh shared tree cache: a node the Eq. (3) floor
+    # stops at a loose bound is first expanded by a later, tighter point.
+    descending_cache = SplitTreeCache()
+    descending_points, descending_s = timed(
+        lambda: run_error_bound_sweep(
+            epsilons[::-1], config=config, suite="rodinia",
+            ground_truth="sim", sim_cache=sim_cache,
+            tree_cache=descending_cache,
+        )
+    )
+
     identical = cold_points == seed_points == warm_points
+    descending_identical = descending_points[::-1] == cold_points
     return {
         "epsilons": list(epsilons),
         "workload_scale": scale,
@@ -106,8 +122,11 @@ def bench_sweep(quick: bool, sim_root: str) -> Dict[str, object]:
         "warm_seconds": warm_s,
         "warm_speedup": (cold_s / warm_s) if warm_s > 0 else None,
         "points_identical": identical,
-        "sim_cache": cache_stats(sim_cache),
+        "descending_seconds": descending_s,
+        "descending_points_identical": descending_identical,
+        "sim_cache": sim_stats,
         "tree_cache": cache_stats(tree_cache),
+        "descending_tree_cache": cache_stats(descending_cache),
     }
 
 
@@ -230,6 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     ok = bool(
         report["sweep"]["points_identical"]
+        and report["sweep"]["descending_points_identical"]
         and report["dse"]["rows_identical"]
         and report["dedup"]["results_identical"]
     )

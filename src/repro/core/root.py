@@ -15,8 +15,11 @@ epsilon-dependent **acceptance** applying the Eq. (7)–(8) test.
 :func:`root_split_many` composes the two for all kernel groups of a
 workload at once: it expands the trees frontier by frontier — each
 frontier is the children of the splits accepted so far, across every
-group, and its k-means run as one lock-step batch — and then walks each
-tree depth first to collect its leaves in order.  A from-scratch run and
+group, and its k-means run as one lock-step batch and its Eq. (7)–(8)
+tests as one Eq. (6) call — and then walks each tree depth first to
+collect its leaves in order.  A node whose own Eq. (3) size is already
+one sample can never gain from a split, so it is rejected without
+k-means (the proof is at :func:`_expand_accepted`).  A from-scratch run and
 a cached-tree re-walk are the same code path by construction, and
 :func:`root_split` is a call with one group.
 
@@ -47,8 +50,7 @@ from .stem import (
     DEFAULT_EPSILON,
     DEFAULT_Z,
     ClusterStats,
-    kkt_sample_sizes,
-    predicted_simulated_time,
+    kkt_sample_size_rows,
     single_cluster_sample_size,
 )
 
@@ -111,19 +113,6 @@ class RootTreeNode:
         if not self.children:
             return 1
         return sum(child.leaf_count() for child in self.children)
-
-
-def _split_decision(
-    parent: ClusterStats,
-    children: List[ClusterStats],
-    config: RootConfig,
-) -> tuple:
-    """The Eq. (7)–(8) test plus both predicted times, for observability."""
-    m_old = single_cluster_sample_size(parent, epsilon=config.epsilon, z=config.z)
-    tau_old = m_old * parent.mu
-    m_new = kkt_sample_sizes(children, epsilon=config.epsilon, z=config.z)
-    tau_new = predicted_simulated_time(children, m_new)
-    return tau_new < tau_old, tau_old, tau_new
 
 
 def root_split(
@@ -229,33 +218,88 @@ def root_split_many(
     return out
 
 
+#: The Eq. (3) floor decides a split test only when the node's smallest
+#: time exceeds this fraction of its mean, far above the rounding of the
+#: means that the floor's proof compares (see :func:`_expand_accepted`).
+FLOOR_MIN_TIME_FRACTION = 1e-9
+
+
 def _expand_accepted(
     roots: Sequence[SplitNode], config: RootConfig
 ) -> Dict[int, tuple]:
     """Expand the trees under ``roots`` wherever the acceptance walk goes.
 
-    Frontier by frontier: each frontier's k-means run as one batch, and
-    the next frontier is the children of its accepted splits — the nodes
-    a depth-first walk would visit, since every node's split is seeded
-    from its own path.  Returns the Eq. (7)–(8) decision of every node
-    with children, keyed by ``id(node)``, so the walk evaluates each once.
+    Frontier by frontier: each frontier's k-means run as one batch, its
+    Eq. (7)–(8) tests as one Eq. (6) call, and the next frontier is the
+    children of its accepted splits — the nodes a depth-first walk would
+    visit, since every node's split is seeded from its own path.  Returns
+    the ``(accepted, tau_old, tau_new)`` decision of every tested node,
+    keyed by ``id(node)``, so the walk evaluates each once.
+
+    **Eq. (3) floor.**  A node whose own Eq. (3) size is one sample has
+    ``tau_old = mu``.  Any split into k >= 2 non-empty children has
+    ``tau_new = sum_i m_i mu_i >= mu_max + mu_min > mu``, because every
+    ``m_i >= 1`` and the largest child mean is at least the parent mean.
+    Such a node is rejected without k-means (``tau_new`` is ``None``),
+    whether or not a cached tree already holds its children, so the
+    decisions and counters never depend on the cache; the tree itself
+    stays free of epsilon, and a smaller epsilon still expands the node.
     """
     decisions: Dict[int, tuple] = {}
     frontier = list(roots)
     while frontier:
-        expand_nodes(frontier, config.k, config.min_cluster_size, config.max_depth)
-        accepted_children: List[SplitNode] = []
+        testing: List[Tuple[SplitNode, float]] = []
         for node in frontier:
-            if not node.children:
+            if node.structural_stop(config.min_cluster_size, config.max_depth):
                 continue
-            decision = _split_decision(
-                node.stats, [child.stats for child in node.children], config
+            mu = node.stats.mu
+            m_old = single_cluster_sample_size(
+                node.stats, epsilon=config.epsilon, z=config.z
             )
-            decisions[id(node)] = decision
-            if decision[0]:
-                accepted_children.extend(node.children)
-        frontier = accepted_children
+            if m_old == 1 and node.times.min() > FLOOR_MIN_TIME_FRACTION * mu:
+                decisions[id(node)] = (False, mu, None)
+                continue
+            testing.append((node, m_old * mu))
+        expand_nodes(
+            [node for node, _ in testing],
+            config.k, config.min_cluster_size, config.max_depth,
+        )
+        tested = [(node, tau_old) for node, tau_old in testing if node.children]
+        taus_new = _split_times([node for node, _ in tested], config)
+        frontier = []
+        for (node, tau_old), tau_new in zip(tested, taus_new):
+            accepted = tau_new < tau_old
+            decisions[id(node)] = (accepted, tau_old, tau_new)
+            if accepted:
+                frontier.extend(node.children)
     return decisions
+
+
+def _split_times(nodes: Sequence[SplitNode], config: RootConfig) -> List[float]:
+    """Eq. (8)'s ``tau_new = sum_i m_i mu_i`` over each node's children,
+    with one Eq. (6) call per distinct child count (one when ``k == 2``)."""
+    taus = [0.0] * len(nodes)
+    rows_by_width: Dict[int, List[int]] = {}
+    for row, node in enumerate(nodes):
+        rows_by_width.setdefault(len(node.children), []).append(row)
+    for rows in rows_by_width.values():
+        columns = np.array(
+            [
+                [(c.stats.n, c.stats.mu, c.stats.sigma) for c in nodes[row].children]
+                for row in rows
+            ],
+            dtype=np.float64,
+        )
+        mu = columns[:, :, 1]
+        sizes = kkt_sample_size_rows(
+            columns[:, :, 0], mu, columns[:, :, 2],
+            epsilon=config.epsilon, z=config.z,
+        )
+        # Left to right, as ``predicted_simulated_time`` sums.
+        tau = np.add.accumulate(sizes * mu, axis=1)[:, -1]
+        for row, value in zip(rows, tau.tolist()):
+            taus[row] = value
+    return taus
 
 
 def _select_leaves(
@@ -276,15 +320,15 @@ def _select_leaves(
         tree.depth = node.depth
     leaf = RootCluster(indices=node.indices, stats=stats, depth=node.depth)
 
-    children = node.children
-    if not children:
+    decision = decisions.get(id(node))
+    if decision is None:
         if node.leaf_reason == DEGENERATE:
             obs.inc("root.degenerate_kmeans")
         else:
             obs.inc("root.stop_conditions")
         return [leaf]
 
-    accepted, tau_old, tau_new = decisions[id(node)]
+    accepted, tau_old, tau_new = decision
     obs.log_event(
         "root.split_decision",
         level="debug",
@@ -304,7 +348,7 @@ def _select_leaves(
     if tree is not None:
         tree.accepted_split = True
     leaves: List[RootCluster] = []
-    for child in children:
+    for child in node.children:
         child_tree = None
         if tree is not None:
             child_tree = RootTreeNode(stats=stats, depth=node.depth + 1)

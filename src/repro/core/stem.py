@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .. import obs
 
@@ -32,6 +31,7 @@ __all__ = [
     "single_cluster_sample_size",
     "predicted_error_single",
     "kkt_sample_sizes",
+    "kkt_sample_size_rows",
     "predicted_error_multi",
     "error_bound_satisfied",
     "predicted_simulated_time",
@@ -49,7 +49,11 @@ def z_score(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     # ndtri is the standard normal quantile that ``scipy.stats.norm.ppf``
-    # calls, bit for bit, without importing scipy.stats.
+    # calls, bit for bit.  Imported here: scipy.special costs every
+    # ``import repro`` about a quarter of a second, and only this
+    # function needs it.
+    from scipy.special import ndtri
+
     return float(ndtri(0.5 + confidence / 2.0))
 
 
@@ -72,9 +76,15 @@ class ClusterStats:
     @classmethod
     def from_times(cls, times: np.ndarray) -> "ClusterStats":
         t = np.asarray(times, dtype=np.float64)
-        if len(t) == 0:
+        n = len(t)
+        if n == 0:
             raise ValueError("cannot summarize an empty cluster")
-        return cls(n=len(t), mu=float(t.mean()), sigma=float(t.std()))
+        # The arithmetic of ``t.mean()`` and ``t.std()``, bit for bit,
+        # without their wrappers' overhead (ROOT summarizes every child).
+        mu = np.add.reduce(t) / n
+        centred = t - mu
+        sigma = math.sqrt(np.add.reduce(centred * centred) / n)
+        return cls(n=n, mu=float(mu), sigma=sigma)
 
     @property
     def cov(self) -> float:
@@ -120,8 +130,35 @@ def kkt_sample_sizes(
     """Eq. (6): jointly optimal integer sample sizes for many clusters.
 
     Solves Problem 1: minimize total simulated time ``sum_i m_i mu_i``
-    subject to the joint error bound Eq. (5).  With
-    ``a_i = mu_i``, ``b_i = N_i^2 sigma_i^2`` and
+    subject to the joint error bound Eq. (5); see
+    :func:`kkt_sample_size_rows`, which this calls with one row.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not clusters:
+        return np.zeros(0, dtype=np.int64)
+    columns = np.array([(c.n, c.mu, c.sigma) for c in clusters], dtype=np.float64)
+    return kkt_sample_size_rows(
+        columns[None, :, 0], columns[None, :, 1], columns[None, :, 2],
+        epsilon=epsilon, z=z,
+    )[0]
+
+
+def kkt_sample_size_rows(
+    n: np.ndarray,
+    mu: np.ndarray,
+    sigma: np.ndarray,
+    epsilon: float = DEFAULT_EPSILON,
+    z: float = DEFAULT_Z,
+) -> np.ndarray:
+    """Eq. (6) for many independent allocation problems at once.
+
+    ``n``, ``mu`` and ``sigma`` are ``(rows, clusters)`` arrays; each row
+    is one set of clusters, and row ``r`` of the result holds its sample
+    sizes.  The sampler solves one row; ROOT solves every split test of
+    a frontier in one call (Eqs. 7–8 need ``m_i`` of the children).
+
+    With ``a_i = mu_i``, ``b_i = N_i^2 sigma_i^2`` and
     ``c = (eps * sum_i N_i mu_i / z)^2``::
 
         m_i = ceil( (sum_j sqrt(a_j b_j)) / c * sqrt(b_i / a_i) )
@@ -136,24 +173,33 @@ def kkt_sample_sizes(
     Zero-variance clusters get ``b_i = 0`` hence the minimum of one
     sample.  The ceiling introduces the paper's "minor sub-optimality" but
     keeps the bound valid (larger ``m_i`` can only shrink the error).
+
+    A row's sizes do not depend on the other rows: ``sum_i N_i mu_i``
+    adds left to right, ``sum_j sqrt(a_j b_j)`` is numpy's pairwise sum
+    along the row, and both squares go through libm ``pow``
+    (``np.float_power``), as Python's ``x ** 2`` does — ``x * x`` rounds
+    differently for about one value in a thousand.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if not clusters:
-        return np.zeros(0, dtype=np.int64)
-    a = np.array([c.mu for c in clusters], dtype=np.float64)
-    b = np.array([(c.n * c.sigma) ** 2 for c in clusters], dtype=np.float64)
-    total = float(sum(c.total for c in clusters))
-    c_const = (epsilon * total / z) ** 2
-    scale = float(np.sqrt(a * b).sum()) / c_const if c_const > 0 else 0.0
+    n = np.asarray(n, dtype=np.float64)
+    a = np.asarray(mu, dtype=np.float64)
+    rows, width = a.shape
+    if width == 0:
+        return np.zeros((rows, 0), dtype=np.int64)
+    b = np.float_power(n * np.asarray(sigma, dtype=np.float64), 2.0)
+    total = np.add.accumulate(n * a, axis=1)[:, -1]
+    c_const = np.float_power(epsilon * total / z, 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = scale * np.sqrt(b / a)
+        scale = np.where(c_const > 0, np.sqrt(a * b).sum(axis=1) / c_const, 0.0)
+        raw = scale[:, None] * np.sqrt(b / a)
     raw = np.nan_to_num(raw, nan=0.0, posinf=0.0)
     sizes = np.maximum(1, np.ceil(raw)).astype(np.int64)
     # KKT runs both as the final allocator and inside every ROOT split
     # test, so the call count tracks Eq. (7)–(8) evaluations too.
-    obs.inc("stem.kkt_calls")
-    obs.observe("stem.kkt_clusters", float(len(clusters)))
+    obs.inc("stem.kkt_calls", rows)
+    for _ in range(rows):
+        obs.observe("stem.kkt_clusters", float(width))
     return sizes
 
 

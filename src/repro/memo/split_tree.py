@@ -84,6 +84,14 @@ class SplitNode:
     def size(self) -> int:
         return len(self.indices)
 
+    def structural_stop(self, min_cluster_size: int, max_depth: int) -> bool:
+        """Whether the size/depth/variance stop conditions make this a leaf."""
+        return (
+            self.size < min_cluster_size
+            or self.depth >= max_depth
+            or self.stats.sigma == 0.0
+        )
+
     def ensure_children(
         self, k: int, min_cluster_size: int, max_depth: int
     ) -> List["SplitNode"]:
@@ -130,11 +138,7 @@ def expand_nodes(
         if node.expanded:
             continue
         node.expanded = True
-        if (
-            node.size < min_cluster_size
-            or node.depth >= max_depth
-            or node.stats.sigma == 0.0
-        ):
+        if node.structural_stop(min_cluster_size, max_depth):
             node.leaf_reason = STRUCTURAL
         else:
             pending.append(node)

@@ -107,16 +107,20 @@ class Workload:
         This is the first stage of every kernel-level sampler in the paper
         ("kernel calls are grouped by names").
         """
-        name_of_spec = np.array([s.name for s in self.specs])
-        names = name_of_spec[self.spec_ids]
-        groups: Dict[str, np.ndarray] = {}
-        order = np.argsort(names, kind="stable")
-        sorted_names = names[order]
-        boundaries = np.flatnonzero(sorted_names[1:] != sorted_names[:-1]) + 1
-        for chunk in np.split(order, boundaries):
-            if len(chunk):
-                groups[str(names[chunk[0]])] = np.sort(chunk)
-        return groups
+        order = np.argsort(self.spec_ids, kind="stable")
+        stops = np.cumsum(np.bincount(self.spec_ids, minlength=len(self.specs)))
+        # One chunk per launched spec, ascending launch index; specs that
+        # share a name then merge.
+        chunks: Dict[str, List[np.ndarray]] = {}
+        start = 0
+        for sid, stop in enumerate(stops.tolist()):
+            if stop > start:
+                chunks.setdefault(self.specs[sid].name, []).append(order[start:stop])
+            start = stop
+        return {
+            name: parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
+            for name, parts in sorted(chunks.items())
+        }
 
     def subset(self, indices: Sequence[int], name: str = None) -> "Workload":
         """Return a new workload containing only the given launch indices.

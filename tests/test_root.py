@@ -1,19 +1,30 @@
 """Tests for ROOT's recursive hierarchical clustering."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.root import (
+    FLOOR_MIN_TIME_FRACTION,
     RootCluster,
     RootConfig,
     RootTreeNode,
-    _split_decision,
     root_split,
     root_split_many,
 )
-from repro.core.stem import ClusterStats, predicted_simulated_time, kkt_sample_sizes
+from repro.core.stem import (
+    ClusterStats,
+    kkt_sample_sizes,
+    predicted_simulated_time,
+    single_cluster_sample_size,
+)
 from repro.memo.split_tree import DEGENERATE, SplitTreeCache, build_split_tree
+
+from .stem_reference import reference_split_decision
 
 
 def trimodal_sample(rng, n=1200, centers=(10.0, 50.0, 250.0), rel_width=0.02):
@@ -127,10 +138,12 @@ class TestRootSplit:
             assert np.array_equal(la.indices, lb.indices)
 
 
-def _dfs_root(groups, config, rng, tree_cache=None):
-    """Node-by-node ROOT: one salt per non-empty group, then a depth-first
-    walk that expands each node on its own as it reaches it."""
-    def walk(node):
+def _dfs_root(groups, config, rng, trees, tree_cache=None):
+    """Node-by-node ROOT with no Eq. (3) floor: one salt per non-empty
+    group, then a depth-first walk that expands each node on its own as
+    it reaches it and runs the per-call Eq. (7)–(8) test on every split."""
+    def walk(node, tree):
+        tree.stats, tree.depth = node.stats, node.depth
         leaf = RootCluster(indices=node.indices, stats=node.stats, depth=node.depth)
         children = node.ensure_children(
             config.k, config.min_cluster_size, config.max_depth
@@ -139,7 +152,8 @@ def _dfs_root(groups, config, rng, tree_cache=None):
             obs.inc("root.degenerate_kmeans" if node.leaf_reason == DEGENERATE
                     else "root.stop_conditions")
             return [leaf]
-        accepted, tau_old, tau_new = _split_decision(
+        obs.inc("stem.kkt_calls")
+        accepted, tau_old, tau_new = reference_split_decision(
             node.stats, [child.stats for child in children], config
         )
         if not accepted:
@@ -148,10 +162,15 @@ def _dfs_root(groups, config, rng, tree_cache=None):
         obs.inc("root.splits_accepted")
         obs.observe("root.split_depth", float(node.depth))
         obs.observe("root.predicted_time_delta", tau_old - tau_new)
-        return [l for child in children for l in walk(child)]
+        tree.accepted_split = True
+        leaves = []
+        for child in children:
+            tree.children.append(RootTreeNode(stats=node.stats, depth=0))
+            leaves.extend(walk(child, tree.children[-1]))
+        return leaves
 
     out = []
-    for times, indices in groups:
+    for (times, indices), tree in zip(groups, trees):
         if len(times) == 0:
             out.append([])
             continue
@@ -164,10 +183,15 @@ def _dfs_root(groups, config, rng, tree_cache=None):
                 times, indices, salt,
                 config.k, config.min_cluster_size, config.max_depth,
             ), build)
-        leaves = walk(node)
+        leaves = walk(node, tree)
         obs.observe("root.leaves_per_group", float(len(leaves)))
         out.append(leaves)
     return out
+
+
+def _tree_record(tree):
+    return (tree.stats, tree.depth, tree.accepted_split,
+            [_tree_record(child) for child in tree.children])
 
 
 def _kernel_groups(seed):
@@ -206,25 +230,126 @@ class TestFrontierBatching:
 
     @pytest.mark.parametrize("shared_cache", [False, True])
     def test_matches_node_by_node_dfs(self, shared_cache):
+        """Leaves, stats, tree records and generator state are equal, over
+        an epsilon walk in both directions.  The counters differ only by
+        the Eq. (3) floor: a floor stop is a rejected split that runs no
+        k-means and no Eq. (6), so a degenerate k-means there becomes a
+        rejection, and expansions and Eq. (6) calls can only fall."""
         for seed in range(20):
             groups = _kernel_groups(seed)
-            batched_cache = SplitTreeCache() if shared_cache else None
-            dfs_cache = SplitTreeCache() if shared_cache else None
-            for epsilon in (0.02, 0.05, 0.25):
-                config = RootConfig(epsilon=epsilon, min_cluster_size=8)
-                batched_rng = np.random.default_rng(seed)
-                dfs_rng = np.random.default_rng(seed)
-                batched, batched_counters, batched_hists = self.run_observed(
-                    lambda: root_split_many(groups, config=config, rng=batched_rng,
-                                            tree_cache=batched_cache))
-                dfs, dfs_counters, dfs_hists = self.run_observed(
-                    lambda: _dfs_root(groups, config, dfs_rng, dfs_cache))
-                assert batched_counters == dfs_counters
-                assert batched_hists == dfs_hists
-                assert batched_rng.bit_generator.state == dfs_rng.bit_generator.state
-                assert len(batched) == len(dfs)
-                for got, want in zip(batched, dfs):
-                    assert [(l.indices.tolist(), l.stats, l.depth) for l in got] == \
-                           [(l.indices.tolist(), l.stats, l.depth) for l in want]
-            if shared_cache:
-                assert batched_cache.stats() == dfs_cache.stats()
+            for epsilons in ((0.02, 0.05, 0.25), (0.25, 0.05, 0.02)):
+                batched_cache = SplitTreeCache() if shared_cache else None
+                dfs_cache = SplitTreeCache() if shared_cache else None
+                expanded = {"batched": 0, "dfs": 0}
+                for epsilon in epsilons:
+                    config = RootConfig(epsilon=epsilon, min_cluster_size=8)
+                    batched_rng = np.random.default_rng(seed)
+                    dfs_rng = np.random.default_rng(seed)
+                    batched_trees = [RootTreeNode(stats=None, depth=0) for _ in groups]
+                    dfs_trees = [RootTreeNode(stats=None, depth=0) for _ in groups]
+                    batched, got, got_hists = self.run_observed(
+                        lambda: root_split_many(
+                            groups, config=config, rng=batched_rng,
+                            trees=batched_trees, tree_cache=batched_cache))
+                    dfs, want, want_hists = self.run_observed(
+                        lambda: _dfs_root(groups, config, dfs_rng, dfs_trees,
+                                          dfs_cache))
+                    assert batched_rng.bit_generator.state == dfs_rng.bit_generator.state
+                    assert len(batched) == len(dfs)
+                    for got_leaves, want_leaves in zip(batched, dfs):
+                        assert [(l.indices.tolist(), l.stats, l.depth) for l in got_leaves] == \
+                               [(l.indices.tolist(), l.stats, l.depth) for l in want_leaves]
+                    assert [_tree_record(t) for t in batched_trees] == \
+                           [_tree_record(t) for t in dfs_trees]
+
+                    got_hists.pop("stem.kkt_clusters", None)
+                    want_hists.pop("stem.kkt_clusters", None)
+                    assert got_hists == want_hists
+                    got, want = Counter(got), Counter(want)
+                    for name in ("root.splits_accepted", "root.stop_conditions"):
+                        assert got[name] == want[name]
+                    # A floor stop on a node whose k-means is degenerate
+                    # moves it from that counter to the rejections.
+                    assert got["root.splits_rejected"] + got["root.degenerate_kmeans"] \
+                        == want["root.splits_rejected"] + want["root.degenerate_kmeans"]
+                    assert got["root.degenerate_kmeans"] <= want["root.degenerate_kmeans"]
+                    assert got["stem.kkt_calls"] <= want["stem.kkt_calls"]
+                    expanded["batched"] += got["memo.tree_nodes_expanded"]
+                    expanded["dfs"] += want["memo.tree_nodes_expanded"]
+                assert expanded["batched"] <= expanded["dfs"]
+                if shared_cache:
+                    assert batched_cache.stats() == dfs_cache.stats()
+
+
+class TestEq3Floor:
+    """A node whose own Eq. (3) size is one sample never gains from a
+    split; ROOT rejects it without k-means."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 400),
+        k=st.integers(2, 4),
+        log_cov=st.floats(-8.0, 0.5),
+        margin=st.floats(1.0, 20.0),
+        shape=st.sampled_from(["normal", "bimodal", "high_outlier", "low_outlier"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_full_test_rejects_every_floor_node(self, seed, n, k, log_cov, margin, shape):
+        rng = np.random.default_rng(seed)
+        cov = 10.0 ** log_cov
+        if shape == "normal":
+            times = 100.0 * (1.0 + cov * rng.standard_normal(n))
+        elif shape == "bimodal":
+            times = 100.0 * (1.0 + cov * (rng.random(n) < 0.5))
+        elif shape == "high_outlier":
+            times = np.full(n, 100.0)
+            times[rng.integers(n)] *= 1.0 + cov * n
+        else:
+            # One tiny time: the split's smallest child mean nears zero.
+            times = np.full(n, 100.0)
+            times[rng.integers(n)] = 100.0 * min(cov, 0.5)
+        times = np.abs(times)
+        stats = ClusterStats.from_times(times)
+        assume(stats.sigma > 0.0)
+        # An epsilon at or above z * cov puts Eq. (3) at one sample.
+        config = RootConfig(epsilon=1.96 * stats.cov * margin, k=k,
+                            min_cluster_size=2)
+        assume(single_cluster_sample_size(stats, config.epsilon, config.z) == 1)
+        assume(times.min() > FLOOR_MIN_TIME_FRACTION * stats.mu)
+        node = build_split_tree(times, np.arange(n), salt=seed)
+        children = node.ensure_children(config.k, config.min_cluster_size,
+                                         config.max_depth)
+        if children:
+            accepted, _, _ = reference_split_decision(
+                node.stats, [child.stats for child in children], config)
+            assert not accepted
+        with obs.scoped() as session:
+            leaves = root_split(times, config=config,
+                                rng=np.random.default_rng(seed))
+            counters = session.metrics.snapshot()["counters"]
+        assert len(leaves) == 1
+        assert counters.get("root.splits_rejected") == 1
+        assert "stem.kkt_calls" not in counters
+        assert "memo.tree_nodes_expanded" not in counters
+
+    def test_floor_node_is_expanded_later_by_a_tighter_bound(self):
+        """The split tree stays free of epsilon: a root floor-stopped at a
+        loose bound is still expanded, exactly, when a tight bound reaches it."""
+        times = np.random.default_rng(0).normal(100.0, 1.0, 200)
+        cache = SplitTreeCache()
+
+        def run(epsilon, tree_cache):
+            with obs.scoped() as session:
+                leaves = root_split(times, config=RootConfig(epsilon=epsilon),
+                                    rng=np.random.default_rng(1),
+                                    tree_cache=tree_cache)
+                return leaves, session.metrics.snapshot()["counters"]
+
+        _, loose = run(0.25, cache)
+        assert loose["root.splits_rejected"] == 1
+        assert "memo.tree_nodes_expanded" not in loose
+        cached, tight = run(0.001, cache)
+        assert tight["memo.tree_nodes_expanded"] >= 1
+        scratch, _ = run(0.001, None)
+        assert [(l.indices.tolist(), l.stats) for l in cached] == \
+               [(l.indices.tolist(), l.stats) for l in scratch]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads import Workload, WorkloadBuilder
+from repro.workloads import Workload, WorkloadBuilder, load_suite, suite_names
 from repro.workloads.generators.synthetic import make_kernel_spec
 
 
@@ -98,6 +98,37 @@ class TestWorkload:
         w = build_two_kernel_workload()
         for indices in w.indices_by_name().values():
             assert np.all(np.diff(indices) > 0)
+
+    def test_indices_by_name_matches_name_sort(self):
+        """Grouping by spec id equals an argsort of one name per launch,
+        on every bundled workload and with specs that share a name or
+        never launch."""
+        def by_name_sort(w):
+            names = np.array([s.name for s in w.specs])[w.spec_ids]
+            order = np.argsort(names, kind="stable")
+            sorted_names = names[order]
+            cuts = np.flatnonzero(sorted_names[1:] != sorted_names[:-1]) + 1
+            return {str(names[chunk[0]]): np.sort(chunk)
+                    for chunk in np.split(order, cuts) if len(chunk)}
+
+        shared = build_two_kernel_workload()
+        specs = [shared.specs[1], shared.specs[0], shared.specs[1],
+                 shared.specs[0]]
+        shared = Workload(
+            name="shared", suite="synthetic", specs=specs,
+            spec_ids=np.array([2, 0, 3, 2, 0, 2, 3, 0], dtype=np.int32),
+            context_ids=np.zeros(8, dtype=np.int32),
+            work_scales=np.ones(8), localities=np.ones(8),
+        )
+        workloads = [shared] + [
+            w for suite in suite_names() for w in load_suite(suite, scale=0.02)
+        ]
+        for w in workloads:
+            got, want = w.indices_by_name(), by_name_sort(w)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].dtype == want[name].dtype
+                assert np.array_equal(got[name], want[name])
 
     def test_subset_preserves_columns(self):
         w = build_two_kernel_workload()
