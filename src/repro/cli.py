@@ -17,11 +17,10 @@ Commands
 ``suite``     run a whole suite and print per-method Table-3 summaries
 ``sweep``     error-bound sensitivity sweep (Figure 11) with memoization
 ``dse``       design-space exploration grid (Table 4)
-``lint``      the static invariant checker: module rules (RNG
-              discipline, wall clock, typed errors, set iteration,
-              simulator salt) and whole-program rules (seed flow,
-              pool-worker safety) from one parse — see :mod:`repro.lint`
-              and docs/static-analysis.md
+``lint``      the static invariant checker: four per-file rules (RNG
+              discipline and seeds, wall clock and process state,
+              typed errors, set iteration) — see :mod:`repro.lint` and
+              docs/static-analysis.md
 
 Parallelism & memoization
 -------------------------
@@ -298,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the static invariant checker, module and whole-program "
-             "rules (exit 0 clean / 1 findings / 2 internal error)",
+        help="run the static invariant checker's four per-file rules "
+             "(exit 0 clean / 1 findings / 2 internal error)",
     )
     from .lint.cli import add_lint_arguments
 

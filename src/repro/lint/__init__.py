@@ -4,13 +4,12 @@ The pipeline's correctness claims rest on invariants no type checker or
 generic linter enforces: bit-identical determinism (every RNG explicitly
 seeded from explicit inputs, no wall-clock reads in result paths, no set
 iteration in keys, pool workers that pickle and stay pure) and typed
-error handling.  This package machine-checks them with two kinds of rule
-in one run:
-
-* **module rules** look at one parsed file at a time (``global-rng``,
-  ``wall-clock``, ``typed-errors``, ``unordered-iteration``);
-* **whole-program rules** walk the :class:`~repro.lint.graph.ProjectGraph`
-  built once from the same parse (``seed-flow``, ``pool-safety``).
+error handling.  This package machine-checks the ones that are a
+pattern in one file, with four rules that each look at one parsed file
+at a time: ``global-rng``, ``wall-clock``, ``typed-errors`` and
+``unordered-iteration``.  Pool workers that pickle and stay pure are no
+rule: the test suite runs the grid at ``jobs`` 1 and 2 and compares
+the rows (``tests/test_parallel.py::TestBitIdentity``).
 
 :mod:`~repro.lint.engine` parses each file once and dispatches to the
 registered passes (:mod:`~repro.lint.passes`); findings are filtered by

@@ -27,8 +27,8 @@ def add_lint_arguments(parser) -> None:
     """Attach ``repro lint`` arguments to an argparse subparser."""
     parser.add_argument(
         "paths", nargs="*",
-        help="report findings only for these files/directories (the "
-             "configured [tool.repro.lint] paths are always loaded)")
+        help="lint only these files/directories instead of the "
+             "configured [tool.repro.lint] paths")
     parser.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="report format (default text)")

@@ -1,12 +1,10 @@
 """The lint engine: file discovery, parsing, pass dispatch, filtering.
 
-One :func:`run_lint` call walks the configured roots, parses every
-Python file once into a shared :class:`SourceModule`, runs every enabled
-rule's module hook, builds the whole-program
-:class:`~repro.lint.graph.ProjectGraph` once (only when an enabled rule
-has a graph hook) and runs the graph hooks over it.  Path operands
-narrow which files findings are *reported* for, never what is loaded:
-whole-program facts do not localize.  The raw findings then pass one
+One :func:`run_lint` call walks the configured roots (or the path
+operands that replace them), parses every Python file once into a
+shared :class:`SourceModule` and runs every enabled rule over each.
+Every rule is local to one file, so an operand run parses only the
+files it names.  The raw findings then pass one
 filter, **inline suppressions** — ``# repro-lint: disable=<rule>[,<rule>]``
 on the flagged line (or ``disable`` with no ``=`` to suppress every rule
 on that line).  Suppressed findings are counted, never silently dropped.
@@ -22,10 +20,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .config import LintConfig, LintUsageError
 from .findings import Finding
-from .graph import ProjectGraph
 from .names import ImportMap
 from .passes import load_builtin_passes
-from .passes.base import LintPass, registered_passes
+from .passes.base import registered_passes
 
 __all__ = ["LintResult", "SourceModule", "load_modules", "run_lint"]
 
@@ -136,16 +133,16 @@ def parse_module(path: str, root: str) -> SourceModule:
 
 
 def load_modules(
-    config: LintConfig, extra: Sequence[str] = ()
+    config: LintConfig, paths: Optional[Sequence[str]] = None
 ) -> Tuple[List[SourceModule], List[Finding]]:
-    """Parse the configured roots plus the ``extra`` files, once each.
+    """Parse every file :func:`discover_files` finds, once each.
 
     Returns the parsed modules and one ``parse-error`` finding per file
     that does not parse.
     """
     modules: List[SourceModule] = []
     errors: List[Finding] = []
-    for path in sorted(set(discover_files(config)) | set(extra)):
+    for path in discover_files(config, paths):
         try:
             modules.append(parse_module(path, config.root))
         except SyntaxError as err:
@@ -170,10 +167,9 @@ def run_lint(
 ) -> LintResult:
     """Run every selected rule (default: all) over the configured roots.
 
-    ``paths`` (CLI operands) narrow *reporting* to the files they name;
-    the modules and the program graph always cover the configured roots,
-    because a seed tainted three modules away still taints this file's
-    sink.
+    ``paths`` (CLI operands) replace the roots for this run: only the
+    files they name are parsed and checked, including files outside the
+    roots.
     """
     load_builtin_passes()
     known = registered_passes()
@@ -187,28 +183,10 @@ def run_lint(
         cls() for rule, cls in known.items() if rules is None or rule in rules
     ]
 
-    # Operands outside the roots are loaded too: `repro lint /x.py`
-    # checks that file.
-    operands = discover_files(config, paths) if paths else []
-    modules, raw = load_modules(config, operands)
-    reported: Optional[Set[str]] = (
-        {_rel_posix(path, config.root) for path in operands} if paths else None
-    )
-
+    modules, raw = load_modules(config, paths)
     for rule in enabled:
         for module in modules:
-            if reported is None or module.rel in reported:
-                raw.extend(rule.check_module(module, config))
-    graph_rules = [
-        rule for rule in enabled
-        if type(rule).check_graph is not LintPass.check_graph
-    ]
-    if graph_rules:
-        graph = ProjectGraph(modules)
-        for rule in graph_rules:
-            raw.extend(rule.check_graph(graph, config))
-    if reported is not None:
-        raw = [f for f in raw if f.path in reported]
+            raw.extend(rule.check_module(module, config))
     raw.sort()
 
     module_by_rel = {m.rel: m for m in modules}

@@ -1,16 +1,14 @@
 """The :class:`Finding` record every lint pass emits.
 
 A finding pins one invariant violation to a source location.  Findings
-are value objects: the engine sorts, deduplicates, baselines and
-serializes them, so they are frozen and carry a stable :meth:`identity`
-(rule, path, message) that survives unrelated line-number drift — the
-committed baseline matches on identity, not on line numbers.
+are value objects: the engine sorts and serializes them, so they are
+frozen and order by path, line, column and rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 __all__ = ["Finding", "SEVERITIES"]
 
@@ -45,10 +43,6 @@ class Finding:
     severity: str = field(default="error", compare=False)
     message: str = field(default="", compare=False)
     hint: str = field(default="", compare=False)
-
-    def identity(self) -> Tuple[str, str, str]:
-        """Baseline-matching key: stable across line-number drift."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -70,3 +70,13 @@ class ImportMap:
         if dotted is None:
             return None
         return self.resolve(dotted)
+
+    def bare_call(self, call: ast.Call) -> Optional[str]:
+        """Callee of ``name(...)`` when no import binds ``name``.
+
+        That is how a builtin such as ``hash`` or ``id`` is called.
+        """
+        func = call.func
+        if isinstance(func, ast.Name) and func.id not in self.bindings:
+            return func.id
+        return None

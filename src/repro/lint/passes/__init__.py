@@ -22,8 +22,6 @@ def load_builtin_passes() -> None:
         return
     from . import (  # noqa: F401  (imported for registration side effect)
         global_rng,
-        pool_safety,
-        seed_flow,
         typed_errors,
         unordered_iter,
         wall_clock,

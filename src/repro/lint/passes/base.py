@@ -1,14 +1,9 @@
 """Lint pass protocol and registry.
 
-A pass is a class with a ``rule`` id and one or both hooks:
-
-* :meth:`LintPass.check_module` — called once per file the run reports
-  on, for local rules (RNG discipline, wall-clock bans, raise hygiene,
-  one watched file against the salt manifest);
-* :meth:`LintPass.check_graph` — called once with the whole-program
-  :class:`~repro.lint.graph.ProjectGraph`, for rules that follow call
-  chains across files (seed flow, pool-worker safety).  The engine
-  builds the graph only when an enabled rule overrides this hook.
+A pass is a class with a ``rule`` id and one hook,
+:meth:`LintPass.check_module`, called once per file the run checks.
+Every rule is local to that file (RNG discipline, wall-clock and
+seed-source bans, raise hygiene, set order in key functions).
 
 Passes register themselves with :func:`register`; the engine
 instantiates every registered pass per run, so passes may keep per-run
@@ -24,7 +19,6 @@ from ..findings import Finding
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import LintConfig
     from ..engine import SourceModule
-    from ..graph import ProjectGraph
 
 __all__ = ["LintPass", "register", "registered_passes"]
 
@@ -58,11 +52,6 @@ class LintPass:
 
     def check_module(
         self, module: "SourceModule", config: "LintConfig"
-    ) -> Iterable[Finding]:
-        return ()
-
-    def check_graph(
-        self, graph: "ProjectGraph", config: "LintConfig"
     ) -> Iterable[Finding]:
         return ()
 

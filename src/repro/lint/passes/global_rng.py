@@ -8,10 +8,17 @@ sneaks in:
 
 * **module-state RNGs** — any call into ``numpy.random`` other than the
   explicit-generator constructors (``default_rng``, ``Generator``, bit
-  generators, ``SeedSequence``), and any use of the stdlib ``random``
-  module at all;
+  generators, ``SeedSequence``), any use of the stdlib ``random``
+  module at all, and a generator assigned at module top level: it is
+  process-shared state, so in a pool its draws depend on which tasks
+  ran in that worker before, not on the payload seed;
 * **seedless generators** — ``default_rng()`` or ``default_rng(None)``,
-  which draw OS entropy and differ run to run.
+  which draw OS entropy and differ run to run;
+* **process-relative seeds** — a seed constructor whose argument
+  contains ``id()`` (an address) or a monotonic timer read.  Those calls
+  are fine elsewhere (an in-process dict key, a duration), so they are
+  flagged only inside a seed.  Other ambient seeds (``hash()``, the
+  process id, the wall clock) are ``wall-clock`` findings at the read.
 
 Annotations like ``np.random.Generator`` are attribute accesses, not
 calls, and are always allowed.
@@ -38,6 +45,44 @@ SEEDABLE_NUMPY_RANDOM = {
     "numpy.random.MT19937",
 }
 
+#: Constructors whose argument is a seed.  (Every stdlib ``random``
+#: call is already a finding.)
+SEED_SINKS = SEEDABLE_NUMPY_RANDOM - {
+    "numpy.random.Generator",
+    "numpy.random.BitGenerator",
+}
+
+#: Constructors that build a generator (banned at module top level).
+GENERATOR_MAKERS = {"numpy.random.default_rng", "numpy.random.Generator"}
+
+#: Monotonic timers: relative to an unspecified per-process start.
+PROCESS_RELATIVE_CALLS = {
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+}
+
+
+def _process_relative_source(module, call: ast.Call) -> str:
+    """What in a seed sink's arguments varies per process ('' if none).
+
+    A nested seed sink is not entered: it is checked at its own call.
+    """
+    stack = list(call.args) + [kw.value for kw in call.keywords]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Call):
+            resolved = module.imports.resolve_call(node)
+            if resolved in SEED_SINKS:
+                continue
+            if resolved in PROCESS_RELATIVE_CALLS:
+                return f"{resolved}()"
+            if module.imports.bare_call(node) == "id":
+                return "id()"
+        stack.extend(ast.iter_child_nodes(node))
+    return ""
+
 
 def _is_seedless(call: ast.Call) -> bool:
     if call.keywords:
@@ -57,11 +102,29 @@ def _is_seedless(call: ast.Call) -> bool:
 class GlobalRngPass(LintPass):
     rule = "global-rng"
     description = (
-        "forbid module-state RNGs (np.random.*, stdlib random) and "
-        "seedless default_rng(); determinism needs explicit seeded generators"
+        "forbid module-state RNGs (np.random.*, stdlib random, module-level "
+        "generators), seedless default_rng() and seeds from id() or "
+        "monotonic timers; determinism needs explicit seeded generators"
     )
 
     def check_module(self, module, config) -> Iterable[Finding]:
+        for statement in module.tree.body:
+            if not isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                continue
+            value = statement.value
+            if (
+                isinstance(value, ast.Call)
+                and module.imports.resolve_call(value) in GENERATOR_MAKERS
+            ):
+                yield self.finding(
+                    module,
+                    statement,
+                    "module-level generator is process-shared state: "
+                    "its draws depend on what ran before in this process, "
+                    "not on an explicit seed",
+                    hint="construct the generator where it is used, from a "
+                    "seed passed in",
+                )
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -86,6 +149,11 @@ class GlobalRngPass(LintPass):
                 resolved = module.imports.resolve_call(node)
                 if resolved is None:
                     continue
+                source = (
+                    _process_relative_source(module, node)
+                    if resolved in SEED_SINKS
+                    else ""
+                )
                 if resolved == "numpy.random.default_rng" and _is_seedless(node):
                     yield self.finding(
                         module,
@@ -93,6 +161,16 @@ class GlobalRngPass(LintPass):
                         "seedless default_rng() draws OS entropy and is "
                         "nondeterministic",
                         hint="pass an explicit seed: default_rng(seed)",
+                    )
+                elif source:
+                    yield self.finding(
+                        module,
+                        node,
+                        f"seed derives from {source}, which differs between "
+                        "processes and runs",
+                        hint="derive seeds from explicit run inputs (base "
+                        "seed + structural indices, "
+                        "repro.seeding.stable_text_seed for text)",
                     )
                 elif (
                     resolved.startswith("numpy.random.")

@@ -1,16 +1,19 @@
 """Rule ``wall-clock``: no ambient nondeterminism, anywhere.
 
-Results, cache keys, fingerprints and checkpoints must depend only on
-explicit inputs.  Wall-clock reads (``time.time``, ``datetime.now``),
-OS entropy (``os.urandom``) and UUIDs are ambient state: two identical
-runs observe different values, which silently poisons anything they
-touch.  Monotonic timers (``time.perf_counter``/``monotonic``) are fine
-— they measure durations, they don't stamp results.
+Results, cache keys, fingerprints, checkpoints and seeds must depend
+only on explicit inputs.  Wall-clock reads (``time.time``,
+``datetime.now``), OS entropy (``os.urandom``, ``secrets``), UUIDs, the
+process id (``os.getpid``) and the builtin ``hash()`` (salted per
+process for ``str`` and ``bytes``) are ambient state: two identical runs,
+or two pool workers, observe different values, which silently poisons
+anything they touch.  Monotonic timers (``time.perf_counter``/
+``monotonic``) are fine — they measure durations, they don't stamp
+results; ``global-rng`` flags one used as a seed.
 
 The rule owns these calls everywhere: a seed derived from one, or a
 pool worker reaching one, is reported here, once, at the read.  The
-observability layer legitimately needs one wall-clock epoch to rebase
-worker traces; such sanctioned sites carry an inline
+few sanctioned sites (the tracer's wall-clock epoch, the ledger's
+timestamp, a heartbeat stamp, a self-kill) carry an inline
 ``# repro-lint: disable=wall-clock`` suppression with a rationale.
 """
 
@@ -22,9 +25,11 @@ from typing import Iterable
 from ..findings import Finding
 from .base import LintPass, register
 
-#: Ambient-state calls forbidden everywhere.  ``datetime.datetime.now``
-#: covers ``from datetime import datetime; datetime.now()`` after import
-#: resolution; naming the class path also catches ``import datetime``.
+#: Ambient-state calls forbidden everywhere, plus every ``secrets.*``
+#: call.  ``datetime.datetime.now`` covers ``from datetime import
+#: datetime; datetime.now()`` after import resolution; naming the class
+#: path also catches ``import datetime``.  ``hash`` is the builtin,
+#: matched by its bare name.
 WALL_CLOCK_CALLS = {
     "time.time",
     "time.time_ns",
@@ -33,8 +38,10 @@ WALL_CLOCK_CALLS = {
     "datetime.datetime.today",
     "datetime.date.today",
     "os.urandom",
+    "os.getpid",
     "uuid.uuid1",
     "uuid.uuid4",
+    "hash",
 }
 
 
@@ -42,8 +49,8 @@ WALL_CLOCK_CALLS = {
 class WallClockPass(LintPass):
     rule = "wall-clock"
     description = (
-        "forbid wall-clock/OS-entropy reads (time.time, datetime.now, "
-        "os.urandom, uuid4)"
+        "forbid wall-clock/OS-entropy/process-state reads (time.time, "
+        "datetime.now, os.urandom, uuid4, secrets, os.getpid, hash())"
     )
 
     def check_module(self, module, config) -> Iterable[Finding]:
@@ -51,13 +58,20 @@ class WallClockPass(LintPass):
             if not isinstance(node, ast.Call):
                 continue
             resolved = module.imports.resolve_call(node)
-            if resolved in WALL_CLOCK_CALLS:
-                yield self.finding(
-                    module,
-                    node,
-                    f"'{resolved}' reads ambient wall-clock/OS state; "
-                    "results must depend only on explicit inputs",
-                    hint="use a monotonic timer for durations, or pass the "
-                    "value in; sanctioned sites add "
-                    "'# repro-lint: disable=wall-clock' with a rationale",
-                )
+            if resolved is None and module.imports.bare_call(node) == "hash":
+                resolved = "hash"
+            if not (
+                resolved in WALL_CLOCK_CALLS
+                or (resolved or "").startswith("secrets.")
+            ):
+                continue
+            yield self.finding(
+                module,
+                node,
+                f"'{resolved}' reads ambient wall-clock/OS/process state; "
+                "results must depend only on explicit inputs",
+                hint="use a monotonic timer for durations, "
+                "repro.seeding.stable_text_seed for text, or pass the "
+                "value in; sanctioned sites add "
+                "'# repro-lint: disable=wall-clock' with a rationale",
+            )

@@ -36,7 +36,7 @@ def cache_handle(cls: type, root: str) -> Any:
         # Result-neutral: memoizes the *handle* to a content-addressed
         # store keyed only by its root path; hits/misses change timing,
         # never any returned number.
-        _HANDLES[(cls, handle.root)] = handle  # repro-lint: disable=pool-safety
+        _HANDLES[(cls, handle.root)] = handle
     return handle
 
 

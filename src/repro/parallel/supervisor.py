@@ -172,7 +172,9 @@ def _supervised_invoke(spec: _TaskSpec) -> Dict:
     """
     if spec.heartbeat_dir:
         try:
-            stamp = f"{os.getpid()} {time.monotonic():.6f}"
+            # The pid names the worker to supervision; it never reaches
+            # a result, key or seed.
+            stamp = f"{os.getpid()} {time.monotonic():.6f}"  # repro-lint: disable=wall-clock
             with open(
                 _heartbeat_path(spec.heartbeat_dir, spec.index, spec.attempt), "w"
             ) as fh:
@@ -248,8 +250,11 @@ class _Supervisor:
         return self.executor
 
     def _teardown_pool(self) -> None:
+        # No cancel_futures: at most ``jobs`` tasks are ever submitted, so
+        # there is nothing queued to cancel, and on CPython 3.11 a
+        # cancelling shutdown after a task failed to pickle deadlocks.
         if self.executor is not None:
-            self.executor.shutdown(wait=True, cancel_futures=True)
+            self.executor.shutdown(wait=True)
             self.executor = None
 
     # -- dispatch ------------------------------------------------------------

@@ -388,7 +388,8 @@ class FaultInjector:
 
         decision = self.worker_decision(index, attempt)
         if decision.kind == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
+            # Kills this worker on purpose; the pid is read, never kept.
+            os.kill(os.getpid(), signal.SIGKILL)  # repro-lint: disable=wall-clock
         elif decision.kind == "stall" and decision.delay > 0:
             time.sleep(decision.delay)
 

@@ -2,8 +2,8 @@
 
 ``hash(str)`` is salted per interpreter process (``PYTHONHASHSEED``),
 so a seed like ``hash(name) ^ base_seed`` draws *different* values in
-every run and in every pool worker started under a different salt — the
-exact failure mode the ``seed-flow`` analysis rule exists to catch.
+every run and in every pool worker started under a different salt, so
+``repro lint``'s ``wall-clock`` rule flags every ``hash()`` call.
 These helpers are the sanctioned replacement: same text, same seed, in
 every process, forever.
 """

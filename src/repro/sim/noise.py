@@ -483,9 +483,9 @@ def _self_check_failed() -> bool:
             reference = np.array(
                 [np.random.default_rng(int(k)).standard_normal() for k in keys]
             )
-            _fallback = not np.array_equal(batched, reference)  # repro-lint: disable=pool-safety
+            _fallback = not np.array_equal(batched, reference)
         except Exception:  # pragma: no cover - ultra-defensive
-            _fallback = True  # repro-lint: disable=pool-safety
+            _fallback = True
     return _fallback
 
 

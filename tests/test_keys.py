@@ -9,6 +9,7 @@ changing a non-exempt field must change the key, changing a
 import copy
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -80,6 +81,34 @@ class TestFieldCoverage:
         assert derive_key(Tuned()) != derive_key(FidelityPolicy())
         assert derive_key(Tuned()) != derive_key(Tuned(extra=1))
 
+    def test_exempting_a_real_field_without_a_reason_fails_at_import(
+        self, tmp_path
+    ):
+        """Taking ``gap_safety`` out of FidelityPolicy's key needs a
+        written reason: on a copy of the tree, an empty one fails at
+        import, with no config file involved."""
+        root = tmp_path / "repo"
+        shutil.copytree(SRC, root / "src")
+        fidelity = root / "src" / "repro" / "core" / "fidelity.py"
+        text = fidelity.read_text()
+        declared = "    gap_safety: float = 1.25\n"
+        assert declared in text
+        fidelity.write_text(
+            text.replace(
+                declared,
+                '    gap_safety: float = key_exempt("", default=1.25)\n',
+            ).replace(
+                "from .stem import", "from ..keys import key_exempt\nfrom .stem import"
+            )
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.core.fidelity"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert "key_exempt() needs a reason" in proc.stderr
+
 
 class TestEncoding:
     def test_key_exempt_needs_a_reason(self):
@@ -96,6 +125,24 @@ class TestEncoding:
     def test_values_without_canonical_form_raise(self, value):
         with pytest.raises(TypeError, match="no canonical form"):
             derive_key(("ok", value))
+
+    def test_declared_entries_are_checked_strictly(self):
+        """The refusal names what could not be keyed, inside a dataclass
+        field too, instead of keying it by ``repr``."""
+
+        @dataclasses.dataclass
+        class Plain:
+            depth: int = 1
+            width: object = 2
+
+        class ReprPlain:
+            def __init__(self, depth):
+                self.depth = depth
+
+        with pytest.raises(TypeError, match="ReprPlain"):
+            derive_key(ReprPlain(1))
+        with pytest.raises(TypeError, match="set"):
+            derive_key(Plain(width={1, 2}))
 
 
 class TestCanonicalHashing:

@@ -4,26 +4,23 @@ Covers: every built-in rule firing on its fixture (and staying silent on
 the clean counterparts), inline suppressions (the one sanction), the CLI
 exit-code contract (0 clean / 1 findings / 2 internal error), removed
 flags and config keys failing loudly, the JSON report schema, path
-operands narrowing reporting but not loading, and the exact finding sets
-on both fixture projects and the repository.  Fixtures live in
+operands replacing the configured roots, and the exact finding sets on
+the fixture project and the repository.  Fixtures live in
 ``tests/lint_fixtures/`` as a self-contained project with its own
-pyproject.toml; the whole-program rules have a second fixture project,
-exercised in ``tests/test_analyze.py``.
+pyproject.toml.
 
 Cache-key completeness is no rule at all any more: keys are derived
 from dataclass fields (:mod:`repro.keys`), and
 ``TestCacheKeyCompleteness`` pins that derivation.  Neither is the
 sim-version salt: the sim-result cache salt is derived from the
 simulator source, and ``TestSimVersionSalt`` pins that derivation.
-``--changed`` is gone too; ``TestLintChanged`` runs its replacement,
-the changed files passed as path operands.
+``--changed`` is gone too: pass the changed files as path operands.
 """
 
 import dataclasses
 import json
 import os
 import shutil
-import subprocess
 import textwrap
 from pathlib import Path
 
@@ -52,18 +49,11 @@ if lint_config.tomllib is None:  # pragma: no cover - 3.9/3.10 without tomli
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 FIXTURE_CONFIG = str(FIXTURES / "pyproject.toml")
-ANALYSIS_FIXTURES = Path(__file__).parent / "analysis_fixtures"
 REPO_CONFIG = str(REPO_ROOT / "pyproject.toml")
 
-#: Rules with a violating fixture in ``tests/lint_fixtures/``.
-FIXTURE_RULES = {
-    "global-rng",
-    "wall-clock",
-    "typed-errors",
-    "unordered-iteration",
-    "pool-safety",
-}
-ALL_RULES = FIXTURE_RULES | {"seed-flow"}
+#: Every built-in rule; each has a violating fixture in
+#: ``tests/lint_fixtures/``.
+RULES = {"global-rng", "wall-clock", "typed-errors", "unordered-iteration"}
 
 
 def lint_fixture(*paths, **kwargs):
@@ -80,64 +70,56 @@ def lines_for(result, rule, path=None):
 
 
 class TestPasses:
-    def test_registry_has_exactly_six_rules(self):
+    def test_registry_has_exactly_four_rules(self):
         load_builtin_passes()
-        assert set(registered_passes()) == ALL_RULES
-        assert len(ALL_RULES) == 6
+        assert set(registered_passes()) == RULES
+        assert len(RULES) == 4
 
     def test_global_rng_fires(self):
         result = lint_fixture("bad_rng.py")
         assert {f.rule for f in result.findings} == {"global-rng"}
-        assert lines_for(result, "global-rng") == [3, 9, 10, 15, 19]
+        assert lines_for(result, "global-rng") == [3, 8, 12, 13, 18, 22, 26, 31]
 
     def test_global_rng_allows_annotations_and_seeded_generators(self):
         result = lint_fixture("bad_rng.py")
-        # `fine()` (lines 22-25) uses np.random.Generator annotation,
-        # seeded default_rng and instance draws: none may fire.
-        assert all(f.line < 22 for f in result.findings)
+        # `fine()` (lines 34-40) uses np.random.Generator annotation,
+        # seeded default_rng, instance draws, an id() dict key and a
+        # perf_counter duration: none may fire.
+        assert all(f.line < 34 for f in result.findings)
+
+    def test_global_rng_names_the_seed_source(self):
+        result = lint_fixture("bad_rng.py")
+        messages = {f.line: f.message for f in result.findings}
+        assert "module-level generator" in messages[8]
+        assert "seed derives from id()" in messages[26]
+        assert "seed derives from time.perf_counter()" in messages[31]
 
     def test_wall_clock_fires(self):
         result = lint_fixture("bad_wallclock.py")
         assert {f.rule for f in result.findings} == {"wall-clock"}
-        assert lines_for(result, "wall-clock") == [10, 11, 12, 13]
+        assert lines_for(result, "wall-clock") == [13, 14, 15, 16, 17, 18, 24]
 
     def test_wall_clock_allows_monotonic_timers(self):
         result = lint_fixture("bad_wallclock.py")
-        assert all(f.line < 17 for f in result.findings)
+        assert all(f.line < 27 for f in result.findings)
 
     def test_typed_errors_fires(self):
         result = lint_fixture("bad_errors.py")
         assert {f.rule for f in result.findings} == {"typed-errors"}
         assert lines_for(result, "typed-errors") == [6, 7, 13]
 
-    def test_pool_safety_fires_on_lambda_closure_and_keyword(self):
-        result = lint_fixture("bad_pool.py")
-        assert {f.rule for f in result.findings} == {"pool-safety"}
-        assert lines_for(result, "pool-safety") == [11, 18, 22]
-
-    def test_pool_safety_allows_module_level_worker_and_on_result(self):
-        result = lint_fixture("bad_pool.py")
-        assert all(f.line < 25 for f in result.findings)
-
-    def test_pool_safety_ignores_module_level_name_shared_with_nested_def(self):
-        # `shared_name` exists both at module level and as a nested def
-        # elsewhere; passing it to run_tasks resolves to the picklable
-        # module-level function and must not fire.
-        result = lint_fixture("bad_pool.py")
-        assert not any("shared_name" in f.message for f in result.findings)
-
     def test_one_defect_one_finding(self):
-        """A worker reaching time.time() and np.random.rand() two calls
-        deep: each line carries one finding, from the rule that bans the
-        call everywhere, and pool-safety adds none."""
-        result = lint_fixture("bad_pool_ambient.py")
-        assert sorted((f.line, f.rule) for f in result.findings) == [
-            (17, "wall-clock"), (21, "global-rng"),
-        ]
-
-    def test_pool_safety_fires_on_execute_grid_lambda(self):
-        result = lint_fixture("bad_pool_grid.py")
-        assert lines_for(result, "pool-safety") == [7]
+        """A seed from hash() is one wall-clock finding at the read, not a
+        second global-rng one at the sink; a timer seed passed through a
+        nested SeedSequence is one global-rng finding, at the inner
+        constructor."""
+        result = lint_fixture("bad_wallclock.py", "bad_rng.py")
+        lines = [(f.path, f.line) for f in result.findings]
+        assert len(lines) == len(set(lines))
+        assert [
+            (f.rule, f.col) for f in result.findings
+            if (f.path, f.line) in {("bad_wallclock.py", 24), ("bad_rng.py", 31)}
+        ] == [("global-rng", 33), ("wall-clock", 33)]
 
     def test_unordered_iteration_fires(self):
         result = lint_fixture("bad_setiter.py")
@@ -243,7 +225,7 @@ class TestCli:
             assert set(finding) == {
                 "rule", "severity", "path", "line", "col", "message", "hint",
             }
-        assert set(counts["by_rule"]) == FIXTURE_RULES
+        assert set(counts["by_rule"]) == RULES
 
     def test_out_writes_json_artifact(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -271,8 +253,8 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ALL_RULES:
-            assert rule in out
+        listed = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert listed == RULES
 
     def test_analyze_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -289,7 +271,7 @@ class TestCli:
             ("changed-ref", 'changed-ref = "x"'),
             ("baseline", 'baseline = "baseline.json"'),
             ("exclude", "exclude = []"),
-            ("disable", 'disable = ["pool-safety"]'),
+            ("disable", 'disable = ["wall-clock"]'),
             ("sim-version-salt",
              '[tool.repro.lint.sim-version-salt]\nwatch = ["."]'),
         ):
@@ -346,6 +328,24 @@ class TestCli:
             ("wall-clock", 3)
         ]
         assert payload["findings"][0]["path"].endswith("elsewhere.py")
+
+    def test_path_operands_are_all_that_is_parsed(self, tmp_path, capsys):
+        """Linting what a change touched (``git diff --name-only <ref> --
+        '*.py' | xargs repro lint``): only the operands are parsed, so a
+        file outside them that does not even parse is never read."""
+        (tmp_path / "pyproject.toml").write_text("[tool.repro.lint]\npaths = [\".\"]\n")
+        (tmp_path / "broken.py").write_text("def oops(:\n")
+        (tmp_path / "touched.py").write_text("import os\n\nPID = os.getpid()\n")
+        status = main([
+            "lint", "--config", str(tmp_path / "pyproject.toml"),
+            "--format", "json", str(tmp_path / "touched.py"),
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert status == 1
+        assert payload["counts"]["files"] == 1
+        assert [(f["path"], f["rule"], f["line"]) for f in payload["findings"]] == [
+            ("touched.py", "wall-clock", 3)
+        ]
 
     def test_parse_error_is_a_finding(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text("[tool.repro.lint]\npaths = [\".\"]\n")
@@ -416,78 +416,19 @@ class TestSimVersionSalt:
         assert source_digest(str(sim_dir)) != before
 
 
-class TestLintChanged:
-    """Linting what a change touched: pass the changed files as path
-    operands (``git diff --name-only <ref> -- '*.py' | xargs repro lint``).
-    The whole graph is still loaded, so taint through unchanged modules
-    is found."""
-
-    def _git(self, *argv, cwd):
-        return subprocess.run(
-            ["git", *argv], cwd=cwd, check=True, capture_output=True,
-            text=True,
-        ).stdout
-
-    def test_changed_sink_reports_taint_from_unchanged_source(
-        self, tmp_path, capsys
-    ):
-        """Touching only the sink module still reports the seed-flow
-        taint whose source lives in an unchanged module."""
-        root = tmp_path / "proj"
-        shutil.copytree(ANALYSIS_FIXTURES, root)
-        self._git("init", "-q", cwd=root)
-        self._git("add", "-A", cwd=root)
-        self._git(
-            "-c", "user.email=t@example.com", "-c", "user.name=t",
-            "commit", "-q", "-m", "seed", cwd=root,
-        )
-        build = root / "seedpkg" / "build.py"
-        build.write_text(build.read_text() + "\n# touched\n")
-        changed = self._git(
-            "diff", "--name-only", "HEAD", "--", "*.py", cwd=root
-        ).split()
-        assert changed == ["seedpkg/build.py"]
-        status = main([
-            "lint", "--config", str(root / "pyproject.toml"),
-            "--format", "json", *(str(root / name) for name in changed),
-        ])
-        payload = json.loads(capsys.readouterr().out)
-        assert status == 1
-        assert {f["path"] for f in payload["findings"]} == {"seedpkg/build.py"}
-        via = [
-            f for f in payload["findings"]
-            if f["rule"] == "seed-flow" and f["line"] == 21
-        ]
-        assert len(via) == 1 and "via pid_seed()" in via[0]["message"]
-
-
 class TestFixtureUnion:
-    """One run finds exactly what the module rules and the whole-program
-    rules found as two separate tools."""
+    """One run over the fixture project finds exactly what each rule
+    finds on its own fixture."""
 
     def test_lint_fixtures(self, capsys):
         assert main(["lint", "--config", FIXTURE_CONFIG,
                      "--format", "json"]) == 1
         counts = json.loads(capsys.readouterr().out)["counts"]
-        assert counts["findings"] == 23 and counts["suppressed"] == 2
+        assert counts["findings"] == 22 and counts["suppressed"] == 2
         assert counts["by_rule"] == {
-            "global-rng": 6, "pool-safety": 5, "typed-errors": 3,
-            "unordered-iteration": 3, "wall-clock": 6,
+            "global-rng": 8, "typed-errors": 3,
+            "unordered-iteration": 3, "wall-clock": 8,
         }
-
-    def test_analysis_fixtures(self, capsys):
-        config = str(ANALYSIS_FIXTURES / "pyproject.toml")
-        assert main(["lint", "--config", config,
-                     "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["findings"] == 7
-        assert payload["counts"]["by_rule"] == {
-            "pool-safety": 2, "seed-flow": 3, "wall-clock": 2,
-        }
-        assert sorted(
-            (f["path"], f["line"])
-            for f in payload["findings"] if f["rule"] == "wall-clock"
-        ) == [("seedpkg/build.py", 16), ("seedpkg/clock.py", 7)]
 
 
 class TestRepoIsClean:
@@ -495,12 +436,12 @@ class TestRepoIsClean:
         """Zero findings over src/ — the CI gate, as a test."""
         result = run_lint(load_config(REPO_CONFIG))
         assert result.findings == [], [f.format_text() for f in result.findings]
-        # The sanctioned sites stay visible in the counts: the tracer
-        # epoch and the ledger timestamp (wall-clock) and three reviewed
-        # pool-safety effect sites, one of which (the cache-handle
-        # registry) both pool workers reach.  Inline suppressions are
-        # the only sanction; there is no baseline.
-        assert result.suppressed == 6
+        # The sanctioned wall-clock sites stay visible in the counts:
+        # the tracer epoch, the ledger timestamp, the supervisor's
+        # heartbeat pid and the fault injector's self-kill.  Inline
+        # suppressions are the only sanction; there is no baseline file.
+        assert result.suppressed == 4
+        assert not list(REPO_ROOT.glob("*baseline*.json"))
 
     def test_repo_keyed_dataclasses_resolve(self):
         """Every object a cache or checkpoint keys has a canonical form:

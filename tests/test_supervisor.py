@@ -30,6 +30,9 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -169,6 +172,42 @@ class TestWorkerDeathRecovery:
 
         with pytest.raises(ValueError, match="poison"):
             run_tasks(_fail_on_two, [1, 2, 3], jobs=2)
+
+    def test_unpicklable_worker_raises_instead_of_hanging(self, tmp_path):
+        """A closure cannot be pickled to a pool worker.  Pool safety has
+        no static check, so every test that runs a pool must fail on
+        one, not hang.  Run in its own session, so a hang is a failure
+        that leaves no worker behind."""
+        script = textwrap.dedent("""
+            from repro.parallel import run_tasks
+
+            def dispatch(factor):
+                def scaled(x):
+                    return x * factor
+                return run_tasks(scaled, [1, 2, 3], jobs=2)
+
+            for _ in range(8):  # the old deadlock was a race: retry
+                try:
+                    dispatch(2)
+                except Exception as err:
+                    print(type(err).__name__, err)
+        """)
+        out = tmp_path / "out.txt"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        with open(out, "w") as fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", script], stdout=fh,
+                stderr=subprocess.STDOUT, env=env, start_new_session=True,
+            )
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                pytest.fail("run_tasks hung on an unpicklable worker")
+        assert proc.returncode == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 8 and all("pickle" in line for line in lines)
 
 
 def _fail_on_two(x):
