@@ -4,8 +4,6 @@ from .bootstrap import BootstrapInterval, bootstrap_estimate
 from .budget import BudgetPlan, epsilon_for_budget, plan_for_budget
 from .clustering import KMeansResult, count_kde_peaks, kmeans, kmeans_1d, silhouette_score
 from .error_model import (
-    combine_fidelity_bound,
-    plan_error_bound,
     union_error_bound,
     verify_fidelity_bound,
     verify_union_theorem,
@@ -34,6 +32,7 @@ from .stem import (
     DEFAULT_EPSILON,
     DEFAULT_Z,
     ClusterStats,
+    combine_fidelity_bound,
     error_bound_satisfied,
     kkt_sample_sizes,
     per_cluster_sample_sizes,
@@ -74,7 +73,6 @@ __all__ = [
     "estimate_metrics",
     "metric_error_percents",
     "sampling_error_percent",
-    "plan_error_bound",
     "ClusterReport",
     "SamplingReport",
     "build_report",

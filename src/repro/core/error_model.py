@@ -23,29 +23,10 @@ from .stem import (
 )
 
 __all__ = [
-    "plan_error_bound",
     "union_error_bound",
     "verify_union_theorem",
-    "combine_fidelity_bound",
     "verify_fidelity_bound",
 ]
-
-
-def plan_error_bound(
-    clusters: Sequence[ClusterStats],
-    sample_sizes: Sequence[int],
-    z: float = DEFAULT_Z,
-    fidelity_gap: float = 0.0,
-) -> float:
-    """Theoretical error (fraction) of an allocation: Eq. (4)/(5).
-
-    ``fidelity_gap`` widens the bound via
-    :func:`~repro.core.stem.combine_fidelity_bound` when the ground truth
-    the plan will be scored against is (partly) analytical.
-    """
-    return predicted_error_multi(
-        clusters, sample_sizes, z=z, fidelity_gap=fidelity_gap
-    )
 
 
 def union_error_bound(

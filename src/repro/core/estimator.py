@@ -19,7 +19,6 @@ import numpy as np
 from .. import obs
 from ..errors import EstimationError
 from ..profiling.metrics import COUNT_METRICS
-from .fidelity import FidelityTimes
 from .plan import SamplingPlan
 
 __all__ = ["SampledSimulationResult", "evaluate_plan", "estimate_metrics", "sampling_error_percent"]
@@ -54,18 +53,7 @@ def sampling_error_percent(estimated: float, truth: float) -> float:
 
 @dataclass(frozen=True)
 class SampledSimulationResult:
-    """Outcome of evaluating one plan against ground-truth times.
-
-    When the ground truth is a
-    :class:`~repro.core.fidelity.FidelityTimes`, the result carries the
-    fidelity provenance of *this* evaluation: ``fidelity_tiers`` maps
-    each cluster label to the tier that produced its estimate
-    (``cycle`` / ``analytical`` / ``mixed``) and ``fidelity`` is a
-    ledger-friendly summary.  Provenance lives here — one plan is often
-    evaluated against several ground truths (e.g. every DSE hardware
-    variant), and per-result fields cannot clobber each other the way a
-    single shared ``plan.metadata`` slot would.
-    """
+    """Outcome of evaluating one plan against ground-truth times."""
 
     method: str
     workload: str
@@ -75,8 +63,6 @@ class SampledSimulationResult:
     num_samples: int
     num_unique_samples: int
     num_clusters: int
-    fidelity_tiers: "Dict[str, str] | None" = None
-    fidelity: "Dict[str, object] | None" = None
 
     @property
     def error_percent(self) -> float:
@@ -102,27 +88,14 @@ class SampledSimulationResult:
 def evaluate_plan(plan: SamplingPlan, times: np.ndarray) -> SampledSimulationResult:
     """Score a sampling plan against per-invocation ground-truth times.
 
-    ``times`` may be a plain array (the legacy cycle-level path — left
-    byte-for-byte untouched) or a
-    :class:`~repro.core.fidelity.FidelityTimes`, in which case the
-    result records which fidelity tier produced each cluster's estimate
-    (``result.fidelity_tiers``) plus a run-ledger-friendly summary
-    (``result.fidelity``), so degraded/hybrid runs stay distinguishable.
-    The same summary is also filed under
-    ``plan.metadata["fidelity"][<label or mode>]`` — keyed by
-    ``FidelityTimes.label`` (e.g. the DSE variant) so evaluating one
-    plan against several ground truths accumulates one entry each
-    instead of overwriting a single slot.
+    ``times`` is a plain per-invocation array; a screened ground truth
+    passes its ``FidelityTimes.values``.  The plan is never mutated.
 
     Raises :class:`~repro.errors.EstimationError` when the plan and the
     ground truth disagree on the workload size — indexing a truth array
     of the wrong length would either crash deep inside numpy or, worse,
     silently score against the wrong invocations.
     """
-    fidelity: "FidelityTimes | None" = None
-    if isinstance(times, FidelityTimes):
-        fidelity = times
-        times = fidelity.values
     times = np.asarray(times)
     expected = plan.represented_invocations
     if plan.clusters and len(times) != expected:
@@ -131,36 +104,6 @@ def evaluate_plan(plan: SamplingPlan, times: np.ndarray) -> SampledSimulationRes
             f"invocations but the ground truth has {len(times)} entries; "
             "was the profile truncated, or built at a different scale?"
         )
-    tiers: "Dict[str, str] | None" = None
-    summary: "Dict[str, object] | None" = None
-    if fidelity is not None:
-        mask = fidelity.cycle_mask
-        tiers = {}
-        for cluster in plan.clusters:
-            sampled = np.asarray(cluster.sampled_indices, dtype=np.int64)
-            hits = int(mask[sampled].sum()) if len(sampled) else 0
-            if hits == len(sampled):
-                tiers[cluster.label] = "cycle"
-            elif hits == 0:
-                tiers[cluster.label] = "analytical"
-            else:
-                tiers[cluster.label] = "mixed"
-        summary = {
-            "mode": fidelity.mode,
-            "label": fidelity.label,
-            "gap": fidelity.gap,
-            "effective_gap": fidelity.effective_gap,
-            "cycle_share": 1.0 - fidelity.analytical_share,
-            "probes": fidelity.probes,
-            "escalations": fidelity.escalations,
-            "tiers": tiers,
-        }
-        # Keyed, not overwritten: one plan scored against N ground
-        # truths (one per DSE variant) keeps N distinct entries, so any
-        # later serialization of the plan stays faithful.
-        plan.metadata.setdefault("fidelity", {})[
-            fidelity.label or fidelity.mode
-        ] = summary
     with obs.span("sim.evaluate_plan", method=plan.method):
         true_total = float(np.sum(times))
         estimated = plan.estimate_total(times)
@@ -173,8 +116,6 @@ def evaluate_plan(plan: SamplingPlan, times: np.ndarray) -> SampledSimulationRes
             num_samples=plan.num_samples,
             num_unique_samples=len(plan.unique_indices()),
             num_clusters=plan.num_clusters,
-            fidelity_tiers=tiers,
-            fidelity=summary,
         )
     # The sampled simulation executes exactly the plan's unique kernels.
     obs.inc("sim.plan_evaluations")

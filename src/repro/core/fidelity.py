@@ -23,14 +23,15 @@ two-phase structure):
 4. **Account**: the reported fidelity gap ``g`` must bound the residual
    of *unseen* invocations, not just the probes, so it is tail-aware:
    probe residuals are measured out-of-sample (leave-one-out
-   calibration), their ``gap_quantile`` is extrapolated to the unseen
+   calibration), their ``GAP_QUANTILE`` is extrapolated to the unseen
    analytical population with an exponential-tail (peaks-over-threshold)
-   model, and the result is padded by ``gap_safety`` and floored at
-   ``min_gap``.  The gap folds into the reported ε via
-   :func:`~repro.core.stem.combine_fidelity_bound`, so the bound stays
-   an honest upper bound on error *versus cycle-level truth*, not versus
-   the screen — verified empirically across workloads, seeds and
-   hardware variants in ``tests/test_fidelity.py``.
+   model, and the result is padded by ``GAP_SAFETY`` and floored at
+   ``MIN_GAP``.  Callers fold ``FidelityTimes.effective_gap`` into the
+   reported ε with :func:`~repro.core.stem.combine_fidelity_bound`, the
+   one place ε and the gap combine, so the bound stays an honest upper
+   bound on error *versus cycle-level truth*, not versus the screen —
+   verified empirically across workloads, seeds and hardware variants
+   in ``tests/test_fidelity.py``.
 
 Every knob on :class:`FidelityPolicy` changes screened values, so all of
 them are part of its derived key (:func:`repro.keys.derive_key`), and a
@@ -46,10 +47,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from .stem import combine_fidelity_bound
 
 __all__ = [
     "FIDELITY_MODES",
+    "GAP_QUANTILE",
+    "GAP_SAFETY",
+    "MIN_GAP",
     "FidelityPolicy",
     "FidelityTimes",
     "probe_indices",
@@ -60,6 +63,19 @@ __all__ = [
 
 #: Recognized fidelity tiers for ground-truth generation.
 FIDELITY_MODES = ("cycle", "analytical", "hybrid")
+
+#: Quantile of the leave-one-out probe-residual distribution used as the
+#: base of the fidelity gap (1.0 = the max residual).  The base is then
+#: tail-extrapolated to the unseen analytical population — see
+#: :func:`tail_gap` — before the safety margin applies.
+GAP_QUANTILE = 1.0
+#: Multiplicative safety margin on the tail-extrapolated gap: the tail
+#: model is itself fitted from a sample, so the reported gap pads the
+#: extrapolation.
+GAP_SAFETY = 1.25
+#: Floor on the reported gap — an empirical gap of ~0 on a lucky probe
+#: set must not be reported as a zero-width bound.
+MIN_GAP = 0.01
 
 
 @dataclass(frozen=True)
@@ -80,18 +96,6 @@ class FidelityPolicy:
     #: Fraction of invocations escalated to cycle-level on top of the
     #: probes (hybrid mode only).
     escalation_budget: float = 0.05
-    #: Quantile of the leave-one-out probe-residual distribution used as
-    #: the base of the fidelity gap (1.0 = the max residual).  The base
-    #: is then tail-extrapolated to the unseen analytical population —
-    #: see :func:`tail_gap` — before the safety margin applies.
-    gap_quantile: float = 1.0
-    #: Multiplicative safety margin on the tail-extrapolated gap: the
-    #: tail model is itself fitted from a sample, so the reported gap
-    #: pads the extrapolation.
-    gap_safety: float = 1.25
-    #: Floor on the reported gap — an empirical gap of ~0 on a lucky
-    #: probe set must not be reported as a zero-width bound.
-    min_gap: float = 0.01
 
     def __post_init__(self) -> None:
         if self.mode not in FIDELITY_MODES:
@@ -102,12 +106,6 @@ class FidelityPolicy:
             raise ValueError("probe_count must be at least 2")
         if not 0.0 <= self.escalation_budget <= 1.0:
             raise ValueError("escalation_budget must be within [0, 1]")
-        if not 0.0 < self.gap_quantile <= 1.0:
-            raise ValueError("gap_quantile must be within (0, 1]")
-        if self.gap_safety < 1.0:
-            raise ValueError("gap_safety must be >= 1")
-        if self.min_gap < 0.0:
-            raise ValueError("min_gap must be non-negative")
 
 
 @dataclass
@@ -136,10 +134,6 @@ class FidelityTimes:
     #: the measured out-of-sample fidelity-gap distribution the reported
     #: gap is extrapolated from, kept for reporting.
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: Caller-set provenance key (e.g. the DSE variant label) so one
-    #: plan evaluated against several ground truths records each
-    #: evaluation's fidelity separately instead of clobbering one slot.
-    label: str = ""
 
     def __len__(self) -> int:
         return len(self.values)
@@ -170,10 +164,6 @@ class FidelityTimes:
         share = self.analytical_share * (1.0 + self.gap) / (1.0 - self.gap)
         return self.gap * min(1.0, share)
 
-    def error_bound(self, epsilon: float) -> float:
-        """Honest combined bound versus cycle-level truth."""
-        return combine_fidelity_bound(epsilon, self.effective_gap)
-
 
 def probe_indices(workload, policy: FidelityPolicy) -> np.ndarray:
     """Deterministic seeded probe set: strided picks per kernel name.
@@ -197,30 +187,6 @@ def probe_indices(workload, policy: FidelityPolicy) -> np.ndarray:
     return np.unique(np.concatenate(picks))
 
 
-def _calibration_scales(
-    workload,
-    probes: np.ndarray,
-    probe_cycles: np.ndarray,
-    analytical: np.ndarray,
-) -> Dict[str, float]:
-    """Per-kernel-name multiplicative scales, fitted in log space.
-
-    Names with fewer than two probes fall back to the global geometric
-    mean so a single noisy probe cannot set a group's scale alone.
-    """
-    log_ratio = np.log(probe_cycles) - np.log(analytical[probes])
-    global_log = float(np.mean(log_ratio))
-    probe_pos = {int(p): i for i, p in enumerate(probes)}
-    scales: Dict[str, float] = {}
-    for name, idxs in workload.indices_by_name().items():
-        rows = [probe_pos[int(i)] for i in idxs if int(i) in probe_pos]
-        if len(rows) >= 2:
-            scales[name] = float(math.exp(float(np.mean(log_ratio[rows]))))
-        else:
-            scales[name] = float(math.exp(global_log))
-    return scales
-
-
 def _probe_rows_by_name(workload, probes: np.ndarray) -> Dict[str, list]:
     """Probe-array row indices per kernel name (names with >= 2 probes
     carry their own calibration scale; the rest fall back to global)."""
@@ -231,11 +197,26 @@ def _probe_rows_by_name(workload, probes: np.ndarray) -> Dict[str, list]:
     return rows
 
 
+def _calibration_scales(
+    rows_by_name: Dict[str, list], log_ratio: np.ndarray
+) -> Dict[str, float]:
+    """Per-kernel-name multiplicative scales, fitted in log space.
+
+    Names with fewer than two probes fall back to the global geometric
+    mean so a single noisy probe cannot set a group's scale alone.
+    """
+    global_log = float(np.mean(log_ratio))
+    scales: Dict[str, float] = {}
+    for name, rows in rows_by_name.items():
+        if len(rows) >= 2:
+            scales[name] = float(math.exp(float(np.mean(log_ratio[rows]))))
+        else:
+            scales[name] = float(math.exp(global_log))
+    return scales
+
+
 def _loo_residuals(
-    workload,
-    probes: np.ndarray,
-    probe_cycles: np.ndarray,
-    analytical: np.ndarray,
+    rows_by_name: Dict[str, list], log_ratio: np.ndarray
 ) -> np.ndarray:
     """Out-of-sample probe residuals via leave-one-out calibration.
 
@@ -246,12 +227,11 @@ def _loo_residuals(
     without the held-out probe makes every residual an honest preview of
     an unseen invocation's error.
     """
-    log_ratio = np.log(probe_cycles) - np.log(analytical[probes])
-    k = len(probes)
+    k = len(log_ratio)
     total = float(np.sum(log_ratio))
     out = np.zeros(k, dtype=np.float64)
     grouped: set = set()
-    for rows in _probe_rows_by_name(workload, probes).values():
+    for rows in rows_by_name.values():
         if len(rows) < 2:
             continue  # group used the global scale; handled below
         s = float(np.sum(log_ratio[rows]))
@@ -272,13 +252,13 @@ def _loo_residuals(
 
 
 def _name_risks(
-    workload, probes: np.ndarray, residuals: np.ndarray
+    rows_by_name: Dict[str, list], residuals: np.ndarray
 ) -> Dict[str, float]:
     """Per-kernel-name residual risk: the worst out-of-sample residual
     the group's probes showed (global worst for under-probed groups)."""
     global_max = float(residuals.max()) if len(residuals) else 0.0
     risks: Dict[str, float] = {}
-    for name, rows in _probe_rows_by_name(workload, probes).items():
+    for name, rows in rows_by_name.items():
         if len(rows) >= 2:
             risks[name] = float(residuals[rows].max())
         else:
@@ -286,10 +266,10 @@ def _name_risks(
     return risks
 
 
-def tail_gap(residuals: np.ndarray, quantile: float, unseen: int) -> float:
+def tail_gap(residuals: np.ndarray, unseen: int) -> float:
     """Tail-aware bound on the residual an *unseen* invocation can reach.
 
-    The empirical ``quantile`` of ``k`` probe residuals only covers the
+    The empirical ``GAP_QUANTILE`` of ``k`` probe residuals only covers the
     probes themselves; with ``unseen`` more analytical invocations in
     the population, the realized maximum residual keeps growing past the
     observed one.  Model the residual upper tail as exponential
@@ -302,7 +282,7 @@ def tail_gap(residuals: np.ndarray, quantile: float, unseen: int) -> float:
     """
     if len(residuals) == 0:
         return 0.0
-    base = float(np.quantile(residuals, quantile))
+    base = float(np.quantile(residuals, GAP_QUANTILE))
     k = len(residuals)
     if unseen <= 0 or k < 2:
         return base
@@ -455,11 +435,13 @@ def _calibrate(
 ) -> _Calibrated:
     """Calibrate the screen on the probes and pick the escalations."""
     n = len(workload)
-    scales = _calibration_scales(workload, probes, probe_cycles, screened)
+    rows_by_name = _probe_rows_by_name(workload, probes)
+    log_ratio = np.log(probe_cycles) - np.log(screened[probes])
+    scales = _calibration_scales(rows_by_name, log_ratio)
     scale_arr = np.ones(n, dtype=np.float64)
     risk_arr = np.zeros(n, dtype=np.float64)
-    residuals = _loo_residuals(workload, probes, probe_cycles, screened)
-    risks = _name_risks(workload, probes, residuals)
+    residuals = _loo_residuals(rows_by_name, log_ratio)
+    risks = _name_risks(rows_by_name, residuals)
     for name, idxs in workload.indices_by_name().items():
         group = np.asarray(idxs, dtype=np.int64)
         scale_arr[group] = scales[name]
@@ -494,10 +476,7 @@ def _finish(
     # leave-one-out residual quantile to the invocations that stay
     # analytical after escalation (probes/escalations carry no gap).
     unseen = int(n - stage.cycle_mask.sum())
-    gap = max(
-        policy.min_gap,
-        tail_gap(stage.residuals, policy.gap_quantile, unseen) * policy.gap_safety,
-    )
+    gap = max(MIN_GAP, tail_gap(stage.residuals, unseen) * GAP_SAFETY)
     escalations = len(stage.escalate)
     times = FidelityTimes(
         values=stage.values,

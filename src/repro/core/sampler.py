@@ -71,20 +71,11 @@ class StemRootSampler:
         replacement: bool = True,
         validation: str = "strict",
         tree_cache=None,
-        fidelity_gap: float = 0.0,
     ):
         if validation not in ("off", "strict", "repair"):
             raise ValueError("validation must be 'off', 'strict' or 'repair'")
-        if fidelity_gap < 0:
-            raise ValueError("fidelity_gap must be non-negative")
         self.epsilon = epsilon
         self.z = z
-        #: Measured relative gap of the ground-truth tier the plan will be
-        #: scored against (see :mod:`repro.core.fidelity`).  Folded into
-        #: the reported ``predicted_error`` via
-        #: :func:`~repro.core.stem.combine_fidelity_bound`; zero for pure
-        #: cycle-level truth, leaving the legacy numbers untouched.
-        self.fidelity_gap = fidelity_gap
         self.root_config = RootConfig(
             epsilon=epsilon, z=z, k=k, min_cluster_size=min_cluster_size
         )
@@ -209,8 +200,7 @@ class StemRootSampler:
                     )
 
             predicted = predicted_error_multi(
-                [c.stats for c in clusters], sizes, z=self.z,
-                fidelity_gap=self.fidelity_gap,
+                [c.stats for c in clusters], sizes, z=self.z
             )
         plan = SamplingPlan(
             method=self.method,
@@ -223,7 +213,6 @@ class StemRootSampler:
                 "use_kkt": self.use_kkt,
                 "replacement": self.replacement,
                 "predicted_error": predicted,
-                "fidelity_gap": self.fidelity_gap,
                 "num_leaf_clusters": len(clusters),
             },
         )

@@ -228,16 +228,10 @@ def predicted_error_multi(
     clusters: Sequence[ClusterStats],
     sample_sizes: Sequence[int],
     z: float = DEFAULT_Z,
-    fidelity_gap: float = 0.0,
 ) -> float:
     """Joint theoretical error (fraction) from Eq. (4)/(5):
 
     ``e = z * sqrt(sum_i N_i^2 sigma_i^2 / m_i) / sum_i N_i mu_i``.
-
-    With a non-zero ``fidelity_gap`` the CLT error (which bounds the
-    estimate against the screened values) is widened through
-    :func:`combine_fidelity_bound` so the result bounds the estimate
-    against cycle-level truth.
     """
     if len(clusters) != len(sample_sizes):
         raise ValueError("clusters and sample_sizes must align")
@@ -250,10 +244,7 @@ def predicted_error_multi(
             raise ValueError("sample sizes must be positive")
         variance += (c.n * c.sigma) ** 2 / m
         total += c.total
-    sampling_error = z * math.sqrt(variance) / total
-    if fidelity_gap:
-        return combine_fidelity_bound(sampling_error, fidelity_gap)
-    return sampling_error
+    return z * math.sqrt(variance) / total
 
 
 def error_bound_satisfied(

@@ -102,9 +102,12 @@ class DseResult:
     The fidelity fields default to the cycle-level values:
     ``fidelity`` names the tier that produced the per-variant ground
     truth, ``fidelity_gap`` is that tier's measured effective gap, and
-    ``error_bound_percent`` the honest combined (ε + gap) bound a
-    bound-carrying method's error is held to — ``ε(1+g)+g``, which
-    reduces to plain ε·100 on cycle-level rows where ``g == 0``.
+    ``error_bound_percent`` is
+    :func:`~repro.core.stem.combine_fidelity_bound` of the requested ε
+    and that gap, in percent — ``ε(1+g)+g``, which reduces to plain
+    ε·100 on cycle-level rows where ``g == 0``.  Every row carries it,
+    whatever its method; the plan's own ``predicted_error`` stays the
+    plain sampling bound.
     """
 
     workload: str
@@ -131,7 +134,7 @@ class _DseGroupTask:
     epsilon: float
     #: The per-variant ground-truth tier (``mode="cycle"``: every
     #: variant fully simulated).
-    fidelity_policy: FidelityPolicy
+    policy: FidelityPolicy
     cache_root: Optional[str] = None
     sim_cache_root: Optional[str] = None
     #: Optional chaos-testing fault plan (profile corruption degrades
@@ -183,7 +186,7 @@ def _dse_group_worker(task: _DseGroupTask) -> List[List[DseResult]]:
     truths = fidelity_cycle_counts_many(
         pairs,
         seed=seed,
-        policy=task.fidelity_policy,
+        policy=task.policy,
         sim_cache=sim_cache,
     )
     per_spec = len(variants)
@@ -213,15 +216,9 @@ def _score_spec(
     )
     cache = cache_handle(ProfileCache, task.cache_root) if task.cache_root else None
 
-    variant_times: Dict[str, FidelityTimes] = {}
-    max_gap = 0.0
-    for (label, _gpu), times in zip(variants, truths):
-        # Label the ground truth so evaluate_plan files each variant's
-        # fidelity provenance under its own key instead of the last
-        # variant overwriting the plan's single slot.
-        times.label = label
-        max_gap = max(max_gap, times.effective_gap)
-        variant_times[label] = times
+    variant_times: Dict[str, FidelityTimes] = {
+        label: times for (label, _gpu), times in zip(variants, truths)
+    }
 
     # Plans from baseline profiles, evaluated against every variant.
     error_sums: Dict[Tuple[str, str], List[float]] = {}
@@ -230,17 +227,12 @@ def _score_spec(
         store = config.store_for(workload, repetition_seed(config, rep), cache=cache)
         for method in task.methods:
             sampler = config.sampler_for(method, workload)
-            if max_gap and hasattr(sampler, "fidelity_gap"):
-                # Fold the worst per-variant gap into the sampler's
-                # reported predicted_error so the plan's own bound is
-                # honest against cycle-level truth for every variant.
-                sampler.fidelity_gap = max_gap
             # The grid's N/A cells are the DSE's skipped cells.
             plan = plan_cell(config, method, rep, sampler, store)
             if plan is None:
                 continue
             for label, _gpu in variants:
-                outcome = evaluate_plan(plan, variant_times[label])
+                outcome = evaluate_plan(plan, variant_times[label].values)
                 error_sums.setdefault((method, label), []).append(
                     outcome.error_percent
                 )
@@ -282,7 +274,6 @@ def run_dse(
     sim_cache=None,
     fidelity: str = "cycle",
     escalation_budget: Optional[float] = None,
-    fidelity_policy: Optional[FidelityPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> List[DseResult]:
     """Full DSE grid; returns flat per-(workload, variant, method) rows.
@@ -311,20 +302,15 @@ def run_dse(
     (the default: full cycle-level simulation), ``analytical``
     (calibrated screening only) or ``hybrid`` (screening plus cycle-level
     escalation of the top-``escalation_budget`` share of invocations).
-    ``fidelity_policy`` overrides both with a full
-    :class:`~repro.core.FidelityPolicy`.  ``fault_plan`` chaos-tests the
-    grid: profile corruption degrades poisoned cells instead of failing
-    the run, and worker-kill rates exercise the supervised pool.
+    ``fault_plan`` chaos-tests the grid: profile corruption degrades
+    poisoned cells instead of failing the run, and worker-kill rates
+    exercise the supervised pool.
     """
-    if fidelity not in ("cycle", "analytical", "hybrid"):
-        raise ValueError(
-            f"fidelity must be 'cycle', 'analytical' or 'hybrid', got {fidelity!r}"
-        )
-    if fidelity_policy is None:
-        kwargs = {"mode": fidelity}
-        if escalation_budget is not None:
-            kwargs["escalation_budget"] = escalation_budget
-        fidelity_policy = FidelityPolicy(**kwargs)
+    # FidelityPolicy validates the mode and the budget.
+    kwargs = {"mode": fidelity}
+    if escalation_budget is not None:
+        kwargs["escalation_budget"] = escalation_budget
+    policy = FidelityPolicy(**kwargs)
 
     specs = list(workloads or default_dse_workloads())
     groups = _balanced_groups(specs, resolve_jobs(jobs))
@@ -338,7 +324,7 @@ def run_dse(
             epsilon=epsilon,
             cache_root=share_handle(profile_cache),
             sim_cache_root=share_handle(sim_cache),
-            fidelity_policy=fidelity_policy,
+            policy=policy,
             fault_plan=fault_plan,
         )
         for group in groups

@@ -47,23 +47,19 @@ class SimGroundTruth:
     """Score plans against the cycle simulator instead of the profile.
 
     A picklable ``ground_truth`` hook for :func:`run_suite`: the truth
-    becomes ``GpuSimulator.cycle_counts`` on the store's GPU at the
-    repetition seed.  With ``sim_cache_root`` set, raw per-invocation
-    results are cached on disk — every epsilon point and every re-run
-    reuses the same full-workload simulation instead of repeating it.
-
-    ``fidelity`` picks the truth tier of
-    :func:`~repro.core.fidelity.fidelity_cycle_counts`: ``"cycle"``
-    (default: exactly ``GpuSimulator.cycle_counts``) or
-    ``"analytical"``/``"hybrid"`` screened truth with the given
-    probe/escalation knobs.  The callable returns a plain
-    per-invocation array, so :func:`run_suite` is unaffected.
+    is :func:`~repro.core.fidelity.fidelity_cycle_counts` on the store's
+    GPU at the repetition seed under ``policy``.  The default policy is
+    cycle-level, exactly ``GpuSimulator.cycle_counts``; an
+    ``"analytical"`` or ``"hybrid"`` policy gives screened truth.  With
+    ``sim_cache_root`` set, raw per-invocation results are cached on
+    disk — every epsilon point and every re-run reuses the same
+    full-workload simulation instead of repeating it.  The callable
+    returns a plain per-invocation array, so :func:`run_suite` is
+    unaffected.
     """
 
     sim_cache_root: Optional[str] = None
-    fidelity: str = "cycle"
-    probe_count: int = 8
-    escalation_budget: float = 0.05
+    policy: FidelityPolicy = FidelityPolicy(mode="cycle", probe_count=8)
 
     def __call__(self, store, seed: int) -> np.ndarray:
         cache = (
@@ -75,11 +71,7 @@ class SimGroundTruth:
             store.workload,
             store.config,
             seed=seed,
-            policy=FidelityPolicy(
-                mode=self.fidelity,
-                probe_count=self.probe_count,
-                escalation_budget=self.escalation_budget,
-            ),
+            policy=self.policy,
             sim_cache=cache,
         )
         return times.values
@@ -132,10 +124,11 @@ def run_error_bound_sweep(
     :mod:`repro.core.fidelity`); ``"cycle"`` (default) is the full
     cycle-level truth.
     """
-    if fidelity not in ("cycle", "analytical", "hybrid"):
-        raise ValueError(
-            f"fidelity must be 'cycle', 'analytical' or 'hybrid', got {fidelity!r}"
-        )
+    # Built up front so FidelityPolicy validates the knobs whatever the
+    # ground truth.
+    policy = FidelityPolicy(
+        mode=fidelity, probe_count=8, escalation_budget=escalation_budget
+    )
     if config is None:
         config = ExperimentConfig()
     if tree_cache is False:
@@ -151,9 +144,7 @@ def run_error_bound_sweep(
         truth_fn = None
     elif ground_truth == "sim":
         truth_fn = SimGroundTruth(
-            sim_cache_root=share_handle(sim_cache),
-            fidelity=fidelity,
-            escalation_budget=escalation_budget,
+            sim_cache_root=share_handle(sim_cache), policy=policy
         )
     else:
         raise ValueError(

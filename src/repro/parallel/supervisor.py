@@ -24,6 +24,10 @@ supervisor turns worker death into a scheduling event:
 The dispatch window is bounded at the worker count, so at most ``jobs``
 tasks are ever exposed to a pool breakage and re-dispatch stays cheap.
 
+Workers die with their parent: a SIGKILLed parent cannot shut its pool
+down, so each worker watches its parent pid and exits once it changes
+(see :func:`_exit_with_parent`).
+
 Process-level fault injection (``worker_kill_rate`` /
 ``worker_stall_rate`` on a :class:`~repro.resilience.FaultPlan`) rides
 into the worker wrapper: the injected SIGKILL is real, which is what
@@ -36,6 +40,7 @@ import multiprocessing
 import os
 import signal
 import tempfile
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -108,9 +113,31 @@ class SupervisionReport:
         return sorted(p.index for p in self.poisoned)
 
 
+#: How often a pool worker checks that its parent is still alive.
+PARENT_POLL_S = 1.0
+
+
 def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: exit this worker once its parent is gone.
+
+    An orphaned worker is re-parented, so its parent pid changes.  The
+    pid compared against is the one multiprocessing recorded in the
+    parent before starting the worker, so a parent that died before this
+    initializer ran is noticed too.
+    """
+    parent = multiprocessing.parent_process().pid
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _invoke(worker: Callable[[Any], Any], payload: Any, capture_obs: bool) -> Dict:
@@ -246,6 +273,7 @@ class _Supervisor:
             self.executor = ProcessPoolExecutor(
                 max_workers=min(self.jobs, max(1, len(self.payloads))),
                 mp_context=_pool_context(),
+                initializer=_exit_with_parent,
             )
         return self.executor
 

@@ -35,7 +35,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from .checkpoint import GridCheckpoint
-from .degraded import DegradedPlanResult, achieved_epsilon_of, degrade_plan
+from .degraded import DegradedPlanResult, degrade_plan
 from .faults import FaultInjector, FaultPlan, SimDecision, WorkerDecision
 from .pipeline import ResilientSampleResult, sample_resiliently
 from .validation import ProfileHealth, validate_times
@@ -62,7 +62,6 @@ __all__ = [
     # degraded estimation
     "DegradedPlanResult",
     "degrade_plan",
-    "achieved_epsilon_of",
     # checkpoint
     "GridCheckpoint",
     # pipeline

@@ -44,7 +44,7 @@ from ..core.stem import (
 )
 from ..errors import EstimationError
 
-__all__ = ["DegradedPlanResult", "degrade_plan", "achieved_epsilon_of"]
+__all__ = ["DegradedPlanResult", "degrade_plan"]
 
 
 @dataclass
@@ -72,13 +72,6 @@ class DegradedPlanResult:
 def _kernel_name(label: str) -> str:
     """Cluster labels are ``name#peak`` for STEM; fall back to the label."""
     return label.rsplit("#", 1)[0]
-
-
-def achieved_epsilon_of(
-    stats: List[ClusterStats], sizes: List[int], z: float = DEFAULT_Z
-) -> float:
-    """The Eq. (5) bound actually achieved by a final allocation."""
-    return predicted_error_multi(stats, sizes, z=z)
 
 
 def degrade_plan(
@@ -225,7 +218,7 @@ def degrade_plan(
             )
         )
 
-    achieved = achieved_epsilon_of(stats, sizes, z=z)
+    achieved = predicted_error_multi(stats, sizes, z=z)
     metadata = dict(plan.metadata)
     metadata.update(
         {

@@ -1,5 +1,9 @@
 """Shared fixtures: small deterministic workloads and hardware handles."""
 
+import faulthandler
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,34 @@ from repro.workloads.generators.synthetic import (
     mixed_workload,
     multimodal_workload,
 )
+
+
+#: Per-test time limit in seconds, 40x the slowest test (about 6 s).  A
+#: test that hangs (say, a pool deadlock) dumps every thread's stack and
+#: ends the run instead of stalling the whole suite.
+TEST_TIME_LIMIT_S = 240
+
+_REAL_STDERR = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # Output capture is paused here, so this is the terminal's stderr.
+    # The dump has to reach it: the process exits right after, and the
+    # per-test capture buffer dies with it.
+    config.stash[_REAL_STDERR] = os.fdopen(os.dup(sys.stderr.fileno()), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_REAL_STDERR].close()
+
+
+@pytest.fixture(autouse=True)
+def _time_limit(request):
+    faulthandler.dump_traceback_later(
+        TEST_TIME_LIMIT_S, exit=True, file=request.config.stash[_REAL_STDERR]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

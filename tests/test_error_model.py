@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.error_model import (
-    plan_error_bound,
     union_error_bound,
     verify_union_theorem,
 )
-from repro.core.stem import ClusterStats, kkt_sample_sizes, predicted_error_multi
+from repro.core.stem import ClusterStats, kkt_sample_sizes
 
 cluster_strategy = st.builds(
     ClusterStats,
@@ -19,12 +18,6 @@ cluster_strategy = st.builds(
     sigma=st.floats(min_value=0.0, max_value=1e2),
 )
 cluster_set_strategy = st.lists(cluster_strategy, min_size=1, max_size=5)
-
-
-class TestPlanErrorBound:
-    def test_matches_predicted_error(self):
-        clusters = [ClusterStats(n=100, mu=2.0, sigma=1.0)]
-        assert plan_error_bound(clusters, [4]) == predicted_error_multi(clusters, [4])
 
 
 class TestUnionTheorem:

@@ -2,9 +2,10 @@
 
 The contract has three legs:
 
-1. ``fidelity=cycle`` is the legacy path, bit for bit — same arrays from
-   :func:`~repro.core.fidelity.fidelity_cycle_counts`, same rows from
-   :func:`~repro.experiments.dse.run_dse`.
+1. ``fidelity=cycle`` is the cycle-level oracle, bit for bit — the
+   arrays of :func:`~repro.core.fidelity.fidelity_cycle_counts` equal
+   ``GpuSimulator.cycle_counts``, and its
+   :func:`~repro.experiments.dse.run_dse` rows carry no gap.
 2. The analytical screen is calibrated and *measured*: probes are exact
    cycle-level values, and the reported gap is an empirical residual
    quantile with a safety margin, never a guess.
@@ -33,6 +34,7 @@ from repro.core import (
     tail_gap,
     verify_fidelity_bound,
 )
+from repro.core.fidelity import MIN_GAP
 from repro.experiments.dse import DseWorkloadSpec, dse_variants, run_dse
 from repro.experiments.error_bound_sweep import SimGroundTruth
 from repro.hardware import RTX_2080
@@ -142,10 +144,6 @@ class TestFidelityPolicy:
             {"probe_count": 1},
             {"escalation_budget": -0.1},
             {"escalation_budget": 1.5},
-            {"gap_quantile": 0.0},
-            {"gap_quantile": 1.5},
-            {"gap_safety": 0.5},
-            {"min_gap": -0.01},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -158,9 +156,6 @@ class TestFidelityPolicy:
             FidelityPolicy(mode="analytical"),
             FidelityPolicy(probe_count=9),
             FidelityPolicy(escalation_budget=0.07),
-            FidelityPolicy(gap_quantile=0.9),
-            FidelityPolicy(gap_safety=1.5),
-            FidelityPolicy(min_gap=0.02),
         ]
         assert len(variants) == len(dataclasses.fields(FidelityPolicy))
         identities = {derive_key(p) for p in [base] + variants}
@@ -214,14 +209,11 @@ class TestTailGap:
 
     def test_no_unseen_is_plain_quantile(self):
         res = np.array([0.01, 0.05, 0.02, 0.08])
-        assert tail_gap(res, 1.0, 0) == pytest.approx(0.08)
-        assert tail_gap(res, 0.5, 0) == pytest.approx(
-            float(np.quantile(res, 0.5))
-        )
+        assert tail_gap(res, 0) == pytest.approx(0.08)
 
     def test_unseen_widens_monotonically(self):
         res = np.array([0.01, 0.05, 0.02, 0.08, 0.03, 0.06])
-        gaps = [tail_gap(res, 1.0, m) for m in (0, 10, 100, 1000)]
+        gaps = [tail_gap(res, m) for m in (0, 10, 100, 1000)]
         assert gaps == sorted(gaps)
         assert gaps[1] > gaps[0]  # any unseen mass strictly widens
 
@@ -230,12 +222,12 @@ class TestTailGap:
         wide = np.array([0.01, 0.02, 0.05, 0.10, 0.01, 0.03, 0.08, 0.12])
         # Zero excess over the median -> no inflation however many
         # unseen draws; dispersed residuals -> real inflation.
-        assert tail_gap(tight, 1.0, 1000) == pytest.approx(0.05)
-        assert tail_gap(wide, 1.0, 1000) > float(wide.max())
+        assert tail_gap(tight, 1000) == pytest.approx(0.05)
+        assert tail_gap(wide, 1000) > float(wide.max())
 
     def test_empty_and_single_residual_safe(self):
-        assert tail_gap(np.zeros(0), 1.0, 100) == 0.0
-        assert tail_gap(np.array([0.04]), 1.0, 100) == pytest.approx(0.04)
+        assert tail_gap(np.zeros(0), 100) == 0.0
+        assert tail_gap(np.array([0.04]), 100) == pytest.approx(0.04)
 
 
 class TestFidelityCycleCounts:
@@ -247,7 +239,7 @@ class TestFidelityCycleCounts:
         assert times.cycle_mask.all()
         assert times.gap == 0.0
         assert times.effective_gap == 0.0
-        assert times.error_bound(0.05) == 0.05
+        assert combine_fidelity_bound(0.05, times.effective_gap) == 0.05
 
     def test_probe_indices_cover_every_name(self, mixed_names_workload):
         policy = FidelityPolicy()
@@ -268,7 +260,7 @@ class TestFidelityCycleCounts:
         assert np.array_equal(times.values[probes], cycle_truth[probes])
         assert int(times.cycle_mask.sum()) == len(probes)
         assert times.escalations == 0
-        assert times.gap >= policy.min_gap
+        assert times.gap >= MIN_GAP
         assert times.calibration  # per-name scales recorded
 
     def test_hybrid_escalates_top_values_exactly(self, workload, cycle_truth):
@@ -319,9 +311,6 @@ class TestFidelityCycleCounts:
     def test_effective_gap_never_exceeds_measured_gap(self, workload):
         times = fidelity_cycle_counts(workload, RTX_2080, seed=0)
         assert 0.0 < times.effective_gap <= times.gap
-        assert times.error_bound(0.05) == combine_fidelity_bound(
-            0.05, times.effective_gap
-        )
 
 
 class TestEpsilonHonesty:
@@ -359,9 +348,9 @@ class TestEpsilonHonesty:
         the *cycle-level* total."""
         store = ProfileStore(workload, RTX_2080, seed=0)
         times = fidelity_cycle_counts(workload, RTX_2080, seed=0)
-        sampler = StemRootSampler(epsilon=0.10, fidelity_gap=times.gap)
+        sampler = StemRootSampler(epsilon=0.10)
         plan = sampler.build_plan_from_store(store, seed=0)
-        result = evaluate_plan(plan, times)
+        result = evaluate_plan(plan, times.values)
         holds, achieved, bound = verify_fidelity_bound(
             result.estimated_total,
             float(cycle_truth.sum()),
@@ -379,9 +368,9 @@ class TestEpsilonHonesty:
         store = ProfileStore(backprop_workload, RTX_2080, seed=seed)
         for gpu in dse_variants(RTX_2080):
             times = fidelity_cycle_counts(backprop_workload, gpu, seed=seed)
-            sampler = StemRootSampler(epsilon=0.10, fidelity_gap=times.gap)
+            sampler = StemRootSampler(epsilon=0.10)
             plan = sampler.build_plan_from_store(store, seed=seed)
-            result = evaluate_plan(plan, times)
+            result = evaluate_plan(plan, times.values)
             truth = GpuSimulator(gpu).cycle_counts(backprop_workload, seed=seed)
             holds, achieved, bound = verify_fidelity_bound(
                 result.estimated_total,
@@ -391,65 +380,12 @@ class TestEpsilonHonesty:
             )
             assert holds, f"achieved {achieved:.4f} > bound {bound:.4f}"
 
-    def test_sampler_folds_gap_into_predicted_error(self, workload):
-        store = ProfileStore(workload, RTX_2080, seed=0)
-        plain = StemRootSampler(epsilon=0.10).build_plan_from_store(store, seed=0)
-        gapped = StemRootSampler(
-            epsilon=0.10, fidelity_gap=0.05
-        ).build_plan_from_store(store, seed=0)
-        assert gapped.metadata["fidelity_gap"] == 0.05
-        assert gapped.metadata["predicted_error"] > plain.metadata["predicted_error"]
-
-    def test_sampler_rejects_negative_gap(self):
-        with pytest.raises(ValueError):
-            StemRootSampler(fidelity_gap=-0.1)
-
 
 class TestEvaluatePlanMetadata:
-    def test_fidelity_tiers_on_result(self, workload):
-        store = ProfileStore(workload, RTX_2080, seed=0)
-        times = fidelity_cycle_counts(workload, RTX_2080, seed=0)
-        plan = StemRootSampler(epsilon=0.10).build_plan_from_store(store, seed=0)
-        result = evaluate_plan(plan, times)
-        tiers = result.fidelity_tiers
-        assert set(tiers) == {c.label for c in plan.clusters}
-        assert set(tiers.values()) <= {"cycle", "analytical", "mixed"}
-        summary = result.fidelity
-        assert summary["mode"] == "hybrid"
-        assert summary["gap"] == times.gap
-        assert summary["probes"] == times.probes
-        assert summary["tiers"] == tiers
-        # The plan's copy is keyed (label falls back to the mode).
-        assert plan.metadata["fidelity"]["hybrid"] == summary
-
-    def test_provenance_not_clobbered_across_variants(self, workload):
-        """One plan scored against several labeled ground truths (the
-        DSE pattern) must keep every variant's provenance — the exact
-        bug REVIEW.md flagged in the single-slot metadata write."""
-        store = ProfileStore(workload, RTX_2080, seed=0)
-        plan = StemRootSampler(epsilon=0.10).build_plan_from_store(store, seed=0)
-        summaries = {}
-        for label, gpu in zip(
-            ["baseline", "sm_x2"], [RTX_2080, dse_variants(RTX_2080)[3]]
-        ):
-            times = fidelity_cycle_counts(workload, gpu, seed=0)
-            times.label = label
-            result = evaluate_plan(plan, times)
-            assert result.fidelity["label"] == label
-            summaries[label] = result.fidelity
-        assert set(plan.metadata["fidelity"]) == {"baseline", "sm_x2"}
-        for label, summary in summaries.items():
-            assert plan.metadata["fidelity"][label] == summary
-        gaps = {s["gap"] for s in summaries.values()}
-        assert len(gaps) == 2  # distinct variants, distinct measured gaps
-
     def test_plain_ndarray_path_untouched(self, workload, cycle_truth):
         store = ProfileStore(workload, RTX_2080, seed=0)
         plan = StemRootSampler(epsilon=0.10).build_plan_from_store(store, seed=0)
         result = evaluate_plan(plan, cycle_truth)
-        assert "fidelity" not in plan.metadata
-        assert result.fidelity is None
-        assert result.fidelity_tiers is None
         assert result.true_total == pytest.approx(float(cycle_truth.sum()))
 
 
@@ -461,18 +397,10 @@ HARD_SPEC = DseWorkloadSpec("rodinia", "backprop", 1.0, 48)
 
 class TestRunDse:
     def test_cycle_fidelity_bit_identical_to_legacy(self):
-        legacy = run_dse(
+        """The default tier is cycle-level: no gap, all of it exact."""
+        cycle = run_dse(
             workloads=[SPEC], methods=["stem"], repetitions=1, seed=0, jobs=1
         )
-        cycle = run_dse(
-            workloads=[SPEC],
-            methods=["stem"],
-            repetitions=1,
-            seed=0,
-            jobs=1,
-            fidelity="cycle",
-        )
-        assert legacy == cycle
         assert all(r.fidelity == "cycle" and r.fidelity_gap == 0.0 for r in cycle)
         # On cycle rows the whole ground-truth total is cycle-level.
         assert all(r.cycle_tier_cycles == r.full_cycles for r in cycle)
@@ -548,7 +476,9 @@ class TestSweepGroundTruth:
 
     def test_hybrid_returns_plain_array(self, workload):
         store = ProfileStore(workload, RTX_2080, seed=0)
-        truth = SimGroundTruth(fidelity="hybrid", escalation_budget=0.1)
+        truth = SimGroundTruth(
+            policy=FidelityPolicy(mode="hybrid", probe_count=8, escalation_budget=0.1)
+        )
         values = truth(store, 0)
         assert isinstance(values, np.ndarray)
         assert len(values) == len(workload)

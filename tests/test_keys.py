@@ -84,21 +84,21 @@ class TestFieldCoverage:
     def test_exempting_a_real_field_without_a_reason_fails_at_import(
         self, tmp_path
     ):
-        """Taking ``gap_safety`` out of FidelityPolicy's key needs a
+        """Taking ``escalation_budget`` out of FidelityPolicy's key needs a
         written reason: on a copy of the tree, an empty one fails at
         import, with no config file involved."""
         root = tmp_path / "repo"
         shutil.copytree(SRC, root / "src")
         fidelity = root / "src" / "repro" / "core" / "fidelity.py"
         text = fidelity.read_text()
-        declared = "    gap_safety: float = 1.25\n"
+        declared = "    escalation_budget: float = 0.05\n"
         assert declared in text
         fidelity.write_text(
             text.replace(
                 declared,
-                '    gap_safety: float = key_exempt("", default=1.25)\n',
+                '    escalation_budget: float = key_exempt("", default=0.05)\n',
             ).replace(
-                "from .stem import", "from ..keys import key_exempt\nfrom .stem import"
+                "from .. import obs\n", "from .. import obs\nfrom ..keys import key_exempt\n"
             )
         )
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

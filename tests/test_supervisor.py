@@ -209,6 +209,64 @@ class TestWorkerDeathRecovery:
         lines = out.read_text().splitlines()
         assert len(lines) == 8 and all("pickle" in line for line in lines)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A SIGKILLed parent cannot shut its pool down; its workers
+        notice the new parent pid and exit instead of idling forever."""
+        script = textwrap.dedent("""
+            import os, sys, time
+            from repro.parallel import run_tasks
+
+            def park(x):
+                open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+                time.sleep(120)
+                return x
+
+            run_tasks(park, [1, 2], jobs=2)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            workers = _wait_for(lambda: [int(p.name) for p in tmp_path.iterdir()],
+                                count=2, timeout=30)
+            assert len(workers) == 2, "pool workers never started"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            alive = _wait_for(
+                lambda: [pid for pid in workers if _alive(pid)], count=0, timeout=5
+            )
+            assert not alive, f"workers {alive} outlived their parent"
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
+
+def _wait_for(poll, count, timeout):
+    """Poll until ``poll()`` returns ``count`` items or ``timeout`` s pass;
+    returns the last result."""
+    deadline = time.monotonic() + timeout
+    got = poll()
+    while len(got) != count and time.monotonic() < deadline:
+        time.sleep(0.1)
+        got = poll()
+    return got
+
+
+def _alive(pid):
+    """True while ``pid`` runs; an unreaped zombie counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
 
 def _fail_on_two(x):
     if x == 2:
