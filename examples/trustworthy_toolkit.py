@@ -16,8 +16,6 @@ Run:  python examples/trustworthy_toolkit.py
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro import ProfileStore, RTX_2080, StemRootSampler, evaluate_plan
 from repro.analysis import render_table
 from repro.core import ClusterStats
@@ -36,18 +34,14 @@ def main() -> None:
     # -- 1. plan + transparency report --------------------------------
     sampler = StemRootSampler(epsilon=0.05)
     plan = sampler.build_plan(workload, times, seed=0)
-    rng = np.random.default_rng(0)
-    labeled = sampler.cluster(workload, times, rng=rng)
-    counter, members = {}, {}
-    for lc in labeled:
-        i = counter.get(lc.name, 0)
-        counter[lc.name] = i + 1
-        members[f"{lc.name}#{i}"] = lc.indices
-    report = build_report(plan, times, cluster_members=members)
+    report = build_report(plan, times)
     print(report.to_text(top=8))
 
     # -- 2. budget planning ----------------------------------------------
-    stats = [lc.stats for lc in labeled]
+    stats = [
+        ClusterStats(n=c.member_count, mu=c.mu, sigma=c.sigma)
+        for c in report.clusters
+    ]
     total_time = float(times.sum())
     print("\nBudget planning (invert the error/time tradeoff):")
     rows = []

@@ -7,11 +7,10 @@ Commands
 ``suites``    list available suites and workloads
 ``report``    transparency report for a freshly built plan
 ``trace``     write a sampled-kernel trace file for a plan
-``obs``       run ledger & reports: ``report`` (pretty-print a saved
-              trace), ``record``/``show``/``history`` (append to and
-              inspect the run ledger), ``compare`` (diff two runs or a
-              run against the ledger median), ``check`` (enforce
-              ``[tool.repro.slo]`` budgets — the CI perf gate)
+``obs``       the run ledger: ``show``/``history`` (inspect records),
+              ``compare`` (diff two runs or a run against the ledger
+              median), ``check`` (enforce ``[tool.repro.slo]`` budgets
+              — the CI perf gate)
 ``faults``    describe a fault spec and dry-run it against a workload
 ``grid``      run a (method x workload x repetition) grid, resumably
 ``suite``     run a whole suite and print per-method Table-3 summaries
@@ -49,28 +48,29 @@ progress and continue a killed run exactly where it stopped.
 Observability
 -------------
 Every workload command accepts ``--trace-out PATH`` (Chrome-trace JSON,
-open in ``chrome://tracing``), ``--metrics-out PATH`` (counters, gauges
-and histogram sketches as JSON) and ``--flame-out PATH``
-(collapsed-stack flamegraph lines for flamegraph.pl / speedscope).  Any
-of the flags — or setting the ``REPRO_LOG_LEVEL`` environment variable
-(debug/info/warning/error) — enables the :mod:`repro.obs` layer for the
-run; with ``REPRO_LOG_LEVEL`` set, structured JSONL events also stream
-to stderr.  Without them, observability stays in no-op mode and runs
-are bit-identical to uninstrumented ones.
+open in ``chrome://tracing`` or Perfetto) and ``--flame-out PATH``
+(collapsed-stack flamegraph lines for flamegraph.pl / speedscope).
+Either flag, a ledgered run, or setting the ``REPRO_LOG_LEVEL``
+environment variable (debug/info/warning/error) enables the
+:mod:`repro.obs` layer for the run; with ``REPRO_LOG_LEVEL`` set,
+structured JSONL events also stream to stderr.  Without them,
+observability stays in no-op mode.  Either way the results are
+bit-identical to uninstrumented runs.
 
 Run ledger
 ----------
 Plan/estimate verbs (``sample``, ``compare``, ``report``, ``trace``,
 ``grid``, ``suite``, ``sweep``, ``dse``) append one schema-versioned
 run record — config fingerprint, git rev, per-phase self time, cache
-hit rates, requested vs achieved ε, peak RSS per worker — to
-``.repro/runs/ledger.jsonl``.  ``--runs-dir DIR`` moves it,
-``--no-ledger`` (or an empty ``REPRO_RUNS_DIR``) disables it, and
-``--run-label NAME`` names the run.  ``obs history``/``show`` inspect
-the ledger, ``obs compare`` diffs runs, ``obs check`` enforces the
-``[tool.repro.slo]`` budgets from pyproject.toml and exits non-zero on
-breach.  Everything clock-dependent lives under the record's ``timing``
-key, so identical runs are byte-identical elsewhere.
+hit rates, requested vs achieved ε, decision counters, peak RSS per
+worker — to ``.repro/runs/ledger.jsonl``; that record is the one
+summary of a run.  ``--runs-dir DIR`` moves it, ``--no-ledger`` (or an
+empty ``REPRO_RUNS_DIR``) disables it, and ``--run-label NAME`` names
+the run.  ``obs history``/``show`` inspect the ledger, ``obs compare``
+diffs runs, ``obs check`` enforces the ``[tool.repro.slo]`` budgets
+from pyproject.toml and exits non-zero on breach.  Everything
+clock-dependent lives under the record's ``timing`` key, so identical
+runs are byte-identical elsewhere.
 """
 
 from __future__ import annotations
@@ -121,8 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_obs_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace-out", metavar="PATH", default=None,
                        help="write a Chrome-trace JSON of the run's spans")
-        p.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write the run's metrics registry as JSON")
         p.add_argument("--flame-out", metavar="PATH", default=None,
                        help="write collapsed-stack self-time lines "
                             "(flamegraph.pl / speedscope format)")
@@ -192,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fsync-every", type=int, default=1,
                        help="fsync the checkpoint once per N rows "
                             "(default 1 = every row)")
-        p.add_argument("--max-task-kills", type=int, default=2,
-                       help="kills attributed to one task before it is "
-                            "quarantined as poisoned (default 2)")
         p.add_argument("--heartbeat-timeout", type=float, default=None,
                        help="seconds without a worker heartbeat before the "
                             "task is declared stalled and its worker killed "
@@ -306,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="run reports, the run ledger, and SLO checks "
-             "(report/record/show/history/compare/check)",
+        help="the run ledger and SLO checks "
+             "(show/history/compare/check)",
     )
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
 
@@ -315,34 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs-dir", metavar="DIR", default=None,
                        help="run-ledger directory (default .repro/runs, "
                             "or $REPRO_RUNS_DIR)")
-
-    p_obs_report = obs_sub.add_parser(
-        "report", help="pretty-print a run report from saved obs files"
-    )
-    p_obs_report.add_argument(
-        "trace", help="Chrome-trace JSON written by --trace-out"
-    )
-    p_obs_report.add_argument("--metrics", default=None,
-                              help="metrics JSON written by --metrics-out")
-    p_obs_report.add_argument("--top", type=int, default=8,
-                              help="how many hottest spans to list")
-
-    p_obs_record = obs_sub.add_parser(
-        "record", help="append a run record built from saved obs files "
-                       "and/or explicit metrics"
-    )
-    p_obs_record.add_argument("name", help="command name stored in the record")
-    p_obs_record.add_argument("--label", default="")
-    p_obs_record.add_argument("--config", metavar="JSON", default=None,
-                              help="JSON object of run-identity config")
-    p_obs_record.add_argument("--trace", metavar="PATH", default=None,
-                              help="Chrome-trace JSON to derive phase times")
-    p_obs_record.add_argument("--metrics", metavar="PATH", default=None,
-                              help="metrics JSON to derive counters")
-    p_obs_record.add_argument("--metric", metavar="KEY=VALUE",
-                              action="append", default=[],
-                              help="extra numeric metric (repeatable)")
-    add_runs_dir_arg(p_obs_record)
 
     p_obs_show = obs_sub.add_parser(
         "show", help="print one ledger record as JSON (default: latest)"
@@ -389,10 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: all)")
     p_obs_check.add_argument("--command", dest="filter_command", default=None,
                              help="check only records of this command")
-    p_obs_check.add_argument("--against-median", action="store_true",
-                             help="additionally compare each group's "
-                                  "latest record against the median of "
-                                  "its earlier records")
     p_obs_check.add_argument("--pyproject", metavar="PATH", default=None,
                              help="pyproject.toml carrying [tool.repro.slo]")
     add_runs_dir_arg(p_obs_check)
@@ -523,18 +486,7 @@ def _cmd_report(args) -> int:
     times = store.execution_times()
     sampler = StemRootSampler(epsilon=args.epsilon)
     plan = sampler.build_plan(store.workload, times, seed=args.seed)
-    # Recover cluster membership for exact per-cluster statistics.
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed)
-    labeled = sampler.cluster(store.workload, times, rng=rng)
-    counter = {}
-    members = {}
-    for lc in labeled:
-        i = counter.get(lc.name, 0)
-        counter[lc.name] = i + 1
-        members[f"{lc.name}#{i}"] = lc.indices
-    report = build_report(plan, times, cluster_members=members)
+    report = build_report(plan, times)
     print(report.to_text(top=args.top))
     return 0
 
@@ -560,12 +512,12 @@ _LEDGERED = {"sample", "compare", "report", "trace", "grid", "suite",
 #: change results, so they stay out of the config fingerprint (and
 #: therefore out of run_id).
 _NON_IDENTITY_ARGS = {
-    "command", "obs_command", "trace_out", "metrics_out", "flame_out",
+    "command", "obs_command", "trace_out", "flame_out",
     "runs_dir", "no_ledger", "run_label", "out", "output", "checkpoint",
     "resume", "fsync_every", "profile_cache", "sim_cache", "top",
-    # Supervision knobs never change results (quarantine excepted, and a
+    # Stall detection never changes results (quarantine excepted, and a
     # quarantined cell is visible in the rows themselves, not run_id).
-    "max_task_kills", "heartbeat_timeout",
+    "heartbeat_timeout",
 }
 
 
@@ -610,55 +562,6 @@ def _obs_ledger(args) -> "obs.RunLedger":
         return obs.RunLedger(explicit)
     env = os.environ.get(obs.RUNS_DIR_ENV)
     return obs.RunLedger(env or obs.DEFAULT_RUNS_DIR)
-
-
-def _cmd_obs_report(args) -> int:
-    events = obs.load_chrome_trace(args.trace)
-    metrics = obs.load_metrics_json(args.metrics) if args.metrics else None
-    report = obs.build_run_report(events, metrics)
-    print(report.to_text(top=args.top))
-    return 0
-
-
-def _cmd_obs_record(args) -> int:
-    import json
-
-    report = None
-    snapshot = None
-    if args.trace:
-        metrics = obs.load_metrics_json(args.metrics) if args.metrics else None
-        report = obs.build_run_report(obs.load_chrome_trace(args.trace), metrics)
-    if args.metrics:
-        snapshot = obs.load_metrics_json(args.metrics)
-    extra = {}
-    for item in args.metric:
-        if "=" not in item:
-            print(f"--metric expects KEY=VALUE, got {item!r}", file=sys.stderr)
-            return 2
-        key, _, raw = item.partition("=")
-        try:
-            extra[key.strip()] = float(raw)
-        except ValueError:
-            print(f"--metric value must be numeric, got {item!r}",
-                  file=sys.stderr)
-            return 2
-    config = json.loads(args.config) if args.config else {}
-    if not isinstance(config, dict):
-        print("--config must be a JSON object", file=sys.stderr)
-        return 2
-    record = obs.build_run_record(
-        command=args.name,
-        label=args.label,
-        config=config,
-        report=report,
-        snapshot=snapshot,
-        extra_metrics=extra,
-    )
-    ledger = _obs_ledger(args)
-    ledger.append(record)
-    print(f"recorded run {record.run_id} (seq {record.timing['seq']}) "
-          f"to {ledger.path}")
-    return 0
 
 
 def _cmd_obs_show(args) -> int:
@@ -753,13 +656,7 @@ def _cmd_obs_compare(args) -> int:
 
 
 def _cmd_obs_check(args) -> int:
-    from .obs.slo import (
-        check_record,
-        compare_records,
-        median_record_leaves,
-        render_compare,
-        render_violations,
-    )
+    from .obs.slo import check_record, render_violations
 
     budgets = obs.load_slo_budgets(args.pyproject)
     ledger = _obs_ledger(args)
@@ -778,34 +675,10 @@ def _cmd_obs_check(args) -> int:
     for record in records:
         violations.extend(check_record(record, budgets))
     print(render_violations(violations, checked=len(records)))
-
-    regressions = 0
-    if args.against_median:
-        groups = ledger.groups()
-        for run_id, group in sorted(groups.items()):
-            latest = group[-1]
-            if args.filter_command and latest.command != args.filter_command:
-                continue
-            prior = group[:-1]
-            if not prior:
-                continue
-            rows = compare_records(
-                latest, median_record_leaves(prior), budgets
-            )
-            breached = [r for r in rows if r.breach]
-            if breached:
-                regressions += len(breached)
-                print(f"\nregressions vs median — run {run_id[:8]} "
-                      f"({latest.command}):")
-                print(render_compare(breached, only_breaches=True,
-                                     label_base=f"median of {len(prior)}",
-                                     label_cand="latest"))
-    return 1 if (violations or regressions) else 0
+    return 1 if violations else 0
 
 
 _OBS_COMMANDS = {
-    "report": _cmd_obs_report,
-    "record": _cmd_obs_record,
     "show": _cmd_obs_show,
     "history": _cmd_obs_history,
     "compare": _cmd_obs_compare,
@@ -912,10 +785,7 @@ def _run_grid(args):
         profile_cache = ProfileCache(args.profile_cache)
     from .parallel import SupervisionPolicy
 
-    policy = SupervisionPolicy(
-        max_task_kills=args.max_task_kills,
-        heartbeat_timeout=args.heartbeat_timeout,
-    )
+    policy = SupervisionPolicy(heartbeat_timeout=args.heartbeat_timeout)
     methods = args.methods.split(",") if args.methods else METHODS
     try:
         return run_suite(
@@ -1195,11 +1065,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
     flame_out = getattr(args, "flame_out", None)
     log_level = os.environ.get(obs.LOG_LEVEL_ENV)
     runs_dir = _resolve_runs_dir(args) if args.command in _LEDGERED else None
-    enable = bool(trace_out or metrics_out or flame_out or log_level or runs_dir)
+    enable = bool(trace_out or flame_out or log_level or runs_dir)
     if not enable:
         return _COMMANDS[args.command](args)
 
@@ -1217,9 +1086,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if trace_out:
             count = session.write_trace(trace_out)
             print(f"wrote {count} trace events to {trace_out}", file=sys.stderr)
-        if metrics_out:
-            session.write_metrics(metrics_out)
-            print(f"wrote metrics to {metrics_out}", file=sys.stderr)
         if flame_out:
             count = session.write_flame(flame_out)
             print(f"wrote {count} collapsed stacks to {flame_out}",

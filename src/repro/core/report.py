@@ -133,15 +133,14 @@ class SamplingReport:
 def build_report(
     plan: SamplingPlan,
     times: np.ndarray,
-    cluster_members: Optional[Dict[str, np.ndarray]] = None,
     z: float = DEFAULT_Z,
 ) -> SamplingReport:
     """Build a transparency report for a plan.
 
-    ``cluster_members`` optionally maps cluster labels to the member
-    indices of each cluster (STEM's sampler can provide them); without it,
-    per-cluster statistics fall back to the *sampled* members, which is
-    what a downstream user who only holds the plan can compute.
+    Per-cluster statistics come from each cluster's full ``members``
+    when the plan carries them (STEM's sampler does); otherwise they
+    fall back to the *sampled* members, which is what a downstream user
+    who only holds a loaded plan can compute.
     """
     stats: List[ClusterStats] = []
     sizes: List[int] = []
@@ -149,8 +148,8 @@ def build_report(
 
     raw: List[Dict[str, float]] = []
     for cluster in plan.clusters:
-        if cluster_members is not None and cluster.label in cluster_members:
-            member_times = times[cluster_members[cluster.label]]
+        if cluster.members is not None:
+            member_times = times[cluster.members]
         else:
             member_times = times[cluster.sampled_indices]
         cluster_stats = ClusterStats(

@@ -1,4 +1,4 @@
-"""repro.obs — pipeline-wide observability: spans, metrics, events, reports.
+"""repro.obs — pipeline-wide observability: spans, metrics, events, run records.
 
 The rest of the codebase talks to this module through cheap free
 functions that consult one global session::
@@ -18,12 +18,17 @@ and — crucially — results are bit-identical with or without tracing,
 because nothing here ever touches an experiment RNG.
 
 Enable it globally with :func:`configure` (the CLI does this when
-``--trace-out``/``--metrics-out``/``REPRO_LOG_LEVEL`` are present) or
+``--trace-out``/``--flame-out``/``REPRO_LOG_LEVEL`` are present, or
+when the run is ledgered) or
 locally with the :func:`scoped` context manager, which restores the
 previous state on exit — the pattern tests and benchmarks use.
 
 ``REPRO_LOG_LEVEL`` (debug/info/warning/error) sets the event-log
 threshold; per-decision ROOT events are emitted at ``debug``.
+
+A finished session is summarised one way: :func:`build_run_record`
+turns it into the run's ledger record (phase wall-clock, counters,
+cache hit rates, resources).
 """
 
 from __future__ import annotations
@@ -34,20 +39,8 @@ from contextlib import contextmanager
 from typing import IO, Iterator, Optional
 
 from .events import LEVELS, EventLog, parse_level
-from .export import (
-    chrome_trace,
-    load_chrome_trace,
-    load_metrics_json,
-    metrics_to_dict,
-    write_chrome_trace,
-    write_metrics_json,
-)
-from .flame import (
-    CriticalStep,
-    collapsed_stacks,
-    critical_path,
-    write_collapsed,
-)
+from .export import chrome_trace, write_chrome_trace
+from .flame import collapsed_stacks, write_collapsed
 from .ledger import (
     DEFAULT_RUNS_DIR,
     RUN_SCHEMA_VERSION,
@@ -57,7 +50,7 @@ from .ledger import (
     build_run_record,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .report import PHASES, PhaseSummary, RunReport, build_run_report, phase_of
+from .report import PhaseSummary, RunReport, build_run_report, phase_of
 from .resource import ResourceMonitor
 from .slo import (
     SloBudgets,
@@ -72,18 +65,16 @@ __all__ = [
     # session management
     "ObsSession", "configure", "disable", "current", "is_enabled", "scoped",
     # hot-path helpers
-    "span", "null_span", "inc", "set_gauge", "observe", "log_event",
+    "span", "inc", "set_gauge", "observe", "log_event",
     # building blocks
     "Tracer", "Span", "NoopSpan", "NOOP_SPAN",
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "EventLog", "LEVELS", "parse_level",
     # exporters and reports
-    "chrome_trace", "write_chrome_trace", "load_chrome_trace",
-    "metrics_to_dict", "write_metrics_json", "load_metrics_json",
-    "RunReport", "PhaseSummary", "build_run_report", "phase_of", "PHASES",
-    # profiling: flames, critical path, resources
-    "CriticalStep", "critical_path", "collapsed_stacks", "write_collapsed",
-    "ResourceMonitor",
+    "chrome_trace", "write_chrome_trace",
+    "RunReport", "PhaseSummary", "build_run_report", "phase_of",
+    # profiling: flames, resources
+    "collapsed_stacks", "write_collapsed", "ResourceMonitor",
     # run ledger and SLOs
     "RunLedger", "RunRecord", "build_run_record",
     "RUN_SCHEMA_VERSION", "DEFAULT_RUNS_DIR", "RUNS_DIR_ENV",
@@ -121,14 +112,8 @@ class ObsSession:
                 self.worker_resources.append((str(worker), dict(snapshot)))
 
     # -- convenience ---------------------------------------------------------
-    def run_report(self) -> RunReport:
-        return build_run_report(self.tracer, self.metrics)
-
     def write_trace(self, path: str) -> int:
         return write_chrome_trace(path, self.tracer)
-
-    def write_metrics(self, path: str) -> None:
-        write_metrics_json(path, self.metrics)
 
     def write_flame(self, path: str) -> int:
         """Write collapsed-stack lines for flamegraph.pl / speedscope."""
@@ -191,11 +176,6 @@ def span(name: str, category: str = "repro", **attrs):
     if s is None:
         return NOOP_SPAN
     return s.tracer.span(name, category=category, **attrs)
-
-
-def null_span() -> NoopSpan:
-    """The shared no-op span, for call sites that sometimes skip tracing."""
-    return NOOP_SPAN
 
 
 def inc(name: str, n: int = 1) -> None:

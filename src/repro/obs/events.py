@@ -6,9 +6,9 @@ Every event is one JSON object per line::
      "workload": "bfs", "clusters": 12, "samples": 431}
 
 Events below the configured level are dropped at the emit site.  Emitted
-events are kept in memory (for tests and the run report) and, when a
-stream is attached, written immediately — the CLI attaches ``sys.stderr``
-when ``REPRO_LOG_LEVEL`` is set so decisions show up live.
+events are kept in memory (for tests) and, when a stream is attached,
+written immediately — the CLI attaches ``sys.stderr`` when
+``REPRO_LOG_LEVEL`` is set so decisions show up live.
 
 The level ordering follows stdlib logging: ``debug < info < warning <
 error``.  Per-split ROOT decisions are emitted at ``debug`` so a default
@@ -97,14 +97,6 @@ class EventLog:
         if event is not None:
             records = [r for r in records if r["event"] == event]
         return records
-
-    def write_jsonl(self, path: str) -> int:
-        """Dump every recorded event to ``path``; returns the line count."""
-        records = self.records()
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
-        return len(records)
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,14 +1,10 @@
-"""Exporters: span trees to Chrome-trace JSON, metrics to plain JSON.
+"""Exporter: span trees to Chrome-trace JSON.
 
 The Chrome trace format is the ``chrome://tracing`` / Perfetto "JSON
 Array with metadata" flavor: a ``traceEvents`` list of complete events
 (``"ph": "X"``) whose ``ts``/``dur`` are microseconds.  Open an exported
 file directly in ``chrome://tracing`` or https://ui.perfetto.dev to see
 the pipeline's phases on a timeline, one track per thread.
-
-Metrics export is the registry snapshot plus a format header, so a saved
-file is self-describing and `repro obs` can rebuild a run report from
-the pair of files alone.
 """
 
 from __future__ import annotations
@@ -17,17 +13,9 @@ import json
 from typing import Any, Dict, List, Sequence, Union
 
 from .events import _jsonable
-from .metrics import MetricsRegistry
 from .tracer import Span, Tracer
 
-__all__ = [
-    "chrome_trace",
-    "write_chrome_trace",
-    "load_chrome_trace",
-    "metrics_to_dict",
-    "write_metrics_json",
-    "load_metrics_json",
-]
+__all__ = ["chrome_trace", "write_chrome_trace"]
 
 #: Schema tag written into every exported file.
 FORMAT_VERSION = 1
@@ -71,32 +59,3 @@ def write_chrome_trace(path: str, source: Union[Tracer, Sequence[Span]]) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     return len(payload["traceEvents"])
-
-
-def load_chrome_trace(path: str) -> List[Dict[str, Any]]:
-    """Read a Chrome-trace file back into its complete-event list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(payload, list):  # bare JSON-array flavor
-        events = payload
-    else:
-        events = payload.get("traceEvents", [])
-    return [e for e in events if e.get("ph", "X") == "X"]
-
-
-def metrics_to_dict(registry: MetricsRegistry) -> Dict[str, Any]:
-    """Registry snapshot wrapped with a format header."""
-    return {"format_version": FORMAT_VERSION, **registry.snapshot()}
-
-
-def write_metrics_json(path: str, registry: MetricsRegistry) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics_to_dict(registry), fh, indent=2, sort_keys=True)
-
-
-def load_metrics_json(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    for section in ("counters", "gauges", "histograms"):
-        payload.setdefault(section, {})
-    return payload

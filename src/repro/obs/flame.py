@@ -1,35 +1,30 @@
-"""Profile analysis over finished spans: self-time, critical path, flames.
+"""Profile analysis over finished spans: self-time and flames.
 
-Three views of the same span set, all derived from interval containment
+Two views of the same span set, both derived from interval containment
 (within one thread, a span whose interval lies inside another's is its
 child):
 
-* :func:`self_times` — per-span self time, the basis of every run-report
-  table (a ``sampler.cluster`` span wrapping many ``root.split`` spans
-  never double-counts its children);
-* :func:`critical_path` — the chain of heaviest descendants from the
-  longest root span, i.e. the spans that must shrink for the run to get
-  faster;
+* :func:`self_times` — per-span self time, the basis of the run
+  record's phase table (a ``sampler.cluster`` span wrapping many
+  ``root.split`` spans never double-counts its children);
 * :func:`collapsed_stacks` / :func:`write_collapsed` — Brendan-Gregg
   collapsed-stack lines (``root;child;leaf <self_us>``), directly
-  consumable by ``flamegraph.pl`` and https://www.speedscope.app.
+  consumable by ``flamegraph.pl`` and https://www.speedscope.app, which
+  also show the hottest spans and the heaviest path.
 
-All three accept the same sources as the run report: a live
-:class:`~repro.obs.tracer.Tracer`, a span list, or events loaded back
-from a Chrome-trace file.
+Both accept a live :class:`~repro.obs.tracer.Tracer`, a span list, or
+plain event dicts (``name``/``ts``/``dur``/``tid``, the Chrome-trace
+shape).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .tracer import Span, Tracer
 
 __all__ = [
-    "CriticalStep",
     "collapsed_stacks",
-    "critical_path",
     "normalize_events",
     "self_times",
     "span_forest",
@@ -40,7 +35,7 @@ SpanSource = Union[Tracer, Sequence[Span], Sequence[Dict[str, Any]]]
 
 
 def normalize_events(events_or_spans: SpanSource) -> List[Dict[str, Any]]:
-    """Unify live spans and loaded Chrome-trace events into plain dicts."""
+    """Unify live spans and Chrome-trace-shaped event dicts into plain dicts."""
     if isinstance(events_or_spans, Tracer):
         events_or_spans = events_or_spans.finished()
     normalized = []
@@ -92,49 +87,6 @@ def span_forest(
 def self_times(events: List[Dict[str, Any]]) -> List[float]:
     """Per-event self time via interval containment within each thread."""
     return span_forest(events)[1]
-
-
-@dataclass
-class CriticalStep:
-    """One span on the critical path, root first."""
-
-    name: str
-    dur_us: float
-    self_us: float
-    depth: int
-
-
-def critical_path(source: SpanSource) -> List[CriticalStep]:
-    """Heaviest-descendant chain from the longest root span.
-
-    Deterministic under ties: the earlier-starting (then
-    lexicographically smaller-named) span wins.
-    """
-    events = normalize_events(source)
-    if not events:
-        return []
-    parents, self_us = span_forest(events)
-    children: Dict[Optional[int], List[int]] = {}
-    for i, parent in enumerate(parents):
-        children.setdefault(parent, []).append(i)
-
-    def heaviest(indices: List[int]) -> int:
-        return min(
-            indices,
-            key=lambda i: (-events[i]["dur"], events[i]["ts"], events[i]["name"]),
-        )
-
-    path: List[CriticalStep] = []
-    node: Optional[int] = heaviest(children.get(None, []))
-    depth = 0
-    while node is not None:
-        e = events[node]
-        path.append(CriticalStep(name=e["name"], dur_us=e["dur"],
-                                 self_us=max(0.0, self_us[node]), depth=depth))
-        kids = children.get(node)
-        node = heaviest(kids) if kids else None
-        depth += 1
-    return path
 
 
 def collapsed_stacks(source: SpanSource) -> Dict[str, float]:

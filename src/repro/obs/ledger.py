@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .events import _jsonable
+from .report import build_run_report
 
 __all__ = [
     "DEFAULT_RUNS_DIR",
@@ -267,13 +268,6 @@ class RunLedger:
         records = self.history(run_id=run_id, command=command)
         return records[-1] if records else None
 
-    def groups(self) -> Dict[str, List[RunRecord]]:
-        """Records grouped by run_id (insertion-ordered), oldest first."""
-        grouped: Dict[str, List[RunRecord]] = {}
-        for record in self.read():
-            grouped.setdefault(record.run_id, []).append(record)
-        return grouped
-
 
 def _cache_rates(counters: Dict[str, int]) -> Dict[str, Dict[str, float]]:
     """Hit rates for the three memo tiers, from their obs counters."""
@@ -329,20 +323,17 @@ def build_run_record(
     label: str = "",
     config: Optional[Dict[str, Any]] = None,
     session: Optional[Any] = None,
-    report: Optional[Any] = None,
-    snapshot: Optional[Dict[str, Any]] = None,
-    workers: Optional[Any] = None,
     resources: Optional[Dict[str, float]] = None,
     extra_metrics: Optional[Dict[str, Any]] = None,
     status: int = 0,
 ) -> RunRecord:
     """Assemble a RunRecord from a finished run.
 
-    ``session`` is the run's :class:`~repro.obs.ObsSession`; callers
-    reconstructing a run from saved files pass a ``report``
-    (:func:`~repro.obs.report.build_run_report`) and metrics
-    ``snapshot`` instead, and uninstrumented callers like benchmarks
-    pass ``extra_metrics`` directly.  ``resources`` is a parent
+    ``session`` is the run's :class:`~repro.obs.ObsSession`: it supplies
+    the counters, the per-phase wall-clock
+    (:func:`~repro.obs.report.build_run_report`) and the pool workers'
+    resource snapshots.  Uninstrumented callers like benchmarks pass
+    ``extra_metrics`` directly.  ``resources`` is a parent
     :meth:`~repro.obs.resource.ResourceMonitor.snapshot`.
     """
     import time  # local: only the timing section may see a wall clock
@@ -356,11 +347,7 @@ def build_run_record(
     }
 
     if session is not None:
-        report = session.run_report()
         snapshot = session.metrics.snapshot()
-        workers = getattr(session, "worker_resources", None)
-
-    if snapshot is not None:
         counters = {k: int(v) for k, v in snapshot.get("counters", {}).items()}
         gauges = {k: float(v) for k, v in snapshot.get("gauges", {}).items()}
         metrics["counters"] = dict(sorted(counters.items()))
@@ -375,7 +362,7 @@ def build_run_record(
         resilience = _resilience_summary(counters, gauges)
         if resilience:
             metrics["resilience"] = resilience
-    if report is not None:
+        report = build_run_report(session.tracer)
         timing["wall_s"] = round(report.wall_us / 1e6, 6)
         timing["phases"] = {
             phase: {
@@ -386,11 +373,12 @@ def build_run_record(
             for phase, summary in sorted(report.phases.items())
             if summary.spans
         }
-    if workers:
-        timing["workers"] = sorted(
-            ({"worker": worker, **snap} for worker, snap in workers),
-            key=lambda w: str(w["worker"]),
-        )
+        if session.worker_resources:
+            timing["workers"] = sorted(
+                ({"worker": worker, **snap}
+                 for worker, snap in session.worker_resources),
+                key=lambda w: str(w["worker"]),
+            )
 
     if resources:
         timing["resource"] = dict(resources)

@@ -5,15 +5,9 @@ Three instrument kinds cover everything the pipeline needs to report:
 * **Counter** — monotonically increasing totals
   (``root.splits_accepted``, ``sim.kernels_executed``);
 * **Gauge** — last-written values (``sampler.leaf_clusters``);
-* **Histogram** — distribution sketches with percentile queries
-  (``root.split_depth``, ``sim.kernel_cycles``).
-
-Histograms keep exact running ``count/sum/min/max`` plus a bounded
-reservoir for percentiles, so observing millions of values costs O(1)
-memory.  Reservoir replacement uses a private seeded SplitMix64 stream:
-identical runs produce identical snapshots, and the sampler's NumPy
-generators are never touched — observability can never perturb the
-experiment's randomness.
+* **Histogram** — exact running ``count/sum/min/max`` and ``mean`` of
+  an observed quantity (``root.split_depth``, ``sim.kernel_cycles``),
+  in O(1) memory.
 
 Thread safety and merge determinism
 -----------------------------------
@@ -21,10 +15,10 @@ Every write path (``inc``/``set``/``observe``) runs under a
 per-instrument lock, so instrumented code may run in threads without
 losing updates.  Cross-process merging is **order-independent**: a state
 handed to :meth:`MetricsRegistry.merge_state` is parked and folded into
-read-side views (``snapshot``/``export_state``/``names``) in a canonical
-order — sorted by the state's own JSON — so a parent that merges worker
-A before worker B produces byte-identical snapshots to one that merged
-B before A, float summation included.
+read-side views (``snapshot``/``export_state``) in a canonical order —
+sorted by the state's own JSON — so a parent that merges worker A before
+worker B produces byte-identical snapshots to one that merged B before
+A, float summation included.
 """
 
 from __future__ import annotations
@@ -35,33 +29,6 @@ import threading
 from typing import Dict, List, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-
-#: Reservoir capacity per histogram; plenty for stable p50/p90/p99.
-_RESERVOIR_SIZE = 4096
-
-_MASK64 = (1 << 64) - 1
-
-
-class _SplitMix64:
-    """Tiny deterministic PRNG for reservoir replacement.
-
-    Implemented inline (Sebastiano Vigna's SplitMix64) so observability
-    never touches the stdlib ``random`` module or any NumPy generator:
-    the stream is a pure function of the seed, per histogram.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def randrange(self, n: int) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        return z % n
 
 
 class Counter:
@@ -94,24 +61,12 @@ class Gauge:
             self.value = float(value)
 
 
-def _empty_hist_state() -> Dict[str, object]:
-    return {
-        "count": 0,
-        "sum": 0.0,
-        "min": math.inf,
-        "max": -math.inf,
-        "reservoir": [],
-    }
+def _empty_hist_state() -> Dict[str, float]:
+    return {"count": 0, "sum": 0.0, "min": math.inf, "max": -math.inf}
 
 
-def _fold_hist_state(base: Dict[str, object], incoming: Dict[str, object]) -> None:
-    """Fold one exported histogram state into ``base`` (in place).
-
-    Exact moments (count/sum/min/max) merge exactly; the reservoir is
-    extended with the other histogram's samples and truncated to
-    capacity, which keeps percentile queries representative of both
-    sources without replaying every observation.
-    """
+def _fold_hist_state(base: Dict[str, float], incoming: Dict[str, float]) -> None:
+    """Fold one exported histogram state into ``base`` (in place)."""
     count = int(incoming.get("count", 0))
     if count <= 0:
         return
@@ -119,29 +74,11 @@ def _fold_hist_state(base: Dict[str, object], incoming: Dict[str, object]) -> No
     base["sum"] = float(base["sum"]) + float(incoming.get("sum", 0.0))
     base["min"] = min(float(base["min"]), float(incoming.get("min", math.inf)))
     base["max"] = max(float(base["max"]), float(incoming.get("max", -math.inf)))
-    reservoir: List[float] = base["reservoir"]  # type: ignore[assignment]
-    room = _RESERVOIR_SIZE - len(reservoir)
-    if room > 0:
-        incoming_res = list(incoming.get("reservoir") or [])
-        reservoir.extend(float(v) for v in incoming_res[:room])
 
 
-def _percentile_from(reservoir: List[float], p: float) -> float:
-    """Nearest-rank percentile over a reservoir, ``p`` in [0, 100]."""
-    if not 0.0 <= p <= 100.0:
-        raise ValueError("percentile must be in [0, 100]")
-    if not reservoir:
-        return 0.0
-    ordered = sorted(reservoir)
-    rank = min(len(ordered) - 1, max(0, math.ceil(p / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
-
-
-def _hist_state_snapshot(state: Dict[str, object]) -> Dict[str, float]:
+def _hist_state_snapshot(state: Dict[str, float]) -> Dict[str, float]:
     if not state["count"]:
-        return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
-                "p50": 0.0, "p90": 0.0, "p99": 0.0}
-    reservoir: List[float] = state["reservoir"]  # type: ignore[assignment]
+        return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
     count = int(state["count"])
     total = float(state["sum"])
     return {
@@ -150,17 +87,13 @@ def _hist_state_snapshot(state: Dict[str, object]) -> Dict[str, float]:
         "min": float(state["min"]),
         "max": float(state["max"]),
         "mean": total / count,
-        "p50": _percentile_from(reservoir, 50),
-        "p90": _percentile_from(reservoir, 90),
-        "p99": _percentile_from(reservoir, 99),
     }
 
 
 class Histogram:
-    """Distribution sketch with exact moments and sampled percentiles."""
+    """Exact running moments of one observed quantity."""
 
-    __slots__ = ("name", "count", "sum", "min", "max", "_reservoir", "_rng",
-                 "_lock")
+    __slots__ = ("name", "count", "sum", "min", "max", "_lock")
 
     def __init__(self, name: str):
         self.name = name
@@ -168,9 +101,6 @@ class Histogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._reservoir: List[float] = []
-        # Deterministic and independent of every experiment RNG.
-        self._rng = _SplitMix64(0xC0FFEE)
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -182,50 +112,15 @@ class Histogram:
                 self.min = v
             if v > self.max:
                 self.max = v
-            if len(self._reservoir) < _RESERVOIR_SIZE:
-                self._reservoir.append(v)
-            else:  # Vitter's algorithm R
-                j = self._rng.randrange(self.count)
-                if j < _RESERVOIR_SIZE:
-                    self._reservoir[j] = v
 
-    def _state(self) -> Dict[str, object]:
+    def _state(self) -> Dict[str, float]:
         """Mergeable state; caller must hold the lock or own the instance."""
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "reservoir": list(self._reservoir),
-        }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another histogram's exported state into this one."""
-        with self._lock:
-            base = self._state()
-            _fold_hist_state(base, state)
-            self.count = int(base["count"])
-            self.sum = float(base["sum"])
-            self.min = float(base["min"])
-            self.max = float(base["max"])
-            self._reservoir = base["reservoir"]  # type: ignore[assignment]
-
-    def export_state(self) -> Dict[str, object]:
-        """Snapshot plus the reservoir, for cross-process merging."""
-        state: Dict[str, object] = dict(self.snapshot())
-        with self._lock:
-            state["reservoir"] = list(self._reservoir)
-        return state
+        return {"count": self.count, "sum": self.sum, "min": self.min,
+                "max": self.max}
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the reservoir, ``p`` in [0, 100]."""
-        with self._lock:
-            reservoir = list(self._reservoir)
-        return _percentile_from(reservoir, p)
 
     def snapshot(self) -> Dict[str, float]:
         with self._lock:
@@ -307,11 +202,6 @@ class MetricsRegistry:
                 _fold_hist_state(base, hist_state)
         return counters, gauges, histograms
 
-    def names(self, prefix: str = "") -> List[str]:
-        counters, gauges, histograms = self._folded()
-        all_names = list(counters) + list(gauges) + list(histograms)
-        return sorted(n for n in all_names if n.startswith(prefix))
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """JSON-ready view: ``{"counters": ..., "gauges": ..., "histograms": ...}``."""
         counters, gauges, histograms = self._folded()
@@ -324,26 +214,14 @@ class MetricsRegistry:
         }
 
     def export_state(self) -> Dict[str, Dict[str, object]]:
-        """Mergeable registry state (snapshot + histogram reservoirs).
+        """Mergeable registry state: the input :meth:`merge_state` takes.
 
-        The inverse of :meth:`merge_state`; parallel grid workers export
-        this and the parent folds it into its own registry, so one run's
-        metrics cover every process that contributed to it.  Pending
-        merged states are folded in, so chained merges (worker →
-        parent → grandparent) lose nothing.
+        Parallel grid workers export this and the parent folds it into
+        its own registry, so one run's metrics cover every process that
+        contributed to it.  Pending merged states are folded in, so
+        chained merges (worker → parent → grandparent) lose nothing.
         """
-        counters, gauges, histograms = self._folded()
-        exported_hists: Dict[str, Dict[str, object]] = {}
-        for name in sorted(histograms):
-            state = histograms[name]
-            snap: Dict[str, object] = dict(_hist_state_snapshot(state))
-            snap["reservoir"] = list(state["reservoir"])  # type: ignore[index]
-            exported_hists[name] = snap
-        return {
-            "counters": {n: counters[n] for n in sorted(counters)},
-            "gauges": {n: gauges[n] for n in sorted(gauges)},
-            "histograms": exported_hists,
-        }
+        return self.snapshot()
 
     def merge_state(self, state: Dict[str, Dict[str, object]]) -> None:
         """Park another registry's exported state for canonical folding.
@@ -357,10 +235,3 @@ class MetricsRegistry:
         key = json.dumps(state, sort_keys=True, default=str)
         with self._lock:
             self._pending.append((key, state))
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._pending.clear()

@@ -1,12 +1,10 @@
-"""Run reports: per-phase wall-clock and decision summaries.
+"""Run reports: per-phase wall-clock of one run.
 
-A run report answers the two questions every Figure-9-style analysis
-starts from: *where did the wall-clock go* (profile → cluster → plan →
-simulate) and *what did the sampler decide* (splits accepted, samples
-allocated, kernels simulated).  It is built either from a live
-:class:`~repro.obs.tracer.Tracer` + :class:`~repro.obs.metrics.MetricsRegistry`
-or from their exported files, so ``repro obs trace.json --metrics m.json``
-reconstructs the same tables after the fact.
+A run report answers the question every Figure-9-style analysis starts
+from: *where did the wall-clock go* (profile → cluster → plan →
+simulate).  :func:`~repro.obs.ledger.build_run_record` writes it into
+the record's ``timing.wall_s`` and ``timing.phases``; the sampler's
+decision counters travel beside it under ``metrics.counters``.
 
 Self-time is recovered from span containment: within one thread, a span
 whose interval lies inside another's is its child, and the parent's
@@ -16,14 +14,12 @@ span wrapping many ``root.split`` spans) never double-counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from .flame import CriticalStep, critical_path, normalize_events, self_times
-from .metrics import MetricsRegistry
-from .tracer import Span, Tracer
+from .flame import SpanSource, normalize_events, self_times
 
-__all__ = ["PhaseSummary", "RunReport", "build_run_report", "PHASES"]
+__all__ = ["PhaseSummary", "RunReport", "build_run_report", "phase_of"]
 
 #: Ordered (name-prefix, phase) mapping; first match wins.  A prefix
 #: matches ``name == prefix`` or ``name.startswith(prefix + ".")``.
@@ -42,9 +38,6 @@ PHASE_PREFIXES: List[Tuple[str, str]] = [
     ("memo", "memo"),
 ]
 
-#: Canonical phase display order.
-PHASES: List[str] = ["profile", "cluster", "plan", "simulate", "resilience", "memo", "other"]
-
 
 def phase_of(name: str) -> str:
     for prefix, phase in PHASE_PREFIXES:
@@ -61,124 +54,20 @@ class PhaseSummary:
     spans: int = 0
     total_us: float = 0.0
     self_us: float = 0.0
-    #: span name -> (count, self_us)
-    by_name: Dict[str, Tuple[int, float]] = field(default_factory=dict)
 
 
 @dataclass
 class RunReport:
-    """Per-phase wall-clock plus the sampler's decision counters."""
+    """Per-phase wall-clock plus the elapsed wall-clock of the run."""
 
     phases: Dict[str, PhaseSummary]
-    counters: Dict[str, int]
-    gauges: Dict[str, float]
-    histograms: Dict[str, Dict[str, float]]
     wall_us: float = 0.0
-    #: Heaviest-descendant chain from the longest root span, root first.
-    critical_path: List[CriticalStep] = field(default_factory=list)
-
-    @property
-    def accounted_us(self) -> float:
-        return sum(p.self_us for p in self.phases.values())
-
-    def to_text(self, top: int = 8) -> str:
-        lines: List[str] = []
-        lines.append("Run report")
-        lines.append("=" * 64)
-        lines.append("")
-        lines.append("Wall-clock by phase (self-time, no double counting)")
-        header = f"{'phase':<10} {'spans':>7} {'self ms':>10} {'share %':>8}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        denom = self.accounted_us or 1.0
-        for phase in PHASES:
-            summary = self.phases.get(phase)
-            if summary is None or summary.spans == 0:
-                continue
-            lines.append(
-                f"{phase:<10} {summary.spans:>7d} "
-                f"{summary.self_us / 1000.0:>10.3f} "
-                f"{summary.self_us / denom * 100.0:>8.1f}"
-            )
-        lines.append("-" * len(header))
-        lines.append(
-            f"{'total':<10} {sum(p.spans for p in self.phases.values()):>7d} "
-            f"{self.accounted_us / 1000.0:>10.3f} {'100.0':>8}"
-        )
-        if self.wall_us:
-            lines.append(f"elapsed wall-clock: {self.wall_us / 1000.0:.3f} ms")
-
-        if self.critical_path:
-            lines.append("")
-            lines.append("Critical path (heaviest descendant chain)")
-            header = f"{'span':<32} {'total ms':>10} {'self ms':>10}"
-            lines.append(header)
-            lines.append("-" * len(header))
-            for step in self.critical_path[:top]:
-                indent = "  " * step.depth + step.name
-                lines.append(
-                    f"{indent:<32} {step.dur_us / 1000.0:>10.3f} "
-                    f"{step.self_us / 1000.0:>10.3f}"
-                )
-
-        hot = self.hottest_spans(top)
-        if hot:
-            lines.append("")
-            lines.append(f"Hottest spans (top {len(hot)})")
-            header = f"{'span':<28} {'calls':>7} {'self ms':>10}"
-            lines.append(header)
-            lines.append("-" * len(header))
-            for name, count, self_us in hot:
-                lines.append(f"{name:<28} {count:>7d} {self_us / 1000.0:>10.3f}")
-
-        if self.counters:
-            lines.append("")
-            lines.append("Decision counters")
-            width = max(len(n) for n in self.counters)
-            for name in sorted(self.counters):
-                lines.append(f"  {name:<{width}}  {self.counters[name]}")
-
-        interesting = {
-            n: h for n, h in self.histograms.items() if h.get("count", 0)
-        }
-        if interesting:
-            lines.append("")
-            lines.append("Distributions")
-            width = max(len(n) for n in interesting)
-            for name in sorted(interesting):
-                h = interesting[name]
-                lines.append(
-                    f"  {name:<{width}}  n={int(h['count'])} "
-                    f"mean={h['mean']:.3g} p50={h['p50']:.3g} "
-                    f"p90={h['p90']:.3g} max={h['max']:.3g}"
-                )
-        return "\n".join(lines)
-
-    def hottest_spans(self, top: int = 8) -> List[Tuple[str, int, float]]:
-        """(name, calls, self_us) of the most expensive span names."""
-        merged: Dict[str, Tuple[int, float]] = {}
-        for summary in self.phases.values():
-            for name, (count, self_us) in summary.by_name.items():
-                old_count, old_self = merged.get(name, (0, 0.0))
-                merged[name] = (old_count + count, old_self + self_us)
-        ranked = sorted(merged.items(), key=lambda kv: kv[1][1], reverse=True)
-        return [(n, c, s) for n, (c, s) in ranked[: max(0, top)]]
 
 
-# Containment analysis lives in .flame (shared with the collapsed-stack
-# exporter and critical-path extraction); keep private aliases for the
-# report's own call sites.
-_normalize = normalize_events
-_self_times = self_times
-
-
-def build_run_report(
-    spans: Union[Tracer, Sequence[Span], Sequence[Dict[str, Any]]],
-    metrics: Union[MetricsRegistry, Dict[str, Any], None] = None,
-) -> RunReport:
-    """Aggregate spans (live or loaded) and metrics into a RunReport."""
-    events = _normalize(spans)
-    self_us = _self_times(events)
+def build_run_report(spans: SpanSource) -> RunReport:
+    """Aggregate finished spans into per-phase wall-clock."""
+    events = normalize_events(spans)
+    self_us = self_times(events)
 
     phases: Dict[str, PhaseSummary] = {}
     for event, self_time in zip(events, self_us):
@@ -187,26 +76,10 @@ def build_run_report(
         summary.spans += 1
         summary.total_us += event["dur"]
         summary.self_us += max(0.0, self_time)
-        count, acc = summary.by_name.get(event["name"], (0, 0.0))
-        summary.by_name[event["name"]] = (count + 1, acc + max(0.0, self_time))
-
-    if isinstance(metrics, MetricsRegistry):
-        snapshot = metrics.snapshot()
-    elif metrics is None:
-        snapshot = {"counters": {}, "gauges": {}, "histograms": {}}
-    else:
-        snapshot = metrics
 
     wall_us = 0.0
     if events:
         wall_us = max(e["ts"] + e["dur"] for e in events) - min(
             e["ts"] for e in events
         )
-    return RunReport(
-        phases=phases,
-        counters=dict(snapshot.get("counters", {})),
-        gauges=dict(snapshot.get("gauges", {})),
-        histograms=dict(snapshot.get("histograms", {})),
-        wall_us=wall_us,
-        critical_path=critical_path(events),
-    )
+    return RunReport(phases=phases, wall_us=wall_us)

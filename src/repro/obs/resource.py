@@ -1,29 +1,26 @@
-"""Sampling resource monitor: peak RSS and CPU time per process.
+"""Resource monitor: peak RSS and CPU time per process.
 
 A :class:`ResourceMonitor` wraps any unit of work — the whole CLI run in
 the parent, one task batch inside a pool worker — and reports a small
 JSON-ready snapshot::
 
     {"max_rss_kb": 184320, "cpu_user_s": 1.91, "cpu_system_s": 0.12,
-     "wall_s": 2.05, "samples": 38}
+     "wall_s": 2.05}
 
-RSS comes from ``/proc/self/status`` (``VmRSS`` sampled on a daemon
-thread, reconciled with the kernel's own ``VmHWM`` high-water mark on
-exit); CPU time from :func:`os.times`.  On hosts without ``/proc`` the
-monitor falls back to ``resource.getrusage`` and reports zero samples.
-Only monotonic timers are used, so monitored code remains deterministic
-and cache-safe.
+Peak RSS is the kernel's own high-water mark, read on exit: ``VmHWM``
+from ``/proc/self/status``, or ``resource.getrusage`` on hosts without
+``/proc``.  CPU time comes from :func:`os.times`.  Only monotonic timers
+are used, so monitored code remains deterministic and cache-safe.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import threading
 import time
 from typing import Dict, Optional
 
-__all__ = ["ResourceMonitor", "read_rss_kb"]
+__all__ = ["ResourceMonitor"]
 
 _PROC_STATUS = "/proc/self/status"
 
@@ -52,76 +49,35 @@ def _rusage_maxrss_kb() -> Optional[int]:
     return int(peak)
 
 
-def read_rss_kb() -> Optional[int]:
-    """Current resident set size in KiB, or None when unobservable."""
-    return _read_status_kb("VmRSS")
-
-
 class ResourceMonitor:
-    """Context manager sampling RSS while measuring CPU and wall time.
+    """Context manager measuring peak RSS, CPU and wall time.
 
-    The sampling thread is a daemon waking every ``interval_s``; each
-    sample updates the observed peak (and, when observability is
-    enabled, the ``resource.rss_kb`` gauge — live progress telemetry for
-    long campaigns).  ``snapshot()`` is valid after exit.
+    ``snapshot()`` is valid after exit.
     """
 
-    def __init__(self, interval_s: float = 0.05):
-        self.interval_s = float(interval_s)
-        self.samples = 0
+    def __init__(self) -> None:
         self._peak_rss_kb = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self._start_wall = 0.0
         self._start_cpu = (0.0, 0.0)
         self._wall_s = 0.0
         self._cpu_user_s = 0.0
         self._cpu_system_s = 0.0
 
-    # -- sampling loop --------------------------------------------------------
-    def _sample_once(self) -> None:
-        rss = read_rss_kb()
-        if rss is not None:
-            if rss > self._peak_rss_kb:
-                self._peak_rss_kb = rss
-            self.samples += 1
-            from . import set_gauge  # late import: obs package init order
-
-            set_gauge("resource.rss_kb", float(rss))
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self._sample_once()
-
-    # -- context protocol -----------------------------------------------------
     def __enter__(self) -> "ResourceMonitor":
         times = os.times()
         self._start_cpu = (times.user, times.system)
         self._start_wall = time.perf_counter()
-        self._stop.clear()
-        self._sample_once()
-        if self.samples:  # /proc is readable; keep sampling in background
-            self._thread = threading.Thread(
-                target=self._run, name="repro-resource-monitor", daemon=True
-            )
-            self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-            self._thread = None
         self._wall_s = time.perf_counter() - self._start_wall
         times = os.times()
         self._cpu_user_s = times.user - self._start_cpu[0]
         self._cpu_system_s = times.system - self._start_cpu[1]
-        # The kernel's own high-water mark beats any sampling cadence.
         peak = _read_status_kb("VmHWM")
         if peak is None:
             peak = _rusage_maxrss_kb()
-        if peak is not None and peak > self._peak_rss_kb:
-            self._peak_rss_kb = peak
+        self._peak_rss_kb = peak or 0
 
     def snapshot(self) -> Dict[str, float]:
         """JSON-ready resource summary (valid after ``__exit__``)."""
@@ -130,5 +86,4 @@ class ResourceMonitor:
             "cpu_user_s": round(self._cpu_user_s, 6),
             "cpu_system_s": round(self._cpu_system_s, 6),
             "wall_s": round(self._wall_s, 6),
-            "samples": int(self.samples),
         }

@@ -251,11 +251,6 @@ class Tracer:
             self._finished.extend(ingested)
         return len(ingested)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._finished.clear()
-        self.epoch_us = _now_us()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._finished)

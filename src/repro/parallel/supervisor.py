@@ -17,7 +17,7 @@ supervisor turns worker death into a scheduling event:
   culprit, so all of them become *suspects* and are probed one at a
   time in a fresh pool.  Only a task that breaks the pool while it is
   the sole task in flight is charged a kill; after
-  ``max_task_kills`` such solo kills it is quarantined with a typed
+  ``MAX_TASK_KILLS`` such solo kills it is quarantined with a typed
   :class:`~repro.errors.PoisonedTaskError` instead of sinking the
   sweep.  Innocent bystanders can never be quarantined.
 
@@ -60,25 +60,24 @@ __all__ = [
 ]
 
 
+#: Solo pool-breakages a task may cause before it is quarantined.
+MAX_TASK_KILLS = 2
+
+#: How often the dispatch loop wakes to check heartbeats (seconds).
+POLL_INTERVAL_S = 0.05
+
+
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """Knobs for the supervised dispatch loop."""
 
-    #: Solo pool-breakages a task may cause before it is quarantined.
-    max_task_kills: int = 2
     #: Declare a started task stalled after this many seconds without
     #: finishing, and SIGKILL its worker (``None`` disables).
     heartbeat_timeout: Optional[float] = None
-    #: How often the dispatch loop wakes to check heartbeats (seconds).
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.max_task_kills < 1:
-            raise ValueError("max_task_kills must be at least 1")
         if self.heartbeat_timeout is not None and self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,6 @@ class SupervisionReport:
     pool_rebuilds: int = 0
     redispatches: int = 0
     stalls_detected: int = 0
-    #: Second completions of a finished task whose value differed from
-    #: the first (a purity violation; the first value is kept).
-    duplicate_mismatches: int = 0
     poisoned: List[PoisonedTask] = field(default_factory=list)
 
     def poisoned_indices(self) -> List[int]:
@@ -265,7 +261,7 @@ class _Supervisor:
         # Every quarantine removes a task, so rebuilds are intrinsically
         # bounded; the explicit cap only guards against pathological
         # environments that kill workers between dispatches.
-        self.rebuild_budget = n * (policy.max_task_kills + 2) + self.jobs + 8
+        self.rebuild_budget = n * (MAX_TASK_KILLS + 2) + self.jobs + 8
 
     # -- pool lifecycle ------------------------------------------------------
     def _pool(self) -> ProcessPoolExecutor:
@@ -319,32 +315,8 @@ class _Supervisor:
             self.pending.popleft()
 
     # -- completion ----------------------------------------------------------
-    def _values_equal(self, a: Any, b: Any) -> bool:
-        try:
-            if a == b:
-                return True
-        except Exception:  # pragma: no cover - exotic __eq__
-            pass
-        # NaN-bearing payloads (N/A rows) compare unequal to themselves;
-        # purity makes repeated runs structurally identical, so repr
-        # equality is the honest tie-breaker.
-        return repr(a) == repr(b)
-
     def _complete(self, flight: _Flight, wrapped: Dict) -> None:
         index = flight.index
-        if index in self.done:
-            # A stale re-dispatch racing its own stall kill: verify
-            # purity, then drop it.
-            if self._values_equal(self.results[index], wrapped["value"]):
-                return
-            self.report.duplicate_mismatches += 1
-            obs.inc("parallel.supervisor.duplicate_mismatches")
-            obs.log_event(
-                f"{self.label}.duplicate_mismatch",
-                level="error",
-                index=index,
-            )
-            return
         _merge_worker_obs(wrapped, worker_label=f"{self.label}-{index}")
         absorb_lookups(wrapped["lookups"])
         self.results[index] = wrapped["value"]
@@ -358,7 +330,7 @@ class _Supervisor:
         kills = self.kills.get(index, 0)
         error = PoisonedTaskError(
             f"task {index} killed its worker {kills} times in isolation; "
-            f"quarantined (max_task_kills={self.policy.max_task_kills})",
+            "quarantined",
             index=index,
             kills=kills,
         )
@@ -388,7 +360,7 @@ class _Supervisor:
             solo = len(flights) <= 1 or index in self.stall_culprits
             if solo:
                 self.kills[index] = self.kills.get(index, 0) + 1
-                if self.kills[index] >= self.policy.max_task_kills:
+                if self.kills[index] >= MAX_TASK_KILLS:
                     self._quarantine(index)
                     continue
                 self.suspects.append(index)
@@ -472,7 +444,7 @@ class _Supervisor:
                     break  # everything left was quarantined
                 done_futures, _ = wait(
                     set(self.in_flight),
-                    timeout=self.policy.poll_interval,
+                    timeout=POLL_INTERVAL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 if not done_futures:

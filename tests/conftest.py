@@ -16,9 +16,11 @@ from repro.workloads.generators.synthetic import (
 )
 
 
-#: Per-test time limit in seconds, 40x the slowest test (about 6 s).  A
-#: test that hangs (say, a pool deadlock) dumps every thread's stack and
-#: ends the run instead of stalling the whole suite.
+#: Per-test time limit in seconds, 40x the slowest test (about 6 s,
+#: setup and teardown included).  A test that hangs (say, a pool
+#: deadlock), or a fixture that hangs while it is built or torn down,
+#: dumps every thread's stack and ends the run instead of stalling the
+#: whole suite.
 TEST_TIME_LIMIT_S = 240
 
 _REAL_STDERR = pytest.StashKey()
@@ -35,10 +37,13 @@ def pytest_unconfigure(config):
     config.stash[_REAL_STDERR].close()
 
 
-@pytest.fixture(autouse=True)
-def _time_limit(request):
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    # Armed around the whole protocol, so the limit also covers the
+    # setup and teardown of module-, class- and session-scoped fixtures,
+    # which run inside the first and last test that uses them.
     faulthandler.dump_traceback_later(
-        TEST_TIME_LIMIT_S, exit=True, file=request.config.stash[_REAL_STDERR]
+        TEST_TIME_LIMIT_S, exit=True, file=item.config.stash[_REAL_STDERR]
     )
     yield
     faulthandler.cancel_dump_traceback_later()

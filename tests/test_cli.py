@@ -100,10 +100,10 @@ class TestCommands:
 class TestObservability:
     def test_sample_writes_trace_and_metrics(self, tmp_path, capsys):
         trace_path = tmp_path / "t.json"
-        metrics_path = tmp_path / "m.json"
+        runs = str(tmp_path / "runs")
         assert main([
             "sample", "rodinia", "bfs", "--scale", "0.5",
-            "--trace-out", str(trace_path), "--metrics-out", str(metrics_path),
+            "--trace-out", str(trace_path), "--runs-dir", runs,
         ]) == 0
         # Observability was torn down after the run.
         assert not obs.is_enabled()
@@ -114,8 +114,8 @@ class TestObservability:
         names = {e["name"] for e in trace["traceEvents"]}
         assert "root.split" in names and "sampler.build_plan" in names
 
-        metrics = json.loads(metrics_path.read_text())
-        counters = metrics["counters"]
+        # The run's counters live in its ledger record.
+        counters = obs.RunLedger(runs).latest().metrics["counters"]
         for prefix in ("root.", "stem.", "sim."):
             assert any(
                 name.startswith(prefix) and value > 0
@@ -129,29 +129,6 @@ class TestObservability:
             "--trace-out", str(trace_path),
         ]) == 0
         assert json.loads(trace_path.read_text())["traceEvents"]
-
-    def test_obs_subcommand_renders_report(self, tmp_path, capsys):
-        trace_path = tmp_path / "t.json"
-        metrics_path = tmp_path / "m.json"
-        main([
-            "sample", "rodinia", "bfs", "--scale", "0.5",
-            "--trace-out", str(trace_path), "--metrics-out", str(metrics_path),
-        ])
-        capsys.readouterr()
-        assert main(["obs", "report", str(trace_path),
-                     "--metrics", str(metrics_path)]) == 0
-        out = capsys.readouterr().out
-        assert "Wall-clock by phase" in out
-        assert "cluster" in out
-        assert "root.splits_accepted" in out
-
-    def test_obs_subcommand_without_metrics(self, tmp_path, capsys):
-        trace_path = tmp_path / "t.json"
-        main(["sample", "rodinia", "bfs", "--scale", "0.5",
-              "--trace-out", str(trace_path)])
-        capsys.readouterr()
-        assert main(["obs", "report", str(trace_path)]) == 0
-        assert "Wall-clock by phase" in capsys.readouterr().out
 
     def test_disabled_run_matches_traced_run(self, tmp_path, capsys):
         assert main(["sample", "rodinia", "bfs", "--scale", "0.5"]) == 0

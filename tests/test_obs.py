@@ -1,5 +1,6 @@
 """Tests for the observability layer (repro.obs)."""
 
+import io
 import json
 import threading
 
@@ -127,21 +128,6 @@ class TestMetrics:
         assert h.count == 100
         assert h.min == 1.0 and h.max == 100.0
         assert h.mean == pytest.approx(50.5)
-        assert h.percentile(50) == 50.0
-        assert h.percentile(90) == 90.0
-        assert h.percentile(99) == 99.0
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 100.0
-
-    def test_histogram_reservoir_bounded_and_deterministic(self):
-        a, b = obs.Histogram("a"), obs.Histogram("b")
-        for v in range(20_000):
-            a.observe(float(v))
-            b.observe(float(v))
-        assert len(a._reservoir) == 4096
-        assert a.snapshot() == b.snapshot()
-        # Percentiles still roughly track the true distribution.
-        assert a.percentile(50) == pytest.approx(10_000, rel=0.1)
 
     def test_empty_histogram_snapshot(self):
         assert obs.Histogram("e").snapshot()["count"] == 0
@@ -165,18 +151,9 @@ class TestExport:
         # numpy attr values were coerced to JSON natives.
         (root,) = [e for e in events if e["name"] == "root.split"]
         assert root["args"]["invocations"] == 7
-        # And the loader reads the same events back.
-        assert len(obs.load_chrome_trace(str(path))) == 2
-
-    def test_metrics_json_round_trip(self, tmp_path):
-        with obs.scoped() as session:
-            obs.inc("root.splits_accepted", 3)
-            obs.observe("root.split_depth", 2.0)
-            path = tmp_path / "metrics.json"
-            session.write_metrics(str(path))
-        loaded = obs.load_metrics_json(str(path))
-        assert loaded["counters"]["root.splits_accepted"] == 3
-        assert loaded["histograms"]["root.split_depth"]["count"] == 1
+        # The file parses back to the same complete events.
+        with open(path) as fh:
+            assert len(json.load(fh)["traceEvents"]) == 2
 
 
 class TestEvents:
@@ -186,12 +163,11 @@ class TestEvents:
         assert log.emit("loud", level="warning")
         assert [r["event"] for r in log.records()] == ["loud"]
 
-    def test_jsonl_lines_are_strict_json(self, tmp_path):
-        log = obs.EventLog(level="debug")
+    def test_jsonl_lines_are_strict_json(self):
+        stream = io.StringIO()
+        log = obs.EventLog(level="debug", stream=stream)
         log.emit("x", value=np.float64(1.5), inf=float("inf"), arr=[1, 2])
-        path = tmp_path / "events.jsonl"
-        assert log.write_jsonl(str(path)) == 1
-        (line,) = path.read_text().splitlines()
+        (line,) = stream.getvalue().splitlines()
         record = json.loads(line)
         assert record["value"] == 1.5
         assert record["inf"] == "inf"
@@ -209,39 +185,16 @@ class TestRunReport:
                 _small_store(), seed=0
             )
             evaluate_plan(plan, _small_store().execution_times())
-            report = session.run_report()
+            report = obs.build_run_report(session.tracer)
+            counters = session.metrics.snapshot()["counters"]
         for phase in ("profile", "cluster", "plan", "simulate"):
             assert phase in report.phases, phase
             assert report.phases[phase].self_us > 0.0
         # Self-time never exceeds total span time.
         for summary in report.phases.values():
             assert summary.self_us <= summary.total_us + 1e-6
-        text = report.to_text()
-        assert "Wall-clock by phase" in text
-        assert "root.splits_accepted" in text
-
-    def test_report_from_saved_files_matches_live(self, tmp_path):
-        with obs.scoped() as session:
-            plan = StemRootSampler().build_plan_from_store(
-                _small_store(), seed=0
-            )
-            evaluate_plan(plan, _small_store().execution_times())
-            live = session.run_report()
-            trace_path = tmp_path / "t.json"
-            metrics_path = tmp_path / "m.json"
-            session.write_trace(str(trace_path))
-            session.write_metrics(str(metrics_path))
-        loaded = obs.build_run_report(
-            obs.load_chrome_trace(str(trace_path)),
-            obs.load_metrics_json(str(metrics_path)),
-        )
-        assert set(loaded.phases) == set(live.phases)
-        for phase, summary in live.phases.items():
-            assert loaded.phases[phase].spans == summary.spans
-            assert loaded.phases[phase].self_us == pytest.approx(
-                summary.self_us, rel=1e-6
-            )
-        assert loaded.counters == live.counters
+        assert report.wall_us > 0.0
+        assert counters["root.splits_accepted"] > 0
 
 
 class TestInstrumentation:

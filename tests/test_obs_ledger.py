@@ -2,10 +2,10 @@
 
 Covers the second observability tier: RunRecord determinism and the
 append-only JSONL ledger (including torn-line repair), self-time /
-critical-path / collapsed-stack extraction, the resource monitor,
+collapsed-stack extraction, the resource monitor,
 merge-order-independent metrics snapshots, thread-safe instruments,
 Chrome-trace schema conformance, SLO budget checks, and the
-``repro obs record/show/history/compare/check`` CLI verbs.
+``repro obs show/history/compare/check`` CLI verbs.
 """
 
 import json
@@ -116,8 +116,9 @@ class TestRunLedger:
         ledger.append(_record())
         ledger.append(_record())
         ledger.append(_record(label="full"))
-        groups = ledger.groups()
-        assert sorted(len(g) for g in groups.values()) == [1, 2]
+        run_ids = {r.run_id for r in ledger.read()}
+        groups = [ledger.history(run_id=run_id) for run_id in run_ids]
+        assert sorted(len(g) for g in groups) == [1, 2]
 
     def test_missing_ledger_reads_empty(self, tmp_path):
         assert obs.RunLedger(str(tmp_path / "nope")).read() == []
@@ -178,20 +179,6 @@ class TestFlame:
         assert self_us[by_name["b"]] == 30.0     # 40 - 10
         assert self_times(events) == self_us
 
-    def test_critical_path_follows_heaviest_descendants(self):
-        path = obs.critical_path(_EVENTS)
-        assert [s.name for s in path] == ["root", "b", "leaf"]
-        assert [s.depth for s in path] == [0, 1, 2]
-        assert path[1].dur_us == 40.0 and path[1].self_us == 30.0
-
-    def test_critical_path_tie_breaks_deterministically(self):
-        twins = [
-            {"name": "z", "ts": 0.0, "dur": 10.0, "tid": 1},
-            {"name": "a", "ts": 20.0, "dur": 10.0, "tid": 1},
-        ]
-        # Equal durations: the earlier-starting root wins.
-        assert obs.critical_path(twins)[0].name == "z"
-
     def test_collapsed_stacks_sum_to_total_duration(self):
         stacks = obs.collapsed_stacks(_EVENTS)
         assert stacks == {
@@ -224,15 +211,15 @@ class TestFlame:
 
 class TestResourceMonitor:
     def test_snapshot_shape(self):
-        with obs.ResourceMonitor(interval_s=0.01) as monitor:
+        with obs.ResourceMonitor() as monitor:
             sum(range(10000))
         snap = monitor.snapshot()
         assert set(snap) == {
-            "max_rss_kb", "cpu_user_s", "cpu_system_s", "wall_s", "samples",
+            "max_rss_kb", "cpu_user_s", "cpu_system_s", "wall_s",
         }
         assert snap["wall_s"] > 0
         if os.path.exists("/proc/self/status"):
-            assert snap["max_rss_kb"] > 0 and snap["samples"] >= 1
+            assert snap["max_rss_kb"] > 0
 
 
 class TestMergeOrderDeterminism:
@@ -299,7 +286,6 @@ class TestInstrumentThreadSafety:
             t.join()
         snap = hist.snapshot()
         assert snap["count"] == 8000
-        assert len(hist._reservoir) == 4096
 
 
 class TestChromeTraceSchema:
@@ -322,8 +308,12 @@ class TestChromeTraceSchema:
             assert isinstance(event["tid"], int)
             if "args" in event:
                 assert isinstance(event["args"], dict)
-        # Round-trips through the loader used by `repro obs report`.
-        assert len(obs.load_chrome_trace(str(path))) == len(payload["traceEvents"])
+        # The file parses back to the same complete events.
+        with open(path) as fh:
+            events = json.load(fh)["traceEvents"]
+        assert len([e for e in events if e["ph"] == "X"]) == len(
+            payload["traceEvents"]
+        )
 
 
 class TestSloChecks:
@@ -485,14 +475,10 @@ class TestCompare:
 class TestObsCli:
     def test_record_show_history(self, tmp_path, capsys):
         runs = str(tmp_path / "runs")
-        assert main([
-            "obs", "record", "nightly", "--label", "smoke",
-            "--config", '{"scale": 0.5}',
-            "--metric", "speedup=2.5", "--metric", "overhead=0.01",
-            "--runs-dir", runs,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "recorded run" in out
+        obs.RunLedger(runs).append(_record(
+            command="nightly", label="smoke",
+            metrics={"speedup": 2.5, "overhead": 0.01},
+        ))
 
         assert main(["obs", "show", "--runs-dir", runs]) == 0
         shown = json.loads(capsys.readouterr().out)
@@ -502,13 +488,6 @@ class TestObsCli:
         assert main(["obs", "history", "--runs-dir", runs]) == 0
         table = capsys.readouterr().out
         assert "nightly" in table and "smoke" in table
-
-    def test_record_rejects_bad_metric(self, tmp_path, capsys):
-        assert main([
-            "obs", "record", "x", "--metric", "notanumber",
-            "--runs-dir", str(tmp_path / "runs"),
-        ]) == 2
-        assert "KEY=VALUE" in capsys.readouterr().err
 
     def test_show_empty_ledger_fails(self, tmp_path, capsys):
         assert main(["obs", "show", "--runs-dir", str(tmp_path / "r")]) == 1
@@ -520,11 +499,9 @@ class TestObsCli:
         pyproject.write_text(
             "[tool.repro.slo.metric_max]\ndisabled_overhead = 0.02\n"
         )
-        assert main([
-            "obs", "record", "bench_obs", "--metric", "disabled_overhead=0.5",
-            "--runs-dir", runs,
-        ]) == 0
-        capsys.readouterr()
+        obs.RunLedger(runs).append(_record(
+            command="bench_obs", metrics={"disabled_overhead": 0.5},
+        ))
         assert main([
             "obs", "check", "--runs-dir", runs,
             "--pyproject", str(pyproject),
@@ -542,11 +519,9 @@ class TestObsCli:
         pyproject.write_text(
             "[tool.repro.slo.metric_max]\ndisabled_overhead = 0.02\n"
         )
-        assert main([
-            "obs", "record", "bench_obs", "--metric", "disabled_overhead=0.005",
-            "--runs-dir", runs,
-        ]) == 0
-        capsys.readouterr()
+        obs.RunLedger(runs).append(_record(
+            command="bench_obs", metrics={"disabled_overhead": 0.005},
+        ))
         assert main([
             "obs", "check", "--runs-dir", runs,
             "--pyproject", str(pyproject),
@@ -562,26 +537,15 @@ class TestObsCli:
     def test_compare_identical_runs_clean(self, tmp_path, capsys):
         runs = str(tmp_path / "runs")
         for _ in range(2):
-            assert main([
-                "obs", "record", "bench", "--metric", "speedup=2.0",
-                "--runs-dir", runs,
-            ]) == 0
-        capsys.readouterr()
+            obs.RunLedger(runs).append(_record(metrics={"speedup": 2.0}))
         assert main(["obs", "compare", "--runs-dir", runs]) == 0
         out = capsys.readouterr().out
         assert "candidate: run" in out
 
     def test_compare_flags_regression(self, tmp_path, capsys):
         runs = str(tmp_path / "runs")
-        assert main([
-            "obs", "record", "bench", "--metric", "speedup=4.0",
-            "--runs-dir", runs,
-        ]) == 0
-        assert main([
-            "obs", "record", "bench", "--metric", "speedup=1.0",
-            "--runs-dir", runs,
-        ]) == 0
-        capsys.readouterr()
+        for speedup in (4.0, 1.0):
+            obs.RunLedger(runs).append(_record(metrics={"speedup": speedup}))
         assert main(["obs", "compare", "--runs-dir", runs]) == 1
         out = capsys.readouterr().out
         assert "✗" in out and "metrics.speedup" in out

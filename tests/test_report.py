@@ -1,5 +1,7 @@
 """Tests for the sampling transparency report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,16 +12,8 @@ from repro.core.report import build_report
 
 @pytest.fixture
 def report(mixed, mixed_times):
-    sampler = StemRootSampler()
-    plan = sampler.build_plan(mixed, mixed_times, seed=0)
-    rng = np.random.default_rng(0)
-    labeled = sampler.cluster(mixed, mixed_times, rng=rng)
-    counter, members = {}, {}
-    for lc in labeled:
-        i = counter.get(lc.name, 0)
-        counter[lc.name] = i + 1
-        members[f"{lc.name}#{i}"] = lc.indices
-    return build_report(plan, mixed_times, cluster_members=members)
+    plan = StemRootSampler().build_plan(mixed, mixed_times, seed=0)
+    return build_report(plan, mixed_times)
 
 
 class TestBuildReport:
@@ -47,11 +41,23 @@ class TestBuildReport:
         summary = report.summary()
         assert {"num_clusters", "predicted_error", "speedup"} <= set(summary)
 
+    def test_stats_come_from_full_members(self, mixed, mixed_times):
+        plan = StemRootSampler().build_plan(mixed, mixed_times, seed=1)
+        report = build_report(plan, mixed_times)
+        for cluster, row in zip(plan.clusters, report.clusters):
+            member_times = mixed_times[cluster.members]
+            assert row.mu == pytest.approx(member_times.mean())
+            assert row.sigma == pytest.approx(member_times.std())
+
     def test_fallback_to_sampled_members(self, mixed, mixed_times):
         """Without membership info the report still builds from samples."""
         plan = StemRootSampler().build_plan(mixed, mixed_times, seed=1)
+        plan.clusters = [replace(c, members=None) for c in plan.clusters]
         report = build_report(plan, mixed_times)
         assert len(report.clusters) == plan.num_clusters
+        for cluster, row in zip(plan.clusters, report.clusters):
+            sampled = mixed_times[cluster.sampled_indices]
+            assert row.mu == pytest.approx(max(sampled.mean(), 1e-12))
 
     def test_cluster_report_derived_fields(self):
         plan = SamplingPlan(

@@ -11,14 +11,12 @@ docs/robustness.md):
     rest of the fan-out completes; innocents are never quarantined;
 (c) **stall detection** — a wedged worker is caught via heartbeats,
     killed, and its task re-dispatched;
-(d) **duplicate completions** — a second completion of a finished task
-    is checked for purity and dropped, never used;
-(e) **grid integration** — seeded process faults (`worker_kill` /
+(d) **grid integration** — seeded process faults (`worker_kill` /
     `cache_corrupt`) leave every non-quarantined grid row bit-identical
     to the faultless sequential run, quarantined cells are enumerated
     and never checkpointed, and unrecoverable failures salvage completed
     cells into the checkpoint before a typed error propagates;
-(f) **cache integrity** — corrupted cache entries are quarantined on
+(e) **cache integrity** — corrupted cache entries are quarantined on
     read and recomputed byte-identically instead of poisoning results.
 
 Workers that kill themselves use a *real* SIGKILL: the supervisor is
@@ -57,7 +55,6 @@ from repro.parallel import (
     run_tasks,
     supervise_tasks,
 )
-from repro.parallel.supervisor import _Flight, _Supervisor
 from repro.resilience import FaultInjector, FaultPlan, GridCheckpoint
 from repro.sim import GpuSimulator
 from repro.workloads import load_workload
@@ -68,7 +65,7 @@ NAMES = ["gaussian", "bfs"]
 #: Pinned by scripts/seed search (see test docstrings): with
 #: ``worker_kill_rate=0.3`` and this plan seed, every task index in a
 #: 4-task grid draws at most ONE kill across attempts 1..8, so no task
-#: can reach ``max_task_kills=2`` strikes under any dispatch schedule —
+#: can reach ``MAX_TASK_KILLS = 2`` strikes under any dispatch schedule —
 #: the grid must complete without quarantine.  Index 3 kills on attempt
 #: 1, so at least one real worker death occurs.
 KILL_RECOVER_SEED = 3672
@@ -107,10 +104,6 @@ def rows_equal(a, b) -> bool:
 
 
 # -- module-level workers (picklable by qualified name) ----------------------
-def _double(x):
-    return x * 2
-
-
 def _kill_once_worker(arg):
     """SIGKILL our own process the first time the marker is absent."""
     value, marker = arg
@@ -285,7 +278,6 @@ class TestPoisonQuarantine:
             _poison_worker,
             payloads,
             jobs=2,
-            policy=SupervisionPolicy(max_task_kills=2),
             report=report,
         )
         assert results == [10, None, 12, 13]
@@ -300,8 +292,7 @@ class TestPoisonQuarantine:
                 _poison_worker,
                 payloads,
                 jobs=2,
-                policy=SupervisionPolicy(max_task_kills=2),
-            )
+                )
         assert exc.value.index == 1
         assert exc.value.kills == 2
         assert isinstance(exc.value, WorkerCrashError)
@@ -329,45 +320,7 @@ class TestStallDetection:
 
 
 # ---------------------------------------------------------------------------
-# (d) duplicate completions
-# ---------------------------------------------------------------------------
-class TestDuplicateCompletion:
-    def _bare_supervisor(self) -> _Supervisor:
-        return _Supervisor(
-            worker=_double,
-            payloads=[0, 1],
-            jobs=2,
-            on_result=None,
-            label="t",
-            policy=SupervisionPolicy(),
-            capture_obs=False,
-            fault_plan=None,
-            report=SupervisionReport(),
-            raise_on_poison=False,
-        )
-
-    def test_losing_duplicate_is_verified_not_used(self):
-        sup = self._bare_supervisor()
-        sup.results[0] = 5
-        sup.done.add(0)
-        # The second copy agrees: verified and dropped silently.
-        sup._complete(_Flight(0, 1, 0.0), {"value": 5})
-        assert sup.results[0] == 5
-        assert sup.report.duplicate_mismatches == 0
-        # NaN payloads (N/A rows) compare unequal to themselves; repr
-        # equality is the purity check that must still pass.
-        sup.results[1] = float("nan")
-        sup.done.add(1)
-        sup._complete(_Flight(1, 1, 0.0), {"value": float("nan")})
-        assert sup.report.duplicate_mismatches == 0
-        # A genuinely different value is a purity violation: counted.
-        sup._complete(_Flight(0, 1, 0.0), {"value": 6})
-        assert sup.report.duplicate_mismatches == 1
-        assert sup.results[0] == 5  # the winner's value is never replaced
-
-
-# ---------------------------------------------------------------------------
-# (e) grid integration under seeded process faults
+# (d) grid integration under seeded process faults
 # ---------------------------------------------------------------------------
 class TestGridChaos:
     def test_worker_kill_faults_bit_identical_to_sequential(self):
@@ -538,7 +491,7 @@ class TestGridChaos:
 
 
 # ---------------------------------------------------------------------------
-# (f) cache integrity: checksums, quarantine, recompute
+# (e) cache integrity: checksums, quarantine, recompute
 # ---------------------------------------------------------------------------
 class _CacheIntegrity:
     """Quarantine rules of the shared entry store (:mod:`repro.memo.store`).
@@ -718,11 +671,7 @@ class TestSimCacheIntegrity(_CacheIntegrity):
 class TestPlumbing:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            SupervisionPolicy(max_task_kills=0)
-        with pytest.raises(ValueError):
             SupervisionPolicy(heartbeat_timeout=0.0)
-        with pytest.raises(ValueError):
-            SupervisionPolicy(poll_interval=-1.0)
 
     def test_fault_spec_accepts_process_faults(self):
         plan = FaultPlan.from_spec(
